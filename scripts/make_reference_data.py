@@ -6,7 +6,8 @@ vqebench package): McMurchie-Davidson integrals over contracted s/p
 Gaussians, restricted Hartree-Fock with DIIS, CASCI active-space reduction,
 and a determinant-based full CI used as the independent energy oracle.
 
-Writes tests/data/<system>_r<??>.fcidump plus reference_energies.json.
+Writes tests/data/<system>_r<??>.fcidump (H2 and NaH curves, one linear H4
+chain) plus reference_energies.json.
 
 Usage: python3 scripts/make_reference_data.py [--out tests/data]
 """
@@ -473,21 +474,24 @@ def active_space_hf_energy(h1, h2, core, n_electrons):
     return e
 
 
-def make_system(atoms, n_electrons_total, n_active, label):
+def make_system(atoms, n_electrons_total, n_active, label,
+                n_active_electrons=2):
+    """CASCI(n_active_electrons, n_active) over canonical RHF orbitals; the
+    remaining electrons fill a frozen doubly occupied core."""
     e_nuc = nuclear_repulsion(atoms)
     s, hcore, eri = ao_integrals(atoms)
     e_scf, c, _ = run_rhf(s, hcore, eri, n_electrons_total, e_nuc)
-    n_core = (n_electrons_total - 2) // 2 if n_active == 2 else 0
+    n_core = (n_electrons_total - n_active_electrons) // 2
     h1eff, h2act, e_core = cas_integrals(hcore, eri, c, e_nuc, n_core,
                                          n_active)
-    e_fci = determinant_fci(h1eff, h2act, 2) + e_core
+    e_fci = determinant_fci(h1eff, h2act, n_active_electrons) + e_core
     return {
         "label": label,
         "scf_energy": e_scf,
         "fci_energy": e_fci,
-        "hf_determinant_energy": active_space_hf_energy(h1eff, h2act,
-                                                        e_core, 2),
-        "text": format_fcidump(h1eff, h2act, e_core, 2),
+        "hf_determinant_energy": active_space_hf_energy(
+            h1eff, h2act, e_core, n_active_electrons),
+        "text": format_fcidump(h1eff, h2act, e_core, n_active_electrons),
     }
 
 
@@ -498,29 +502,36 @@ def main():
     args.out.mkdir(parents=True, exist_ok=True)
 
     reference = {}
+
+    def emit(name, system):
+        (args.out / name).write_text(system.pop("text"))
+        reference[name] = system
+        print(f"{name}: SCF {system['scf_energy']:.9f}  "
+              f"FCI {system['fci_energy']:.9f}")
+
     # 0.1 A grids reconstruct the visible figure ranges; they are not
     # published grids.
     h2_distances = [round(0.5 + 0.1 * k, 2) for k in range(21)] + [0.735]
     for r in h2_distances:
         atoms = [("H", (0.0, 0.0, 0.0)),
                  ("H", (0.0, 0.0, r * BOHR_PER_ANGSTROM))]
-        system = make_system(atoms, 2, 2, f"H2 r={r:.3f} A")
-        name = f"h2_r{r:.3f}.fcidump"
-        (args.out / name).write_text(system.pop("text"))
-        reference[name] = system
-        print(f"{name}: SCF {system['scf_energy']:.9f}  "
-              f"FCI {system['fci_energy']:.9f}")
+        emit(f"h2_r{r:.3f}.fcidump",
+             make_system(atoms, 2, 2, f"H2 r={r:.3f} A"))
 
     nah_distances = [round(1.0 + 0.1 * k, 2) for k in range(21)]
     for r in nah_distances:
         atoms = [("Na", (0.0, 0.0, 0.0)),
                  ("H", (0.0, 0.0, r * BOHR_PER_ANGSTROM))]
-        system = make_system(atoms, 12, 2, f"NaH CAS(2,2) r={r:.3f} A")
-        name = f"nah_r{r:.3f}.fcidump"
-        (args.out / name).write_text(system.pop("text"))
-        reference[name] = system
-        print(f"{name}: SCF {system['scf_energy']:.9f}  "
-              f"FCI {system['fci_energy']:.9f}")
+        emit(f"nah_r{r:.3f}.fcidump",
+             make_system(atoms, 12, 2, f"NaH CAS(2,2) r={r:.3f} A"))
+
+    # Linear H4 chain, every orbital active: 8 qubits, 19 pool operators.
+    r = 1.0
+    step = r * BOHR_PER_ANGSTROM
+    atoms = [("H", (0.0, 0.0, k * step)) for k in range(4)]
+    emit(f"h4_r{r:.3f}.fcidump",
+         make_system(atoms, 4, 4, f"H4 chain r={r:.3f} A",
+                     n_active_electrons=4))
 
     with open(args.out / "reference_energies.json", "w") as fh:
         json.dump(reference, fh, indent=2, sort_keys=True)

@@ -57,6 +57,7 @@ from .optimize import (
 from .pauli import PauliSum, PauliTerm, commutator, multiply, to_matrix
 from .statevector import (
     StateVector,
+    apply_operator,
     apply_pauli_exponential,
     apply_pool_operator,
     expectation,
@@ -71,7 +72,8 @@ __all__ = [
     "LadderProduct", "MeasurementLedger", "MolecularHamiltonian",
     "Objective", "OptimizationResult", "PauliSum", "PauliTerm",
     "PoolOperator", "RunResult", "StateVector", "anti_hermitian_pair",
-    "apply_pauli_exponential", "apply_pool_operator", "build_uccsd_pool",
+    "apply_operator", "apply_pauli_exponential", "apply_pool_operator",
+    "build_uccsd_pool",
     "central_difference_gradient", "circuit_metrics", "commutator",
     "compile_circuit", "expectation", "full_uccsd_ansatz",
     "hartree_fock_reference", "infidelity", "infidelity_vs_fci",

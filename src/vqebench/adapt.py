@@ -1,13 +1,15 @@
 """ADAPT-VQE outer loop, plain-VQE driver, and measurement accounting.
 
-The adaptive loop screens the operator pool with commutator expectations,
-appends the operator with the largest absolute gradient, and re-optimizes
-every parameter from an all-zeros start. A converged run ends when the
-pool gradient norm drops to the configured threshold.
+The adaptive loop screens the operator pool for the gradients
+``<psi| [H_P, tau_k] |psi> = 2 Re <H_P psi| tau_k psi>``, appends the
+operator with the largest absolute gradient, and re-optimizes every
+parameter from an all-zeros start. A converged run ends when the pool
+gradient norm drops to the configured threshold.
 
 Measurement cost is tracked symbolically: every expectation evaluated
 charges one unit per non-identity Pauli term of the measured operator
-(the identity is classically known and excluded).
+(the identity is classically known and excluded); a screening charges
+every commutator ``[H_P, tau_k]`` as if it were measured.
 """
 from __future__ import annotations
 
@@ -32,7 +34,12 @@ from .optimize import (
     minimize_nelder_mead,
 )
 from .pauli import PauliSum, commutator
-from .statevector import StateVector, expectation, hartree_fock_reference
+from .statevector import (
+    StateVector,
+    apply_operator,
+    expectation,
+    hartree_fock_reference,
+)
 
 OPTIMIZERS = ("nelder_mead", "lbfgs")
 
@@ -41,16 +48,15 @@ class AdaptConfig:
     """Knobs for the adaptive loop and the inner optimizations."""
 
     __slots__ = ("grad_norm_threshold", "max_iterations", "optimizer",
-                 "tol_rel_energy", "fd_step", "eval_budget", "warm_start")
+                 "tol_rel_energy", "fd_step")
 
     def __init__(self, grad_norm_threshold=1e-2, max_iterations=50,
                  optimizer="lbfgs", tol_rel_energy=DEFAULT_TOL,
-                 fd_step=DEFAULT_FD_STEP, eval_budget=DEFAULT_BUDGET,
-                 warm_start=False):
+                 fd_step=DEFAULT_FD_STEP):
         if grad_norm_threshold <= 0 or tol_rel_energy <= 0 or fd_step <= 0:
             raise ValueError("thresholds must be positive")
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if max_iterations < 1 or not float(max_iterations).is_integer():
+            raise ValueError("max_iterations must be a positive integer")
         if optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         self.grad_norm_threshold = float(grad_norm_threshold)
@@ -58,8 +64,6 @@ class AdaptConfig:
         self.optimizer = optimizer
         self.tol_rel_energy = float(tol_rel_energy)
         self.fd_step = float(fd_step)
-        self.eval_budget = int(eval_budget)
-        self.warm_start = bool(warm_start)  # off by default, see run_adapt
 
 
 class MeasurementLedger:
@@ -114,7 +118,12 @@ class AdaptIteration:
 
 
 class RunResult:
-    """Common record returned by both drivers."""
+    """Common record returned by `run_vqe` and `run_adapt`.
+
+    ``final_grad_norm`` is the pool gradient norm at the returned state
+    (None for VQE). A run that used up ``max_iterations`` screens its final
+    state once more for it; that screening is not charged to the ledger.
+    """
 
     __slots__ = ("method", "optimizer", "ansatz", "theta", "energy",
                  "converged", "trace", "ledger", "resources",
@@ -133,20 +142,21 @@ class RunResult:
                 f"E={self.energy:.9f}, {len(self.ansatz)} operators)")
 
 
-def screen_pool(psi: StateVector, h_p: PauliSum, pool, ledger,
-                commutator_cache=None) -> np.ndarray:
-    """Gradient vector <psi| [H_P, tau_k] |psi> over the whole pool."""
+def screen_pool(psi: StateVector, h_p: PauliSum, pool) -> np.ndarray:
+    """Gradient vector <psi| [H_P, tau_k] |psi> over the whole pool.
+
+    Evaluated as ``2 Re <H_P psi| tau_k psi>``, equal for anti-Hermitian
+    tau_k (Grimsley et al., arXiv:1812.11173) and Hermitian H_P, which is
+    checked. Charges no ledger.
+    """
     if not pool:
         raise ValueError("cannot screen an empty pool")
-    grads = np.empty(len(pool))
-    for k, op in enumerate(pool):
-        if commutator_cache is not None:
-            comm = commutator_cache[k]
-        else:
-            comm = commutator(h_p, op.qubit_form)
-        ledger.charge_commutator(comm.non_identity_term_count())
-        grads[k] = expectation(psi, comm)
-    return grads
+    if not h_p.is_hermitian():
+        raise ValueError("screening requires a Hermitian H_P")
+    h_psi = apply_operator(psi, h_p)
+    return np.array([2.0 * np.vdot(h_psi,
+                                   apply_operator(psi, op.qubit_form)).real
+                     for op in pool])
 
 
 def select_operator(grads, pool) -> int:
@@ -184,16 +194,15 @@ def _energy_objective(ansatz: Ansatz, h_p: PauliSum, core: float,
 def _optimize(cfg: AdaptConfig, objective: Objective, theta0):
     if cfg.optimizer == "lbfgs":
         return minimize_lbfgs(objective, theta0, cfg.tol_rel_energy,
-                              h=cfg.fd_step, max_evals=cfg.eval_budget)
+                              h=cfg.fd_step, max_evals=DEFAULT_BUDGET)
     return minimize_nelder_mead(objective, theta0, cfg.tol_rel_energy,
-                                max_evals=cfg.eval_budget)
+                                max_evals=DEFAULT_BUDGET)
 
 
 def run_adapt(ham: MolecularHamiltonian,
               cfg: AdaptConfig | None = None) -> RunResult:
     """Grow the ansatz one operator at a time until ||G|| falls below
-    threshold, re-optimizing all parameters from zero each iteration
-    (warm_start instead reuses the previous optimum for old parameters).
+    threshold, re-optimizing all parameters from zero each iteration.
     """
     cfg = cfg or AdaptConfig()
     h_p, core = _jw_hamiltonian(ham)
@@ -206,13 +215,17 @@ def run_adapt(ham: MolecularHamiltonian,
     theta = np.zeros(0)
     energy = expectation(reference, h_p) + core
     converged = False
-    final_grad_norm = float("nan")
 
     if pool:
-        comm_cache = [commutator(h_p, op.qubit_form) for op in pool]
+        # Each screening is charged as measuring every [H_P, tau_k]; their
+        # term counts do not depend on the state.
+        comm_terms = [commutator(h_p, op.qubit_form).non_identity_term_count()
+                      for op in pool]
         for _ in range(cfg.max_iterations):
             psi = prepare_state(ansatz.with_thetas(theta), reference)
-            grads = screen_pool(psi, h_p, pool, ledger, comm_cache)
+            grads = screen_pool(psi, h_p, pool)
+            for n_terms in comm_terms:
+                ledger.charge_commutator(n_terms)
             grad_norm = float(np.linalg.norm(grads))
             if grad_norm <= cfg.grad_norm_threshold:
                 converged = True
@@ -223,20 +236,20 @@ def run_adapt(ham: MolecularHamiltonian,
                 break
             selected = select_operator(grads, pool)
             ansatz = ansatz.extended(selected, 0.0)
-            if cfg.warm_start:
-                theta0 = np.append(theta, 0.0)
-            else:
-                theta0 = np.zeros(len(ansatz))
             objective = _energy_objective(ansatz, h_p, core, reference,
                                           ledger)
-            result = _optimize(cfg, objective, theta0)
+            result = _optimize(cfg, objective, np.zeros(len(ansatz)))
             theta = result.theta_opt
             energy = result.energy
             trace.append(AdaptIteration(
                 selected, grad_norm, grads, energy, theta, ledger.total(),
                 optimizer_converged=result.converged))
         else:
-            final_grad_norm = trace[-1].grad_norm if trace else float("nan")
+            # Out of iterations: the reported norm is that of the returned
+            # state. It is a diagnostic, so the ledger is not charged.
+            psi = prepare_state(ansatz.with_thetas(theta), reference)
+            final_grad_norm = float(np.linalg.norm(
+                screen_pool(psi, h_p, pool)))
     else:
         converged = True  # nothing to add
         final_grad_norm = 0.0

@@ -43,12 +43,21 @@ OPTIMIZER_ALIASES = {"nm": "nelder_mead", "nelder_mead": "nelder_mead",
                      "l-bfgs": "lbfgs"}
 CSV_HEADER = ("label,method,optimizer,energy,abs_error_vs_fci,infidelity,"
               "n_operators,gate_count,depth,measurement_total,converged")
+CONFIG_KEYS = ("output", "methods", "optimizers", "grad_norm_threshold",
+               "tol_rel_energy", "fd_step", "max_iterations", "input")
 GRADIENT_FREE_NOTE = ("gradient-free optimizer: Nelder-Mead (stand-in for "
                       "the reference COBYLA)")
 
 
 class ConfigError(ValueError):
-    """Bad scan configuration."""
+    """Bad scan configuration or run settings."""
+
+
+def _adapt_config(**settings) -> AdaptConfig:
+    try:
+        return AdaptConfig(**settings)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 class ScanConfig:
@@ -87,6 +96,8 @@ def parse_scan_config(text: str, base_dir: Path | None = None) -> ScanConfig:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"line {line_no}: unknown key {key!r}")
         if key == "input":
             parts = value.split(None, 1)
             if len(parts) != 2:
@@ -120,9 +131,9 @@ def parse_scan_config(text: str, base_dir: Path | None = None) -> ScanConfig:
             raise ConfigError(f"bad numeric value for {key}: {raw!r}") \
                 from exc
 
-    adapt = AdaptConfig(
+    adapt = _adapt_config(
         grad_norm_threshold=number("grad_norm_threshold", 1e-2),
-        max_iterations=int(number("max_iterations", 50)),
+        max_iterations=number("max_iterations", 50),
         tol_rel_energy=number("tol_rel_energy", 1e-6),
         fd_step=number("fd_step", 1e-5),
     )
@@ -352,10 +363,10 @@ def _cmd_run(args) -> int:
         if sol.degeneracy_flag:
             print("note: degenerate ground space")
         return 0
-    cfg = AdaptConfig(grad_norm_threshold=args.grad_norm_threshold,
-                      max_iterations=args.max_iter,
-                      optimizer=OPTIMIZER_ALIASES[args.optimizer.lower()],
-                      tol_rel_energy=args.tol, fd_step=args.fd_step)
+    cfg = _adapt_config(grad_norm_threshold=args.grad_norm_threshold,
+                        max_iterations=args.max_iter,
+                        optimizer=OPTIMIZER_ALIASES[args.optimizer.lower()],
+                        tol_rel_energy=args.tol, fd_step=args.fd_step)
     runner = run_vqe if args.method == "vqe" else run_adapt
     result = runner(ham, cfg)
     infid = infidelity_vs_fci(result.prepared_state(), sol)

@@ -6,7 +6,7 @@ import numpy as np
 
 from .fcidump import MolecularHamiltonian, to_fermion_hamiltonian
 from .fermion import jordan_wigner
-from .pauli import PauliSum, ResourceLimitError, term_action
+from .pauli import PauliSum, ResourceLimitError, string_phases
 from .statevector import StateVector, infidelity
 
 QUBIT_CAP = 12
@@ -45,7 +45,8 @@ def sector_matrix(h_p: PauliSum, indices: np.ndarray) -> np.ndarray:
 
     Individual Pauli terms may map a sector state outside the sector;
     for a particle-conserving sum those contributions cancel exactly, so
-    they are dropped rather than accumulated.
+    they are dropped rather than accumulated. Terms are accumulated in
+    insertion order, on which the last digits of reported energies depend.
     """
     dim = len(indices)
     position = np.full(1 << h_p.n_qubits, -1, dtype=np.int64)
@@ -53,10 +54,10 @@ def sector_matrix(h_p: PauliSum, indices: np.ndarray) -> np.ndarray:
     cols = np.arange(dim)
     mat = np.zeros((dim, dim), dtype=complex)
     for (x, z), coeff in h_p.terms.items():
-        targets, phases = term_action(h_p.n_qubits, x, z)
-        rows = position[targets[indices]]
+        rows = position[indices ^ x]
         keep = rows >= 0
-        mat[rows[keep], cols[keep]] += coeff * phases[indices][keep]
+        phases = string_phases(indices, x, z)
+        mat[rows[keep], cols[keep]] += coeff * phases[keep]
     return mat
 
 

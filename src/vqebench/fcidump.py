@@ -131,7 +131,12 @@ def _canonical_two_body(i, j, k, l):
 def parse_fcidump(text, label="") -> MolecularHamiltonian:
     """Parse FCIDUMP text (str or bytes) into a MolecularHamiltonian."""
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise FcidumpParseError(
+                f"non-ASCII byte {text[exc.start]:#04x}",
+                text.count(b"\n", 0, exc.start) + 1) from exc
     numbered = [(no, line) for no, line in enumerate(text.splitlines(), 1)
                 if line.strip()]
     fields, body_start = _parse_header(numbered)

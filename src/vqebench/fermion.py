@@ -92,17 +92,15 @@ def anti_hermitian_pair(t: FermionOperator) -> FermionOperator:
     return t - t.dagger()
 
 
-def _ladder_image(p: int, dagger: bool, n_qubits: int,
-                  dagger_y_sign: float = 1.0) -> PauliSum:
+def _ladder_image(p: int, dagger: bool, n_qubits: int) -> PauliSum:
     """JW image of a single ladder operator.
 
     ``a_p^dagger -> Z_{<p} (X_p - i Y_p) / 2`` and the conjugate for
-    ``a_p``. ``dagger_y_sign`` corrupts the creation image only; it exists
-    so the test suite can watch the anticommutation check fail.
+    ``a_p``.
     """
     z_chain = (1 << p) - 1
     x_term = PauliTerm(n_qubits, 1 << p, z_chain, 0.5)
-    y_coeff = -0.5j * dagger_y_sign if dagger else 0.5j
+    y_coeff = -0.5j if dagger else 0.5j
     y_term = PauliTerm(n_qubits, 1 << p, z_chain | (1 << p), y_coeff)
     return PauliSum.from_terms([x_term, y_term])
 
@@ -155,13 +153,13 @@ def _car_holds(images_create, images_destroy, n: int,
     return True
 
 
-def verify_car(n: int, dagger_y_sign: float = 1.0) -> bool:
+def verify_car(n: int) -> bool:
     """True iff the JW images satisfy {a_p, a_q^dag} = delta_pq, {a_p, a_q} = 0.
 
     Checked densely via Pauli matrices, so n is capped at 8.
     """
     if n > 8:
         raise ValueError("verify_car is a dense self-test, capped at n <= 8")
-    creates = [_ladder_image(p, True, n, dagger_y_sign) for p in range(n)]
+    creates = [_ladder_image(p, True, n) for p in range(n)]
     destroys = [_ladder_image(p, False, n) for p in range(n)]
     return _car_holds(creates, destroys, n)

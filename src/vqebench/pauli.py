@@ -10,7 +10,7 @@ Qubit 0 is the least significant bit of basis-state indices throughout.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import namedtuple
 
 import numpy as np
 
@@ -141,14 +141,16 @@ def terms_commute(a: PauliTerm, b: PauliTerm) -> bool:
 class PauliSum:
     """Linear combination of Pauli strings with merged, pruned coefficients.
 
-    Immutable by convention: all arithmetic returns new sums. Terms with
+    Immutable by convention: all arithmetic returns new sums, and the
+    compiled ``action`` is kept on the instance. Terms with
     ``|coefficient| < PRUNE_THRESHOLD`` are dropped on every merge.
     """
 
-    __slots__ = ("n_qubits", "terms")
+    __slots__ = ("n_qubits", "terms", "_action")
 
     def __init__(self, n_qubits: int, terms=None):
         self.n_qubits = n_qubits
+        self._action = None
         self.terms: dict[tuple[int, int], complex] = {}
         if terms:
             for (x, z), c in dict(terms).items():
@@ -191,11 +193,22 @@ class PauliSum:
         return [PauliTerm(self.n_qubits, x, z, self.terms[(x, z)])
                 for x, z in keys]
 
+    @property
+    def action(self) -> list[tuple[complex, np.ndarray, np.ndarray]]:
+        """``(coefficient, targets, phases)`` per term, in canonical order.
+
+        The term's unit-coefficient string maps basis state ``b`` to
+        ``phases[b] |targets[b]>``. Built on first use and kept; terms
+        sharing an X mask share one ``targets`` array. Read only.
+        """
+        if self._action is None:
+            self._action = _basis_action(self)
+        else:
+            _basis_action.hits += len(self._action)
+        return self._action
+
     def coefficient(self, x_mask: int, z_mask: int) -> complex:
         return self.terms.get((x_mask, z_mask), 0.0)
-
-    def identity_coefficient(self) -> complex:
-        return self.terms.get((0, 0), 0.0)
 
     def non_identity_term_count(self) -> int:
         return len(self.terms) - (1 if (0, 0) in self.terms else 0)
@@ -277,28 +290,42 @@ def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
     return PauliSum(a.n_qubits, acc)
 
 
-@lru_cache(maxsize=4096)
-def _basis_action(n_qubits: int, x_mask: int, z_mask: int):
-    """Action of the unit-coefficient string on all basis states.
+CacheInfo = namedtuple("CacheInfo", "hits misses")
 
-    Returns ``(targets, phases)`` with ``P |b> = phases[b] |targets[b]>``,
-    using ``P = i**popcount(x & z) * X^x Z^z`` and
+
+def _basis_action(s: PauliSum) -> list:
+    """Compile ``s.action``; see ``PauliSum.action``.
+
+    Counts term actions built (``misses``) and reused from a kept
+    ``action`` (``hits``) since import; ``cache_info()`` reads them.
+    """
+    basis = np.arange(1 << s.n_qubits, dtype=np.int64)
+    by_x: dict[int, np.ndarray] = {}
+    action = []
+    for t in s.sorted_terms():
+        if t.x_mask not in by_x:
+            by_x[t.x_mask] = basis ^ t.x_mask
+        action.append((t.coefficient, by_x[t.x_mask],
+                       string_phases(basis, t.x_mask, t.z_mask)))
+    _basis_action.misses += len(action)
+    return action
+
+
+_basis_action.hits = _basis_action.misses = 0
+_basis_action.cache_info = lambda: CacheInfo(_basis_action.hits,
+                                             _basis_action.misses)
+
+
+def string_phases(basis: np.ndarray, x_mask: int, z_mask: int) -> np.ndarray:
+    """Phases of the unit-coefficient string on the given basis states.
+
+    ``P |b> = phases[i] |b ^ x_mask>`` for ``b = basis[i]``, using
+    ``P = i**popcount(x & z) * X^x Z^z`` and
     ``X^x Z^z |b> = (-1)**popcount(b & z) |b ^ x>``.
     """
-    dim = 1 << n_qubits
-    basis = np.arange(dim, dtype=np.int64)
-    targets = basis ^ x_mask
     parity = np.bitwise_count(basis & z_mask) & 1
     phases = np.where(parity, -1.0 + 0j, 1.0 + 0j)
-    phases = phases * (1j) ** ((x_mask & z_mask).bit_count() % 4)
-    targets.setflags(write=False)
-    phases.setflags(write=False)
-    return targets, phases
-
-
-def term_action(n_qubits: int, x_mask: int, z_mask: int):
-    """Public accessor for the cached basis action of a Pauli string."""
-    return _basis_action(n_qubits, x_mask, z_mask)
+    return phases * (1j) ** ((x_mask & z_mask).bit_count() % 4)
 
 
 def to_matrix(s: PauliSum, max_qubits: int = MATRIX_QUBIT_CAP) -> np.ndarray:
@@ -312,11 +339,6 @@ def to_matrix(s: PauliSum, max_qubits: int = MATRIX_QUBIT_CAP) -> np.ndarray:
     dim = 1 << s.n_qubits
     mat = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)
-    for (x, z), c in s.terms.items():
-        targets, phases = _basis_action(s.n_qubits, x, z)
+    for c, targets, phases in s.action:
         mat[targets, cols] += c * phases
     return mat
-
-
-def term_to_matrix(t: PauliTerm, max_qubits: int = MATRIX_QUBIT_CAP) -> np.ndarray:
-    return to_matrix(PauliSum.from_term(t), max_qubits)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .adapt import AdaptConfig, MeasurementLedger, run_adapt, run_vqe, screen_pool
+from .adapt import AdaptConfig, run_adapt, run_vqe, screen_pool
 from .ansatz import (
     Ansatz,
     build_uccsd_pool,
@@ -104,6 +104,21 @@ def run_selftest(writer=print) -> bool:
                                ma @ mb - mb @ ma, atol=1e-10))
     check("symbolic commutator matches dense commutator", ok)
 
+    for n_spatial, n_electrons in ((4, 2), (4, 4)):
+        pool = build_uccsd_pool(n_spatial, n_electrons)
+        dim = 1 << (2 * n_spatial)
+        h = PauliSum(2 * n_spatial, {
+            (int(rng.integers(dim)), int(rng.integers(dim))): rng.normal()
+            for _ in range(40)})
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi = StateVector(2 * n_spatial, amps / np.linalg.norm(amps))
+        expected = [expectation(psi, commutator(h, op.qubit_form))
+                    for op in pool]
+        check(f"pool screening matches commutator expectations "
+              f"({n_spatial},{n_electrons})",
+              bool(np.allclose(screen_pool(psi, h, pool), expected,
+                               rtol=0, atol=1e-10)))
+
     ham = _synthetic_hamiltonian()
     sol = solve_fci(ham)
     fermion_h, core = to_fermion_hamiltonian(ham)
@@ -111,8 +126,7 @@ def run_selftest(writer=print) -> bool:
     check("JW Hamiltonian is Hermitian", h_p.is_hermitian())
     check("JW Hamiltonian conserves particle number",
           len(commutator(h_p, number_operator(4))) == 0)
-    grads = screen_pool(sol.ground_state, h_p, build_uccsd_pool(2, 2),
-                        MeasurementLedger())
+    grads = screen_pool(sol.ground_state, h_p, build_uccsd_pool(2, 2))
     check("pool gradients vanish on the exact eigenstate",
           bool(np.max(np.abs(grads)) < 1e-8))
 

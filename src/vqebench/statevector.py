@@ -10,14 +10,7 @@ import math
 
 import numpy as np
 
-from .pauli import (
-    DimensionMismatchError,
-    PauliSum,
-    PauliTerm,
-    term_action,
-)
-
-NORM_TOL = 1e-10
+from .pauli import DimensionMismatchError, PauliSum, PauliTerm
 
 
 class StateVector:
@@ -45,15 +38,8 @@ class StateVector:
         state.amplitudes[index] = 1.0
         return state
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy())
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def check_normalized(self):
-        if abs(self.norm() - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {self.norm()} deviates from 1")
 
     def inner(self, other: "StateVector") -> complex:
         if self.n_qubits != other.n_qubits:
@@ -76,15 +62,6 @@ def hartree_fock_reference(n_qubits: int, n_electrons: int) -> StateVector:
     return StateVector.basis_state(n_qubits, (1 << n_electrons) - 1)
 
 
-def apply_pauli_term(state: StateVector, x_mask: int, z_mask: int,
-                     coefficient: complex = 1.0) -> np.ndarray:
-    """Amplitudes of ``coefficient * P |state>`` for a single string."""
-    targets, phases = term_action(state.n_qubits, x_mask, z_mask)
-    out = np.empty_like(state.amplitudes)
-    out[targets] = (coefficient * phases) * state.amplitudes
-    return out
-
-
 def apply_pauli_exponential(state: StateVector, p: PauliTerm,
                             angle: float) -> StateVector:
     """``exp(i * angle * P) |state>`` for a Hermitian unit-coefficient P.
@@ -97,11 +74,8 @@ def apply_pauli_exponential(state: StateVector, p: PauliTerm,
         raise ValueError(
             f"apply_pauli_exponential needs a real unit coefficient, "
             f"got {coeff}")
-    theta = angle * coeff.real
-    rotated = apply_pauli_term(state, p.x_mask, p.z_mask)
-    new_amps = math.cos(theta) * state.amplitudes \
-        + 1j * math.sin(theta) * rotated
-    return StateVector(state.n_qubits, new_amps)
+    i_p = PauliSum(p.n_qubits, {(p.x_mask, p.z_mask): 1j})
+    return apply_pool_operator(state, i_p, angle * coeff.real)
 
 
 def apply_pool_operator(state: StateVector, tau: PauliSum,
@@ -116,33 +90,41 @@ def apply_pool_operator(state: StateVector, tau: PauliSum,
         raise DimensionMismatchError("operator and state sizes differ")
     if not tau.is_anti_hermitian():
         raise ValueError("pool operator must be anti-Hermitian")
-    out = state
-    for term in tau.sorted_terms():
-        weight = term.coefficient.imag  # term = i * weight * P
-        out = apply_pauli_exponential(
-            out, PauliTerm(tau.n_qubits, term.x_mask, term.z_mask, 1.0),
-            theta * weight)
+    amps = state.amplitudes
+    for coeff, targets, phases in tau.action:
+        # term = i * w * P with w = coeff.imag, and P^2 = I; targets is
+        # its own inverse, so (phases * amps)[targets] is P |amps>
+        angle = theta * coeff.imag
+        amps = math.cos(angle) * amps \
+            + 1j * math.sin(angle) * (phases * amps)[targets]
+    return StateVector(state.n_qubits, amps)
+
+
+def apply_operator(state: StateVector, op: PauliSum) -> np.ndarray:
+    """Amplitudes of ``op |state>`` (not normalized) for any sum ``op``."""
+    if state.n_qubits != op.n_qubits:
+        raise DimensionMismatchError("operator and state sizes differ")
+    amps = state.amplitudes
+    out = np.zeros_like(amps)
+    for coeff, targets, phases in op.action:
+        out += coeff * (phases * amps)[targets]
     return out
 
 
 def expectation(state: StateVector, observable: PauliSum) -> float:
     """``<state| observable |state>`` for a Hermitian observable.
 
-    Evaluated term by term against the basis action, never materializing
-    a matrix; the imaginary residue is asserted below 1e-10.
+    Accumulated term by term in canonical order, never materializing a
+    matrix; the imaginary residue is asserted below 1e-10.
     """
     if state.n_qubits != observable.n_qubits:
         raise DimensionMismatchError("operator and state sizes differ")
     if not observable.is_hermitian():
         raise ValueError("expectation requires a Hermitian observable")
     amps = state.amplitudes
-    scratch = np.empty_like(amps)
     total = 0.0 + 0.0j
-    for term in observable.sorted_terms():
-        targets, phases = term_action(state.n_qubits, term.x_mask,
-                                      term.z_mask)
-        scratch[targets] = phases * amps  # scratch = P |state>
-        total += term.coefficient * np.vdot(amps, scratch)
+    for coeff, targets, phases in observable.action:
+        total += coeff * np.vdot(amps, (phases * amps)[targets])
     if abs(total.imag) > 1e-10:
         raise AssertionError(
             f"Hermitian expectation came out complex: {total}")

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from vqebench.adapt import AdaptConfig, MeasurementLedger, run_adapt, run_vqe, screen_pool
+from vqebench.adapt import AdaptConfig, run_adapt, run_vqe, screen_pool
 from vqebench.ansatz import (
     Ansatz,
     build_uccsd_pool,
@@ -170,7 +170,7 @@ def test_criterion_3_gradient_identity():
                     for _ in range(n_existing)]
         base = Ansatz(pool_cache, elements)
         psi = prepare_state(base, ref)
-        grads = screen_pool(psi, h_p, pool_cache, MeasurementLedger())
+        grads = screen_pool(psi, h_p, pool_cache)
         for k, op in enumerate(pool_cache):
             extended = base.extended(op.id, 0.0)
 

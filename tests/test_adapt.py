@@ -1,3 +1,4 @@
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,25 @@ def jw_parts(ham):
     return jordan_wigner(fermion_h), core
 
 
+SYSTEMS = {"h2": "h2_r0.735.fcidump", "nah": "nah_r1.800.fcidump",
+           "h4": "h4_r1.000.fcidump"}
+
+
+@lru_cache(maxsize=None)
+def screening_setup(name):
+    """``(h_p, core, pool, reference)`` of a committed test system."""
+    ham = load_fcidump(DATA / SYSTEMS[name])
+    h_p, core = jw_parts(ham)
+    return (h_p, core, build_uccsd_pool(ham.n_spatial, ham.n_electrons),
+            hartree_fock_reference(ham.n_qubits, ham.n_electrons))
+
+
+def random_ansatz(pool, rng, length):
+    return Ansatz(pool, [(int(rng.integers(len(pool))),
+                          float(rng.uniform(-0.5, 0.5)))
+                         for _ in range(length)])
+
+
 def diagonal_hamiltonian():
     """HF determinant is the exact ground state: diagonal h1, no h2."""
     return MolecularHamiltonian(2, 2, 0.3, np.diag([-1.0, 0.5]),
@@ -52,37 +72,48 @@ class TestScreenPool:
         h_p, core = jw_parts(h2)
         sol = solve_fci(h2)
         pool = build_uccsd_pool(2, 2)
-        grads = screen_pool(sol.ground_state, h_p, pool, MeasurementLedger())
+        grads = screen_pool(sol.ground_state, h_p, pool)
         np.testing.assert_allclose(grads, 0.0, atol=1e-10)
 
     def test_brillouin_at_hartree_fock(self, h2):
         h_p, _ = jw_parts(h2)
         pool = build_uccsd_pool(2, 2)
         ref = hartree_fock_reference(4, 2)
-        grads = screen_pool(ref, h_p, pool, MeasurementLedger())
+        grads = screen_pool(ref, h_p, pool)
         assert abs(grads[0]) < 1e-10   # single vanishes (canonical orbitals)
         assert abs(grads[1]) > 1e-3    # double drives the correlation
 
-    def test_matches_dense_commutator(self, h2):
+    def test_non_hermitian_hamiltonian_rejected(self, h2):
         h_p, _ = jw_parts(h2)
         pool = build_uccsd_pool(2, 2)
-        ref = hartree_fock_reference(4, 2)
-        grads = screen_pool(ref, h_p, pool, MeasurementLedger())
-        for k, op in enumerate(pool):
-            comm = commutator(h_p, op.qubit_form)
-            assert grads[k] == pytest.approx(expectation(ref, comm),
-                                             abs=1e-12)
+        with pytest.raises(ValueError):
+            screen_pool(hartree_fock_reference(4, 2), 1j * h_p, pool)
 
-    def test_matches_finite_difference_of_extended_ansatz(self, h2):
-        h_p, core = jw_parts(h2)
-        pool = build_uccsd_pool(2, 2)
-        ref = hartree_fock_reference(4, 2)
+    @pytest.mark.parametrize("state", ["hf", "random"])
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_matches_dense_commutator(self, name, state):
+        h_p, _, pool, ref = screening_setup(name)
+        psi = ref
+        if state == "random":
+            rng = np.random.default_rng(11)
+            psi = prepare_state(random_ansatz(pool, rng, 3), ref)
+        expected = [expectation(psi, commutator(h_p, op.qubit_form))
+                    for op in pool]
+        np.testing.assert_allclose(screen_pool(psi, h_p, pool), expected,
+                                   rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_matches_finite_difference_of_extended_ansatz(self, name):
+        h_p, _, pool, ref = screening_setup(name)
         rng = np.random.default_rng(42)
         for _ in range(5):
-            base = Ansatz(pool, [(1, rng.uniform(-0.5, 0.5)),
-                                 (0, rng.uniform(-0.5, 0.5))])
+            # H2 keeps its fixed (double, single) bases; the larger pools
+            # draw two operators at random
+            ids = (1, 0) if name == "h2" else rng.integers(len(pool), size=2)
+            base = Ansatz(pool, [(int(k), rng.uniform(-0.5, 0.5))
+                                 for k in ids])
             psi = prepare_state(base, ref)
-            grads = screen_pool(psi, h_p, pool, MeasurementLedger())
+            grads = screen_pool(psi, h_p, pool)
             for k, op in enumerate(pool):
                 extended = base.extended(op.id, 0.0)
 
@@ -94,16 +125,21 @@ class TestScreenPool:
                 fd = central_difference_gradient(obj, extended.thetas, 1e-5)
                 assert grads[k] == pytest.approx(fd[-1], abs=1e-6)
 
-    def test_ledger_charges_commutator_terms(self, h2):
-        h_p, _ = jw_parts(h2)
-        pool = build_uccsd_pool(2, 2)
-        ledger = MeasurementLedger()
-        screen_pool(hartree_fock_reference(4, 2), h_p, pool, ledger)
+    def test_ledger_charges_commutator_terms(self):
+        # One charged screening; the extra screening of the final state
+        # after max_iterations runs out is not charged.
+        h_p, _, pool, _ = screening_setup("h2")
+        res = run_adapt(load_fcidump(DATA / SYSTEMS["h2"]),
+                        AdaptConfig(max_iterations=1))
+        ledger = res.ledger
+        assert not res.converged and len(res.trace) == 1
         assert ledger.commutator_evaluations == len(pool)
-        expected_terms = sum(
+        comm_terms = sum(
             commutator(h_p, op.qubit_form).non_identity_term_count()
             for op in pool)
-        assert ledger.pauli_term_measurements == expected_terms
+        assert ledger.pauli_term_measurements == (
+            comm_terms
+            + ledger.energy_evaluations * h_p.non_identity_term_count())
 
 
 class TestSelectOperator:
@@ -178,6 +214,19 @@ class TestRunAdapt:
         assert not res.converged
         assert len(res.ansatz) == 1
 
+    def test_final_grad_norm_is_that_of_the_returned_state(self):
+        ham = load_fcidump(DATA / "nah_r1.500.fcidump")
+        res = run_adapt(ham, AdaptConfig(optimizer="lbfgs",
+                                         max_iterations=1))
+        h_p, _ = jw_parts(ham)
+        psi = res.prepared_state()
+        grads = [expectation(psi, commutator(h_p, op.qubit_form))
+                 for op in res.ansatz.pool]
+        assert not res.converged
+        assert res.final_grad_norm == pytest.approx(np.linalg.norm(grads),
+                                                    abs=1e-10)
+        assert res.final_grad_norm < res.trace[-1].grad_norm
+
     def test_empty_pool_returns_reference_energy(self):
         ham = MolecularHamiltonian(1, 2, 0.2, np.array([[-0.7]]),
                                    np.full((1, 1, 1, 1), 0.3), label="1orb")
@@ -236,9 +285,5 @@ class TestAdaptConfig:
             AdaptConfig(max_iterations=0)
         with pytest.raises(ValueError):
             AdaptConfig(optimizer="cobyla")
-
-    def test_warm_start_still_converges(self, nah):
-        res = run_adapt(nah, AdaptConfig(optimizer="lbfgs", warm_start=True))
-        sol = solve_fci(nah)
-        assert res.converged
-        assert res.energy == pytest.approx(sol.energy, abs=1e-5)
+        with pytest.raises(ValueError):
+            AdaptConfig(max_iterations=1.7)

@@ -197,6 +197,29 @@ class TestMainEntry:
         config.write_text("inputs without equals sign\n")
         assert main(["scan", "--config", str(config)]) == 1
 
+    @pytest.mark.parametrize("line", ["grad_norm_threshold = -1",
+                                      "optimiser = nelder_mead",
+                                      "max_iterations = 1.7"])
+    def test_bad_config_value_is_input_error(self, tmp_path, capsys, line):
+        config = tmp_path / "scan.cfg"
+        config.write_text(config_text(
+            [("0.735", DATA / "h2_r0.735.fcidump")]) + line + "\n")
+        assert main(["scan", "--config", str(config)]) == 1
+        assert "internal" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_run_flag_is_input_error(self):
+        assert main(["run", "--fcidump", str(DATA / "h2_r0.735.fcidump"),
+                     "--method", "adapt", "--grad-norm-threshold",
+                     "-1"]) == 1
+
+    def test_non_ascii_fcidump_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.fcidump"
+        text = (DATA / "h2_r0.735.fcidump").read_bytes()
+        bad.write_bytes(text.replace(b"ISYM", b"\xc3\x9fISYM", 1))
+        assert main(["run", "--fcidump", str(bad), "--method", "fci"]) == 1
+        assert "non-ASCII" in capsys.readouterr().err
+
     def test_run_fci(self, capsys):
         code = main(["run", "--fcidump",
                      str(DATA / "h2_r0.735.fcidump"), "--method", "fci"])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vqebench import fermion
 from vqebench.fermion import (
     FermionOperator,
     LadderProduct,
@@ -107,8 +108,12 @@ class TestCanonicalAnticommutation:
     def test_up_to_six_modes(self, n):
         assert verify_car(n)
 
-    def test_corrupted_transform_fails(self):
-        assert not verify_car(4, dagger_y_sign=-1.0)
+    def test_corrupted_transform_fails(self, monkeypatch):
+        # creation images replaced by annihilation images
+        original = fermion._ladder_image
+        monkeypatch.setattr(fermion, "_ladder_image",
+                            lambda p, dagger, n: original(p, False, n))
+        assert not verify_car(4)
 
     def test_cap(self):
         with pytest.raises(ValueError):
