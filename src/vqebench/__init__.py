@@ -2,17 +2,19 @@
 
 Typical use::
 
-    from vqebench import load_fcidump, run_adapt, solve_fci, AdaptConfig
+    from vqebench import (AdaptConfig, QubitProblem, load_fcidump,
+                          run_adapt, solve_fci)
 
-    ham = load_fcidump("h2.fcidump")
-    result = run_adapt(ham, AdaptConfig(optimizer="lbfgs"))
-    exact = solve_fci(ham)
+    problem = QubitProblem(load_fcidump("h2.fcidump"))
+    result = run_adapt(problem, AdaptConfig(optimizer="lbfgs"))
+    exact = solve_fci(problem)
     print(result.energy - exact.energy)
 """
 
 from .adapt import (
     AdaptConfig,
     MeasurementLedger,
+    QubitProblem,
     RunResult,
     run_adapt,
     run_vqe,
@@ -71,9 +73,9 @@ __all__ = [
     "AdaptConfig", "Ansatz", "FciSolution", "FermionOperator", "GateCircuit",
     "LadderProduct", "MeasurementLedger", "MolecularHamiltonian",
     "Objective", "OptimizationResult", "PauliSum", "PauliTerm",
-    "PoolOperator", "RunResult", "StateVector", "anti_hermitian_pair",
-    "apply_operator", "apply_pauli_exponential", "apply_pool_operator",
-    "build_uccsd_pool",
+    "PoolOperator", "QubitProblem", "RunResult", "StateVector",
+    "anti_hermitian_pair", "apply_operator", "apply_pauli_exponential",
+    "apply_pool_operator", "build_uccsd_pool",
     "central_difference_gradient", "circuit_metrics", "commutator",
     "compile_circuit", "expectation", "full_uccsd_ansatz",
     "hartree_fock_reference", "infidelity", "infidelity_vs_fci",

@@ -1,5 +1,8 @@
 """ADAPT-VQE outer loop, plain-VQE driver, and measurement accounting.
 
+An FCIDUMP becomes a `QubitProblem` once: FCI, VQE and ADAPT share its
+Jordan-Wigner Hamiltonian, UCCSD pool and Hartree-Fock reference.
+
 The adaptive loop screens the operator pool for the gradients
 ``<psi| [H_P, tau_k] |psi> = 2 Re <H_P psi| tau_k psi>``, appends the
 operator with the largest absolute gradient, and re-optimizes every
@@ -33,7 +36,7 @@ from .optimize import (
     minimize_lbfgs,
     minimize_nelder_mead,
 )
-from .pauli import PauliSum, commutator
+from .pauli import PauliSum, ResourceLimitError, commutator
 from .statevector import (
     StateVector,
     apply_operator,
@@ -42,6 +45,28 @@ from .statevector import (
 )
 
 OPTIMIZERS = ("nelder_mead", "lbfgs")
+QUBIT_CAP = 12
+
+
+class QubitProblem:
+    """JW Hamiltonian ``h_p`` plus constant ``core``, UCCSD ``pool`` and HF
+    ``reference`` of one input; above QUBIT_CAP qubits it raises
+    ResourceLimitError before any transform runs."""
+
+    __slots__ = ("label", "n_qubits", "n_electrons", "h_p", "core", "pool",
+                 "reference")
+
+    def __init__(self, ham: MolecularHamiltonian):
+        if ham.n_qubits > QUBIT_CAP:
+            raise ResourceLimitError(
+                f"{ham.n_qubits} qubits exceeds the cap of {QUBIT_CAP}")
+        self.label = ham.label
+        self.n_qubits = ham.n_qubits
+        self.n_electrons = ham.n_electrons
+        fermion_h, self.core = to_fermion_hamiltonian(ham)
+        self.h_p = jordan_wigner(fermion_h)
+        self.pool = build_uccsd_pool(ham.n_spatial, ham.n_electrons)
+        self.reference = hartree_fock_reference(ham.n_qubits, ham.n_electrons)
 
 
 class AdaptConfig:
@@ -123,19 +148,20 @@ class RunResult:
     ``final_grad_norm`` is the pool gradient norm at the returned state
     (None for VQE). A run that used up ``max_iterations`` screens its final
     state once more for it; that screening is not charged to the ledger.
+    ``reference`` is the problem's Hartree-Fock state the ansatz acts on.
     """
 
     __slots__ = ("method", "optimizer", "ansatz", "theta", "energy",
                  "converged", "trace", "ledger", "resources",
-                 "final_grad_norm", "core_energy", "n_qubits", "n_electrons")
+                 "final_grad_norm", "reference")
 
     def __init__(self, **kwargs):
         for name in self.__slots__:
             setattr(self, name, kwargs[name])
 
     def prepared_state(self) -> StateVector:
-        reference = hartree_fock_reference(self.n_qubits, self.n_electrons)
-        return prepare_state(self.ansatz.with_thetas(self.theta), reference)
+        return prepare_state(self.ansatz.with_thetas(self.theta),
+                             self.reference)
 
     def __repr__(self):
         return (f"RunResult({self.method}/{self.optimizer}: "
@@ -173,19 +199,13 @@ def select_operator(grads, pool) -> int:
     raise AssertionError("unreachable")
 
 
-def _jw_hamiltonian(ham: MolecularHamiltonian):
-    fermion_h, core = to_fermion_hamiltonian(ham)
-    return jordan_wigner(fermion_h), core
-
-
-def _energy_objective(ansatz: Ansatz, h_p: PauliSum, core: float,
-                      reference: StateVector,
+def _energy_objective(ansatz: Ansatz, problem: QubitProblem,
                       ledger: MeasurementLedger) -> Objective:
-    n_terms = h_p.non_identity_term_count()
+    n_terms = problem.h_p.non_identity_term_count()
 
     def energy(theta):
-        state = prepare_state(ansatz.with_thetas(theta), reference)
-        return expectation(state, h_p) + core
+        state = prepare_state(ansatz.with_thetas(theta), problem.reference)
+        return expectation(state, problem.h_p) + problem.core
 
     return Objective(energy, len(ansatz),
                      on_evaluation=lambda: ledger.charge_energy(n_terms))
@@ -199,21 +219,19 @@ def _optimize(cfg: AdaptConfig, objective: Objective, theta0):
                                 max_evals=DEFAULT_BUDGET)
 
 
-def run_adapt(ham: MolecularHamiltonian,
+def run_adapt(problem: QubitProblem,
               cfg: AdaptConfig | None = None) -> RunResult:
     """Grow the ansatz one operator at a time until ||G|| falls below
     threshold, re-optimizing all parameters from zero each iteration.
     """
     cfg = cfg or AdaptConfig()
-    h_p, core = _jw_hamiltonian(ham)
-    pool = build_uccsd_pool(ham.n_spatial, ham.n_electrons)
-    reference = hartree_fock_reference(ham.n_qubits, ham.n_electrons)
+    h_p, pool, reference = problem.h_p, problem.pool, problem.reference
     ledger = MeasurementLedger()
     trace: list[AdaptIteration] = []
 
     ansatz = Ansatz(pool, [])
     theta = np.zeros(0)
-    energy = expectation(reference, h_p) + core
+    energy = expectation(reference, h_p) + problem.core
     converged = False
 
     if pool:
@@ -236,8 +254,7 @@ def run_adapt(ham: MolecularHamiltonian,
                 break
             selected = select_operator(grads, pool)
             ansatz = ansatz.extended(selected, 0.0)
-            objective = _energy_objective(ansatz, h_p, core, reference,
-                                          ledger)
+            objective = _energy_objective(ansatz, problem, ledger)
             result = _optimize(cfg, objective, np.zeros(len(ansatz)))
             theta = result.theta_opt
             energy = result.energy
@@ -259,31 +276,27 @@ def run_adapt(ham: MolecularHamiltonian,
         method="adapt", optimizer=cfg.optimizer, ansatz=ansatz, theta=theta,
         energy=energy, converged=converged, trace=trace, ledger=ledger,
         resources=circuit_metrics(compile_circuit(ansatz)),
-        final_grad_norm=final_grad_norm, core_energy=core,
-        n_qubits=ham.n_qubits, n_electrons=ham.n_electrons)
+        final_grad_norm=final_grad_norm, reference=reference)
 
 
-def run_vqe(ham: MolecularHamiltonian,
+def run_vqe(problem: QubitProblem,
             cfg: AdaptConfig | None = None) -> RunResult:
     """Plain VQE: the fixed full-UCCSD ansatz optimized once from zero."""
     cfg = cfg or AdaptConfig()
-    h_p, core = _jw_hamiltonian(ham)
-    pool = build_uccsd_pool(ham.n_spatial, ham.n_electrons)
-    reference = hartree_fock_reference(ham.n_qubits, ham.n_electrons)
+    pool, reference = problem.pool, problem.reference
     ledger = MeasurementLedger()
 
     if not pool:
-        energy = expectation(reference, h_p) + core
+        energy = expectation(reference, problem.h_p) + problem.core
         empty = Ansatz([], [])
         return RunResult(
             method="vqe", optimizer=cfg.optimizer, ansatz=empty,
             theta=np.zeros(0), energy=energy, converged=True, trace=[],
             ledger=ledger, resources={"gate_count": 0, "depth": 0},
-            final_grad_norm=None, core_energy=core, n_qubits=ham.n_qubits,
-            n_electrons=ham.n_electrons)
+            final_grad_norm=None, reference=reference)
 
     ansatz = full_uccsd_ansatz(pool)
-    objective = _energy_objective(ansatz, h_p, core, reference, ledger)
+    objective = _energy_objective(ansatz, problem, ledger)
     result = _optimize(cfg, objective, np.zeros(len(ansatz)))
     ansatz = ansatz.with_thetas(result.theta_opt)
     return RunResult(
@@ -291,5 +304,4 @@ def run_vqe(ham: MolecularHamiltonian,
         theta=result.theta_opt, energy=result.energy,
         converged=result.converged, trace=[], ledger=ledger,
         resources=circuit_metrics(compile_circuit(ansatz)),
-        final_grad_norm=None, core_energy=core, n_qubits=ham.n_qubits,
-        n_electrons=ham.n_electrons)
+        final_grad_norm=None, reference=reference)

@@ -27,13 +27,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .adapt import AdaptConfig, run_adapt, run_vqe
+from .adapt import AdaptConfig, QubitProblem, run_adapt, run_vqe
 from .fcidump import (
     FcidumpIntegrityError,
     FcidumpParseError,
     load_fcidump,
 )
 from .fci import infidelity_vs_fci, solve_fci
+from .pauli import ResourceLimitError
 from .selftest import run_selftest
 
 METHOD_ORDER = ("fci", "vqe", "adapt")
@@ -186,8 +187,8 @@ def run_scan(cfg: ScanConfig) -> list[ScanRow]:
     """Run every input x method x optimizer combination.
 
     All inputs are parsed up front so a bad file aborts before any
-    computation; FCI is always solved first per input for the error and
-    infidelity columns.
+    computation. Each input then becomes one `QubitProblem` that all its
+    rows share; FCI is solved first for the error and infidelity columns.
     """
     hamiltonians = []
     for label, path in cfg.inputs:
@@ -195,7 +196,8 @@ def run_scan(cfg: ScanConfig) -> list[ScanRow]:
 
     rows = []
     for label, ham in hamiltonians:
-        sol = solve_fci(ham)
+        problem = QubitProblem(ham)
+        sol = solve_fci(problem)
         for method in cfg.methods:
             if method == "fci":
                 rows.append(ScanRow(
@@ -212,7 +214,7 @@ def run_scan(cfg: ScanConfig) -> list[ScanRow]:
                     optimizer=optimizer,
                     tol_rel_energy=cfg.adapt.tol_rel_energy,
                     fd_step=cfg.adapt.fd_step)
-                result = runner(ham, adapt_cfg)
+                result = runner(problem, adapt_cfg)
                 infid = infidelity_vs_fci(result.prepared_state(), sol)
                 rows.append(_row_from_result(label, result, sol.energy,
                                              infid))
@@ -356,8 +358,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    ham = load_fcidump(args.fcidump)
-    sol = solve_fci(ham)
+    problem = QubitProblem(load_fcidump(args.fcidump))
+    sol = solve_fci(problem)
     if args.method == "fci":
         print(f"fci energy: {sol.energy:.9f}")
         if sol.degeneracy_flag:
@@ -368,7 +370,7 @@ def _cmd_run(args) -> int:
                         optimizer=OPTIMIZER_ALIASES[args.optimizer.lower()],
                         tol_rel_energy=args.tol, fd_step=args.fd_step)
     runner = run_vqe if args.method == "vqe" else run_adapt
-    result = runner(ham, cfg)
+    result = runner(problem, cfg)
     infid = infidelity_vs_fci(result.prepared_state(), sol)
     print(GRADIENT_FREE_NOTE)
     print(f"method: {result.method}  optimizer: {result.optimizer}")
@@ -392,7 +394,10 @@ def _cmd_run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # after argparse's help (0) or usage error
+        return 0 if exc.code == 0 else 1
     try:
         if args.command == "scan":
             return _cmd_scan(args)
@@ -400,7 +405,7 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         return 0 if run_selftest() else 2
     except (ConfigError, FcidumpParseError, FcidumpIntegrityError,
-            FileNotFoundError, IsADirectoryError) as exc:
+            ResourceLimitError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (AssertionError, ValueError, RuntimeError) as exc:

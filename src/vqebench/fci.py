@@ -1,15 +1,14 @@
 """Exact diagonalization of the qubit Hamiltonian in the particle-number
-sector; the full-CI ground truth for energies and fidelities."""
+sector; the full-CI ground truth for energies and fidelities. The JW
+Hamiltonian is that of the `adapt.QubitProblem` VQE and ADAPT solve."""
 from __future__ import annotations
 
 import numpy as np
 
-from .fcidump import MolecularHamiltonian, to_fermion_hamiltonian
-from .fermion import jordan_wigner
-from .pauli import PauliSum, ResourceLimitError, string_phases
+from .adapt import QubitProblem
+from .pauli import PauliSum, string_phases
 from .statevector import StateVector, infidelity
 
-QUBIT_CAP = 12
 DEGENERACY_GAP = 1e-9
 RESIDUAL_TOL = 1e-8
 
@@ -18,15 +17,14 @@ class FciSolution:
     """Lowest eigenpair of H_P restricted to one electron-count sector."""
 
     __slots__ = ("energy", "ground_state", "sector", "degeneracy_flag",
-                 "core_energy", "_ground_basis")
+                 "_ground_basis")
 
     def __init__(self, energy, ground_state, sector, degeneracy_flag,
-                 core_energy, ground_basis):
+                 ground_basis):
         self.energy = float(energy)
         self.ground_state = ground_state
         self.sector = int(sector)
         self.degeneracy_flag = bool(degeneracy_flag)
-        self.core_energy = float(core_energy)
         self._ground_basis = ground_basis  # columns: degenerate eigenvectors
 
     def __repr__(self):
@@ -61,21 +59,15 @@ def sector_matrix(h_p: PauliSum, indices: np.ndarray) -> np.ndarray:
     return mat
 
 
-def solve_fci(ham: MolecularHamiltonian) -> FciSolution:
-    """Ground state of the JW-mapped Hamiltonian in the electron sector.
+def solve_fci(problem: QubitProblem) -> FciSolution:
+    """Ground state of the problem's JW Hamiltonian in its electron sector.
 
     Reported energy includes the core energy. The ground-state phase is
     fixed by making the largest amplitude real positive.
     """
-    n_qubits = ham.n_qubits
-    if n_qubits > QUBIT_CAP:
-        raise ResourceLimitError(
-            f"{n_qubits} qubits exceeds the exact-diagonalization cap "
-            f"{QUBIT_CAP}")
-    fermion_h, core = to_fermion_hamiltonian(ham)
-    h_p = jordan_wigner(fermion_h)
-    indices = sector_indices(n_qubits, ham.n_electrons)
-    mat = sector_matrix(h_p, indices)
+    n_qubits = problem.n_qubits
+    indices = sector_indices(n_qubits, problem.n_electrons)
+    mat = sector_matrix(problem.h_p, indices)
     eigenvalues, eigenvectors = np.linalg.eigh(mat)
 
     degenerate = (len(eigenvalues) > 1
@@ -96,8 +88,8 @@ def solve_fci(ham: MolecularHamiltonian) -> FciSolution:
     if np.linalg.norm(residual) > RESIDUAL_TOL:
         raise AssertionError("eigenpair residual above tolerance")
 
-    return FciSolution(eigenvalues[0] + core, ground, ham.n_electrons,
-                       degenerate, core, basis)
+    return FciSolution(eigenvalues[0] + problem.core, ground,
+                       problem.n_electrons, degenerate, basis)
 
 
 def infidelity_vs_fci(prepared: StateVector, sol: FciSolution) -> float:

@@ -76,7 +76,8 @@ def minimize_nelder_mead(obj: Objective, theta0,
     Coefficients: reflection 1, expansion 2, contraction 0.5, shrink 0.5.
     The initial simplex is theta0 plus one per-coordinate step. Terminates
     when the simplex energy spread drops to tol_rel_energy (Hartree) or
-    the evaluation budget runs out (converged = False then).
+    the evaluation budget runs out (converged = False then); no call past
+    the initial simplex exceeds max_evals.
     """
     theta0 = np.asarray(theta0, dtype=float)
     dim = theta0.size
@@ -109,7 +110,7 @@ def minimize_nelder_mead(obj: Objective, theta0,
         f_reflected = obj(reflected)
         if f_reflected < values[0]:
             expanded = centroid + 2.0 * (centroid - simplex[-1])
-            f_expanded = obj(expanded)
+            f_expanded = obj(expanded) if spent() < max_evals else np.inf
             if f_expanded < f_reflected:
                 simplex[-1], values[-1] = expanded, f_expanded
             else:
@@ -122,12 +123,12 @@ def minimize_nelder_mead(obj: Objective, theta0,
             contracted = centroid + 0.5 * (reflected - centroid)
         else:
             contracted = centroid - 0.5 * (centroid - simplex[-1])
-        f_contracted = obj(contracted)
+        f_contracted = obj(contracted) if spent() < max_evals else np.inf
         if f_contracted < min(f_reflected, values[-1]):
             simplex[-1], values[-1] = contracted, f_contracted
             continue
-        # shrink toward the best vertex
-        for k in range(1, dim + 1):
+        # shrink toward the best vertex, as far as the budget allows
+        for k in range(1, min(dim, max_evals - spent()) + 1):
             simplex[k] = simplex[0] + 0.5 * (simplex[k] - simplex[0])
             values[k] = obj(simplex[k])
 
@@ -148,7 +149,8 @@ def minimize_lbfgs(obj: Objective, theta0,
     0.5. Stops when the energy change between accepted iterates drops to
     tol_rel_energy (Hartree), the gradient infinity-norm reaches 1e-8, or
     the budget runs out. A failed line search returns the best iterate
-    with converged = False.
+    with converged = False, as does a budget too small for a step and its
+    gradient; no call past the 1 + 2 * dim of the start exceeds max_evals.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     dim = theta.size
@@ -194,7 +196,7 @@ def minimize_lbfgs(obj: Objective, theta0,
 
         step = 1.0
         accepted = None
-        for _ in range(max_backtracks):
+        for _ in range(min(max_backtracks, max_evals - spent() - 2 * dim)):
             candidate = theta + step * direction
             f_candidate = obj(candidate)
             if f_candidate <= energy + 1e-4 * step * slope:

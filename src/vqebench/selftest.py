@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .adapt import AdaptConfig, run_adapt, run_vqe, screen_pool
+from .adapt import AdaptConfig, QubitProblem, run_adapt, run_vqe, screen_pool
 from .ansatz import (
     Ansatz,
     build_uccsd_pool,
@@ -15,8 +15,8 @@ from .ansatz import (
     prepare_state,
     simulate_circuit,
 )
-from .fcidump import MolecularHamiltonian, to_fermion_hamiltonian
-from .fermion import jordan_wigner, number_operator, verify_car
+from .fcidump import MolecularHamiltonian
+from .fermion import number_operator, verify_car
 from .fci import infidelity_vs_fci, solve_fci
 from .pauli import PauliSum, commutator, to_matrix
 from .statevector import StateVector, expectation, hartree_fock_reference
@@ -119,14 +119,13 @@ def run_selftest(writer=print) -> bool:
               bool(np.allclose(screen_pool(psi, h, pool), expected,
                                rtol=0, atol=1e-10)))
 
-    ham = _synthetic_hamiltonian()
-    sol = solve_fci(ham)
-    fermion_h, core = to_fermion_hamiltonian(ham)
-    h_p = jordan_wigner(fermion_h)
+    problem = QubitProblem(_synthetic_hamiltonian())
+    sol = solve_fci(problem)
+    h_p = problem.h_p
     check("JW Hamiltonian is Hermitian", h_p.is_hermitian())
     check("JW Hamiltonian conserves particle number",
           len(commutator(h_p, number_operator(4))) == 0)
-    grads = screen_pool(sol.ground_state, h_p, build_uccsd_pool(2, 2))
+    grads = screen_pool(sol.ground_state, h_p, problem.pool)
     check("pool gradients vanish on the exact eigenstate",
           bool(np.max(np.abs(grads)) < 1e-8))
 
@@ -135,7 +134,7 @@ def run_selftest(writer=print) -> bool:
     for optimizer in ("nelder_mead", "lbfgs"):
         cfg = AdaptConfig(optimizer=optimizer, tol_rel_energy=1e-8)
         for runner in (run_vqe, run_adapt):
-            result = runner(ham, cfg)
+            result = runner(problem, cfg)
             floor_ok &= result.energy >= sol.energy - 1e-9
             infid_ok &= infidelity_vs_fci(result.prepared_state(),
                                           sol) < 1e-4

@@ -18,7 +18,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from vqebench.adapt import AdaptConfig, run_adapt, run_vqe, screen_pool
+from vqebench.adapt import (
+    AdaptConfig,
+    QubitProblem,
+    run_adapt,
+    run_vqe,
+    screen_pool,
+)
 from vqebench.ansatz import (
     Ansatz,
     build_uccsd_pool,
@@ -60,11 +66,12 @@ def h2_matrix():
     start = time.perf_counter()
     records = []
     for point in H2_POINTS:
-        ham = load_fcidump(DATA / f"h2_r{point}.fcidump", label=point)
-        sol = solve_fci(ham)
+        problem = QubitProblem(load_fcidump(DATA / f"h2_r{point}.fcidump",
+                                            label=point))
+        sol = solve_fci(problem)
         for cfg in (nm_config(), lbfgs_config()):
             for runner in (run_vqe, run_adapt):
-                res = runner(ham, cfg)
+                res = runner(problem, cfg)
                 infid = infidelity_vs_fci(res.prepared_state(), sol)
                 records.append((point, res, sol.energy, infid))
                 FLOOR_SAMPLES.append(
@@ -76,7 +83,8 @@ def h2_matrix():
 
 @pytest.fixture(scope="module")
 def nah_ham():
-    return load_fcidump(DATA / "nah_r1.800.fcidump", label="NaH 1.8")
+    return QubitProblem(load_fcidump(DATA / "nah_r1.800.fcidump",
+                                     label="NaH 1.8"))
 
 
 def test_criterion_1_h2_exactness(h2_matrix):
@@ -245,11 +253,12 @@ def test_criterion_6_measurement_trends(nah_ham):
     wins = 0
     comparisons = 0
     for point in H2_POINTS:
-        ham = load_fcidump(DATA / f"h2_r{point}.fcidump", label=point)
-        sol = solve_fci(ham)
+        problem = QubitProblem(load_fcidump(DATA / f"h2_r{point}.fcidump",
+                                            label=point))
+        sol = solve_fci(problem)
         for runner, method in ((run_vqe, "vqe"), (run_adapt, "adapt")):
-            nm = runner(ham, AdaptConfig(optimizer="nelder_mead"))
-            lb = runner(ham, AdaptConfig(optimizer="lbfgs"))
+            nm = runner(problem, AdaptConfig(optimizer="nelder_mead"))
+            lb = runner(problem, AdaptConfig(optimizer="lbfgs"))
             FLOOR_SAMPLES.append((f"h2@{point}/{method}/nm-default",
                                   nm.energy, sol.energy))
             FLOOR_SAMPLES.append((f"h2@{point}/{method}/lbfgs-default",

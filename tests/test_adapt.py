@@ -7,39 +7,20 @@ import pytest
 from vqebench.adapt import (
     AdaptConfig,
     MeasurementLedger,
+    QubitProblem,
     run_adapt,
     run_vqe,
     screen_pool,
     select_operator,
 )
 from vqebench.ansatz import Ansatz, build_uccsd_pool, prepare_state
-from vqebench.fcidump import (
-    MolecularHamiltonian,
-    load_fcidump,
-    to_fermion_hamiltonian,
-)
-from vqebench.fermion import jordan_wigner
+from vqebench.fcidump import MolecularHamiltonian, load_fcidump
 from vqebench.fci import infidelity_vs_fci, solve_fci
 from vqebench.optimize import Objective, central_difference_gradient
 from vqebench.pauli import commutator
-from vqebench.statevector import expectation, hartree_fock_reference
+from vqebench.statevector import expectation
 
 DATA = Path(__file__).parent / "data"
-
-
-@pytest.fixture(scope="module")
-def h2():
-    return load_fcidump(DATA / "h2_r0.735.fcidump")
-
-
-@pytest.fixture(scope="module")
-def nah():
-    return load_fcidump(DATA / "nah_r1.800.fcidump")
-
-
-def jw_parts(ham):
-    fermion_h, core = to_fermion_hamiltonian(ham)
-    return jordan_wigner(fermion_h), core
 
 
 SYSTEMS = {"h2": "h2_r0.735.fcidump", "nah": "nah_r1.800.fcidump",
@@ -47,12 +28,19 @@ SYSTEMS = {"h2": "h2_r0.735.fcidump", "nah": "nah_r1.800.fcidump",
 
 
 @lru_cache(maxsize=None)
-def screening_setup(name):
-    """``(h_p, core, pool, reference)`` of a committed test system."""
-    ham = load_fcidump(DATA / SYSTEMS[name])
-    h_p, core = jw_parts(ham)
-    return (h_p, core, build_uccsd_pool(ham.n_spatial, ham.n_electrons),
-            hartree_fock_reference(ham.n_qubits, ham.n_electrons))
+def problem_of(name):
+    """The `QubitProblem` of a committed test system."""
+    return QubitProblem(load_fcidump(DATA / SYSTEMS[name]))
+
+
+@pytest.fixture(scope="module")
+def h2():
+    return problem_of("h2")
+
+
+@pytest.fixture(scope="module")
+def nah():
+    return problem_of("nah")
 
 
 def random_ansatz(pool, rng, length):
@@ -61,38 +49,33 @@ def random_ansatz(pool, rng, length):
                          for _ in range(length)])
 
 
-def diagonal_hamiltonian():
+def diagonal_problem():
     """HF determinant is the exact ground state: diagonal h1, no h2."""
-    return MolecularHamiltonian(2, 2, 0.3, np.diag([-1.0, 0.5]),
-                                np.zeros((2, 2, 2, 2)), label="diag")
+    return QubitProblem(MolecularHamiltonian(
+        2, 2, 0.3, np.diag([-1.0, 0.5]), np.zeros((2, 2, 2, 2)),
+        label="diag"))
 
 
 class TestScreenPool:
     def test_eigenstate_gives_zero_gradients(self, h2):
-        h_p, core = jw_parts(h2)
         sol = solve_fci(h2)
-        pool = build_uccsd_pool(2, 2)
-        grads = screen_pool(sol.ground_state, h_p, pool)
+        grads = screen_pool(sol.ground_state, h2.h_p, h2.pool)
         np.testing.assert_allclose(grads, 0.0, atol=1e-10)
 
     def test_brillouin_at_hartree_fock(self, h2):
-        h_p, _ = jw_parts(h2)
-        pool = build_uccsd_pool(2, 2)
-        ref = hartree_fock_reference(4, 2)
-        grads = screen_pool(ref, h_p, pool)
+        grads = screen_pool(h2.reference, h2.h_p, h2.pool)
         assert abs(grads[0]) < 1e-10   # single vanishes (canonical orbitals)
         assert abs(grads[1]) > 1e-3    # double drives the correlation
 
     def test_non_hermitian_hamiltonian_rejected(self, h2):
-        h_p, _ = jw_parts(h2)
-        pool = build_uccsd_pool(2, 2)
         with pytest.raises(ValueError):
-            screen_pool(hartree_fock_reference(4, 2), 1j * h_p, pool)
+            screen_pool(h2.reference, 1j * h2.h_p, h2.pool)
 
     @pytest.mark.parametrize("state", ["hf", "random"])
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     def test_matches_dense_commutator(self, name, state):
-        h_p, _, pool, ref = screening_setup(name)
+        problem = problem_of(name)
+        h_p, pool, ref = problem.h_p, problem.pool, problem.reference
         psi = ref
         if state == "random":
             rng = np.random.default_rng(11)
@@ -104,7 +87,8 @@ class TestScreenPool:
 
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     def test_matches_finite_difference_of_extended_ansatz(self, name):
-        h_p, _, pool, ref = screening_setup(name)
+        problem = problem_of(name)
+        h_p, pool, ref = problem.h_p, problem.pool, problem.reference
         rng = np.random.default_rng(42)
         for _ in range(5):
             # H2 keeps its fixed (double, single) bases; the larger pools
@@ -128,9 +112,9 @@ class TestScreenPool:
     def test_ledger_charges_commutator_terms(self):
         # One charged screening; the extra screening of the final state
         # after max_iterations runs out is not charged.
-        h_p, _, pool, _ = screening_setup("h2")
-        res = run_adapt(load_fcidump(DATA / SYSTEMS["h2"]),
-                        AdaptConfig(max_iterations=1))
+        problem = problem_of("h2")
+        h_p, pool = problem.h_p, problem.pool
+        res = run_adapt(problem, AdaptConfig(max_iterations=1))
         ledger = res.ledger
         assert not res.converged and len(res.trace) == 1
         assert ledger.commutator_evaluations == len(pool)
@@ -172,7 +156,7 @@ class TestRunAdapt:
         assert "double" in res.ansatz.pool[first.selected_pool_id].description
 
     def test_exact_reference_converges_with_empty_ansatz(self):
-        res = run_adapt(diagonal_hamiltonian(), AdaptConfig())
+        res = run_adapt(diagonal_problem(), AdaptConfig())
         assert res.converged
         assert len(res.ansatz) == 0
         assert len(res.trace) == 1
@@ -215,12 +199,11 @@ class TestRunAdapt:
         assert len(res.ansatz) == 1
 
     def test_final_grad_norm_is_that_of_the_returned_state(self):
-        ham = load_fcidump(DATA / "nah_r1.500.fcidump")
-        res = run_adapt(ham, AdaptConfig(optimizer="lbfgs",
-                                         max_iterations=1))
-        h_p, _ = jw_parts(ham)
+        problem = QubitProblem(load_fcidump(DATA / "nah_r1.500.fcidump"))
+        res = run_adapt(problem, AdaptConfig(optimizer="lbfgs",
+                                             max_iterations=1))
         psi = res.prepared_state()
-        grads = [expectation(psi, commutator(h_p, op.qubit_form))
+        grads = [expectation(psi, commutator(problem.h_p, op.qubit_form))
                  for op in res.ansatz.pool]
         assert not res.converged
         assert res.final_grad_norm == pytest.approx(np.linalg.norm(grads),
@@ -230,7 +213,7 @@ class TestRunAdapt:
     def test_empty_pool_returns_reference_energy(self):
         ham = MolecularHamiltonian(1, 2, 0.2, np.array([[-0.7]]),
                                    np.full((1, 1, 1, 1), 0.3), label="1orb")
-        res = run_adapt(ham, AdaptConfig())
+        res = run_adapt(QubitProblem(ham), AdaptConfig())
         assert res.converged
         assert len(res.ansatz) == 0
         assert res.energy == pytest.approx(2 * -0.7 + 0.3 + 0.2)
@@ -253,7 +236,7 @@ class TestRunVqe:
     def test_empty_pool_returns_hf(self):
         ham = MolecularHamiltonian(1, 2, 0.0, np.array([[-0.9]]),
                                    np.zeros((1, 1, 1, 1)), label="1orb")
-        res = run_vqe(ham, AdaptConfig())
+        res = run_vqe(QubitProblem(ham), AdaptConfig())
         assert res.energy == pytest.approx(-1.8)
         assert len(res.ansatz) == 0
         assert res.resources == {"gate_count": 0, "depth": 0}

@@ -1,8 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from vqebench import adapt
 from vqebench.cli import (
     ConfigError,
     CSV_HEADER,
@@ -16,6 +18,7 @@ from vqebench.cli import (
     run_scan,
 )
 from vqebench.adapt import AdaptConfig
+from vqebench.fcidump import MolecularHamiltonian, write_fcidump
 
 DATA = Path(__file__).parent / "data"
 
@@ -106,6 +109,31 @@ class TestRunScan:
             ["fci"], [], AdaptConfig(), "unused")
         with pytest.raises(FileNotFoundError):
             run_scan(cfg)
+
+    def test_each_input_is_prepared_once(self, monkeypatch):
+        fermion_calls, pool_calls = [], []
+        to_fermion = adapt.to_fermion_hamiltonian
+        build_pool = adapt.build_uccsd_pool
+
+        def counting_to_fermion(ham):
+            fermion_calls.append(ham.label)
+            return to_fermion(ham)
+
+        def counting_build_pool(*args):
+            pool_calls.append(args)
+            return build_pool(*args)
+
+        monkeypatch.setattr(adapt, "to_fermion_hamiltonian",
+                            counting_to_fermion)
+        monkeypatch.setattr(adapt, "build_uccsd_pool", counting_build_pool)
+        cfg = ScanConfig(
+            [("h2", DATA / "h2_r0.735.fcidump"),
+             ("nah", DATA / "nah_r1.800.fcidump")],
+            ["fci", "vqe", "adapt"], ["nelder_mead", "lbfgs"],
+            AdaptConfig(), "unused")
+        assert len(run_scan(cfg)) == 10
+        assert fermion_calls == ["h2", "nah"]
+        assert pool_calls == [(2, 2), (2, 2)]
 
     def test_variational_rows_never_below_fci(self):
         cfg = ScanConfig([("0.9", DATA / "h2_r0.900.fcidump")],
@@ -212,6 +240,36 @@ class TestMainEntry:
         assert main(["run", "--fcidump", str(DATA / "h2_r0.735.fcidump"),
                      "--method", "adapt", "--grad-norm-threshold",
                      "-1"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--fcidump", str(DATA / "h2_r0.735.fcidump"), "--method",
+         "adapt", "--max-iter", "1.7"],
+        ["run", "--fcidump", str(DATA / "h2_r0.735.fcidump"), "--method",
+         "dmrg"],
+        ["scan"]], ids=["bad-max-iter", "unknown-method", "scan-no-config"])
+    def test_usage_error_is_input_error(self, capsys, argv):
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "scan"])
+    def test_too_many_qubits_is_input_error(self, tmp_path, capsys,
+                                            command):
+        big = MolecularHamiltonian(7, 2, 0.0, np.eye(7),
+                                   np.zeros((7, 7, 7, 7)), label="big")
+        dump = tmp_path / "big.fcidump"
+        dump.write_text(write_fcidump(big))
+        if command == "run":
+            argv = ["run", "--fcidump", str(dump), "--method", "fci"]
+        else:
+            config = tmp_path / "scan.cfg"
+            config.write_text(config_text([("big", dump)]))
+            argv = ["scan", "--config", str(config)]
+        assert main(argv) == 1
+        assert "14 qubits" in capsys.readouterr().err
 
     def test_non_ascii_fcidump_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.fcidump"

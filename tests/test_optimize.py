@@ -3,9 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vqebench.ansatz import build_uccsd_pool, full_uccsd_ansatz, prepare_state
-from vqebench.fcidump import load_fcidump, to_fermion_hamiltonian
-from vqebench.fermion import jordan_wigner
+from vqebench.adapt import QubitProblem
+from vqebench.ansatz import full_uccsd_ansatz, prepare_state
+from vqebench.fcidump import load_fcidump
 from vqebench.optimize import (
     Objective,
     central_difference_gradient,
@@ -13,18 +13,17 @@ from vqebench.optimize import (
     minimize_nelder_mead,
 )
 from vqebench.pauli import commutator
-from vqebench.statevector import expectation, hartree_fock_reference
+from vqebench.statevector import expectation
 
 DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
 def h2_problem():
-    ham = load_fcidump(DATA / "h2_r0.735.fcidump", label="H2 0.735")
-    fermion_h, core = to_fermion_hamiltonian(ham)
-    h_p = jordan_wigner(fermion_h)
-    pool = build_uccsd_pool(ham.n_spatial, ham.n_electrons)
-    ref = hartree_fock_reference(ham.n_qubits, ham.n_electrons)
+    problem = QubitProblem(load_fcidump(DATA / "h2_r0.735.fcidump",
+                                        label="H2 0.735"))
+    h_p, core = problem.h_p, problem.core
+    pool, ref = problem.pool, problem.reference
     ansatz = full_uccsd_ansatz(pool)
 
     def energy(theta):
@@ -163,3 +162,34 @@ class TestLbfgs:
         assert results[0].energy == results[1].energy
         np.testing.assert_array_equal(results[0].theta_opt,
                                       results[1].theta_opt)
+
+
+class TestBudget:
+    # A 3-parameter quartic that needs far more than these budgets. The
+    # start is always paid: 1 + 2n evaluations for L-BFGS, n + 1 for
+    # Nelder-Mead.
+    @pytest.mark.parametrize("minimize,start,budget", [
+        (minimize_lbfgs, 7, 3), (minimize_lbfgs, 7, 8),
+        (minimize_lbfgs, 7, 10), (minimize_lbfgs, 7, 20),
+        (minimize_lbfgs, 7, 25), (minimize_nelder_mead, 4, 2),
+        (minimize_nelder_mead, 4, 6), (minimize_nelder_mead, 4, 8),
+        (minimize_nelder_mead, 4, 10), (minimize_nelder_mead, 4, 21)])
+    def test_no_call_past_the_budget(self, minimize, start, budget):
+        center = np.array([0.3, -0.2, 0.7])
+        seen = {}
+
+        def quartic(t):
+            seen[tuple(t)] = float(np.sum((t - center) ** 4))
+            return seen[tuple(t)]
+
+        obj = Objective(quartic, 3)
+        result = minimize(obj, np.zeros(3), 1e-12, max_evals=budget)
+        assert result.n_energy_evals == obj.evaluation_count
+        assert result.n_energy_evals <= max(start, budget)
+        assert not result.converged
+        # the best evaluated iterate: for L-BFGS the last accepted point,
+        # for Nelder-Mead the best point evaluated at all
+        assert seen[tuple(result.theta_opt)] == result.energy
+        best = (min(result.trace) if minimize is minimize_lbfgs
+                else min(seen.values()))
+        assert result.energy == best
