@@ -16,6 +16,8 @@ every commutator ``[H_P, tau_k]`` as if it were measured.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .ansatz import (
@@ -78,8 +80,12 @@ class AdaptConfig:
     def __init__(self, grad_norm_threshold=1e-2, max_iterations=50,
                  optimizer="lbfgs", tol_rel_energy=DEFAULT_TOL,
                  fd_step=DEFAULT_FD_STEP):
-        if grad_norm_threshold <= 0 or tol_rel_energy <= 0 or fd_step <= 0:
-            raise ValueError("thresholds must be positive")
+        for name, value in (("grad_norm_threshold", grad_norm_threshold),
+                            ("tol_rel_energy", tol_rel_energy),
+                            ("fd_step", fd_step)):
+            if not 0 < value < math.inf:  # also false for nan
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}")
         if max_iterations < 1 or not float(max_iterations).is_integer():
             raise ValueError("max_iterations must be a positive integer")
         if optimizer not in OPTIMIZERS:

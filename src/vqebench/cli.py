@@ -13,9 +13,10 @@ The scan config is a plain key-value text file::
     input = 0.50 data/h2_r0.500.fcidump
     input = 0.70 data/h2_r0.700.fcidump
 
-``input`` lines repeat, one per scan point, and keep file order. The
-gradient-free optimizer is Nelder-Mead (standing in for the reference
-implementation's COBYLA); every summary report says so.
+``input`` lines repeat, one per scan point, and keep file order; every
+other key may be set once. The gradient-free optimizer is Nelder-Mead
+(standing in for the reference implementation's COBYLA); every summary
+report says so.
 """
 from __future__ import annotations
 
@@ -88,6 +89,7 @@ def parse_scan_config(text: str, base_dir: Path | None = None) -> ScanConfig:
     base_dir = base_dir or Path(".")
     inputs = []
     fields: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -105,8 +107,12 @@ def parse_scan_config(text: str, base_dir: Path | None = None) -> ScanConfig:
                 raise ConfigError(
                     f"line {line_no}: input needs '<label> <path>'")
             inputs.append((parts[0], base_dir / parts[1]))
+        elif key in set_on:
+            raise ConfigError(f"line {line_no}: {key!r} already set on line "
+                              f"{set_on[key]}")
         else:
             fields[key] = value
+            set_on[key] = line_no
 
     def split_list(key, default):
         raw = fields.get(key)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pauli import PauliSum, PauliTerm, to_matrix
+from .pauli import PRUNE_THRESHOLD, PauliSum, PauliTerm, to_matrix
 
 
 class LadderProduct:
@@ -106,15 +106,27 @@ def _ladder_image(p: int, dagger: bool, n_qubits: int) -> PauliSum:
 
 
 def jordan_wigner(f: FermionOperator) -> PauliSum:
-    """Jordan-Wigner transform of a fermion operator to a Pauli sum."""
+    """Jordan-Wigner transform of a fermion operator to a Pauli sum.
+
+    Each product's image is added into one dict, in product order, and
+    pruned on every merge as `PauliSum.__add__` would: a key whose running
+    sum drops below PRUNE_THRESHOLD is deleted, and re-enters at the end
+    if a later product brings it back. `fci.sector_matrix` sums terms in
+    that order, so the golden scan bytes depend on it.
+    """
     n = f.n_spin_orbitals
-    out = PauliSum(n)
+    terms: dict[tuple[int, int], complex] = {}
     for prod in f.products:
         acc = PauliSum.identity(n, prod.coefficient)
         for p, d in prod.factors:
             acc = acc * _ladder_image(p, d, n)
-        out = out + acc
-    return out
+        for key, c in acc.terms.items():
+            c = terms.get(key, 0.0) + c
+            if abs(c) >= PRUNE_THRESHOLD:
+                terms[key] = c
+            else:
+                terms.pop(key, None)
+    return PauliSum(n, terms)
 
 
 def number_operator(n_spin_orbitals: int) -> PauliSum:

@@ -17,6 +17,7 @@ import numpy as np
 PRUNE_THRESHOLD = 1e-12
 HERMITIAN_TOL = 1e-12
 MATRIX_QUBIT_CAP = 12
+_PHASES = (1, 1j, -1, -1j)  # i**k, the product phase of `multiply`
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -128,7 +129,7 @@ def multiply(a: PauliTerm, b: PauliTerm) -> PauliTerm:
          + (b.x_mask & b.z_mask).bit_count()
          - (x & z).bit_count()
          + 2 * (a.z_mask & b.x_mask).bit_count()) % 4
-    phase = (1, 1j, -1, -1j)[k]
+    phase = _PHASES[k]
     return PauliTerm(a.n_qubits, x, z, a.coefficient * b.coefficient * phase)
 
 
@@ -224,15 +225,27 @@ class PauliSum:
         return self + (-1.0) * other
 
     def __mul__(self, other):
+        """Operator product with another sum, or scaling by a scalar.
+
+        Term pairs are multiplied as in `multiply`, ``ca * cb * phase``,
+        and accumulated in product order (``self``'s terms outer,
+        ``other``'s inner); the result keeps that first-seen key order and
+        is pruned once. `fermion.jordan_wigner`, hence `fci.sector_matrix`
+        and the golden scan bytes, depend on these bits and that order.
+        """
         if isinstance(other, PauliSum):
             _check_same_qubits(self, other)
             acc: dict[tuple[int, int], complex] = {}
+            b_terms = _with_y_counts(other)
             for (xa, za), ca in self.terms.items():
-                pa = PauliTerm(self.n_qubits, xa, za, ca)
-                for (xb, zb), cb in other.terms.items():
-                    t = multiply(pa, PauliTerm(self.n_qubits, xb, zb, cb))
-                    key = (t.x_mask, t.z_mask)
-                    acc[key] = acc.get(key, 0.0) + t.coefficient
+                ya = (xa & za).bit_count()
+                for xb, zb, yb, cb in b_terms:
+                    x = xa ^ xb
+                    z = za ^ zb
+                    phase = _PHASES[(ya + yb - (x & z).bit_count()
+                                     + 2 * (za & xb).bit_count()) % 4]
+                    key = (x, z)
+                    acc[key] = acc.get(key, 0.0) + ca * cb * phase
             return PauliSum(self.n_qubits, acc)
         return PauliSum(self.n_qubits,
                         {k: complex(other) * c for k, c in self.terms.items()})
@@ -275,19 +288,29 @@ def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
     """``a b - b a`` as a pruned sum.
 
     Two Pauli strings either commute or anticommute, so each term pair
-    contributes either nothing or twice the product.
+    contributes either nothing or twice the product, ``2.0 * (ca * cb *
+    phase)``, accumulated in the pair order of `PauliSum.__mul__`.
     """
     _check_same_qubits(a, b)
     acc: dict[tuple[int, int], complex] = {}
+    b_terms = _with_y_counts(b)
     for (xa, za), ca in a.terms.items():
-        ta = PauliTerm(a.n_qubits, xa, za, ca)
-        for (xb, zb), cb in b.terms.items():
-            if ((xa & zb).bit_count() + (za & xb).bit_count()) % 2 == 0:
+        ya = (xa & za).bit_count()
+        for xb, zb, yb, cb in b_terms:
+            zx = (za & xb).bit_count()
+            if ((xa & zb).bit_count() + zx) % 2 == 0:
                 continue
-            t = multiply(ta, PauliTerm(a.n_qubits, xb, zb, cb))
-            key = (t.x_mask, t.z_mask)
-            acc[key] = acc.get(key, 0.0) + 2.0 * t.coefficient
+            x = xa ^ xb
+            z = za ^ zb
+            phase = _PHASES[(ya + yb - (x & z).bit_count() + 2 * zx) % 4]
+            key = (x, z)
+            acc[key] = acc.get(key, 0.0) + 2.0 * (ca * cb * phase)
     return PauliSum(a.n_qubits, acc)
+
+
+def _with_y_counts(s: PauliSum) -> list[tuple[int, int, int, complex]]:
+    """``(x_mask, z_mask, popcount(x & z), coefficient)`` per term."""
+    return [(x, z, (x & z).bit_count(), c) for (x, z), c in s.terms.items()]
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses")

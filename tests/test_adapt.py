@@ -125,6 +125,14 @@ class TestScreenPool:
             comm_terms
             + ledger.energy_evaluations * h_p.non_identity_term_count())
 
+    def test_h4_commutator_term_counts_are_pinned(self):
+        # The ledger input of every H4 screening; 8400 before the product
+        # loop of `commutator` was inlined.
+        problem = problem_of("h4")
+        assert sum(
+            commutator(problem.h_p, op.qubit_form).non_identity_term_count()
+            for op in problem.pool) == 8400
+
 
 class TestSelectOperator:
     def test_largest_magnitude_wins(self):
@@ -270,3 +278,10 @@ class TestAdaptConfig:
             AdaptConfig(optimizer="cobyla")
         with pytest.raises(ValueError):
             AdaptConfig(max_iterations=1.7)
+
+    @pytest.mark.parametrize("name", ["grad_norm_threshold",
+                                      "tol_rel_energy", "fd_step"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_thresholds_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            AdaptConfig(**{name: value})

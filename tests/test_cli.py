@@ -67,6 +67,13 @@ class TestConfigParsing:
         assert cfg.adapt.grad_norm_threshold == 5e-3
         assert cfg.adapt.max_iterations == 7
 
+    def test_repeated_key_rejected_with_both_lines(self):
+        text = config_text([("a", "x.fcidump"), ("b", "y.fcidump")],
+                           methods="fci") + "methods = vqe\n"
+        with pytest.raises(ConfigError, match=r"line 6: 'methods' already "
+                                              r"set on line 2"):
+            parse_scan_config(text)
+
     def test_comments_and_blank_lines_ignored(self):
         text = "# hello\n\n" + config_text([("a", "x.fcidump")])
         cfg = parse_scan_config(text)
@@ -227,7 +234,12 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("line", ["grad_norm_threshold = -1",
                                       "optimiser = nelder_mead",
-                                      "max_iterations = 1.7"])
+                                      "max_iterations = 1.7",
+                                      "grad_norm_threshold = nan",
+                                      "grad_norm_threshold = inf",
+                                      "tol_rel_energy = nan",
+                                      "fd_step = inf",
+                                      "output = again"])
     def test_bad_config_value_is_input_error(self, tmp_path, capsys, line):
         config = tmp_path / "scan.cfg"
         config.write_text(config_text(
@@ -240,6 +252,19 @@ class TestMainEntry:
         assert main(["run", "--fcidump", str(DATA / "h2_r0.735.fcidump"),
                      "--method", "adapt", "--grad-norm-threshold",
                      "-1"]) == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--method", "adapt", "--grad-norm-threshold", "nan"],
+        ["--method", "adapt", "--grad-norm-threshold", "inf"],
+        ["--method", "vqe", "--optimizer", "nm", "--tol", "nan"],
+        ["--method", "adapt", "--fd-step", "inf"]],
+        ids=["grad-nan", "grad-inf", "tol-nan", "fd-step-inf"])
+    def test_non_finite_run_flag_is_input_error(self, capsys, flags):
+        argv = ["run", "--fcidump", str(DATA / "h2_r0.735.fcidump")] + flags
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "must be positive and finite" in err
+        assert "internal" not in err
 
     @pytest.mark.parametrize("argv", [
         ["run", "--fcidump", str(DATA / "h2_r0.735.fcidump"), "--method",

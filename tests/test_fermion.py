@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vqebench import fermion
+from vqebench.ansatz import build_uccsd_pool
+from vqebench.fcidump import load_fcidump, to_fermion_hamiltonian
 from vqebench.fermion import (
     FermionOperator,
     LadderProduct,
@@ -11,7 +15,9 @@ from vqebench.fermion import (
     number_operator,
     verify_car,
 )
-from vqebench.pauli import to_matrix
+from vqebench.pauli import PauliSum, to_matrix
+
+DATA = Path(__file__).parent / "data"
 
 
 def single(n, p, q, coeff=1.0):
@@ -98,6 +104,71 @@ class TestJordanWigner:
         t = single(4, 2, 0, 0.7)
         herm = t + t.dagger()
         assert jordan_wigner(herm).is_hermitian()
+
+
+def jordan_wigner_by_addition(f: FermionOperator) -> PauliSum:
+    """Oracle: the quadratic ``out = out + acc`` accumulation, one new sum
+    per ladder product."""
+    n = f.n_spin_orbitals
+    out = PauliSum(n)
+    for prod in f.products:
+        acc = PauliSum.identity(n, prod.coefficient)
+        for p, d in prod.factors:
+            acc = acc * fermion._ladder_image(p, d, n)
+        out = out + acc
+    return out
+
+
+def exact_items(s: PauliSum):
+    """Keys in order with the bits of each coefficient, signed zeros too."""
+    return [(key, c.real.hex(), c.imag.hex()) for key, c in s.terms.items()]
+
+
+def committed_operators():
+    """The fermion Hamiltonian and the pool operators of every committed
+    FCIDUMP, tagged ``<file>:H`` and ``<file>:<pool id>``."""
+    pools = {}
+    for path in sorted(DATA.glob("*.fcidump")):
+        ham = load_fcidump(path)
+        yield f"{path.stem}:H", to_fermion_hamiltonian(ham)[0]
+        shape = (ham.n_spatial, ham.n_electrons)
+        if shape not in pools:
+            pools[shape] = build_uccsd_pool(*shape)
+        for op in pools[shape]:
+            yield f"{path.stem}:{op.id}", op.fermionic
+
+
+class TestAccumulationOrder:
+    def test_matches_addition_oracle_on_committed_systems(self):
+        tags = []
+        for tag, f in committed_operators():
+            tags.append(tag)
+            assert exact_items(jordan_wigner(f)) == \
+                exact_items(jordan_wigner_by_addition(f)), tag
+        assert {tag.split("_")[0] for tag in tags} == {"h2", "h4", "nah"}
+
+    def test_cancelled_key_is_pruned_and_reinserted_last(self):
+        # a0^ -> 0.5 X0 - 0.5i Y0; the third product leaves 5e-14 of both,
+        # which is pruned; the fourth brings them back after I and Z1.
+        f = FermionOperator(2, [
+            LadderProduct([(0, True)], 1.0),
+            LadderProduct([(1, True), (1, False)], 1.0),
+            LadderProduct([(0, True)], -(1.0 - 1e-13)),
+            LadderProduct([(0, True)], 0.25),
+        ])
+        out = jordan_wigner(f)
+        assert list(out.terms) == [(0, 0), (0, 2), (1, 0), (1, 1)]
+        assert out.terms[(1, 0)] == 0.125
+        assert exact_items(out) == exact_items(jordan_wigner_by_addition(f))
+
+    def test_never_adds_whole_sums(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("PauliSum.__add__ called")
+
+        f = to_fermion_hamiltonian(load_fcidump(DATA / "h4_r1.000.fcidump"))[0]
+        expected = exact_items(jordan_wigner(f))
+        monkeypatch.setattr(PauliSum, "__add__", refuse)
+        assert exact_items(jordan_wigner(f)) == expected
 
 
 class TestCanonicalAnticommutation:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from vqebench.pauli import (
     DimensionMismatchError,
@@ -197,6 +197,68 @@ class TestCommutator:
         rhs = commutator(a, c) + commutator(b, c)
         np.testing.assert_allclose(sum_kron_matrix(lhs), sum_kron_matrix(rhs),
                                    atol=1e-12)
+
+
+def exact_items(s: PauliSum):
+    """Keys in order with the bits of each coefficient, signed zeros too."""
+    return [(key, c.real.hex(), c.imag.hex()) for key, c in s.terms.items()]
+
+
+def pairwise_by_multiply(a: PauliSum, b: PauliSum, commutator_only=False):
+    """Reference: one `multiply` per term pair, ``a``'s terms outer; the
+    commutator keeps anticommuting pairs only, doubled."""
+    acc = {}
+    for ta in a:
+        for tb in b:
+            if commutator_only and terms_commute(ta, tb):
+                continue
+            t = multiply(ta, tb)
+            c = 2.0 * t.coefficient if commutator_only else t.coefficient
+            key = (t.x_mask, t.z_mask)
+            acc[key] = acc.get(key, 0.0) + c
+    return PauliSum(a.n_qubits, acc)
+
+
+# Small exact coefficients make products of colliding strings cancel to 0.
+EXACT_COEFFS = (1, -1, 0.5, -0.5, 1j, -1j, 0.5j, -0.5j, 0.25 + 0.75j)
+
+
+@st.composite
+def sum_pairs(draw):
+    n = draw(st.integers(1, 6))
+    keys = st.tuples(st.integers(0, (1 << n) - 1),
+                     st.integers(0, (1 << n) - 1))
+    coeffs = st.one_of(
+        st.sampled_from(EXACT_COEFFS),
+        st.complex_numbers(max_magnitude=2, allow_nan=False,
+                           allow_infinity=False))
+    return tuple(PauliSum(n, draw(st.dictionaries(keys, coeffs, max_size=8)))
+                 for _ in range(2))
+
+
+# (X0 + i Y0)^2 = 0 and [X0 + i Y0, X0 + i Y0] = 0: every key cancels
+RAISING = PauliSum(1, {(1, 0): 1.0, (1, 1): 1j})
+
+
+class TestPairLoop:
+    @given(sum_pairs())
+    @example((RAISING, RAISING))
+    @settings(max_examples=200)
+    def test_product_matches_multiply_per_pair(self, pair):
+        a, b = pair
+        assert exact_items(a * b) == exact_items(pairwise_by_multiply(a, b))
+
+    @given(sum_pairs())
+    @example((RAISING, RAISING))
+    @settings(max_examples=200)
+    def test_commutator_matches_multiply_per_pair(self, pair):
+        a, b = pair
+        assert exact_items(commutator(a, b)) == exact_items(
+            pairwise_by_multiply(a, b, commutator_only=True))
+
+    def test_exact_cancellation_leaves_nothing(self):
+        assert len(RAISING * RAISING) == 0
+        assert len(commutator(RAISING, RAISING)) == 0
 
 
 class TestToMatrix:
