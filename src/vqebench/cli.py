@@ -49,6 +49,13 @@ CONFIG_KEYS = ("output", "methods", "optimizers", "grad_norm_threshold",
                "tol_rel_energy", "fd_step", "max_iterations", "input")
 GRADIENT_FREE_NOTE = ("gradient-free optimizer: Nelder-Mead (stand-in for "
                       "the reference COBYLA)")
+INFIDELITY_FLOOR = 1e-15
+
+
+def format_infidelity(value: float) -> str:
+    """An infidelity as every report prints it: ``.6e``, and 0 below
+    INFIDELITY_FLOOR, the absolute floor of double-precision overlaps."""
+    return f"{0.0 if value < INFIDELITY_FLOOR else value:.6e}"
 
 
 class ConfigError(ValueError):
@@ -165,7 +172,7 @@ class ScanRow:
             "optimizer": self.optimizer,
             "energy": f"{self.energy:.9f}",
             "abs_error_vs_fci": f"{self.abs_error_vs_fci:.9f}",
-            "infidelity": f"{self.infidelity:.9e}",
+            "infidelity": format_infidelity(self.infidelity),
             "n_operators": str(self.n_operators),
             "gate_count": str(self.gate_count),
             "depth": str(self.depth),
@@ -282,7 +289,8 @@ def render_summary(rows) -> str:
         err = statistics.median(row.abs_error_vs_fci for row in sample)
         infid = statistics.median(row.infidelity for row in sample)
         lines.append(f"  {method:<6} abs_error_vs_fci {err:.9f}  "
-                     f"infidelity {infid:.9e}  ({len(sample)} rows)")
+                     f"infidelity {format_infidelity(infid)}  "
+                     f"({len(sample)} rows)")
     by_key = {(row.label, row.method, row.optimizer): row for row in rows}
     have_both = [
         (label, method)
@@ -364,6 +372,10 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    cfg = _adapt_config(grad_norm_threshold=args.grad_norm_threshold,
+                        max_iterations=args.max_iter,
+                        optimizer=OPTIMIZER_ALIASES[args.optimizer.lower()],
+                        tol_rel_energy=args.tol, fd_step=args.fd_step)
     problem = QubitProblem(load_fcidump(args.fcidump))
     sol = solve_fci(problem)
     if args.method == "fci":
@@ -371,10 +383,6 @@ def _cmd_run(args) -> int:
         if sol.degeneracy_flag:
             print("note: degenerate ground space")
         return 0
-    cfg = _adapt_config(grad_norm_threshold=args.grad_norm_threshold,
-                        max_iterations=args.max_iter,
-                        optimizer=OPTIMIZER_ALIASES[args.optimizer.lower()],
-                        tol_rel_energy=args.tol, fd_step=args.fd_step)
     runner = run_vqe if args.method == "vqe" else run_adapt
     result = runner(problem, cfg)
     infid = infidelity_vs_fci(result.prepared_state(), sol)
@@ -383,7 +391,7 @@ def _cmd_run(args) -> int:
     print(f"energy: {result.energy:.9f}")
     print(f"fci energy: {sol.energy:.9f}")
     print(f"abs error vs fci: {abs(result.energy - sol.energy):.9f}")
-    print(f"infidelity: {infid:.9e}")
+    print(f"infidelity: {format_infidelity(infid)}")
     print(f"operators: {len(result.ansatz)}")
     for pid, theta in result.ansatz.elements:
         print(f"  {result.ansatz.pool[pid].description}  theta={theta:+.9f}")

@@ -1,6 +1,7 @@
-"""Exact diagonalization of the qubit Hamiltonian in the particle-number
-sector; the full-CI ground truth for energies and fidelities. The JW
-Hamiltonian is that of the `adapt.QubitProblem` VQE and ADAPT solve."""
+"""Exact diagonalization of the qubit Hamiltonian in the (N, S_z) block of
+the Hartree-Fock reference; the full-CI ground truth for energies and
+fidelities. The JW Hamiltonian is that of the `adapt.QubitProblem` VQE and
+ADAPT solve."""
 from __future__ import annotations
 
 import numpy as np
@@ -14,7 +15,10 @@ RESIDUAL_TOL = 1e-8
 
 
 class FciSolution:
-    """Lowest eigenpair of H_P restricted to one electron-count sector."""
+    """Lowest eigenpair of H_P in the (N, S_z) block of the reference.
+
+    ``degeneracy_flag`` means a degenerate ground space within that block.
+    """
 
     __slots__ = ("energy", "ground_state", "sector", "degeneracy_flag",
                  "_ground_basis")
@@ -34,17 +38,27 @@ class FciSolution:
 
 
 def sector_indices(n_qubits: int, n_electrons: int) -> np.ndarray:
+    """Ascending basis states of the reference's (N, S_z) block.
+
+    The Hartree-Fock reference puts ``(n_electrons + 1) // 2`` electrons
+    on the even (alpha) qubits and ``n_electrons // 2`` on the odd (beta)
+    ones; the Hamiltonian and the pool conserve both counts.
+    """
     basis = np.arange(1 << n_qubits, dtype=np.int64)
-    return basis[np.bitwise_count(basis) == n_electrons]
+    alpha = sum(1 << q for q in range(0, n_qubits, 2))
+    keep = ((np.bitwise_count(basis & alpha) == (n_electrons + 1) // 2)
+            & (np.bitwise_count(basis & ~alpha) == n_electrons // 2))
+    return basis[keep]
 
 
 def sector_matrix(h_p: PauliSum, indices: np.ndarray) -> np.ndarray:
-    """Dense H_P block over the given basis states.
+    """Dense real H_P block over the given basis states.
 
-    Individual Pauli terms may map a sector state outside the sector;
-    for a particle-conserving sum those contributions cancel exactly, so
-    they are dropped rather than accumulated. Terms are accumulated in
-    insertion order, on which the last digits of reported energies depend.
+    Individual Pauli terms may map a block state outside the block; for a
+    sum that conserves N and S_z those contributions cancel exactly, so
+    they are dropped rather than accumulated. The imaginary contributions
+    of a real molecular Hamiltonian cancel exactly as well; a nonzero
+    imaginary entry raises ValueError.
     """
     dim = len(indices)
     position = np.full(1 << h_p.n_qubits, -1, dtype=np.int64)
@@ -56,50 +70,54 @@ def sector_matrix(h_p: PauliSum, indices: np.ndarray) -> np.ndarray:
         keep = rows >= 0
         phases = string_phases(indices, x, z)
         mat[rows[keep], cols[keep]] += coeff * phases[keep]
-    return mat
+    if mat.imag.any():
+        raise ValueError(f"H_P block is not real: max |Im| = "
+                         f"{np.abs(mat.imag).max():.3e}")
+    return np.ascontiguousarray(mat.real)
 
 
 def solve_fci(problem: QubitProblem) -> FciSolution:
-    """Ground state of the problem's JW Hamiltonian in its electron sector.
+    """Ground state of the problem's JW Hamiltonian in the (N, S_z) block
+    of the reference, from a real symmetric eigensolve.
 
-    Reported energy includes the core energy. The ground-state phase is
-    fixed by making the largest amplitude real positive.
+    Reported energy includes the core energy. The ground-state sign is
+    fixed by making the largest amplitude positive.
     """
     n_qubits = problem.n_qubits
     indices = sector_indices(n_qubits, problem.n_electrons)
     mat = sector_matrix(problem.h_p, indices)
     eigenvalues, eigenvectors = np.linalg.eigh(mat)
 
-    degenerate = (len(eigenvalues) > 1
-                  and eigenvalues[1] - eigenvalues[0] < DEGENERACY_GAP)
     n_ground = int(np.sum(eigenvalues - eigenvalues[0] < DEGENERACY_GAP))
-
-    def embed(column):
-        amps = np.zeros(1 << n_qubits, dtype=complex)
-        amps[indices] = column
-        pivot = int(np.argmax(np.abs(amps)))
-        phase = amps[pivot] / abs(amps[pivot])
-        return StateVector(n_qubits, amps / phase)
-
-    ground = embed(eigenvectors[:, 0])
-    basis = [embed(eigenvectors[:, k]) for k in range(n_ground)]
 
     residual = mat @ eigenvectors[:, 0] - eigenvalues[0] * eigenvectors[:, 0]
     if np.linalg.norm(residual) > RESIDUAL_TOL:
         raise AssertionError("eigenpair residual above tolerance")
 
-    return FciSolution(eigenvalues[0] + problem.core, ground,
-                       problem.n_electrons, degenerate, basis)
+    basis = np.zeros((1 << n_qubits, n_ground), dtype=complex)
+    basis[indices] = eigenvectors[:, :n_ground]
+    ground = basis[:, 0]
+    ground = ground * np.sign(ground[np.argmax(np.abs(ground))].real)
+    return FciSolution(eigenvalues[0] + problem.core,
+                       StateVector(n_qubits, ground), problem.n_electrons,
+                       n_ground > 1, basis)
 
 
 def infidelity_vs_fci(prepared: StateVector, sol: FciSolution) -> float:
     """State-preparation error against the FCI ground space.
 
-    For a degenerate ground state this is the minimum over the whole
-    degenerate subspace, 1 - ||P|psi>||, so the metric does not depend on
-    the arbitrary eigenvector basis returned by the solver.
+    For a ground space degenerate within the block this is the distance to
+    the whole space, ``||a - P a / ||P a|| ||^2 / 2`` for the normalised
+    prepared state ``a`` and the projector ``P`` onto the space: that is
+    ``1 - ||P a||`` without its cancellation, and it does not depend on the
+    arbitrary eigenvector basis returned by the solver.
     """
     if not sol.degeneracy_flag:
         return infidelity(prepared, sol.ground_state)
-    overlap_sq = sum(abs(prepared.inner(v)) ** 2 for v in sol._ground_basis)
-    return 1.0 - float(np.sqrt(overlap_sq))
+    a = prepared.amplitudes / prepared.norm()
+    basis = sol._ground_basis
+    projected = basis @ (basis.conj().T @ a)
+    norm = np.linalg.norm(projected)
+    if norm == 0.0:
+        return 1.0
+    return float(np.linalg.norm(a - projected / norm) ** 2) / 2

@@ -155,6 +155,10 @@ class PauliSum:
         self.terms: dict[tuple[int, int], complex] = {}
         if terms:
             for (x, z), c in dict(terms).items():
+                if (x | z) >> n_qubits:  # also true for a negative mask
+                    raise ValueError(
+                        f"mask out of range for {n_qubits} qubits: "
+                        f"x={x:#x} z={z:#x}")
                 if abs(c) >= PRUNE_THRESHOLD:
                     self.terms[(x, z)] = complex(c)
 

@@ -132,7 +132,17 @@ def expectation(state: StateVector, observable: PauliSum) -> float:
 
 
 def infidelity(state: StateVector, reference: StateVector) -> float:
-    """``1 - |<reference|state>|``; insensitive to global phase."""
+    """``1 - |<reference|state>|`` of the normalised states, without its
+    cancellation.
+
+    Computed as ``||a - e^{i phi} b||^2 / 2`` for normalised ``a`` (state)
+    and ``b`` (reference), where ``phi`` is the phase of ``<b|a>``; so it
+    is never negative and insensitive to global phase.
+    """
     if state.n_qubits != reference.n_qubits:
         raise DimensionMismatchError("statevector sizes differ")
-    return 1.0 - abs(state.inner(reference))
+    a = state.amplitudes / state.norm()
+    b = reference.amplitudes / reference.norm()
+    overlap = np.vdot(b, a)
+    phase = overlap / abs(overlap) if overlap != 0 else 1.0
+    return float(np.linalg.norm(a - phase * b) ** 2) / 2

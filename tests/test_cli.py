@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vqebench import adapt
+from vqebench import adapt, cli
 from vqebench.cli import (
     ConfigError,
     CSV_HEADER,
@@ -265,6 +265,18 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "must be positive and finite" in err
         assert "internal" not in err
+
+    @pytest.mark.parametrize("method", ["fci", "vqe", "adapt"])
+    def test_run_flags_checked_before_any_set_up(self, monkeypatch, capsys,
+                                                 method):
+        def no_set_up(ham):
+            raise AssertionError("problem built before the flags were checked")
+
+        monkeypatch.setattr(cli, "QubitProblem", no_set_up)
+        argv = ["run", "--fcidump", str(DATA / "h2_r0.735.fcidump"),
+                "--method", method, "--tol", "nan"]
+        assert main(argv) == 1
+        assert "must be positive and finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["run", "--fcidump", str(DATA / "h2_r0.735.fcidump"), "--method",

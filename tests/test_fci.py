@@ -3,11 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vqebench.adapt import QubitProblem
 from vqebench.fcidump import MolecularHamiltonian, load_fcidump
-from vqebench.fermion import number_operator
-from vqebench.fci import infidelity_vs_fci, sector_indices, solve_fci
+from vqebench.fermion import (FermionOperator, LadderProduct, jordan_wigner,
+                              number_operator)
+from vqebench.fci import (infidelity_vs_fci, sector_indices, sector_matrix,
+                          solve_fci)
 from vqebench.pauli import ResourceLimitError, to_matrix
 from vqebench.statevector import StateVector, expectation
 
@@ -26,6 +29,56 @@ def single_orbital_problem(eps=-0.73, coulomb=0.4, core=0.11):
 
 def problem_of(name):
     return QubitProblem(load_fcidump(DATA / name))
+
+
+def n_block_lowest(problem):
+    """Lowest eigenvalue of the complex N-electron block of the dense H_P,
+    the oracle of the (N, S_z) block solve."""
+    basis = np.arange(1 << problem.n_qubits)
+    idx = basis[np.bitwise_count(basis) == problem.n_electrons]
+    block = to_matrix(problem.h_p)[np.ix_(idx, idx)]
+    return np.linalg.eigvalsh(block)[0]
+
+
+def flat_problem(core=0.0):
+    """Zero integrals: every block state has energy ``core``."""
+    return QubitProblem(MolecularHamiltonian(
+        2, 2, core, np.zeros((2, 2)), np.zeros((2, 2, 2, 2)), label="flat"))
+
+
+H4_SOLUTION = solve_fci(problem_of("h4_r1.000.fcidump"))
+FLAT_SOLUTION = solve_fci(flat_problem())
+
+
+class TestSector:
+    @pytest.mark.parametrize("n_qubits, n_electrons, dim", [
+        (2, 2, 1), (4, 2, 4), (4, 1, 2), (8, 4, 36), (12, 6, 400),
+        (12, 5, 300)])
+    def test_dimension_is_that_of_the_reference_block(self, n_qubits,
+                                                      n_electrons, dim):
+        assert len(sector_indices(n_qubits, n_electrons)) == dim
+
+    def test_alpha_on_even_qubits_and_beta_on_odd(self):
+        idx = sector_indices(4, 3)
+        assert list(idx) == [0b0111, 0b1101]
+        reference = (1 << 3) - 1
+        assert reference in idx
+
+    def test_matrix_is_real(self):
+        problem = problem_of("h4_r1.000.fcidump")
+        mat = sector_matrix(problem.h_p, sector_indices(8, 4))
+        assert mat.dtype == np.float64
+        assert mat.shape == (36, 36)
+
+    def test_imaginary_entry_raises(self):
+        # i (a0^ a2 - a2^ a0) conserves N and S_z but is imaginary
+        hop = FermionOperator(4, [LadderProduct([(0, True), (2, False)], 1j),
+                                  LadderProduct([(2, True), (0, False)],
+                                                -1j)])
+        h_p = jordan_wigner(hop)
+        assert h_p.is_hermitian()
+        with pytest.raises(ValueError, match="not real"):
+            sector_matrix(h_p, sector_indices(4, 2))
 
 
 class TestSolveFci:
@@ -72,6 +125,13 @@ class TestSolveFci:
         lowest = np.linalg.eigvalsh(block)[0]
         assert sol.energy == pytest.approx(lowest + problem.core, abs=1e-10)
 
+    @pytest.mark.parametrize("name", sorted(
+        path.name for path in DATA.glob("*.fcidump")))
+    def test_matches_complex_n_block_oracle(self, name):
+        problem = problem_of(name)
+        assert solve_fci(problem).energy == pytest.approx(
+            n_block_lowest(problem) + problem.core, abs=1e-12)
+
     def test_qubit_cap(self):
         big = MolecularHamiltonian(7, 2, 0.0, np.zeros((7, 7)) + np.eye(7),
                                    np.zeros((7, 7, 7, 7)), label="big")
@@ -79,10 +139,7 @@ class TestSolveFci:
             QubitProblem(big)
 
     def test_degenerate_hamiltonian_flagged(self):
-        # zero integrals: every sector state has energy = core
-        ham = MolecularHamiltonian(2, 2, 0.25, np.zeros((2, 2)),
-                                   np.zeros((2, 2, 2, 2)), label="flat")
-        sol = solve_fci(QubitProblem(ham))
+        sol = solve_fci(flat_problem(core=0.25))
         assert sol.degeneracy_flag
         assert sol.energy == pytest.approx(0.25)
 
@@ -95,9 +152,9 @@ class TestInfidelityVsFci:
 
     def test_orthogonal_state(self):
         sol = solve_fci(problem_of("h2_r0.735.fcidump"))
-        # |0011> and |1100> span the sector ground region; |0101> has
-        # one alpha electron in each spatial orbital -> not the singlet
-        # combination. Build a state orthogonal to the ground vector.
+        # |0101> puts both electrons on alpha orbitals (S_z = +1), outside
+        # the reference's block; orthogonalize it against the ground vector
+        # all the same.
         ground = sol.ground_state.amplitudes
         probe = np.zeros_like(ground)
         probe[0b0101] = 1.0
@@ -108,10 +165,32 @@ class TestInfidelityVsFci:
         assert infidelity_vs_fci(state, sol) == pytest.approx(1.0, abs=1e-10)
 
     def test_degenerate_ground_space_uses_projection(self):
-        ham = MolecularHamiltonian(2, 2, 0.0, np.zeros((2, 2)),
-                                   np.zeros((2, 2, 2, 2)), label="flat")
-        sol = solve_fci(QubitProblem(ham))
+        sol = FLAT_SOLUTION
         assert sol.degeneracy_flag
-        # any sector state lies in the (fully degenerate) ground space
-        state = StateVector.basis_state(4, 0b0101)
+        # any block state lies in the (fully degenerate) ground space
+        state = StateVector.basis_state(4, 0b1001)
         assert infidelity_vs_fci(state, sol) == pytest.approx(0.0, abs=1e-10)
+        # both electrons alpha: S_z = +1, outside the reference's block
+        state = StateVector.basis_state(4, 0b0101)
+        assert infidelity_vs_fci(state, sol) == pytest.approx(1.0, abs=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(phase=st.floats(-np.pi, np.pi, allow_nan=False),
+           noise=st.sampled_from([0.0, 1e-16, 1e-12, 1e-8, 1e-3, 1.0]),
+           seed=st.integers(0, 2**32 - 1),
+           degenerate=st.booleans())
+    def test_never_negative(self, phase, noise, seed, degenerate):
+        # 1 - |<fci|psi>| reads down to -1.3e-15 on the H4 ground state
+        sol = FLAT_SOLUTION if degenerate else H4_SOLUTION
+        ground = sol.ground_state
+        size = ground.amplitudes.size
+        rng = np.random.default_rng(seed)
+        amps = ground.amplitudes + noise * (
+            rng.normal(size=size) + 1j * rng.normal(size=size))
+        state = StateVector(ground.n_qubits, np.exp(1j * phase) * amps
+                            / np.linalg.norm(amps))
+        value = infidelity_vs_fci(state, sol)
+        assert 0.0 <= value <= 1.0
+        if noise == 0.0:
+            assert value < 1e-15
+

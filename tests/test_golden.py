@@ -3,25 +3,85 @@ and the built-in selftest passes.
 
 Every simulator change must leave ``examples_configs/*_out/`` unchanged
 unless it says why, so the last bits of every reported number are pinned
-here.
+here. The reported infidelity must not depend on the FCI eigensolver: the
+scans are rerun with the earlier complex solve of the whole N-electron
+block, kept here as the oracle, and must give the same bytes.
 """
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from vqebench import cli
 from vqebench.cli import emit_report, main, parse_scan_config, run_scan
+from vqebench.fci import FciSolution
+from vqebench.pauli import to_matrix
+from vqebench.statevector import StateVector
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples_configs"
+SCANS = ["h2_scan", "nah_scan"]
 
 
-@pytest.mark.parametrize("name", ["h2_scan", "nah_scan"])
-def test_example_scan_reproduces_committed_outputs(name, tmp_path):
+def complex_n_block_fci(problem):
+    """FCI from a complex ``eigh`` of the whole N-electron block: the
+    solver `fci.solve_fci` used before it moved to the real (N, S_z)
+    block of the reference."""
+    n_qubits = problem.n_qubits
+    basis = np.arange(1 << n_qubits)
+    indices = basis[np.bitwise_count(basis) == problem.n_electrons]
+    block = to_matrix(problem.h_p)[np.ix_(indices, indices)]
+    eigenvalues, eigenvectors = np.linalg.eigh(block)
+    n_ground = int(np.sum(eigenvalues - eigenvalues[0] < 1e-9))
+    ground_basis = np.zeros((1 << n_qubits, n_ground), dtype=complex)
+    ground_basis[indices] = eigenvectors[:, :n_ground]
+    return FciSolution(eigenvalues[0] + problem.core,
+                       StateVector(n_qubits, ground_basis[:, 0]),
+                       problem.n_electrons, n_ground > 1, ground_basis)
+
+
+def first_difference(artifact, produced, committed):
+    """None when the bytes agree, else the first differing line of each."""
+    if produced == committed:
+        return None
+    new = produced.decode().splitlines()
+    old = committed.decode().splitlines()
+    for number, (got, want) in enumerate(zip(new, old), 1):
+        if got != want:
+            return (f"{artifact} line {number}:\n  produced  {got!r}\n"
+                    f"  committed {want!r}")
+    return (f"{artifact}: {len(new)} lines produced, {len(old)} committed "
+            f"(or trailing bytes differ)")
+
+
+def assert_reproduces_committed(name, out_dir):
     config = EXAMPLES / f"{name}.cfg"
     cfg = parse_scan_config(config.read_text(), base_dir=EXAMPLES)
-    emit_report(run_scan(cfg), tmp_path)
-    for artifact in ("scan.csv", "scan.json", "summary.txt"):
-        expected = (EXAMPLES / f"{name}_out" / artifact).read_bytes()
-        assert (tmp_path / artifact).read_bytes() == expected, artifact
+    emit_report(run_scan(cfg), out_dir)
+    problems = [
+        first_difference(artifact, (out_dir / artifact).read_bytes(),
+                         (EXAMPLES / f"{name}_out" / artifact).read_bytes())
+        for artifact in ("scan.csv", "scan.json", "summary.txt")]
+    problems = [p for p in problems if p is not None]
+    assert not problems, "\n".join(problems)
+
+
+@pytest.mark.parametrize("name", SCANS)
+def test_example_scan_reproduces_committed_outputs(name, tmp_path):
+    assert_reproduces_committed(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", SCANS)
+def test_committed_outputs_do_not_depend_on_the_fci_solver(
+        name, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "solve_fci", complex_n_block_fci)
+    assert_reproduces_committed(name, tmp_path)
+
+
+def test_first_difference_names_line_and_both_versions():
+    message = first_difference("scan.csv", b"a\nb\nc\n", b"a\nB\nc\n")
+    assert "line 2" in message
+    assert "'b'" in message and "'B'" in message
+    assert first_difference("scan.csv", b"a\n", b"a\n") is None
 
 
 def test_selftest_passes(capsys):

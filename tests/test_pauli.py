@@ -147,6 +147,18 @@ class TestAdd:
             PauliSum(1) + PauliSum(2)
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("key", [(2, 0), (0, 2), (3, 1), (-1, 0),
+                                     (0, -1)])
+    def test_mask_out_of_range_rejected(self, key):
+        with pytest.raises(ValueError, match="mask out of range"):
+            PauliSum(1, {key: 1.0})
+
+    def test_checked_before_pruning(self):
+        with pytest.raises(ValueError, match="mask out of range"):
+            PauliSum(1, {(2, 0): 1e-15})
+
+
 class TestCommutator:
     def test_su2_relation(self):
         z = PauliSum.from_term(PauliTerm.from_string(1, "Z0"))

@@ -179,6 +179,24 @@ class TestInfidelity:
         b = StateVector(2, np.exp(1j * phi) * amps)
         assert infidelity(a, b) == pytest.approx(0.0, abs=1e-12)
 
+    @given(st.floats(-np.pi, np.pi, allow_nan=False),
+           st.sampled_from([0.0, 1e-15, 1e-9, 1e-3]),
+           st.integers(0, 2**32 - 1))
+    def test_never_negative(self, phi, noise, seed):
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        amps /= np.linalg.norm(amps)
+        other = np.exp(1j * phi) * amps + noise * rng.normal(size=8)
+        value = infidelity(StateVector(3, amps), StateVector(3, other))
+        assert value >= 0.0
+        if noise == 0.0:
+            assert value < 1e-15
+
+    def test_unnormalised_inputs_are_normalised(self):
+        a = StateVector(1, [3.0, 0.0])
+        b = StateVector(1, [1.0, 1.0])
+        assert infidelity(a, b) == pytest.approx(1 - np.sqrt(0.5), abs=1e-15)
+
     def test_dimension_mismatch(self):
         with pytest.raises(Exception):
             infidelity(StateVector(1), StateVector(2))
