@@ -60,7 +60,6 @@ from .pauli import PauliSum, PauliTerm, commutator, multiply, to_matrix
 from .statevector import (
     StateVector,
     apply_operator,
-    apply_pauli_exponential,
     apply_pool_operator,
     expectation,
     hartree_fock_reference,
@@ -74,8 +73,8 @@ __all__ = [
     "LadderProduct", "MeasurementLedger", "MolecularHamiltonian",
     "Objective", "OptimizationResult", "PauliSum", "PauliTerm",
     "PoolOperator", "QubitProblem", "RunResult", "StateVector",
-    "anti_hermitian_pair", "apply_operator", "apply_pauli_exponential",
-    "apply_pool_operator", "build_uccsd_pool",
+    "anti_hermitian_pair", "apply_operator", "apply_pool_operator",
+    "build_uccsd_pool",
     "central_difference_gradient", "circuit_metrics", "commutator",
     "compile_circuit", "expectation", "full_uccsd_ansatz",
     "hartree_fock_reference", "infidelity", "infidelity_vs_fci",

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .adapt import QubitProblem
-from .pauli import PauliSum, string_phases
+from .pauli import PauliSum
 from .statevector import StateVector, infidelity
 
 DEGENERACY_GAP = 1e-9
@@ -54,22 +54,22 @@ def sector_indices(n_qubits: int, n_electrons: int) -> np.ndarray:
 def sector_matrix(h_p: PauliSum, indices: np.ndarray) -> np.ndarray:
     """Dense real H_P block over the given basis states.
 
-    Individual Pauli terms may map a block state outside the block; for a
-    sum that conserves N and S_z those contributions cancel exactly, so
-    they are dropped rather than accumulated. The imaginary contributions
-    of a real molecular Hamiltonian cancel exactly as well; a nonzero
-    imaginary entry raises ValueError.
+    Built from ``h_p.action``. An X-mask group may map a block state
+    outside the block; for a sum that conserves N and S_z its diagonal
+    there is zero up to rounding, so those entries are dropped rather than
+    accumulated.
+    The imaginary contributions of a real molecular Hamiltonian cancel
+    exactly as well; a nonzero imaginary entry raises ValueError.
     """
     dim = len(indices)
     position = np.full(1 << h_p.n_qubits, -1, dtype=np.int64)
     position[indices] = np.arange(dim)
     cols = np.arange(dim)
     mat = np.zeros((dim, dim), dtype=complex)
-    for (x, z), coeff in h_p.terms.items():
-        rows = position[indices ^ x]
+    for targets, diagonal in h_p.action:
+        rows = position[targets[indices]]
         keep = rows >= 0
-        phases = string_phases(indices, x, z)
-        mat[rows[keep], cols[keep]] += coeff * phases[keep]
+        mat[rows[keep], cols[keep]] += diagonal[indices][keep]
     if mat.imag.any():
         raise ValueError(f"H_P block is not real: max |Im| = "
                          f"{np.abs(mat.imag).max():.3e}")

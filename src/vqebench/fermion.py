@@ -111,8 +111,9 @@ def jordan_wigner(f: FermionOperator) -> PauliSum:
     Each product's image is added into one dict, in product order, and
     pruned on every merge as `PauliSum.__add__` would: a key whose running
     sum drops below PRUNE_THRESHOLD is deleted, and re-enters at the end
-    if a later product brings it back. `fci.sector_matrix` sums terms in
-    that order, so the golden scan bytes depend on it.
+    if a later product brings it back. `PauliSum.action` sorts the terms,
+    so that order reaches the golden scan bytes only through the
+    coefficient bits it produces.
     """
     n = f.n_spin_orbitals
     terms: dict[tuple[int, int], complex] = {}

@@ -199,12 +199,13 @@ class PauliSum:
                 for x, z in keys]
 
     @property
-    def action(self) -> list[tuple[complex, np.ndarray, np.ndarray]]:
-        """``(coefficient, targets, phases)`` per term, in canonical order.
+    def action(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(targets, diagonal)`` per distinct X mask, ascending.
 
-        The term's unit-coefficient string maps basis state ``b`` to
-        ``phases[b] |targets[b]>``. Built on first use and kept; terms
-        sharing an X mask share one ``targets`` array. Read only.
+        The group of strings with X mask ``x`` maps basis state ``b`` to
+        ``diagonal[b] |targets[b]>``, with ``targets = b ^ x``; the sum is
+        ``op |psi> = sum over groups of (diagonal * psi)[targets]``.
+        Built on first use and kept. Read only.
         """
         if self._action is None:
             self._action = _basis_action(self)
@@ -234,8 +235,9 @@ class PauliSum:
         Term pairs are multiplied as in `multiply`, ``ca * cb * phase``,
         and accumulated in product order (``self``'s terms outer,
         ``other``'s inner); the result keeps that first-seen key order and
-        is pruned once. `fermion.jordan_wigner`, hence `fci.sector_matrix`
-        and the golden scan bytes, depend on these bits and that order.
+        is pruned once. `fermion.jordan_wigner` depends on these bits and
+        that order; `PauliSum.action` sorts the terms, so the order reaches
+        the golden scan bytes only through the coefficient bits.
         """
         if isinstance(other, PauliSum):
             _check_same_qubits(self, other)
@@ -323,17 +325,17 @@ CacheInfo = namedtuple("CacheInfo", "hits misses")
 def _basis_action(s: PauliSum) -> list:
     """Compile ``s.action``; see ``PauliSum.action``.
 
-    Counts term actions built (``misses``) and reused from a kept
-    ``action`` (``hits``) since import; ``cache_info()`` reads them.
+    Each diagonal sums ``coefficient * string_phases`` over its group's
+    strings in canonical ``(z_mask, x_mask)`` order. Counts group actions
+    built (``misses``) and reused from a kept ``action`` (``hits``) since
+    import; ``cache_info()`` reads them.
     """
     basis = np.arange(1 << s.n_qubits, dtype=np.int64)
-    by_x: dict[int, np.ndarray] = {}
-    action = []
-    for t in s.sorted_terms():
-        if t.x_mask not in by_x:
-            by_x[t.x_mask] = basis ^ t.x_mask
-        action.append((t.coefficient, by_x[t.x_mask],
-                       string_phases(basis, t.x_mask, t.z_mask)))
+    diagonals: dict[int, np.ndarray] = {}
+    for x, z in sorted(s.terms, key=lambda k: (k[1], k[0])):
+        diagonals[x] = (diagonals.get(x, 0.0)
+                        + s.terms[(x, z)] * string_phases(basis, x, z))
+    action = [(basis ^ x, diagonals[x]) for x in sorted(diagonals)]
     _basis_action.misses += len(action)
     return action
 
@@ -366,6 +368,6 @@ def to_matrix(s: PauliSum, max_qubits: int = MATRIX_QUBIT_CAP) -> np.ndarray:
     dim = 1 << s.n_qubits
     mat = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)
-    for c, targets, phases in s.action:
-        mat[targets, cols] += c * phases
+    for targets, diagonal in s.action:
+        mat[targets, cols] += diagonal
     return mat

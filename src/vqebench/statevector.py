@@ -1,4 +1,4 @@
-"""Dense complex statevector with exact Pauli-exponential evolution.
+"""Dense complex statevector with exact pool-operator exponentials.
 
 Basis index bit ``q`` is the value of qubit ``q`` (qubit 0 least
 significant); qubit value 1 means the corresponding spin orbital is
@@ -6,11 +6,9 @@ occupied.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .pauli import DimensionMismatchError, PauliSum, PauliTerm
+from .pauli import DimensionMismatchError, PauliSum
 
 
 class StateVector:
@@ -62,41 +60,29 @@ def hartree_fock_reference(n_qubits: int, n_electrons: int) -> StateVector:
     return StateVector.basis_state(n_qubits, (1 << n_electrons) - 1)
 
 
-def apply_pauli_exponential(state: StateVector, p: PauliTerm,
-                            angle: float) -> StateVector:
-    """``exp(i * angle * P) |state>`` for a Hermitian unit-coefficient P.
-
-    Exact because P squares to the identity:
-    ``cos(angle) I + i sin(angle) P``.
-    """
-    coeff = p.coefficient
-    if abs(coeff.imag) > 1e-12 or abs(abs(coeff.real) - 1.0) > 1e-12:
-        raise ValueError(
-            f"apply_pauli_exponential needs a real unit coefficient, "
-            f"got {coeff}")
-    i_p = PauliSum(p.n_qubits, {(p.x_mask, p.z_mask): 1j})
-    return apply_pool_operator(state, i_p, angle * coeff.real)
-
-
 def apply_pool_operator(state: StateVector, tau: PauliSum,
                         theta: float) -> StateVector:
     """``exp(theta * tau) |state>`` for an anti-Hermitian tau.
 
-    Applied as the product of per-term exponentials in canonical term
-    order; exact when the terms mutually commute, which every pool
-    element guarantees (checked at pool construction).
+    Applied as the product of the exact exponentials of its X-mask groups,
+    in ascending X-mask order. A group ``G`` couples only ``b`` and
+    ``b ^ x``, as an anti-Hermitian 2x2 block with ``G^2 = -|d|^2`` for its
+    diagonal ``d``, so ``exp(theta G) = cos(theta |d|) + sin(theta |d|) /
+    |d| G`` (the closed form of Yordanov et al., arXiv:2005.14475). The
+    product is exact when the groups commute, which every pool element
+    guarantees (its strings commute, checked at pool construction).
     """
     if state.n_qubits != tau.n_qubits:
         raise DimensionMismatchError("operator and state sizes differ")
     if not tau.is_anti_hermitian():
         raise ValueError("pool operator must be anti-Hermitian")
     amps = state.amplitudes
-    for coeff, targets, phases in tau.action:
-        # term = i * w * P with w = coeff.imag, and P^2 = I; targets is
-        # its own inverse, so (phases * amps)[targets] is P |amps>
-        angle = theta * coeff.imag
-        amps = math.cos(angle) * amps \
-            + 1j * math.sin(angle) * (phases * amps)[targets]
+    for targets, diagonal in tau.action:
+        norm = np.abs(diagonal)
+        angle = theta * norm
+        scale = np.divide(np.sin(angle), norm, out=np.zeros_like(norm),
+                          where=norm > 0)
+        amps = np.cos(angle) * amps + scale * (diagonal * amps)[targets]
     return StateVector(state.n_qubits, amps)
 
 
@@ -106,25 +92,21 @@ def apply_operator(state: StateVector, op: PauliSum) -> np.ndarray:
         raise DimensionMismatchError("operator and state sizes differ")
     amps = state.amplitudes
     out = np.zeros_like(amps)
-    for coeff, targets, phases in op.action:
-        out += coeff * (phases * amps)[targets]
+    for targets, diagonal in op.action:
+        out += (diagonal * amps)[targets]
     return out
 
 
 def expectation(state: StateVector, observable: PauliSum) -> float:
     """``<state| observable |state>`` for a Hermitian observable.
 
-    Accumulated term by term in canonical order, never materializing a
+    Computed as ``<state| (observable |state>)``, never materializing a
     matrix; the imaginary residue is asserted below 1e-10.
     """
-    if state.n_qubits != observable.n_qubits:
-        raise DimensionMismatchError("operator and state sizes differ")
     if not observable.is_hermitian():
         raise ValueError("expectation requires a Hermitian observable")
-    amps = state.amplitudes
-    total = 0.0 + 0.0j
-    for coeff, targets, phases in observable.action:
-        total += coeff * np.vdot(amps, (phases * amps)[targets])
+    total = complex(np.vdot(state.amplitudes,
+                            apply_operator(state, observable)))
     if abs(total.imag) > 1e-10:
         raise AssertionError(
             f"Hermitian expectation came out complex: {total}")

@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
+from test_pauli import sum_kron_matrix
 
+from vqebench.adapt import QubitProblem
+from vqebench.fcidump import load_fcidump
 from vqebench.fermion import (
     FermionOperator,
     LadderProduct,
@@ -13,12 +18,14 @@ from vqebench.fermion import (
 from vqebench.pauli import PauliSum, PauliTerm, to_matrix
 from vqebench.statevector import (
     StateVector,
-    apply_pauli_exponential,
+    apply_operator,
     apply_pool_operator,
     expectation,
     hartree_fock_reference,
     infidelity,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def paired_double_tau(n_so=4):
@@ -34,6 +41,19 @@ def singlet_single_tau(n_so=4):
         LadderProduct([(3, True), (1, False)]),
     ])
     return jordan_wigner(anti_hermitian_pair(t))
+
+
+def one_string_tau(n_qubits, x_mask, z_mask, weight=1.0):
+    """``i * weight * P`` for one Pauli string P, so that
+    ``apply_pool_operator(state, tau, angle)`` is ``exp(i angle weight P)``."""
+    return PauliSum(n_qubits, {(x_mask, z_mask): 1j * weight})
+
+
+def weighted_group_tau():
+    """Commuting strings whose X-mask group has |diagonal| 0.4 on some
+    states and 1.0 on others (every UCCSD pool operator has 0 or 1)."""
+    return PauliSum(4, {(0b0011, 0b0000): 0.3j, (0b0011, 0b0011): 0.7j,
+                        (0b0100, 0b1000): -0.5j})
 
 
 class TestHartreeFockReference:
@@ -57,41 +77,40 @@ class TestHartreeFockReference:
 
 class TestPauliExponential:
     def test_rabi_rotation(self):
-        out = apply_pauli_exponential(StateVector(1),
-                                      PauliTerm.from_string(1, "X0"),
-                                      np.pi / 2)
+        out = apply_pool_operator(StateVector(1), one_string_tau(1, 1, 0),
+                                  np.pi / 2)
         np.testing.assert_allclose(out.amplitudes, [0.0, 1j], atol=1e-15)
 
     def test_zero_angle_is_identity(self):
         state = StateVector(2, np.array([0.5, 0.5, 0.5, 0.5], dtype=complex))
-        out = apply_pauli_exponential(state,
-                                      PauliTerm.from_string(2, "Y0 Z1"), 0.0)
+        out = apply_pool_operator(state, one_string_tau(2, 0b01, 0b11), 0.0)
         np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
 
     def test_z_rotation_is_global_phase_on_basis_state(self):
         theta = 0.731
-        out = apply_pauli_exponential(StateVector(1),
-                                      PauliTerm.from_string(1, "Z0"), theta)
+        out = apply_pool_operator(StateVector(1), one_string_tau(1, 0, 1),
+                                  theta)
         np.testing.assert_allclose(out.amplitudes[0], np.exp(1j * theta),
                                    atol=1e-14)
         assert infidelity(out, StateVector(1)) == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_non_hermitian(self):
+        # P = 1j * X0 is not Hermitian, so i P is not anti-Hermitian
         with pytest.raises(ValueError):
-            apply_pauli_exponential(StateVector(1),
-                                    PauliTerm(1, 1, 0, 1j), 0.3)
+            apply_pool_operator(StateVector(1), one_string_tau(1, 1, 0, 1j),
+                                0.3)
 
     @given(st.floats(-np.pi, np.pi, allow_nan=False), st.integers(0, 15),
            st.integers(0, 15))
     @settings(max_examples=50)
     def test_matches_matrix_exponential(self, angle, x_mask, z_mask):
-        term = PauliTerm(4, x_mask, z_mask, 1.0)
+        tau = one_string_tau(4, x_mask, z_mask)
         rng = np.random.default_rng(x_mask * 16 + z_mask)
         amps = rng.normal(size=16) + 1j * rng.normal(size=16)
         amps /= np.linalg.norm(amps)
         state = StateVector(4, amps)
-        out = apply_pauli_exponential(state, term, angle)
-        dense = expm(1j * angle * to_matrix(PauliSum.from_term(term)))
+        out = apply_pool_operator(state, tau, angle)
+        dense = expm(angle * sum_kron_matrix(tau))
         np.testing.assert_allclose(out.amplitudes, dense @ amps, atol=1e-10)
         assert abs(out.norm() - 1.0) < 1e-10
 
@@ -109,7 +128,8 @@ class TestPoolOperator:
         assert abs(out.norm() - 1.0) < 1e-10
 
     @pytest.mark.parametrize("tau_builder", [paired_double_tau,
-                                             singlet_single_tau])
+                                             singlet_single_tau,
+                                             weighted_group_tau])
     @pytest.mark.parametrize("theta", [-2.1, -0.3, 0.17, 1.9])
     def test_matches_dense_expm(self, tau_builder, theta):
         tau = tau_builder()
@@ -125,6 +145,46 @@ class TestPoolOperator:
         herm = PauliSum.from_term(PauliTerm.from_string(2, "X0", 1.0))
         with pytest.raises(ValueError):
             apply_pool_operator(StateVector(2), herm, 0.5)
+
+
+class TestAgainstKroneckerOracle:
+    """The grouped action on the committed 8-qubit H4 problem against dense
+    Kronecker-product matrices, which do not go through `PauliSum.action`."""
+
+    @pytest.fixture(scope="class")
+    def h4(self):
+        return QubitProblem(load_fcidump(DATA / "h4_r1.000.fcidump"))
+
+    @pytest.fixture(scope="class")
+    def state(self):
+        rng = np.random.default_rng(41)
+        amps = rng.normal(size=256) + 1j * rng.normal(size=256)
+        return StateVector(8, amps / np.linalg.norm(amps))
+
+    def test_one_action_entry_per_x_mask(self, h4):
+        assert len(h4.h_p) == 185
+        assert len({x for x, _ in h4.h_p.terms}) == 27
+        assert len(h4.h_p.action) == 27
+        for op in h4.pool:
+            masks = {x for x, _ in op.qubit_form.terms}
+            assert len(op.qubit_form.action) == len(masks)
+
+    def test_pool_exponentials(self, h4, state):
+        assert len(h4.pool) == 19
+        rng = np.random.default_rng(5)
+        for op in h4.pool:
+            theta = float(rng.uniform(-1.5, 1.5))
+            out = apply_pool_operator(state, op.qubit_form, theta)
+            dense = expm(theta * sum_kron_matrix(op.qubit_form))
+            np.testing.assert_allclose(out.amplitudes,
+                                       dense @ state.amplitudes, atol=1e-10)
+
+    def test_hamiltonian_action_and_expectation(self, h4, state):
+        h_psi = sum_kron_matrix(h4.h_p) @ state.amplitudes
+        np.testing.assert_allclose(apply_operator(state, h4.h_p), h_psi,
+                                   atol=1e-10)
+        assert abs(expectation(state, h4.h_p)
+                   - np.vdot(state.amplitudes, h_psi).real) < 1e-10
 
 
 class TestExpectation:
