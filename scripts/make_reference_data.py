@@ -7,7 +7,9 @@ Gaussians, restricted Hartree-Fock with DIIS, CASCI active-space reduction,
 and a determinant-based full CI used as the independent energy oracle.
 
 Writes tests/data/<system>_r<??>.fcidump (H2 and NaH curves, one linear H4
-chain) plus reference_energies.json.
+chain) plus reference_energies.json, and tests/data/h6/h6_r1.000.fcidump (a
+12-qubit linear H6 chain, whose determinant-CI energy is printed and pinned
+in the tests rather than frozen in the JSON).
 
 Usage: python3 scripts/make_reference_data.py [--out tests/data]
 """
@@ -536,6 +538,17 @@ def main():
     with open(args.out / "reference_energies.json", "w") as fh:
         json.dump(reference, fh, indent=2, sort_keys=True)
     print(f"wrote {args.out / 'reference_energies.json'}")
+
+    # Linear H6 chain, every orbital active: 12 qubits, 81 pool operators.
+    # It sits in a subdirectory, apart from the inputs whose tests build
+    # dense 2**n matrices.
+    atoms = [("H", (0.0, 0.0, k * step)) for k in range(6)]
+    h6 = make_system(atoms, 6, 6, f"H6 chain r={r:.3f} A",
+                     n_active_electrons=6)
+    (args.out / "h6").mkdir(exist_ok=True)
+    (args.out / "h6" / f"h6_r{r:.3f}.fcidump").write_text(h6["text"])
+    print(f"h6/h6_r{r:.3f}.fcidump: SCF {h6['scf_energy']:.9f}  "
+          f"FCI {h6['fci_energy']!r}")
 
 
 if __name__ == "__main__":

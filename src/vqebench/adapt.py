@@ -12,7 +12,10 @@ gradient norm drops to the configured threshold.
 Measurement cost is tracked symbolically: every expectation evaluated
 charges one unit per non-identity Pauli term of the measured operator
 (the identity is classically known and excluded); a screening charges
-every commutator ``[H_P, tau_k]`` as if it were measured.
+every commutator ``[H_P, tau_k]`` as if it were measured. Those term
+counts do not depend on the state: `QubitProblem.commutator_counts`
+computes them once per problem, vectorised, with exact cancellations
+still counted as zero.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from .optimize import (
     minimize_lbfgs,
     minimize_nelder_mead,
 )
-from .pauli import PauliSum, ResourceLimitError, commutator
+from .pauli import PauliSum, ResourceLimitError, commutator_term_counts
 from .statevector import (
     StateVector,
     apply_operator,
@@ -56,7 +59,7 @@ class QubitProblem:
     ResourceLimitError before any transform runs."""
 
     __slots__ = ("label", "n_qubits", "n_electrons", "h_p", "core", "pool",
-                 "reference")
+                 "reference", "_commutator_counts")
 
     def __init__(self, ham: MolecularHamiltonian):
         if ham.n_qubits > QUBIT_CAP:
@@ -69,6 +72,19 @@ class QubitProblem:
         self.h_p = jordan_wigner(fermion_h)
         self.pool = build_uccsd_pool(ham.n_spatial, ham.n_electrons)
         self.reference = hartree_fock_reference(ham.n_qubits, ham.n_electrons)
+        self._commutator_counts = None
+
+    @property
+    def commutator_counts(self) -> list[int]:
+        """Non-identity term count of each ``[h_p, tau_k]``, in pool order.
+
+        The ledger charges them per screening. Computed on first use and
+        kept, so an FCI-only run never pays for them.
+        """
+        if self._commutator_counts is None:
+            self._commutator_counts = commutator_term_counts(
+                self.h_p, [op.qubit_form for op in self.pool])
+        return self._commutator_counts
 
 
 class AdaptConfig:
@@ -241,10 +257,9 @@ def run_adapt(problem: QubitProblem,
     converged = False
 
     if pool:
-        # Each screening is charged as measuring every [H_P, tau_k]; their
-        # term counts do not depend on the state.
-        comm_terms = [commutator(h_p, op.qubit_form).non_identity_term_count()
-                      for op in pool]
+        # Each screening is charged as measuring every [H_P, tau_k]; the
+        # problem counts their terms once for all runs on it.
+        comm_terms = problem.commutator_counts
         for _ in range(cfg.max_iterations):
             psi = prepare_state(ansatz.with_thetas(theta), reference)
             grads = screen_pool(psi, h_p, pool)

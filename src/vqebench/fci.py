@@ -12,6 +12,7 @@ from .statevector import StateVector, infidelity
 
 DEGENERACY_GAP = 1e-9
 RESIDUAL_TOL = 1e-8
+LEAK_TOL = 1e-12
 
 
 class FciSolution:
@@ -57,7 +58,8 @@ def sector_matrix(h_p: PauliSum, indices: np.ndarray) -> np.ndarray:
     Built from ``h_p.action``. An X-mask group may map a block state
     outside the block; for a sum that conserves N and S_z its diagonal
     there is zero up to rounding, so those entries are dropped rather than
-    accumulated.
+    accumulated. One above ``LEAK_TOL`` means the sum does not conserve
+    the block, and raises ValueError.
     The imaginary contributions of a real molecular Hamiltonian cancel
     exactly as well; a nonzero imaginary entry raises ValueError.
     """
@@ -69,7 +71,12 @@ def sector_matrix(h_p: PauliSum, indices: np.ndarray) -> np.ndarray:
     for targets, diagonal in h_p.action:
         rows = position[targets[indices]]
         keep = rows >= 0
-        mat[rows[keep], cols[keep]] += diagonal[indices][keep]
+        values = diagonal[indices]
+        leak = np.abs(values[~keep])
+        if leak.size and leak.max() > LEAK_TOL:
+            raise ValueError(f"H_P leaves the block: max dropped entry = "
+                             f"{leak.max():.3e}")
+        mat[rows[keep], cols[keep]] += values[keep]
     if mat.imag.any():
         raise ValueError(f"H_P block is not real: max |Im| = "
                          f"{np.abs(mat.imag).max():.3e}")

@@ -314,6 +314,55 @@ def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
     return PauliSum(a.n_qubits, acc)
 
 
+def commutator_term_counts(h: PauliSum, ops) -> list[int]:
+    """``commutator(h, op).non_identity_term_count()`` for each op in turn,
+    without building the sums.
+
+    Each op's anticommuting term pairs are formed as numpy arrays, valued
+    ``2.0 * (ca * cb * phase)`` with the bits of `commutator`, and summed
+    per key in its pair order (``h``'s terms outer, ``op``'s inner). So a
+    key that cancels there, exactly or below ``PRUNE_THRESHOLD``, is not
+    counted here either. Keys are ``(x << n) | z`` in int64, which limits
+    ``n`` to 31 qubits.
+    """
+    n = h.n_qubits
+    if n > 31:
+        raise ResourceLimitError(f"{n} qubits exceeds the int64 key limit")
+    hx, hz, hy, hr, hi = _term_arrays(h)
+    counts = []
+    for op in ops:
+        _check_same_qubits(h, op)
+        ox, oz, oy, o_r, oi = _term_arrays(op)
+        zx = np.bitwise_count(hz[:, None] & ox)
+        i, j = np.nonzero((np.bitwise_count(hx[:, None] & oz) + zx) & 1)
+        x = hx[i] ^ ox[j]
+        z = hz[i] ^ oz[j]
+        k = (hy[i] + oy[j] - np.bitwise_count(x & z) + 2 * zx[i, j]) % 4
+        # ca * cb as Python's complex product, in separate roundings (a
+        # numpy complex multiply may fuse them); then the exact factor
+        # 2 * i**k.
+        pr = hr[i] * o_r[j] - hi[i] * oi[j]
+        pi = hr[i] * oi[j] + hi[i] * o_r[j]
+        odd = (k & 1).astype(bool)
+        two = np.where(k < 2, 2.0, -2.0)
+        keys, inverse = np.unique((x << n) | z, return_inverse=True)
+        sums = np.hypot(
+            np.bincount(inverse, two * np.where(odd, -pi, pr), len(keys)),
+            np.bincount(inverse, two * np.where(odd, pr, pi), len(keys)))
+        counts.append(int(np.count_nonzero((sums >= PRUNE_THRESHOLD)
+                                           & (keys != 0))))
+    return counts
+
+
+def _term_arrays(s: PauliSum):
+    """x masks, z masks, Y counts and real and imaginary coefficient parts
+    of ``s``, in term order."""
+    keys = np.array(list(s.terms), dtype=np.int64).reshape(-1, 2)
+    x, z = keys[:, 0], keys[:, 1]
+    c = np.fromiter(s.terms.values(), complex, len(s.terms))
+    return x, z, np.bitwise_count(x & z).astype(np.int64), c.real, c.imag
+
+
 def _with_y_counts(s: PauliSum) -> list[tuple[int, int, int, complex]]:
     """``(x_mask, z_mask, popcount(x & z), coefficient)`` per term."""
     return [(x, z, (x & z).bit_count(), c) for (x, z), c in s.terms.items()]

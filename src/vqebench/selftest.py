@@ -2,6 +2,9 @@
 
 Self-contained (synthetic Hamiltonians, seeded randomness) so it can run
 anywhere the package is installed, without test data or extra packages.
+The dense references of the exponential and commutator checks are
+Kronecker products of single-qubit matrices, independent of the compiled
+``PauliSum.action`` that the simulator and `to_matrix` share.
 """
 from __future__ import annotations
 
@@ -18,7 +21,13 @@ from .ansatz import (
 from .fcidump import MolecularHamiltonian
 from .fermion import number_operator, verify_car
 from .fci import infidelity_vs_fci, solve_fci
-from .pauli import PauliSum, commutator, to_matrix
+from .pauli import (
+    PAULI_MATRICES,
+    PauliSum,
+    commutator,
+    commutator_term_counts,
+    to_matrix,
+)
 from .statevector import StateVector, expectation, hartree_fock_reference
 
 
@@ -27,6 +36,20 @@ def _expm_anti_hermitian(mat: np.ndarray, scale: float) -> np.ndarray:
     herm = 1j * mat
     eigenvalues, vectors = np.linalg.eigh(herm)
     return (vectors * np.exp(-1j * scale * eigenvalues)) @ vectors.conj().T
+
+
+def _kron_matrix(s: PauliSum) -> np.ndarray:
+    """Dense matrix of ``s`` as a sum of Kronecker products, qubit 0 the
+    least significant."""
+    dim = 1 << s.n_qubits
+    mat = np.zeros((dim, dim), dtype=complex)
+    for (x, z), c in s.terms.items():
+        term = np.array([[c]])
+        for q in range(s.n_qubits):
+            letter = "IXZY"[((x >> q) & 1) + 2 * ((z >> q) & 1)]
+            term = np.kron(PAULI_MATRICES[letter], term)
+        mat += term
+    return mat
 
 
 def _synthetic_hamiltonian() -> MolecularHamiltonian:
@@ -79,7 +102,7 @@ def run_selftest(writer=print) -> bool:
             theta = float(rng.uniform(-np.pi, np.pi))
             ansatz = Ansatz(pool, [(op.id, theta)])
             fast = prepare_state(ansatz, ref)
-            dense = _expm_anti_hermitian(to_matrix(op.qubit_form),
+            dense = _expm_anti_hermitian(_kron_matrix(op.qubit_form),
                                          theta) @ ref.amplitudes
             ok_apply &= bool(np.allclose(fast.amplitudes, dense,
                                          atol=1e-10))
@@ -99,8 +122,8 @@ def run_selftest(writer=print) -> bool:
         terms_b = {(int(rng.integers(8)), int(rng.integers(8))):
                    complex(rng.normal(), rng.normal()) for _ in range(3)}
         a, b = PauliSum(n, terms_a), PauliSum(n, terms_b)
-        ma, mb = to_matrix(a), to_matrix(b)
-        ok &= bool(np.allclose(to_matrix(commutator(a, b)),
+        ma, mb = _kron_matrix(a), _kron_matrix(b)
+        ok &= bool(np.allclose(_kron_matrix(commutator(a, b)),
                                ma @ mb - mb @ ma, atol=1e-10))
     check("symbolic commutator matches dense commutator", ok)
 
@@ -118,6 +141,12 @@ def run_selftest(writer=print) -> bool:
               f"({n_spatial},{n_electrons})",
               bool(np.allclose(screen_pool(psi, h, pool), expected,
                                rtol=0, atol=1e-10)))
+        ops = [op.qubit_form for op in pool]
+        check(f"vectorised commutator term counts match symbolic ones "
+              f"({n_spatial},{n_electrons})",
+              commutator_term_counts(h, ops) == [
+                  commutator(h, op).non_identity_term_count()
+                  for op in ops])
 
     problem = QubitProblem(_synthetic_hamiltonian())
     sol = solve_fci(problem)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vqebench import adapt
 from vqebench.adapt import (
     AdaptConfig,
     MeasurementLedger,
@@ -17,7 +18,7 @@ from vqebench.ansatz import Ansatz, build_uccsd_pool, prepare_state
 from vqebench.fcidump import MolecularHamiltonian, load_fcidump
 from vqebench.fci import infidelity_vs_fci, solve_fci
 from vqebench.optimize import Objective, central_difference_gradient
-from vqebench.pauli import commutator
+from vqebench.pauli import commutator, commutator_term_counts
 from vqebench.statevector import expectation
 
 DATA = Path(__file__).parent / "data"
@@ -129,9 +130,36 @@ class TestScreenPool:
         # The ledger input of every H4 screening; 8400 before the product
         # loop of `commutator` was inlined.
         problem = problem_of("h4")
+        ops = [op.qubit_form for op in problem.pool]
         assert sum(
-            commutator(problem.h_p, op.qubit_form).non_identity_term_count()
-            for op in problem.pool) == 8400
+            commutator(problem.h_p, op).non_identity_term_count()
+            for op in ops) == 8400
+        assert sum(commutator_term_counts(problem.h_p, ops)) == 8400
+
+    def test_h6_commutator_term_counts_are_pinned(self):
+        # 12 qubits: 919 terms of H against 81 pool operators
+        problem = QubitProblem(
+            load_fcidump(DATA / "h6" / "h6_r1.000.fcidump"))
+        assert len(problem.h_p) == 919 and len(problem.pool) == 81
+        assert sum(problem.commutator_counts) == 236060
+
+    def test_counts_are_computed_once_and_only_for_adapt(self, monkeypatch):
+        calls = []
+        counts = adapt.commutator_term_counts
+
+        def counting(*args):
+            calls.append(args)
+            return counts(*args)
+
+        monkeypatch.setattr(adapt, "commutator_term_counts", counting)
+        problem = QubitProblem(load_fcidump(DATA / SYSTEMS["h2"]))
+        solve_fci(problem)
+        run_vqe(problem)
+        assert calls == []
+        cfg = AdaptConfig(max_iterations=1)
+        first, second = run_adapt(problem, cfg), run_adapt(problem, cfg)
+        assert len(calls) == 1
+        assert first.ledger.as_dict() == second.ledger.as_dict()
 
 
 class TestSelectOperator:

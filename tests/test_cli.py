@@ -118,9 +118,10 @@ class TestRunScan:
             run_scan(cfg)
 
     def test_each_input_is_prepared_once(self, monkeypatch):
-        fermion_calls, pool_calls = [], []
+        fermion_calls, pool_calls, count_calls = [], [], []
         to_fermion = adapt.to_fermion_hamiltonian
         build_pool = adapt.build_uccsd_pool
+        term_counts = adapt.commutator_term_counts
 
         def counting_to_fermion(ham):
             fermion_calls.append(ham.label)
@@ -132,7 +133,13 @@ class TestRunScan:
 
         monkeypatch.setattr(adapt, "to_fermion_hamiltonian",
                             counting_to_fermion)
+        def counting_term_counts(h_p, ops):
+            count_calls.append(len(ops))
+            return term_counts(h_p, ops)
+
         monkeypatch.setattr(adapt, "build_uccsd_pool", counting_build_pool)
+        monkeypatch.setattr(adapt, "commutator_term_counts",
+                            counting_term_counts)
         cfg = ScanConfig(
             [("h2", DATA / "h2_r0.735.fcidump"),
              ("nah", DATA / "nah_r1.800.fcidump")],
@@ -141,6 +148,7 @@ class TestRunScan:
         assert len(run_scan(cfg)) == 10
         assert fermion_calls == ["h2", "nah"]
         assert pool_calls == [(2, 2), (2, 2)]
+        assert count_calls == [2, 2]  # once per input, not per optimizer
 
     def test_variational_rows_never_below_fci(self):
         cfg = ScanConfig([("0.9", DATA / "h2_r0.900.fcidump")],

@@ -80,6 +80,16 @@ class TestSector:
         with pytest.raises(ValueError, match="not real"):
             sector_matrix(h_p, sector_indices(4, 2))
 
+    def test_block_leaving_entry_raises(self):
+        # a0^ a1 + a1^ a0 moves an electron between the alpha qubit 0 and
+        # the beta qubit 1: it conserves N but not S_z
+        hop = FermionOperator(4, [LadderProduct([(0, True), (1, False)]),
+                                  LadderProduct([(1, True), (0, False)])])
+        h_p = jordan_wigner(hop)
+        assert h_p.is_hermitian()
+        with pytest.raises(ValueError, match="leaves the block"):
+            sector_matrix(h_p, sector_indices(4, 2))
+
 
 class TestSolveFci:
     def test_single_orbital_closed_form(self):
@@ -98,6 +108,12 @@ class TestSolveFci:
             sol = solve_fci(problem_of(name))
             assert sol.energy == pytest.approx(ref["fci_energy"],
                                                abs=1e-9), name
+
+    def test_h6_matches_independent_determinant_ci(self):
+        # 12 qubits, a 400-dimensional block; the energy the generator's
+        # Slater-Condon CI prints for tests/data/h6/h6_r1.000.fcidump
+        sol = solve_fci(problem_of("h6/h6_r1.000.fcidump"))
+        assert sol.energy == pytest.approx(-3.2360662798924613, abs=1e-8)
 
     def test_h2_at_0735_is_minus_1137(self):
         sol = solve_fci(problem_of("h2_r0.735.fcidump"))

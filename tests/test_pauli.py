@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from vqebench.adapt import QubitProblem
+from vqebench.fcidump import load_fcidump
 from vqebench.pauli import (
     DimensionMismatchError,
     PauliSum,
@@ -9,10 +13,13 @@ from vqebench.pauli import (
     ResourceLimitError,
     PAULI_MATRICES,
     commutator,
+    commutator_term_counts,
     multiply,
     terms_commute,
     to_matrix,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def kron_matrix(term: PauliTerm) -> np.ndarray:
@@ -271,6 +278,104 @@ class TestPairLoop:
     def test_exact_cancellation_leaves_nothing(self):
         assert len(RAISING * RAISING) == 0
         assert len(commutator(RAISING, RAISING)) == 0
+
+
+def symbolic_counts(h: PauliSum, ops):
+    return [commutator(h, op).non_identity_term_count() for op in ops]
+
+
+def toggled(term: PauliTerm, other: PauliTerm):
+    """Masks of ``term`` with one bit flipped so that it commutes with the
+    non-identity string ``other`` iff ``term`` did not."""
+    support = other.x_mask | other.z_mask
+    q = support & -support
+    if other.x_mask & q:
+        return term.x_mask, term.z_mask ^ q
+    return term.x_mask ^ q, term.z_mask
+
+
+@st.composite
+def sums_with_a_cancelling_key(draw):
+    """Two sums, plus terms a and -(a s) in ``h`` and b and s b in ``op``.
+
+    With a, b anticommuting and s commuting with ``a b``, the pairs (a, b)
+    and (-(a s), s b) both anticommute and give ``2 a b`` and ``-2 a b``:
+    their contributions cancel exactly on the key of ``a b``.
+    """
+    h, op = draw(sum_pairs())
+    n = h.n_qubits
+    masks = st.integers(0, (1 << n) - 1)
+    coeffs = st.sampled_from(EXACT_COEFFS) | st.complex_numbers(
+        min_magnitude=0.1, max_magnitude=2, allow_nan=False,
+        allow_infinity=False)
+    a = PauliTerm(n, draw(masks) or 1, draw(masks), draw(coeffs))
+    b = PauliTerm(n, draw(masks), draw(masks), draw(coeffs))
+    if terms_commute(a, b):
+        b = PauliTerm(n, *toggled(b, a), b.coefficient)
+    ab = multiply(a, b)
+    s = PauliTerm(n, draw(masks), draw(masks))
+    if not terms_commute(s, ab):
+        s = PauliTerm(n, *toggled(s, ab))
+    if s.is_identity:
+        s = PauliTerm(n, ab.x_mask, ab.z_mask)
+    a_s, s_b = multiply(a, s), multiply(s, b)
+    h_terms, op_terms = dict(h.terms), dict(op.terms)
+    h_terms[(a.x_mask, a.z_mask)] = a.coefficient
+    h_terms[(a_s.x_mask, a_s.z_mask)] = -a_s.coefficient
+    op_terms[(b.x_mask, b.z_mask)] = b.coefficient
+    op_terms[(s_b.x_mask, s_b.z_mask)] = s_b.coefficient
+    return PauliSum(n, h_terms), PauliSum(n, op_terms), ab
+
+
+def one_qubit(spec_coeffs):
+    return PauliSum.from_terms(
+        [PauliTerm.from_string(1, spec, c) for spec, c in spec_coeffs])
+
+
+class TestCommutatorTermCounts:
+    @pytest.mark.parametrize("name", sorted(
+        path.name for path in DATA.glob("*.fcidump")))
+    def test_matches_commutator_on_every_committed_pool(self, name):
+        problem = QubitProblem(load_fcidump(DATA / name))
+        ops = [op.qubit_form for op in problem.pool]
+        assert commutator_term_counts(problem.h_p, ops) == symbolic_counts(
+            problem.h_p, ops)
+
+    @given(sums_with_a_cancelling_key())
+    @settings(max_examples=200)
+    def test_matches_commutator_with_cancellations(self, sums):
+        h, op, ab = sums
+        ops = [op, h, PauliSum.from_term(ab)]
+        assert commutator_term_counts(h, ops) == symbolic_counts(h, ops)
+
+    @pytest.mark.parametrize("eps, counted", [(0.0, 0), (2.5e-13, 0),
+                                              (1e-12, 1)])
+    def test_threshold_applies_to_the_key_sum(self, eps, counted):
+        # [Z0, X0] + (1 + eps) [X0, Z0] = -2 eps i Y0: the two pairs
+        # cancel exactly, or leave 5e-13 or 2e-12 against the 1e-12
+        # pruning threshold
+        h = one_qubit([("Z0", 1.0), ("X0", 1.0 + eps)])
+        op = one_qubit([("X0", 1.0), ("Z0", 1.0)])
+        assert commutator_term_counts(h, [op]) == [counted]
+        assert symbolic_counts(h, [op]) == [counted]
+
+    def test_identity_is_never_counted(self):
+        h = one_qubit([("", 3.0), ("Z0", 1.0)])
+        op = one_qubit([("", 2.0), ("X0", 1.0)])
+        assert commutator_term_counts(h, [op, h]) == [1, 0]
+
+    def test_commuting_op_gives_zero(self):
+        h = PauliSum.from_term(PauliTerm.from_string(2, "Z0 Z1"))
+        op = PauliSum.from_term(PauliTerm.from_string(2, "X0 X1", 0.5j))
+        assert commutator_term_counts(h, [op, PauliSum(2)]) == [0, 0]
+
+    def test_mismatched_qubits(self):
+        with pytest.raises(DimensionMismatchError):
+            commutator_term_counts(PauliSum(1), [PauliSum(2)])
+
+    def test_keys_beyond_int64_rejected(self):
+        with pytest.raises(ResourceLimitError):
+            commutator_term_counts(PauliSum(32), [])
 
 
 class TestToMatrix:
