@@ -56,7 +56,7 @@ from .optimize import (
     minimize_lbfgs,
     minimize_nelder_mead,
 )
-from .pauli import PauliSum, PauliTerm, commutator, multiply, to_matrix
+from .pauli import PauliSum, commutator, to_matrix
 from .statevector import (
     StateVector,
     apply_operator,
@@ -71,15 +71,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptConfig", "Ansatz", "FciSolution", "FermionOperator", "GateCircuit",
     "LadderProduct", "MeasurementLedger", "MolecularHamiltonian",
-    "Objective", "OptimizationResult", "PauliSum", "PauliTerm",
-    "PoolOperator", "QubitProblem", "RunResult", "StateVector",
+    "Objective", "OptimizationResult", "PauliSum", "PoolOperator",
+    "QubitProblem", "RunResult", "StateVector",
     "anti_hermitian_pair", "apply_operator", "apply_pool_operator",
     "build_uccsd_pool",
     "central_difference_gradient", "circuit_metrics", "commutator",
     "compile_circuit", "expectation", "full_uccsd_ansatz",
     "hartree_fock_reference", "infidelity", "infidelity_vs_fci",
     "jordan_wigner", "load_fcidump", "mean_field_energy",
-    "minimize_lbfgs", "minimize_nelder_mead", "multiply", "number_operator",
+    "minimize_lbfgs", "minimize_nelder_mead", "number_operator",
     "parse_fcidump", "prepare_state", "run_adapt", "run_vqe", "screen_pool",
     "select_operator", "simulate_circuit", "solve_fci",
     "to_fermion_hamiltonian", "to_matrix", "verify_car", "write_fcidump",

@@ -53,18 +53,33 @@ OPTIMIZERS = ("nelder_mead", "lbfgs")
 QUBIT_CAP = 12
 
 
+class OpenShellError(ValueError):
+    """The input has an odd electron count; the UCCSD pool and the
+    Hartree-Fock reference need a closed shell."""
+
+
+def check_supported(ham: MolecularHamiltonian):
+    """Raise ResourceLimitError above QUBIT_CAP qubits and OpenShellError
+    for an odd electron count; both are input errors."""
+    if ham.n_qubits > QUBIT_CAP:
+        raise ResourceLimitError(
+            f"{ham.n_qubits} qubits exceeds the cap of {QUBIT_CAP}")
+    if ham.n_electrons % 2:
+        raise OpenShellError(
+            f"{ham.n_electrons} electrons: the UCCSD pool needs a "
+            "closed-shell reference")
+
+
 class QubitProblem:
     """JW Hamiltonian ``h_p`` plus constant ``core``, UCCSD ``pool`` and HF
-    ``reference`` of one input; above QUBIT_CAP qubits it raises
-    ResourceLimitError before any transform runs."""
+    ``reference`` of one input; an input that `check_supported` rejects
+    raises before any transform runs."""
 
     __slots__ = ("label", "n_qubits", "n_electrons", "h_p", "core", "pool",
                  "reference", "_commutator_counts")
 
     def __init__(self, ham: MolecularHamiltonian):
-        if ham.n_qubits > QUBIT_CAP:
-            raise ResourceLimitError(
-                f"{ham.n_qubits} qubits exceeds the cap of {QUBIT_CAP}")
+        check_supported(ham)
         self.label = ham.label
         self.n_qubits = ham.n_qubits
         self.n_electrons = ham.n_electrons

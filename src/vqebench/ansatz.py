@@ -20,7 +20,7 @@ from .fermion import (
     jordan_wigner,
     number_operator,
 )
-from .pauli import PauliSum, PauliTerm, commutator
+from .pauli import commutator
 from .statevector import StateVector, apply_pool_operator
 
 
@@ -83,12 +83,6 @@ def _validate_pool_operator(op: PoolOperator, n_qubits: int):
     if len(commutator(q, number_operator(n_qubits))):
         raise ValueError(
             f"pool operator {op.description} breaks particle number")
-
-
-def _signature(qubit_form: PauliSum):
-    return tuple(sorted(
-        (x, z, round(c.real, 10), round(c.imag, 10))
-        for (x, z), c in qubit_form.terms.items()))
 
 
 def build_uccsd_pool(n_spatial: int, n_electrons: int) -> list[PoolOperator]:
@@ -169,18 +163,9 @@ def build_uccsd_pool(n_spatial: int, n_electrons: int) -> list[PoolOperator]:
                                            f"{tag} (mixed B)"))
 
     pool = []
-    seen = set()
     for t, description in candidates:
         tau = anti_hermitian_pair(t)
-        qubit_form = jordan_wigner(tau)
-        if not len(qubit_form):
-            continue
-        sig = _signature(qubit_form)
-        sig_neg = _signature(-1.0 * qubit_form)
-        if sig in seen or sig_neg in seen:
-            continue
-        seen.add(sig)
-        op = PoolOperator(len(pool), tau, qubit_form, description)
+        op = PoolOperator(len(pool), tau, jordan_wigner(tau), description)
         _validate_pool_operator(op, n_so)
         pool.append(op)
     return pool
@@ -256,20 +241,21 @@ class GateCircuit:
         return f"GateCircuit({self.n_qubits} qubits, {len(self.gates)} gates)"
 
 
-def _exponential_template(term: PauliTerm, alpha: float) -> list[Gate]:
+def _exponential_template(n_qubits: int, x_mask: int, z_mask: int,
+                          alpha: float) -> list[Gate]:
     """Gates realizing exp(i * alpha * P) for a single Pauli string.
 
     Basis changes map each factor to Z, a CNOT staircase folds parity
     onto the highest support qubit, and one RZ(-2 alpha) applies the
     phase; everything then unwinds in mirror order.
     """
-    if term.is_identity:
+    if not (x_mask or z_mask):
         raise ValueError("cannot compile an identity string exponential")
     support = []
     pre, post = [], []
-    for q in range(term.n_qubits):
-        x = (term.x_mask >> q) & 1
-        z = (term.z_mask >> q) & 1
+    for q in range(n_qubits):
+        x = (x_mask >> q) & 1
+        z = (z_mask >> q) & 1
         if not (x or z):
             continue
         support.append(q)
@@ -296,11 +282,9 @@ def compile_circuit(ansatz: Ansatz) -> GateCircuit:
     n_qubits = ansatz.pool[0].qubit_form.n_qubits if ansatz.pool else 0
     gates = []
     for pid, theta in ansatz.elements:
-        for term in ansatz.pool[pid].qubit_form.sorted_terms():
-            alpha = theta * term.coefficient.imag  # term = i * w * P
-            gates.extend(_exponential_template(
-                PauliTerm(term.n_qubits, term.x_mask, term.z_mask, 1.0),
-                alpha))
+        for x, z, c in ansatz.pool[pid].qubit_form.sorted_terms():
+            alpha = theta * c.imag  # term = i * w * P
+            gates.extend(_exponential_template(n_qubits, x, z, alpha))
     return GateCircuit(n_qubits, gates)
 
 

@@ -28,7 +28,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .adapt import AdaptConfig, QubitProblem, run_adapt, run_vqe
+from .adapt import (
+    AdaptConfig,
+    OpenShellError,
+    QubitProblem,
+    check_supported,
+    run_adapt,
+    run_vqe,
+)
 from .fcidump import (
     FcidumpIntegrityError,
     FcidumpParseError,
@@ -199,13 +206,16 @@ def _row_from_result(label, result, fci_energy, infid) -> ScanRow:
 def run_scan(cfg: ScanConfig) -> list[ScanRow]:
     """Run every input x method x optimizer combination.
 
-    All inputs are parsed up front so a bad file aborts before any
-    computation. Each input then becomes one `QubitProblem` that all its
-    rows share; FCI is solved first for the error and infidelity columns.
+    All inputs are parsed and passed through `adapt.check_supported` up
+    front, so a bad file aborts before any computation. Each input then
+    becomes one `QubitProblem` that all its rows share; FCI is solved
+    first for the error and infidelity columns.
     """
     hamiltonians = []
     for label, path in cfg.inputs:
-        hamiltonians.append((label, load_fcidump(path, label=label)))
+        ham = load_fcidump(path, label=label)
+        check_supported(ham)
+        hamiltonians.append((label, ham))
 
     rows = []
     for label, ham in hamiltonians:
@@ -419,7 +429,8 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         return 0 if run_selftest() else 2
     except (ConfigError, FcidumpParseError, FcidumpIntegrityError,
-            ResourceLimitError, FileNotFoundError, IsADirectoryError) as exc:
+            ResourceLimitError, OpenShellError, FileNotFoundError,
+            IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (AssertionError, ValueError, RuntimeError) as exc:

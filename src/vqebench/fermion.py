@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pauli import PRUNE_THRESHOLD, PauliSum, PauliTerm, to_matrix
+from .pauli import PRUNE_THRESHOLD, PauliSum, to_matrix
 
 
 class LadderProduct:
@@ -99,10 +99,9 @@ def _ladder_image(p: int, dagger: bool, n_qubits: int) -> PauliSum:
     ``a_p``.
     """
     z_chain = (1 << p) - 1
-    x_term = PauliTerm(n_qubits, 1 << p, z_chain, 0.5)
-    y_coeff = -0.5j if dagger else 0.5j
-    y_term = PauliTerm(n_qubits, 1 << p, z_chain | (1 << p), y_coeff)
-    return PauliSum.from_terms([x_term, y_term])
+    return PauliSum(n_qubits, {
+        (1 << p, z_chain): 0.5,
+        (1 << p, z_chain | (1 << p)): complex(0.0, -0.5 if dagger else 0.5)})
 
 
 def jordan_wigner(f: FermionOperator) -> PauliSum:
@@ -148,24 +147,6 @@ def sz_operator(n_spin_orbitals: int) -> PauliSum:
     return PauliSum(n_spin_orbitals, terms)
 
 
-def _car_holds(images_create, images_destroy, n: int,
-               tol: float = 1e-12) -> bool:
-    """Check canonical anticommutation relations on explicit JW images."""
-    eye = np.eye(1 << n)
-    mats_c = [to_matrix(img) for img in images_create]
-    mats_d = [to_matrix(img) for img in images_destroy]
-    for p in range(n):
-        for q in range(n):
-            anti = mats_d[p] @ mats_c[q] + mats_c[q] @ mats_d[p]
-            expected = eye if p == q else 0.0 * eye
-            if not np.allclose(anti, expected, atol=tol):
-                return False
-            anti2 = mats_d[p] @ mats_d[q] + mats_d[q] @ mats_d[p]
-            if not np.allclose(anti2, 0.0, atol=tol):
-                return False
-    return True
-
-
 def verify_car(n: int) -> bool:
     """True iff the JW images satisfy {a_p, a_q^dag} = delta_pq, {a_p, a_q} = 0.
 
@@ -173,6 +154,16 @@ def verify_car(n: int) -> bool:
     """
     if n > 8:
         raise ValueError("verify_car is a dense self-test, capped at n <= 8")
-    creates = [_ladder_image(p, True, n) for p in range(n)]
-    destroys = [_ladder_image(p, False, n) for p in range(n)]
-    return _car_holds(creates, destroys, n)
+    eye = np.eye(1 << n)
+    creates = [to_matrix(_ladder_image(p, True, n)) for p in range(n)]
+    destroys = [to_matrix(_ladder_image(p, False, n)) for p in range(n)]
+    for p in range(n):
+        for q in range(n):
+            anti = destroys[p] @ creates[q] + creates[q] @ destroys[p]
+            expected = eye if p == q else 0.0 * eye
+            if not np.allclose(anti, expected, atol=1e-12):
+                return False
+            anti2 = destroys[p] @ destroys[q] + destroys[q] @ destroys[p]
+            if not np.allclose(anti2, 0.0, atol=1e-12):
+                return False
+    return True

@@ -12,6 +12,9 @@ DEFAULT_TOL = 1e-6
 DEFAULT_FD_STEP = 1e-5
 DEFAULT_BUDGET = 100_000
 GRADIENT_NORM_STOP = 1e-8
+NM_INITIAL_STEP = 0.1
+LBFGS_MEMORY = 10
+LBFGS_MAX_BACKTRACKS = 40
 
 
 class Objective:
@@ -69,15 +72,16 @@ def central_difference_gradient(obj: Objective, theta,
 
 def minimize_nelder_mead(obj: Objective, theta0,
                          tol_rel_energy: float = DEFAULT_TOL,
-                         max_evals: int = DEFAULT_BUDGET,
-                         initial_step: float = 0.1) -> OptimizationResult:
+                         max_evals: int = DEFAULT_BUDGET
+                         ) -> OptimizationResult:
     """Standard Nelder-Mead simplex descent.
 
     Coefficients: reflection 1, expansion 2, contraction 0.5, shrink 0.5.
-    The initial simplex is theta0 plus one per-coordinate step. Terminates
-    when the simplex energy spread drops to tol_rel_energy (Hartree) or
-    the evaluation budget runs out (converged = False then); no call past
-    the initial simplex exceeds max_evals.
+    The initial simplex is theta0 plus one per-coordinate step of
+    NM_INITIAL_STEP. Terminates when the simplex energy spread drops to
+    tol_rel_energy (Hartree) or the evaluation budget runs out
+    (converged = False then); no call past the initial simplex exceeds
+    max_evals.
     """
     theta0 = np.asarray(theta0, dtype=float)
     dim = theta0.size
@@ -88,7 +92,7 @@ def minimize_nelder_mead(obj: Objective, theta0,
     simplex = [theta0.copy()]
     for k in range(dim):
         vertex = theta0.copy()
-        vertex[k] += initial_step
+        vertex[k] += NM_INITIAL_STEP
         simplex.append(vertex)
     values = [obj(v) for v in simplex]
     trace = [min(values)]
@@ -140,13 +144,12 @@ def minimize_nelder_mead(obj: Objective, theta0,
 def minimize_lbfgs(obj: Objective, theta0,
                    tol_rel_energy: float = DEFAULT_TOL,
                    h: float = DEFAULT_FD_STEP,
-                   max_evals: int = DEFAULT_BUDGET,
-                   memory: int = 10,
-                   max_backtracks: int = 40) -> OptimizationResult:
+                   max_evals: int = DEFAULT_BUDGET) -> OptimizationResult:
     """L-BFGS with central-difference gradients and Armijo backtracking.
 
-    Two-loop recursion with memory 10, Armijo constant 1e-4, step shrink
-    0.5. Stops when the energy change between accepted iterates drops to
+    Two-loop recursion with memory LBFGS_MEMORY, Armijo constant 1e-4,
+    step shrink 0.5 and at most LBFGS_MAX_BACKTRACKS trial steps. Stops
+    when the energy change between accepted iterates drops to
     tol_rel_energy (Hartree), the gradient infinity-norm reaches 1e-8, or
     the budget runs out. A failed line search returns the best iterate
     with converged = False, as does a budget too small for a step and its
@@ -196,7 +199,8 @@ def minimize_lbfgs(obj: Objective, theta0,
 
         step = 1.0
         accepted = None
-        for _ in range(min(max_backtracks, max_evals - spent() - 2 * dim)):
+        for _ in range(min(LBFGS_MAX_BACKTRACKS,
+                           max_evals - spent() - 2 * dim)):
             candidate = theta + step * direction
             f_candidate = obj(candidate)
             if f_candidate <= energy + 1e-4 * step * slope:
@@ -214,7 +218,7 @@ def minimize_lbfgs(obj: Objective, theta0,
         if float(s_vec @ y_vec) > 1e-14:
             s_history.append(s_vec)
             y_history.append(y_vec)
-            if len(s_history) > memory:
+            if len(s_history) > LBFGS_MEMORY:
                 s_history.pop(0)
                 y_history.pop(0)
         energy_drop = energy - new_energy

@@ -17,7 +17,7 @@ import numpy as np
 PRUNE_THRESHOLD = 1e-12
 HERMITIAN_TOL = 1e-12
 MATRIX_QUBIT_CAP = 12
-_PHASES = (1, 1j, -1, -1j)  # i**k, the product phase of `multiply`
+_PHASES = (1, 1j, -1, -1j)  # i**k, the phase of a string product
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -47,96 +47,15 @@ def _format_coeff(c: complex) -> str:
     return f"({re}{im}i)"
 
 
-def _letter(x_bit: int, z_bit: int) -> str:
-    return ("I", "X", "Z", "Y")[x_bit + 2 * z_bit]
-
-
-class PauliTerm:
-    """A single Pauli string with a complex coefficient."""
-
-    __slots__ = ("n_qubits", "x_mask", "z_mask", "coefficient")
-
-    def __init__(self, n_qubits: int, x_mask: int, z_mask: int,
-                 coefficient: complex = 1.0):
-        limit = 1 << n_qubits
-        if x_mask >= limit or z_mask >= limit or x_mask < 0 or z_mask < 0:
-            raise ValueError(
-                f"mask out of range for {n_qubits} qubits: "
-                f"x={x_mask:#x} z={z_mask:#x}")
-        self.n_qubits = n_qubits
-        self.x_mask = x_mask
-        self.z_mask = z_mask
-        self.coefficient = complex(coefficient)
-
-    @classmethod
-    def from_string(cls, n_qubits: int, spec: str,
-                    coefficient: complex = 1.0) -> "PauliTerm":
-        """Build from a spec like ``"X0 Z1 Y3"`` (empty string = identity)."""
-        x_mask = z_mask = 0
-        for token in spec.split():
-            letter, qubit = token[0].upper(), int(token[1:])
-            if qubit >= n_qubits:
-                raise ValueError(f"qubit {qubit} out of range")
-            if letter in ("X", "Y"):
-                x_mask |= 1 << qubit
-            if letter in ("Z", "Y"):
-                z_mask |= 1 << qubit
-            if letter not in ("X", "Y", "Z", "I"):
-                raise ValueError(f"bad Pauli letter {letter!r}")
-        return cls(n_qubits, x_mask, z_mask, coefficient)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.x_mask == 0 and self.z_mask == 0
-
-    def pauli_string(self) -> str:
-        if self.is_identity:
-            return "I"
-        parts = []
-        for q in range(self.n_qubits):
-            x = (self.x_mask >> q) & 1
-            z = (self.z_mask >> q) & 1
-            if x or z:
-                parts.append(f"{_letter(x, z)}{q}")
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"{_format_coeff(self.coefficient)} {self.pauli_string()}"
-
-    def __eq__(self, other):
-        return (isinstance(other, PauliTerm)
-                and self.n_qubits == other.n_qubits
-                and self.x_mask == other.x_mask
-                and self.z_mask == other.z_mask
-                and self.coefficient == other.coefficient)
-
-    def __hash__(self):
-        return hash((self.n_qubits, self.x_mask, self.z_mask,
-                     self.coefficient))
-
-
-def multiply(a: PauliTerm, b: PauliTerm) -> PauliTerm:
-    """Operator product ``a * b`` as a single term, phase in the coefficient.
-
-    Writing each string as ``i**popcount(x & z) * X^x Z^z`` and commuting
-    the inner ``Z^z_a X^x_b`` pair gives the phase exponent below; result
-    masks are the XOR of the input masks.
-    """
-    _check_same_qubits(a, b)
-    x = a.x_mask ^ b.x_mask
-    z = a.z_mask ^ b.z_mask
-    k = ((a.x_mask & a.z_mask).bit_count()
-         + (b.x_mask & b.z_mask).bit_count()
-         - (x & z).bit_count()
-         + 2 * (a.z_mask & b.x_mask).bit_count()) % 4
-    phase = _PHASES[k]
-    return PauliTerm(a.n_qubits, x, z, a.coefficient * b.coefficient * phase)
-
-
-def terms_commute(a: PauliTerm, b: PauliTerm) -> bool:
-    """True iff the two Pauli strings commute (symplectic form is even)."""
-    return ((a.x_mask & b.z_mask).bit_count()
-            + (a.z_mask & b.x_mask).bit_count()) % 2 == 0
+def _pauli_string(n_qubits: int, x_mask: int, z_mask: int) -> str:
+    """The string's non-identity factors, as in ``"X0 Z1 Y3"``, or
+    ``"I"``."""
+    parts = []
+    for q in range(n_qubits):
+        letter = "IXZY"[((x_mask >> q) & 1) + 2 * ((z_mask >> q) & 1)]
+        if letter != "I":
+            parts.append(f"{letter}{q}")
+    return " ".join(parts) or "I"
 
 
 class PauliSum:
@@ -163,40 +82,17 @@ class PauliSum:
                     self.terms[(x, z)] = complex(c)
 
     @classmethod
-    def from_term(cls, term: PauliTerm) -> "PauliSum":
-        return cls(term.n_qubits,
-                   {(term.x_mask, term.z_mask): term.coefficient})
-
-    @classmethod
-    def from_terms(cls, terms) -> "PauliSum":
-        terms = list(terms)
-        if not terms:
-            raise ValueError("need at least one term; use PauliSum(n) for zero")
-        out = cls(terms[0].n_qubits)
-        acc: dict[tuple[int, int], complex] = {}
-        for t in terms:
-            if t.n_qubits != out.n_qubits:
-                raise DimensionMismatchError("mixed qubit counts in term list")
-            key = (t.x_mask, t.z_mask)
-            acc[key] = acc.get(key, 0.0) + t.coefficient
-        return cls(out.n_qubits, acc)
-
-    @classmethod
     def identity(cls, n_qubits: int, coefficient: complex = 1.0) -> "PauliSum":
         return cls(n_qubits, {(0, 0): coefficient})
 
     def __len__(self):
         return len(self.terms)
 
-    def __iter__(self):
-        for (x, z), c in self.terms.items():
-            yield PauliTerm(self.n_qubits, x, z, c)
-
-    def sorted_terms(self) -> list[PauliTerm]:
-        """Terms in canonical order: lexicographic by (z_mask, x_mask)."""
-        keys = sorted(self.terms, key=lambda k: (k[1], k[0]))
-        return [PauliTerm(self.n_qubits, x, z, self.terms[(x, z)])
-                for x, z in keys]
+    def sorted_terms(self) -> list[tuple[int, int, complex]]:
+        """``(x_mask, z_mask, coefficient)`` per term, in canonical order:
+        lexicographic by ``(z_mask, x_mask)``."""
+        return sorted(((x, z, c) for (x, z), c in self.terms.items()),
+                      key=lambda t: (t[1], t[0]))
 
     @property
     def action(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -232,12 +128,16 @@ class PauliSum:
     def __mul__(self, other):
         """Operator product with another sum, or scaling by a scalar.
 
-        Term pairs are multiplied as in `multiply`, ``ca * cb * phase``,
-        and accumulated in product order (``self``'s terms outer,
-        ``other``'s inner); the result keeps that first-seen key order and
-        is pruned once. `fermion.jordan_wigner` depends on these bits and
-        that order; `PauliSum.action` sorts the terms, so the order reaches
-        the golden scan bytes only through the coefficient bits.
+        Each term pair gives one string with the XOR of the input masks
+        and coefficient ``ca * cb * phase``. Writing each string as
+        ``i**popcount(x & z) * X^x Z^z`` and commuting the inner
+        ``Z^za X^xb`` pair gives ``phase = i**k`` with the exponent ``k``
+        below. Pairs are accumulated in product order (``self``'s terms
+        outer, ``other``'s inner); the result keeps that first-seen key
+        order and is pruned once. `fermion.jordan_wigner` depends on these
+        bits and that order; `PauliSum.action` sorts the terms, so the
+        order reaches the golden scan bytes only through the coefficient
+        bits.
         """
         if isinstance(other, PauliSum):
             _check_same_qubits(self, other)
@@ -264,11 +164,11 @@ class PauliSum:
             return False
         return self.terms == other.terms
 
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        return all(abs(c.imag) <= tol for c in self.terms.values())
+    def is_hermitian(self) -> bool:
+        return all(abs(c.imag) <= HERMITIAN_TOL for c in self.terms.values())
 
-    def is_anti_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        return all(abs(c.real) <= tol for c in self.terms.values())
+    def is_anti_hermitian(self) -> bool:
+        return all(abs(c.real) <= HERMITIAN_TOL for c in self.terms.values())
 
     def terms_mutually_commute(self) -> bool:
         keys = list(self.terms)
@@ -283,8 +183,9 @@ class PauliSum:
     def __str__(self):
         if not self.terms:
             return "0"
-        return " + ".join(f"{_format_coeff(t.coefficient)} {t.pauli_string()}"
-                          for t in self.sorted_terms())
+        return " + ".join(
+            f"{_format_coeff(c)} {_pauli_string(self.n_qubits, x, z)}"
+            for x, z, c in self.sorted_terms())
 
     def __repr__(self):
         return f"PauliSum({self.n_qubits}, {len(self.terms)} terms)"
@@ -339,7 +240,7 @@ def commutator_term_counts(h: PauliSum, ops) -> list[int]:
         z = hz[i] ^ oz[j]
         k = (hy[i] + oy[j] - np.bitwise_count(x & z) + 2 * zx[i, j]) % 4
         # ca * cb as Python's complex product, in separate roundings (a
-        # numpy complex multiply may fuse them); then the exact factor
+        # numpy complex product may fuse them); then the exact factor
         # 2 * i**k.
         pr = hr[i] * o_r[j] - hi[i] * oi[j]
         pi = hr[i] * oi[j] + hi[i] * o_r[j]
@@ -375,15 +276,14 @@ def _basis_action(s: PauliSum) -> list:
     """Compile ``s.action``; see ``PauliSum.action``.
 
     Each diagonal sums ``coefficient * string_phases`` over its group's
-    strings in canonical ``(z_mask, x_mask)`` order. Counts group actions
+    strings in `PauliSum.sorted_terms` order. Counts group actions
     built (``misses``) and reused from a kept ``action`` (``hits``) since
     import; ``cache_info()`` reads them.
     """
     basis = np.arange(1 << s.n_qubits, dtype=np.int64)
     diagonals: dict[int, np.ndarray] = {}
-    for x, z in sorted(s.terms, key=lambda k: (k[1], k[0])):
-        diagonals[x] = (diagonals.get(x, 0.0)
-                        + s.terms[(x, z)] * string_phases(basis, x, z))
+    for x, z, c in s.sorted_terms():
+        diagonals[x] = diagonals.get(x, 0.0) + c * string_phases(basis, x, z)
     action = [(basis ^ x, diagonals[x]) for x in sorted(diagonals)]
     _basis_action.misses += len(action)
     return action
@@ -406,14 +306,14 @@ def string_phases(basis: np.ndarray, x_mask: int, z_mask: int) -> np.ndarray:
     return phases * (1j) ** ((x_mask & z_mask).bit_count() % 4)
 
 
-def to_matrix(s: PauliSum, max_qubits: int = MATRIX_QUBIT_CAP) -> np.ndarray:
+def to_matrix(s: PauliSum) -> np.ndarray:
     """Dense ``2^n x 2^n`` matrix of the sum.
 
-    Raises ResourceLimitError above the qubit cap (default 12).
+    Raises ResourceLimitError above MATRIX_QUBIT_CAP (12) qubits.
     """
-    if s.n_qubits > max_qubits:
+    if s.n_qubits > MATRIX_QUBIT_CAP:
         raise ResourceLimitError(
-            f"{s.n_qubits} qubits exceeds dense-matrix cap {max_qubits}")
+            f"{s.n_qubits} qubits exceeds dense-matrix cap {MATRIX_QUBIT_CAP}")
     dim = 1 << s.n_qubits
     mat = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)

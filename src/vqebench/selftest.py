@@ -65,13 +65,14 @@ def _synthetic_hamiltonian() -> MolecularHamiltonian:
     return MolecularHamiltonian(2, 2, 0.52, h1, h2, label="selftest CAS(2,2)")
 
 
-def run_selftest(writer=print) -> bool:
-    """Run every invariant check; returns True when all pass."""
+def run_selftest() -> bool:
+    """Run every invariant check, printing one line each; returns True
+    when all pass."""
     checks = []
 
     def check(name, passed):
         checks.append(passed)
-        writer(f"[{'PASS' if passed else 'FAIL'}] {name}")
+        print(f"[{'PASS' if passed else 'FAIL'}] {name}")
 
     for n in range(1, 7):
         check(f"canonical anticommutation relations, {n} modes",
@@ -171,5 +172,5 @@ def run_selftest(writer=print) -> bool:
     check("optimized states overlap the exact ground state", infid_ok)
 
     passed = all(checks)
-    writer(f"selftest: {sum(checks)}/{len(checks)} checks passed")
+    print(f"selftest: {sum(checks)}/{len(checks)} checks passed")
     return passed

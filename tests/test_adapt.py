@@ -8,6 +8,7 @@ from vqebench import adapt
 from vqebench.adapt import (
     AdaptConfig,
     MeasurementLedger,
+    OpenShellError,
     QubitProblem,
     run_adapt,
     run_vqe,
@@ -313,3 +314,16 @@ class TestAdaptConfig:
     def test_non_finite_thresholds_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             AdaptConfig(**{name: value})
+
+
+class TestQubitProblem:
+    def test_odd_electron_count_rejected_before_any_transform(
+            self, monkeypatch):
+        def no_transform(ham):
+            raise AssertionError("transform ran on an open-shell input")
+
+        monkeypatch.setattr(adapt, "to_fermion_hamiltonian", no_transform)
+        ham = MolecularHamiltonian(2, 1, 0.0, np.eye(2),
+                                   np.zeros((2, 2, 2, 2)), label="odd")
+        with pytest.raises(OpenShellError, match="closed-shell"):
+            QubitProblem(ham)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -14,7 +16,7 @@ from vqebench.ansatz import (
     simulate_circuit,
 )
 from vqebench.fermion import number_operator, sz_operator
-from vqebench.pauli import PauliSum, PauliTerm, commutator, to_matrix
+from vqebench.pauli import PauliSum, commutator, to_matrix
 from vqebench.statevector import (
     StateVector,
     expectation,
@@ -64,9 +66,40 @@ class TestPoolConstruction:
                    if "single" in op.description]
         assert singles == list(range(len(singles)))  # singles come first
 
+    @pytest.mark.parametrize("n_spatial,n_electrons", [
+        (n, e) for n in range(1, 8) for e in range(2, 2 * n + 1, 2)])
+    def test_size_matches_closed_form(self, n_spatial, n_electrons):
+        # every candidate is a distinct excitation with disjoint creation
+        # and annihilation orbitals, so none has an empty or repeated image
+        assert len(build_uccsd_pool(n_spatial, n_electrons)) == \
+            closed_form_pool_size(n_spatial, n_electrons)
+
+    def test_closed_form_of_the_hydrogen_chains(self):
+        assert closed_form_pool_size(4, 4) == 19  # H4
+        assert closed_form_pool_size(6, 6) == 81  # H6
+
     def test_string_counts(self, cas22_pool):
         assert len(cas22_pool[0].qubit_form) == 4   # singlet single
         assert len(cas22_pool[1].qubit_form) == 8   # paired double
+
+
+def closed_form_pool_size(n_spatial, n_electrons):
+    """Singles ``n_occ * n_virt``; per (i <= j, a <= b) quadruple, 1 paired
+    double if i = j and a = b, 3 if i < j and a < b, else 2."""
+    n_occ = n_electrons // 2
+    occupied, virtual = range(n_occ), range(n_occ, n_spatial)
+    size = n_occ * (n_spatial - n_occ)
+    for i in occupied:
+        for j in occupied[i:]:
+            for a in virtual:
+                for b in range(a, n_spatial):
+                    if i == j and a == b:
+                        size += 1
+                    elif i < j and a < b:
+                        size += 3
+                    else:
+                        size += 2
+    return size
 
 
 class TestFullAnsatz:
@@ -162,6 +195,20 @@ class TestCompileCircuit:
             assert infidelity(gated, direct) < 1e-10
             np.testing.assert_allclose(gated.amplitudes, direct.amplitudes,
                                        atol=1e-10)
+
+    @pytest.mark.parametrize("n_spatial,metrics,digest", [
+        (4, {"gate_count": 2688, "depth": 1768}, "13c4dc973f517e92"),
+        (6, {"gate_count": 16332, "depth": 11364}, "ecfaf850fdb2181e"),
+    ], ids=["h4", "h6"])
+    def test_full_uccsd_circuit_is_pinned(self, n_spatial, metrics, digest):
+        # 8 and 12 qubits, beyond the 4-qubit ansaetze of the golden scans
+        pool = build_uccsd_pool(n_spatial, n_spatial)
+        ansatz = full_uccsd_ansatz(pool).with_thetas(
+            np.linspace(-1, 1, len(pool)))
+        circuit = compile_circuit(ansatz)
+        assert circuit_metrics(circuit) == metrics
+        text = circuit.to_text().encode()
+        assert hashlib.sha256(text).hexdigest()[:16] == digest
 
     def test_gate_validation(self):
         with pytest.raises(ValueError):

@@ -17,10 +17,28 @@ from vqebench.cli import (
     render_json,
     run_scan,
 )
-from vqebench.adapt import AdaptConfig
+from vqebench.adapt import AdaptConfig, OpenShellError
 from vqebench.fcidump import MolecularHamiltonian, write_fcidump
+from vqebench.pauli import ResourceLimitError
 
 DATA = Path(__file__).parent / "data"
+
+
+def odd_electron_dump(tmp_path):
+    """The committed H2 FCIDUMP with one electron: an open shell."""
+    dump = tmp_path / "odd.fcidump"
+    text = (DATA / "h2_r0.735.fcidump").read_text()
+    dump.write_text(text.replace("NELEC=2", "NELEC=1", 1))
+    return dump
+
+
+def fourteen_qubit_dump(tmp_path):
+    """7 spatial orbitals: above the 12-qubit cap."""
+    big = MolecularHamiltonian(7, 2, 0.0, np.eye(7),
+                               np.zeros((7, 7, 7, 7)), label="big")
+    dump = tmp_path / "big.fcidump"
+    dump.write_text(write_fcidump(big))
+    return dump
 
 
 def config_text(inputs, methods="fci", optimizers="lbfgs",
@@ -115,6 +133,24 @@ class TestRunScan:
              ("missing", DATA / "nope.fcidump")],
             ["fci"], [], AdaptConfig(), "unused")
         with pytest.raises(FileNotFoundError):
+            run_scan(cfg)
+
+    @pytest.mark.parametrize("make_dump,error", [
+        (odd_electron_dump, OpenShellError),
+        (fourteen_qubit_dump, ResourceLimitError)], ids=["odd", "big"])
+    def test_unsupported_input_fails_before_any_computation(
+            self, tmp_path, monkeypatch, make_dump, error):
+        def no_set_up(ham):
+            raise AssertionError(f"{ham.label} set up before every input "
+                                 "was checked")
+
+        monkeypatch.setattr(cli, "QubitProblem", no_set_up)
+        cfg = ScanConfig(
+            [("h4", DATA / "h4_r1.000.fcidump"),
+             ("bad", make_dump(tmp_path))],
+            ["fci", "vqe", "adapt"], ["nelder_mead", "lbfgs"],
+            AdaptConfig(), "unused")
+        with pytest.raises(error):
             run_scan(cfg)
 
     def test_each_input_is_prepared_once(self, monkeypatch):
@@ -303,10 +339,7 @@ class TestMainEntry:
     @pytest.mark.parametrize("command", ["run", "scan"])
     def test_too_many_qubits_is_input_error(self, tmp_path, capsys,
                                             command):
-        big = MolecularHamiltonian(7, 2, 0.0, np.eye(7),
-                                   np.zeros((7, 7, 7, 7)), label="big")
-        dump = tmp_path / "big.fcidump"
-        dump.write_text(write_fcidump(big))
+        dump = fourteen_qubit_dump(tmp_path)
         if command == "run":
             argv = ["run", "--fcidump", str(dump), "--method", "fci"]
         else:
@@ -315,6 +348,22 @@ class TestMainEntry:
             argv = ["scan", "--config", str(config)]
         assert main(argv) == 1
         assert "14 qubits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run fci", "run adapt", "scan"])
+    def test_odd_electron_count_is_input_error(self, tmp_path, capsys,
+                                               command):
+        dump = odd_electron_dump(tmp_path)
+        if command == "scan":
+            config = tmp_path / "scan.cfg"
+            config.write_text(config_text([("odd", dump)]))
+            argv = ["scan", "--config", str(config)]
+        else:
+            argv = ["run", "--fcidump", str(dump), "--method",
+                    command.split()[1]]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "closed-shell" in err
+        assert "internal" not in err
 
     def test_non_ascii_fcidump_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.fcidump"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
-from test_pauli import sum_kron_matrix
+from test_pauli import from_string, sum_kron_matrix
 
 from vqebench.adapt import QubitProblem
 from vqebench.fcidump import load_fcidump
@@ -15,7 +15,7 @@ from vqebench.fermion import (
     jordan_wigner,
     number_operator,
 )
-from vqebench.pauli import PauliSum, PauliTerm, to_matrix
+from vqebench.pauli import PauliSum, to_matrix
 from vqebench.statevector import (
     StateVector,
     apply_operator,
@@ -142,7 +142,7 @@ class TestPoolOperator:
         np.testing.assert_allclose(out.amplitudes, dense @ amps, atol=1e-10)
 
     def test_rejects_hermitian_operator(self):
-        herm = PauliSum.from_term(PauliTerm.from_string(2, "X0", 1.0))
+        herm = from_string(2, "X0", 1.0)
         with pytest.raises(ValueError):
             apply_pool_operator(StateVector(2), herm, 0.5)
 
@@ -189,7 +189,7 @@ class TestAgainstKroneckerOracle:
 
 class TestExpectation:
     def test_z_convention(self):
-        z = PauliSum.from_term(PauliTerm.from_string(1, "Z0"))
+        z = from_string(1, "Z0")
         assert expectation(StateVector(1), z) == pytest.approx(1.0)
 
     def test_identity_returns_coefficient(self):
@@ -201,7 +201,7 @@ class TestExpectation:
         assert expectation(state, PauliSum.identity(3, c)) == pytest.approx(c)
 
     def test_rejects_non_hermitian(self):
-        bad = PauliSum.from_term(PauliTerm.from_string(1, "X0", 1j))
+        bad = from_string(1, "X0", 1j)
         with pytest.raises(ValueError):
             expectation(StateVector(1), bad)
 
