@@ -58,7 +58,6 @@ from .optimize import (
 )
 from .pauli import PauliSum, commutator, to_matrix
 from .statevector import (
-    StateVector,
     apply_operator,
     apply_pool_operator,
     expectation,
@@ -72,7 +71,7 @@ __all__ = [
     "AdaptConfig", "Ansatz", "FciSolution", "FermionOperator", "GateCircuit",
     "LadderProduct", "MeasurementLedger", "MolecularHamiltonian",
     "Objective", "OptimizationResult", "PauliSum", "PoolOperator",
-    "QubitProblem", "RunResult", "StateVector",
+    "QubitProblem", "RunResult",
     "anti_hermitian_pair", "apply_operator", "apply_pool_operator",
     "build_uccsd_pool",
     "central_difference_gradient", "circuit_metrics", "commutator",

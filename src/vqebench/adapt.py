@@ -42,12 +42,7 @@ from .optimize import (
     minimize_nelder_mead,
 )
 from .pauli import PauliSum, ResourceLimitError, commutator_term_counts
-from .statevector import (
-    StateVector,
-    apply_operator,
-    expectation,
-    hartree_fock_reference,
-)
+from .statevector import apply_operator, expectation, hartree_fock_reference
 
 OPTIMIZERS = ("nelder_mead", "lbfgs")
 QUBIT_CAP = 12
@@ -185,6 +180,7 @@ class RunResult:
     ``final_grad_norm`` is the pool gradient norm at the returned state
     (None for VQE). A run that used up ``max_iterations`` screens its final
     state once more for it; that screening is not charged to the ledger.
+    ``theta`` holds the optimised angles of ``ansatz``, one per pool id;
     ``reference`` is the problem's Hartree-Fock state the ansatz acts on.
     """
 
@@ -196,16 +192,15 @@ class RunResult:
         for name in self.__slots__:
             setattr(self, name, kwargs[name])
 
-    def prepared_state(self) -> StateVector:
-        return prepare_state(self.ansatz.with_thetas(self.theta),
-                             self.reference)
+    def prepared_state(self) -> np.ndarray:
+        return prepare_state(self.ansatz, self.theta, self.reference)
 
     def __repr__(self):
         return (f"RunResult({self.method}/{self.optimizer}: "
                 f"E={self.energy:.9f}, {len(self.ansatz)} operators)")
 
 
-def screen_pool(psi: StateVector, h_p: PauliSum, pool) -> np.ndarray:
+def screen_pool(psi: np.ndarray, h_p: PauliSum, pool) -> np.ndarray:
     """Gradient vector <psi| [H_P, tau_k] |psi> over the whole pool.
 
     Evaluated as ``2 Re <H_P psi| tau_k psi>``, equal for anti-Hermitian
@@ -241,7 +236,7 @@ def _energy_objective(ansatz: Ansatz, problem: QubitProblem,
     n_terms = problem.h_p.non_identity_term_count()
 
     def energy(theta):
-        state = prepare_state(ansatz.with_thetas(theta), problem.reference)
+        state = prepare_state(ansatz, theta, problem.reference)
         return expectation(state, problem.h_p) + problem.core
 
     return Objective(energy, len(ansatz),
@@ -266,7 +261,7 @@ def run_adapt(problem: QubitProblem,
     ledger = MeasurementLedger()
     trace: list[AdaptIteration] = []
 
-    ansatz = Ansatz(pool, [])
+    ansatz = Ansatz(pool)
     theta = np.zeros(0)
     energy = expectation(reference, h_p) + problem.core
     converged = False
@@ -276,7 +271,7 @@ def run_adapt(problem: QubitProblem,
         # problem counts their terms once for all runs on it.
         comm_terms = problem.commutator_counts
         for _ in range(cfg.max_iterations):
-            psi = prepare_state(ansatz.with_thetas(theta), reference)
+            psi = prepare_state(ansatz, theta, reference)
             grads = screen_pool(psi, h_p, pool)
             for n_terms in comm_terms:
                 ledger.charge_commutator(n_terms)
@@ -289,7 +284,7 @@ def run_adapt(problem: QubitProblem,
                     ledger.total()))
                 break
             selected = select_operator(grads, pool)
-            ansatz = ansatz.extended(selected, 0.0)
+            ansatz = ansatz.extended(selected)
             objective = _energy_objective(ansatz, problem, ledger)
             result = _optimize(cfg, objective, np.zeros(len(ansatz)))
             theta = result.theta_opt
@@ -300,18 +295,17 @@ def run_adapt(problem: QubitProblem,
         else:
             # Out of iterations: the reported norm is that of the returned
             # state. It is a diagnostic, so the ledger is not charged.
-            psi = prepare_state(ansatz.with_thetas(theta), reference)
+            psi = prepare_state(ansatz, theta, reference)
             final_grad_norm = float(np.linalg.norm(
                 screen_pool(psi, h_p, pool)))
     else:
         converged = True  # nothing to add
         final_grad_norm = 0.0
 
-    ansatz = ansatz.with_thetas(theta)
     return RunResult(
         method="adapt", optimizer=cfg.optimizer, ansatz=ansatz, theta=theta,
         energy=energy, converged=converged, trace=trace, ledger=ledger,
-        resources=circuit_metrics(compile_circuit(ansatz)),
+        resources=circuit_metrics(compile_circuit(ansatz, theta)),
         final_grad_norm=final_grad_norm, reference=reference)
 
 
@@ -324,9 +318,8 @@ def run_vqe(problem: QubitProblem,
 
     if not pool:
         energy = expectation(reference, problem.h_p) + problem.core
-        empty = Ansatz([], [])
         return RunResult(
-            method="vqe", optimizer=cfg.optimizer, ansatz=empty,
+            method="vqe", optimizer=cfg.optimizer, ansatz=Ansatz(pool),
             theta=np.zeros(0), energy=energy, converged=True, trace=[],
             ledger=ledger, resources={"gate_count": 0, "depth": 0},
             final_grad_norm=None, reference=reference)
@@ -334,10 +327,9 @@ def run_vqe(problem: QubitProblem,
     ansatz = full_uccsd_ansatz(pool)
     objective = _energy_objective(ansatz, problem, ledger)
     result = _optimize(cfg, objective, np.zeros(len(ansatz)))
-    ansatz = ansatz.with_thetas(result.theta_opt)
     return RunResult(
         method="vqe", optimizer=cfg.optimizer, ansatz=ansatz,
         theta=result.theta_opt, energy=result.energy,
         converged=result.converged, trace=[], ledger=ledger,
-        resources=circuit_metrics(compile_circuit(ansatz)),
+        resources=circuit_metrics(compile_circuit(ansatz, result.theta_opt)),
         final_grad_norm=None, reference=reference)

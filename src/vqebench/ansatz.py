@@ -21,7 +21,7 @@ from .fermion import (
     number_operator,
 )
 from .pauli import commutator
-from .statevector import StateVector, apply_pool_operator
+from .statevector import apply_pool_operator
 
 
 class PoolOperator:
@@ -40,37 +40,34 @@ class PoolOperator:
 
 
 class Ansatz:
-    """Ordered product of pool-operator exponentials with parameters."""
+    """Ordered product of pool-operator exponentials, as the tuple of its
+    pool ids; the parameters are a separate theta vector, one per id."""
 
-    __slots__ = ("pool", "elements")
+    __slots__ = ("pool", "ids")
 
-    def __init__(self, pool, elements=()):
+    def __init__(self, pool, ids=()):
         self.pool = pool
-        self.elements = [(int(pid), float(theta)) for pid, theta in elements]
-        for pid, _ in self.elements:
+        self.ids = tuple(int(pid) for pid in ids)
+        for pid in self.ids:
             if not 0 <= pid < len(pool):
                 raise ValueError(f"pool id {pid} out of range")
 
-    @property
-    def thetas(self) -> np.ndarray:
-        return np.array([theta for _, theta in self.elements])
-
-    def with_thetas(self, thetas) -> "Ansatz":
-        thetas = np.asarray(thetas, dtype=float)
-        if thetas.shape != (len(self.elements),):
-            raise ValueError("theta vector length mismatch")
-        return Ansatz(self.pool,
-                      [(pid, t) for (pid, _), t in zip(self.elements, thetas)])
-
-    def extended(self, pool_id: int, theta: float = 0.0) -> "Ansatz":
-        return Ansatz(self.pool, self.elements + [(pool_id, theta)])
+    def extended(self, pool_id: int) -> "Ansatz":
+        return Ansatz(self.pool, self.ids + (pool_id,))
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.ids)
 
     def __repr__(self):
-        ids = [pid for pid, _ in self.elements]
-        return f"Ansatz({ids})"
+        return f"Ansatz({list(self.ids)})"
+
+
+def _theta_vector(ansatz: Ansatz, thetas) -> np.ndarray:
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.shape != (len(ansatz),):
+        raise ValueError(f"theta vector of shape {thetas.shape} for "
+                         f"{len(ansatz)} ansatz operators")
+    return thetas
 
 
 def _validate_pool_operator(op: PoolOperator, n_qubits: int):
@@ -172,16 +169,17 @@ def build_uccsd_pool(n_spatial: int, n_electrons: int) -> list[PoolOperator]:
 
 
 def full_uccsd_ansatz(pool) -> Ansatz:
-    """Fixed first-order-Trotter ansatz: every pool operator once, theta 0."""
+    """Fixed first-order-Trotter ansatz: every pool operator once."""
     if not pool:
         raise ValueError("cannot build a UCCSD ansatz from an empty pool")
-    return Ansatz(pool, [(op.id, 0.0) for op in pool])
+    return Ansatz(pool, [op.id for op in pool])
 
 
-def prepare_state(ansatz: Ansatz, reference: StateVector) -> StateVector:
-    """Apply the ansatz exponentials to the reference, first element first."""
+def prepare_state(ansatz: Ansatz, thetas, reference: np.ndarray) -> np.ndarray:
+    """Apply the ansatz exponentials to the reference, first operator
+    first, operator ``k`` with angle ``thetas[k]``."""
     state = reference
-    for pid, theta in ansatz.elements:
+    for pid, theta in zip(ansatz.ids, _theta_vector(ansatz, thetas)):
         state = apply_pool_operator(state, ansatz.pool[pid].qubit_form,
                                     theta)
     return state
@@ -272,18 +270,19 @@ def _exponential_template(n_qubits: int, x_mask: int, z_mask: int,
         reversed(post))
 
 
-def compile_circuit(ansatz: Ansatz) -> GateCircuit:
-    """Compile the ansatz with the raw CNOT-staircase template.
+def compile_circuit(ansatz: Ansatz, thetas) -> GateCircuit:
+    """Compile the ansatz at the given angles with the raw CNOT-staircase
+    template.
 
-    Terms are emitted in canonical order; theta = 0 elements still emit
+    Terms are emitted in canonical order; theta = 0 operators still emit
     gates so that resource reports reflect circuit structure rather than
     parameter values.
     """
     n_qubits = ansatz.pool[0].qubit_form.n_qubits if ansatz.pool else 0
     gates = []
-    for pid, theta in ansatz.elements:
+    for pid, theta in zip(ansatz.ids, _theta_vector(ansatz, thetas)):
         for x, z, c in ansatz.pool[pid].qubit_form.sorted_terms():
-            alpha = theta * c.imag  # term = i * w * P
+            alpha = float(theta) * c.imag  # term = i * w * P
             gates.extend(_exponential_template(n_qubits, x, z, alpha))
     return GateCircuit(n_qubits, gates)
 
@@ -300,10 +299,9 @@ def circuit_metrics(circuit: GateCircuit) -> dict:
     return {"gate_count": len(circuit.gates), "depth": depth}
 
 
-def simulate_circuit(circuit: GateCircuit,
-                     state: StateVector) -> StateVector:
-    """Apply the compiled gates to a statevector (compilation oracle)."""
-    amps = state.amplitudes.copy()
+def simulate_circuit(circuit: GateCircuit, state: np.ndarray) -> np.ndarray:
+    """Apply the compiled gates to a state (compilation oracle)."""
+    amps = np.array(state, dtype=complex)
     dim = amps.shape[0]
     basis = np.arange(dim)
     for gate in circuit.gates:
@@ -332,4 +330,4 @@ def simulate_circuit(circuit: GateCircuit,
         elif gate.kind == "RZ":
             amps[low] = np.exp(-0.5j * gate.angle) * a0
             amps[high] = np.exp(0.5j * gate.angle) * a1
-    return StateVector(state.n_qubits, amps)
+    return amps

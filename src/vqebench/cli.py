@@ -87,6 +87,11 @@ class ScanConfig:
         labels = [label for label, _ in inputs]
         if len(set(labels)) != len(labels):
             raise ConfigError("input labels must be unique")
+        for label in labels:
+            if "," in label:
+                raise ConfigError(
+                    f"input label {label!r}: a comma would split its "
+                    "scan.csv field")
         for method in methods:
             if method not in METHOD_ORDER:
                 raise ConfigError(f"unknown method {method!r}")
@@ -403,7 +408,7 @@ def _cmd_run(args) -> int:
     print(f"abs error vs fci: {abs(result.energy - sol.energy):.9f}")
     print(f"infidelity: {format_infidelity(infid)}")
     print(f"operators: {len(result.ansatz)}")
-    for pid, theta in result.ansatz.elements:
+    for pid, theta in zip(result.ansatz.ids, result.theta):
         print(f"  {result.ansatz.pool[pid].description}  theta={theta:+.9f}")
     print(f"gate count: {result.resources['gate_count']}  "
           f"depth: {result.resources['depth']}")

@@ -8,7 +8,7 @@ import numpy as np
 
 from .adapt import QubitProblem
 from .pauli import PauliSum
-from .statevector import StateVector, infidelity
+from .statevector import infidelity
 
 DEGENERACY_GAP = 1e-9
 RESIDUAL_TOL = 1e-8
@@ -105,12 +105,11 @@ def solve_fci(problem: QubitProblem) -> FciSolution:
     basis[indices] = eigenvectors[:, :n_ground]
     ground = basis[:, 0]
     ground = ground * np.sign(ground[np.argmax(np.abs(ground))].real)
-    return FciSolution(eigenvalues[0] + problem.core,
-                       StateVector(n_qubits, ground), problem.n_electrons,
-                       n_ground > 1, basis)
+    return FciSolution(eigenvalues[0] + problem.core, ground,
+                       problem.n_electrons, n_ground > 1, basis)
 
 
-def infidelity_vs_fci(prepared: StateVector, sol: FciSolution) -> float:
+def infidelity_vs_fci(prepared: np.ndarray, sol: FciSolution) -> float:
     """State-preparation error against the FCI ground space.
 
     For a ground space degenerate within the block this is the distance to
@@ -121,7 +120,7 @@ def infidelity_vs_fci(prepared: StateVector, sol: FciSolution) -> float:
     """
     if not sol.degeneracy_flag:
         return infidelity(prepared, sol.ground_state)
-    a = prepared.amplitudes / prepared.norm()
+    a = prepared / np.linalg.norm(prepared)
     basis = sol._ground_basis
     projected = basis @ (basis.conj().T @ a)
     norm = np.linalg.norm(projected)

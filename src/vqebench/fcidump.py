@@ -4,7 +4,8 @@ An FCIDUMP carries a namelist header (``&FCI NORB=..., NELEC=..., MS2=...``
 terminated by ``&END`` or ``/``) followed by ``value i j k l`` records with
 1-based spatial indices: ``i=j=k=l=0`` is the scalar core energy, ``k=l=0``
 a one-electron element, anything else a two-electron integral in chemist
-notation ``(ij|kl)``.
+notation ``(ij|kl)``. Only closed-shell singlets are supported: the header
+needs ``0 < NELEC <= 2 * NORB``, and ``MS2``, when given, must be 0.
 """
 from __future__ import annotations
 
@@ -143,11 +144,17 @@ def parse_fcidump(text, label="") -> MolecularHamiltonian:
     header_line = numbered[0][0]
     norb = _header_int(fields, "NORB", header_line)
     nelec = _header_int(fields, "NELEC", header_line)
-    if "MS2" in fields:
-        _header_int(fields, "MS2", header_line)  # validated, unused
     if norb <= 0:
         raise FcidumpParseError(f"NORB must be positive, got {norb}",
                                 header_line)
+    if not 0 < nelec <= 2 * norb:
+        raise FcidumpParseError(
+            f"NELEC must be in (0, {2 * norb}] for NORB={norb}, got {nelec}",
+            header_line)
+    if "MS2" in fields and _header_int(fields, "MS2", header_line) != 0:
+        raise FcidumpParseError(
+            f"MS2={fields['MS2']}: only closed-shell singlets (MS2=0) are "
+            "supported", header_line)
 
     core = 0.0
     h1 = np.zeros((norb, norb))
@@ -205,9 +212,10 @@ def parse_fcidump(text, label="") -> MolecularHamiltonian:
     return MolecularHamiltonian(norb, nelec, core, h1, h2, label=label)
 
 
-def write_fcidump(m: MolecularHamiltonian, ms2: int = 0) -> str:
-    """Canonical serializer; parse(write(parse(x))) is bit-for-bit stable."""
-    lines = [f"&FCI NORB={m.n_spatial},NELEC={m.n_electrons},MS2={ms2},",
+def write_fcidump(m: MolecularHamiltonian) -> str:
+    """Canonical serializer of a singlet (``MS2=0``);
+    parse(write(parse(x))) is bit-for-bit stable."""
+    lines = [f"&FCI NORB={m.n_spatial},NELEC={m.n_electrons},MS2=0,",
              f" ORBSYM={','.join('1' for _ in range(m.n_spatial))},",
              " ISYM=1,", "&END"]
     n = m.n_spatial

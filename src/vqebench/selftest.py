@@ -28,7 +28,7 @@ from .pauli import (
     commutator_term_counts,
     to_matrix,
 )
-from .statevector import StateVector, expectation, hartree_fock_reference
+from .statevector import expectation, hartree_fock_reference
 
 
 def _expm_anti_hermitian(mat: np.ndarray, scale: float) -> np.ndarray:
@@ -101,15 +101,13 @@ def run_selftest() -> bool:
         ok_apply = ok_circuit = True
         for op in pool:
             theta = float(rng.uniform(-np.pi, np.pi))
-            ansatz = Ansatz(pool, [(op.id, theta)])
-            fast = prepare_state(ansatz, ref)
+            ansatz = Ansatz(pool, [op.id])
+            fast = prepare_state(ansatz, [theta], ref)
             dense = _expm_anti_hermitian(_kron_matrix(op.qubit_form),
-                                         theta) @ ref.amplitudes
-            ok_apply &= bool(np.allclose(fast.amplitudes, dense,
-                                         atol=1e-10))
-            gated = simulate_circuit(compile_circuit(ansatz), ref)
-            ok_circuit &= bool(np.allclose(gated.amplitudes,
-                                           fast.amplitudes, atol=1e-10))
+                                         theta) @ ref
+            ok_apply &= bool(np.allclose(fast, dense, atol=1e-10))
+            gated = simulate_circuit(compile_circuit(ansatz, [theta]), ref)
+            ok_circuit &= bool(np.allclose(gated, fast, atol=1e-10))
         check(f"pool exponentials match dense matrix exponential "
               f"({n_spatial},{n_electrons})", ok_apply)
         check(f"compiled circuits match pool exponentials "
@@ -135,7 +133,7 @@ def run_selftest() -> bool:
             (int(rng.integers(dim)), int(rng.integers(dim))): rng.normal()
             for _ in range(40)})
         amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        psi = StateVector(2 * n_spatial, amps / np.linalg.norm(amps))
+        psi = amps / np.linalg.norm(amps)
         expected = [expectation(psi, commutator(h, op.qubit_form))
                     for op in pool]
         check(f"pool screening matches commutator expectations "

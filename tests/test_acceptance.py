@@ -176,18 +176,20 @@ def test_criterion_3_gradient_identity():
         elements = [(int(rng.integers(0, len(pool_cache))),
                      float(rng.uniform(-np.pi, np.pi)))
                     for _ in range(n_existing)]
-        base = Ansatz(pool_cache, elements)
-        psi = prepare_state(base, ref)
+        base = Ansatz(pool_cache, [pid for pid, _ in elements])
+        thetas = [theta for _, theta in elements]
+        psi = prepare_state(base, thetas, ref)
         grads = screen_pool(psi, h_p, pool_cache)
         for k, op in enumerate(pool_cache):
-            extended = base.extended(op.id, 0.0)
+            extended = base.extended(op.id)
 
             def energy(theta, extended=extended):
-                state = prepare_state(extended.with_thetas(theta), ref)
+                state = prepare_state(extended, theta, ref)
                 return expectation(state, h_p) + core
 
             obj = Objective(energy, len(extended))
-            fd = central_difference_gradient(obj, extended.thetas, 1e-5)
+            fd = central_difference_gradient(obj, np.append(thetas, 0.0),
+                                             1e-5)
             diff = abs(fd[-1] - grads[k])
             worst = max(worst, diff)
             assert diff <= 1e-6, f"case {cases}: |fd - commutator| = {diff}"
@@ -218,13 +220,12 @@ def test_criterion_5_oracle_equivalence():
         ref = hartree_fock_reference(n_qubits, n_electrons)
         for op in pool:
             theta = float(rng.uniform(-np.pi, np.pi))
-            ansatz = Ansatz(pool, [(op.id, theta)])
-            fast = prepare_state(ansatz, ref)
-            dense = expm(theta * to_matrix(op.qubit_form)) @ ref.amplitudes
-            assert np.max(np.abs(fast.amplitudes - dense)) <= 1e-10
-            gated = simulate_circuit(compile_circuit(ansatz), ref)
-            assert np.max(np.abs(gated.amplitudes
-                                 - fast.amplitudes)) <= 1e-10
+            ansatz = Ansatz(pool, [op.id])
+            fast = prepare_state(ansatz, [theta], ref)
+            dense = expm(theta * to_matrix(op.qubit_form)) @ ref
+            assert np.max(np.abs(fast - dense)) <= 1e-10
+            gated = simulate_circuit(compile_circuit(ansatz, [theta]), ref)
+            assert np.max(np.abs(gated - fast)) <= 1e-10
             checked += 1
     for n in range(1, 7):
         assert verify_car(n)

@@ -46,9 +46,10 @@ def nah():
 
 
 def random_ansatz(pool, rng, length):
-    return Ansatz(pool, [(int(rng.integers(len(pool))),
-                          float(rng.uniform(-0.5, 0.5)))
-                         for _ in range(length)])
+    """A random ansatz of ``length`` operators and its angles."""
+    pairs = [(int(rng.integers(len(pool))), float(rng.uniform(-0.5, 0.5)))
+             for _ in range(length)]
+    return Ansatz(pool, [pid for pid, _ in pairs]), [t for _, t in pairs]
 
 
 def diagonal_problem():
@@ -81,7 +82,7 @@ class TestScreenPool:
         psi = ref
         if state == "random":
             rng = np.random.default_rng(11)
-            psi = prepare_state(random_ansatz(pool, rng, 3), ref)
+            psi = prepare_state(*random_ansatz(pool, rng, 3), ref)
         expected = [expectation(psi, commutator(h_p, op.qubit_form))
                     for op in pool]
         np.testing.assert_allclose(screen_pool(psi, h_p, pool), expected,
@@ -96,19 +97,20 @@ class TestScreenPool:
             # H2 keeps its fixed (double, single) bases; the larger pools
             # draw two operators at random
             ids = (1, 0) if name == "h2" else rng.integers(len(pool), size=2)
-            base = Ansatz(pool, [(int(k), rng.uniform(-0.5, 0.5))
-                                 for k in ids])
-            psi = prepare_state(base, ref)
+            base = Ansatz(pool, ids)
+            thetas = [rng.uniform(-0.5, 0.5) for _ in ids]
+            psi = prepare_state(base, thetas, ref)
             grads = screen_pool(psi, h_p, pool)
             for k, op in enumerate(pool):
-                extended = base.extended(op.id, 0.0)
+                extended = base.extended(op.id)
 
                 def energy(theta, extended=extended):
-                    return expectation(
-                        prepare_state(extended.with_thetas(theta), ref), h_p)
+                    return expectation(prepare_state(extended, theta, ref),
+                                       h_p)
 
                 obj = Objective(energy, len(extended))
-                fd = central_difference_gradient(obj, extended.thetas, 1e-5)
+                fd = central_difference_gradient(obj, np.append(thetas, 0.0),
+                                                 1e-5)
                 assert grads[k] == pytest.approx(fd[-1], abs=1e-6)
 
     def test_ledger_charges_commutator_terms(self):
@@ -225,7 +227,7 @@ class TestRunAdapt:
         assert len(tight.ansatz) > len(loose.ansatz)
         assert tight.energy <= loose.energy + 1e-10
         # repeated selection of the same pool operator is legal
-        ids = [pid for pid, _ in tight.ansatz.elements]
+        ids = tight.ansatz.ids
         assert len(ids) > len(set(ids)) or len(tight.ansatz) <= len(
             tight.ansatz.pool)
 

@@ -16,9 +16,13 @@ from vqebench.ansatz import (
     simulate_circuit,
 )
 from vqebench.fermion import number_operator, sz_operator
-from vqebench.pauli import PauliSum, commutator, to_matrix
+from vqebench.pauli import (
+    DimensionMismatchError,
+    PauliSum,
+    commutator,
+    to_matrix,
+)
 from vqebench.statevector import (
-    StateVector,
     expectation,
     hartree_fock_reference,
     infidelity,
@@ -106,14 +110,13 @@ class TestFullAnsatz:
     def test_cas22_length_two(self, cas22_pool):
         ansatz = full_uccsd_ansatz(cas22_pool)
         assert len(ansatz) == 2
-        assert all(theta == 0.0 for _, theta in ansatz.elements)
+        assert ansatz.ids == (0, 1)
 
     def test_zero_thetas_reproduce_reference(self, cas22_pool):
         ansatz = full_uccsd_ansatz(cas22_pool)
         ref = hartree_fock_reference(4, 2)
-        out = prepare_state(ansatz, ref)
-        np.testing.assert_allclose(out.amplitudes, ref.amplitudes,
-                                   atol=1e-14)
+        out = prepare_state(ansatz, np.zeros(2), ref)
+        np.testing.assert_allclose(out, ref, atol=1e-14)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
@@ -123,8 +126,8 @@ class TestFullAnsatz:
 class TestPrepareState:
     def test_empty_ansatz(self, cas22_pool):
         ref = hartree_fock_reference(4, 2)
-        out = prepare_state(Ansatz(cas22_pool, []), ref)
-        np.testing.assert_array_equal(out.amplitudes, ref.amplitudes)
+        out = prepare_state(Ansatz(cas22_pool), [], ref)
+        np.testing.assert_array_equal(out, ref)
 
     def test_conserves_number_and_sz(self, cas22_pool):
         rng = np.random.default_rng(5)
@@ -133,27 +136,53 @@ class TestPrepareState:
         sz = sz_operator(4)
         for _ in range(10):
             thetas = rng.uniform(-np.pi, np.pi, size=2)
-            out = prepare_state(full_uccsd_ansatz(cas22_pool)
-                                .with_thetas(thetas), ref)
+            out = prepare_state(full_uccsd_ansatz(cas22_pool), thetas, ref)
             assert expectation(out, n_op) == pytest.approx(2.0, abs=1e-10)
             assert expectation(out, sz) == pytest.approx(0.0, abs=1e-10)
-            assert abs(out.norm() - 1.0) < 1e-10
+            assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
     def test_matches_dense_expm_chain(self, cas22_pool):
         thetas = [0.41, -0.77]
         ref = hartree_fock_reference(4, 2)
-        out = prepare_state(full_uccsd_ansatz(cas22_pool)
-                            .with_thetas(thetas), ref)
-        dense = ref.amplitudes
+        out = prepare_state(full_uccsd_ansatz(cas22_pool), thetas, ref)
+        dense = ref
         for op, theta in zip(cas22_pool, thetas):
             dense = expm(theta * to_matrix(op.qubit_form)) @ dense
-        np.testing.assert_allclose(out.amplitudes, dense, atol=1e-10)
+        np.testing.assert_allclose(out, dense, atol=1e-10)
+
+    @pytest.mark.parametrize("thetas", [[], [0.1], [0.1, 0.2, 0.3],
+                                        [[0.1, 0.2]]])
+    def test_rejects_wrong_theta_length(self, cas22_pool, thetas):
+        ref = hartree_fock_reference(4, 2)
+        with pytest.raises(ValueError, match="theta vector"):
+            prepare_state(full_uccsd_ansatz(cas22_pool), thetas, ref)
+
+    def test_rejects_reference_of_wrong_size(self, cas22_pool):
+        with pytest.raises(DimensionMismatchError):
+            prepare_state(full_uccsd_ansatz(cas22_pool), [0.1, 0.2],
+                          hartree_fock_reference(6, 2))
+
+
+class TestAnsatz:
+    def test_ids_are_validated_once(self, cas22_pool):
+        assert Ansatz(cas22_pool, [1, np.int64(0)]).ids == (1, 0)
+        with pytest.raises(ValueError, match="out of range"):
+            Ansatz(cas22_pool, [2])
+        with pytest.raises(ValueError, match="out of range"):
+            Ansatz(cas22_pool).extended(-1)
+
+    def test_extended_appends_and_leaves_original(self, cas22_pool):
+        base = Ansatz(cas22_pool, [1])
+        grown = base.extended(0)
+        assert grown.ids == (1, 0) and len(grown) == 2
+        assert base.ids == (1,)
+        assert repr(grown) == "Ansatz([1, 0])"
 
 
 class TestCompileCircuit:
     def test_zz_staircase(self):
         pool = [make_pool_op(PauliSum(2, {(0, 0b11): 0.5j}))]
-        circuit = compile_circuit(Ansatz(pool, [(0, 1.0)]))
+        circuit = compile_circuit(Ansatz(pool, [0]), [1.0])
         kinds = [(g.kind, g.qubits) for g in circuit.gates]
         assert kinds == [("CNOT", (0, 1)), ("RZ", (1,)), ("CNOT", (0, 1))]
         metrics = circuit_metrics(circuit)
@@ -161,22 +190,34 @@ class TestCompileCircuit:
 
     def test_x_basis_change(self):
         pool = [make_pool_op(PauliSum(1, {(1, 0): 1.0j}))]
-        circuit = compile_circuit(Ansatz(pool, [(0, 0.7)]))
+        circuit = compile_circuit(Ansatz(pool, [0]), [0.7])
         kinds = [g.kind for g in circuit.gates]
         assert kinds == ["H", "RZ", "H"]
 
     def test_empty_ansatz_compiles_empty(self, cas22_pool):
-        circuit = compile_circuit(Ansatz(cas22_pool, []))
+        circuit = compile_circuit(Ansatz(cas22_pool), [])
         assert len(circuit) == 0
         assert circuit_metrics(circuit) == {"gate_count": 0, "depth": 0}
 
     def test_zero_theta_still_emits_gates(self, cas22_pool):
-        circuit = compile_circuit(Ansatz(cas22_pool, [(1, 0.0)]))
+        circuit = compile_circuit(Ansatz(cas22_pool, [1]), [0.0])
         assert len(circuit) > 0
+
+    @pytest.mark.parametrize("thetas", [[], [0.1, 0.2, 0.3], 0.1])
+    def test_rejects_wrong_theta_length(self, cas22_pool, thetas):
+        with pytest.raises(ValueError, match="theta vector"):
+            compile_circuit(full_uccsd_ansatz(cas22_pool), thetas)
+
+    def test_angles_are_python_floats(self, cas22_pool):
+        circuit = compile_circuit(full_uccsd_ansatz(cas22_pool),
+                                  np.array([0.25, -0.5]))
+        angles = [g.angle for g in circuit.gates if g.kind == "RZ"]
+        assert angles and all(type(a) is float for a in angles)
+        assert "np.float64" not in circuit.to_text()
 
     def test_weight_four_z_string_staircase(self):
         pool = [make_pool_op(PauliSum(4, {(0, 0b1111): 1.0j}))]
-        circuit = compile_circuit(Ansatz(pool, [(0, 0.3)]))
+        circuit = compile_circuit(Ansatz(pool, [0]), [0.3])
         metrics = circuit_metrics(circuit)
         assert metrics == {"gate_count": 7, "depth": 7}
 
@@ -189,12 +230,11 @@ class TestCompileCircuit:
         rng = np.random.default_rng(n_qubits)
         for op in pool:
             theta = float(rng.uniform(-np.pi, np.pi))
-            ansatz = Ansatz(pool, [(op.id, theta)])
-            direct = prepare_state(ansatz, ref)
-            gated = simulate_circuit(compile_circuit(ansatz), ref)
+            ansatz = Ansatz(pool, [op.id])
+            direct = prepare_state(ansatz, [theta], ref)
+            gated = simulate_circuit(compile_circuit(ansatz, [theta]), ref)
             assert infidelity(gated, direct) < 1e-10
-            np.testing.assert_allclose(gated.amplitudes, direct.amplitudes,
-                                       atol=1e-10)
+            np.testing.assert_allclose(gated, direct, atol=1e-10)
 
     @pytest.mark.parametrize("n_spatial,metrics,digest", [
         (4, {"gate_count": 2688, "depth": 1768}, "13c4dc973f517e92"),
@@ -203,9 +243,8 @@ class TestCompileCircuit:
     def test_full_uccsd_circuit_is_pinned(self, n_spatial, metrics, digest):
         # 8 and 12 qubits, beyond the 4-qubit ansaetze of the golden scans
         pool = build_uccsd_pool(n_spatial, n_spatial)
-        ansatz = full_uccsd_ansatz(pool).with_thetas(
-            np.linspace(-1, 1, len(pool)))
-        circuit = compile_circuit(ansatz)
+        circuit = compile_circuit(full_uccsd_ansatz(pool),
+                                  np.linspace(-1, 1, len(pool)))
         assert circuit_metrics(circuit) == metrics
         text = circuit.to_text().encode()
         assert hashlib.sha256(text).hexdigest()[:16] == digest
@@ -230,9 +269,9 @@ class TestMetricsAndSerialization:
         assert circuit_metrics(circuit) == {"gate_count": 3, "depth": 3}
 
     def test_text_round_stability(self, cas22_pool):
-        ansatz = full_uccsd_ansatz(cas22_pool).with_thetas([0.123, -0.456])
-        text_a = compile_circuit(ansatz).to_text()
-        text_b = compile_circuit(ansatz).to_text()
+        ansatz = full_uccsd_ansatz(cas22_pool)
+        text_a = compile_circuit(ansatz, [0.123, -0.456]).to_text()
+        text_b = compile_circuit(ansatz, [0.123, -0.456]).to_text()
         assert text_a == text_b
         lines = text_a.strip().splitlines()
         assert all(line.split()[0] in ("H", "RX", "RZ", "CNOT")

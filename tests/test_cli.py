@@ -59,6 +59,11 @@ class TestConfigParsing:
         assert cfg.optimizers == ["nelder_mead", "lbfgs"]
         assert cfg.inputs[0][0] == "0.735"
 
+    def test_label_with_comma_rejected(self):
+        text = config_text([("a,b", "x.fcidump")])
+        with pytest.raises(ConfigError, match="comma"):
+            parse_scan_config(text)
+
     def test_duplicate_labels_rejected(self):
         text = config_text([("a", "x.fcidump"), ("a", "y.fcidump")])
         with pytest.raises(ConfigError):
@@ -364,6 +369,33 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "closed-shell" in err
         assert "internal" not in err
+
+    @pytest.mark.parametrize("nelec", [0, 6])
+    def test_electron_count_outside_orbitals_is_input_error(
+            self, tmp_path, capsys, nelec):
+        dump = tmp_path / "bad.fcidump"
+        text = (DATA / "h2_r0.735.fcidump").read_text()
+        dump.write_text(text.replace("NELEC=2", f"NELEC={nelec}", 1))
+        assert main(["run", "--fcidump", str(dump), "--method", "fci"]) == 1
+        err = capsys.readouterr().err
+        assert "line 1" in err and "NELEC" in err
+        assert "internal" not in err
+
+    def test_triplet_fcidump_is_input_error(self, tmp_path, capsys):
+        dump = tmp_path / "triplet.fcidump"
+        text = (DATA / "h2_r0.735.fcidump").read_text()
+        dump.write_text(text.replace("MS2=0", "MS2=2", 1))
+        assert main(["run", "--fcidump", str(dump), "--method", "fci"]) == 1
+        captured = capsys.readouterr()
+        assert "MS2" in captured.err
+        assert "-1.137306036" not in captured.out
+
+    def test_label_with_comma_is_input_error(self, tmp_path, capsys):
+        config = tmp_path / "scan.cfg"
+        config.write_text(config_text([("a,b", DATA / "h2_r0.735.fcidump")]))
+        assert main(["scan", "--config", str(config)]) == 1
+        assert "comma" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_non_ascii_fcidump_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.fcidump"

@@ -12,7 +12,7 @@ from vqebench.fermion import (FermionOperator, LadderProduct, jordan_wigner,
 from vqebench.fci import (infidelity_vs_fci, sector_indices, sector_matrix,
                           solve_fci)
 from vqebench.pauli import ResourceLimitError, to_matrix
-from vqebench.statevector import StateVector, expectation
+from vqebench.statevector import expectation
 
 DATA = Path(__file__).parent / "data"
 
@@ -98,7 +98,7 @@ class TestSolveFci:
         assert sol.energy == pytest.approx(2 * eps + coulomb + core,
                                            abs=1e-12)
         # ground state is the doubly occupied determinant |11>
-        assert abs(sol.ground_state.amplitudes[0b11]) == pytest.approx(1.0)
+        assert abs(sol.ground_state[0b11]) == pytest.approx(1.0)
 
     def test_h2_matches_independent_determinant_ci(self):
         # frozen oracle values from the generator's Slater-Condon CI
@@ -128,7 +128,7 @@ class TestSolveFci:
         problem = problem_of("h2_r2.500.fcidump")
         sol = solve_fci(problem)
         h_mat = to_matrix(problem.h_p)
-        vec = sol.ground_state.amplitudes
+        vec = sol.ground_state
         residual = h_mat @ vec - (sol.energy - problem.core) * vec
         assert np.linalg.norm(residual) <= 1e-8
 
@@ -171,23 +171,24 @@ class TestInfidelityVsFci:
         # |0101> puts both electrons on alpha orbitals (S_z = +1), outside
         # the reference's block; orthogonalize it against the ground vector
         # all the same.
-        ground = sol.ground_state.amplitudes
+        ground = sol.ground_state
         probe = np.zeros_like(ground)
         probe[0b0101] = 1.0
         overlap = np.vdot(ground, probe)
         probe = probe - overlap * ground
         probe /= np.linalg.norm(probe)
-        state = StateVector(4, probe)
-        assert infidelity_vs_fci(state, sol) == pytest.approx(1.0, abs=1e-10)
+        assert infidelity_vs_fci(probe, sol) == pytest.approx(1.0, abs=1e-10)
 
     def test_degenerate_ground_space_uses_projection(self):
         sol = FLAT_SOLUTION
         assert sol.degeneracy_flag
         # any block state lies in the (fully degenerate) ground space
-        state = StateVector.basis_state(4, 0b1001)
+        state = np.zeros(16, dtype=complex)
+        state[0b1001] = 1.0
         assert infidelity_vs_fci(state, sol) == pytest.approx(0.0, abs=1e-10)
         # both electrons alpha: S_z = +1, outside the reference's block
-        state = StateVector.basis_state(4, 0b0101)
+        state = np.zeros(16, dtype=complex)
+        state[0b0101] = 1.0
         assert infidelity_vs_fci(state, sol) == pytest.approx(1.0, abs=1e-10)
 
     @settings(max_examples=60, deadline=None)
@@ -199,12 +200,11 @@ class TestInfidelityVsFci:
         # 1 - |<fci|psi>| reads down to -1.3e-15 on the H4 ground state
         sol = FLAT_SOLUTION if degenerate else H4_SOLUTION
         ground = sol.ground_state
-        size = ground.amplitudes.size
+        size = ground.size
         rng = np.random.default_rng(seed)
-        amps = ground.amplitudes + noise * (
+        amps = ground + noise * (
             rng.normal(size=size) + 1j * rng.normal(size=size))
-        state = StateVector(ground.n_qubits, np.exp(1j * phase) * amps
-                            / np.linalg.norm(amps))
+        state = np.exp(1j * phase) * amps / np.linalg.norm(amps)
         value = infidelity_vs_fci(state, sol)
         assert 0.0 <= value <= 1.0
         if noise == 0.0:

@@ -88,6 +88,26 @@ class TestParse:
         with pytest.raises(FcidumpIntegrityError):
             parse_fcidump(text)
 
+    @pytest.mark.parametrize("nelec", [0, -2, 5])
+    def test_electron_count_outside_orbitals_rejected(self, nelec):
+        text = MINIMAL.replace("NELEC=2", f"NELEC={nelec}")
+        with pytest.raises(FcidumpParseError) as err:
+            parse_fcidump(text)
+        assert "line 1" in str(err.value) and "NELEC" in str(err.value)
+
+    def test_full_shell_accepted(self):
+        assert parse_fcidump(MINIMAL.replace("NELEC=2", "NELEC=4")
+                             ).n_electrons == 4
+
+    @pytest.mark.parametrize("ms2", ["1", "2", "-2"])
+    def test_open_shell_spin_rejected(self, ms2):
+        with pytest.raises(FcidumpParseError) as err:
+            parse_fcidump(MINIMAL.replace("MS2=0", f"MS2={ms2}"))
+        assert "line 1" in str(err.value) and "MS2" in str(err.value)
+
+    def test_ms2_is_optional(self):
+        assert parse_fcidump(MINIMAL.replace("MS2=0,", "")).n_electrons == 2
+
     def test_h2_production_file_parses(self):
         ham = load_fcidump(DATA / "h2_r0.735.fcidump")
         assert ham.n_spatial == 2
@@ -106,6 +126,7 @@ class TestRoundTrip:
         np.testing.assert_array_equal(second.h1, first.h1)
         np.testing.assert_array_equal(second.h2, first.h2)
         assert write_fcidump(second) == text
+        assert text.startswith("&FCI NORB=2,NELEC=2,MS2=0,")
 
 
 class TestToFermionHamiltonian:

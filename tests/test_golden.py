@@ -16,7 +16,6 @@ from vqebench import cli
 from vqebench.cli import emit_report, main, parse_scan_config, run_scan
 from vqebench.fci import FciSolution
 from vqebench.pauli import to_matrix
-from vqebench.statevector import StateVector
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples_configs"
 SCANS = ["h2_scan", "nah_scan"]
@@ -34,8 +33,7 @@ def complex_n_block_fci(problem):
     n_ground = int(np.sum(eigenvalues - eigenvalues[0] < 1e-9))
     ground_basis = np.zeros((1 << n_qubits, n_ground), dtype=complex)
     ground_basis[indices] = eigenvectors[:, :n_ground]
-    return FciSolution(eigenvalues[0] + problem.core,
-                       StateVector(n_qubits, ground_basis[:, 0]),
+    return FciSolution(eigenvalues[0] + problem.core, ground_basis[:, 0],
                        problem.n_electrons, n_ground > 1, ground_basis)
 
 

@@ -27,8 +27,7 @@ def h2_problem():
     ansatz = full_uccsd_ansatz(pool)
 
     def energy(theta):
-        return expectation(prepare_state(ansatz.with_thetas(theta), ref),
-                           h_p) + core
+        return expectation(prepare_state(ansatz, theta, ref), h_p) + core
 
     return Objective(energy, len(ansatz)), h_p, pool, ref, core
 

@@ -15,9 +15,8 @@ from vqebench.fermion import (
     jordan_wigner,
     number_operator,
 )
-from vqebench.pauli import PauliSum, to_matrix
+from vqebench.pauli import DimensionMismatchError, PauliSum, to_matrix
 from vqebench.statevector import (
-    StateVector,
     apply_operator,
     apply_pool_operator,
     expectation,
@@ -26,6 +25,13 @@ from vqebench.statevector import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+def ket(n_qubits, index=0):
+    """Computational basis state ``|index>`` as a complex array."""
+    amps = np.zeros(1 << n_qubits, dtype=complex)
+    amps[index] = 1.0
+    return amps
 
 
 def paired_double_tau(n_so=4):
@@ -59,12 +65,12 @@ def weighted_group_tau():
 class TestHartreeFockReference:
     def test_two_electrons_in_four_qubits(self):
         ref = hartree_fock_reference(4, 2)
-        assert ref.amplitudes[0b0011] == 1.0
-        assert np.count_nonzero(ref.amplitudes) == 1
+        assert ref[0b0011] == 1.0
+        assert np.count_nonzero(ref) == 1
 
     def test_vacuum(self):
         ref = hartree_fock_reference(2, 0)
-        assert ref.amplitudes[0] == 1.0
+        assert ref[0] == 1.0
 
     def test_particle_count(self):
         ref = hartree_fock_reference(4, 2)
@@ -77,27 +83,27 @@ class TestHartreeFockReference:
 
 class TestPauliExponential:
     def test_rabi_rotation(self):
-        out = apply_pool_operator(StateVector(1), one_string_tau(1, 1, 0),
+        out = apply_pool_operator(ket(1), one_string_tau(1, 1, 0),
                                   np.pi / 2)
-        np.testing.assert_allclose(out.amplitudes, [0.0, 1j], atol=1e-15)
+        np.testing.assert_allclose(out, [0.0, 1j], atol=1e-15)
 
     def test_zero_angle_is_identity(self):
-        state = StateVector(2, np.array([0.5, 0.5, 0.5, 0.5], dtype=complex))
+        state = np.full(4, 0.5, dtype=complex)
         out = apply_pool_operator(state, one_string_tau(2, 0b01, 0b11), 0.0)
-        np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
+        np.testing.assert_array_equal(out, state)
 
     def test_z_rotation_is_global_phase_on_basis_state(self):
         theta = 0.731
-        out = apply_pool_operator(StateVector(1), one_string_tau(1, 0, 1),
+        out = apply_pool_operator(ket(1), one_string_tau(1, 0, 1),
                                   theta)
-        np.testing.assert_allclose(out.amplitudes[0], np.exp(1j * theta),
+        np.testing.assert_allclose(out[0], np.exp(1j * theta),
                                    atol=1e-14)
-        assert infidelity(out, StateVector(1)) == pytest.approx(0.0, abs=1e-12)
+        assert infidelity(out, ket(1)) == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_non_hermitian(self):
         # P = 1j * X0 is not Hermitian, so i P is not anti-Hermitian
         with pytest.raises(ValueError):
-            apply_pool_operator(StateVector(1), one_string_tau(1, 1, 0, 1j),
+            apply_pool_operator(ket(1), one_string_tau(1, 1, 0, 1j),
                                 0.3)
 
     @given(st.floats(-np.pi, np.pi, allow_nan=False), st.integers(0, 15),
@@ -108,24 +114,23 @@ class TestPauliExponential:
         rng = np.random.default_rng(x_mask * 16 + z_mask)
         amps = rng.normal(size=16) + 1j * rng.normal(size=16)
         amps /= np.linalg.norm(amps)
-        state = StateVector(4, amps)
-        out = apply_pool_operator(state, tau, angle)
+        out = apply_pool_operator(amps, tau, angle)
         dense = expm(angle * sum_kron_matrix(tau))
-        np.testing.assert_allclose(out.amplitudes, dense @ amps, atol=1e-10)
-        assert abs(out.norm() - 1.0) < 1e-10
+        np.testing.assert_allclose(out, dense @ amps, atol=1e-10)
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
 class TestPoolOperator:
     def test_zero_angle(self):
         ref = hartree_fock_reference(4, 2)
         out = apply_pool_operator(ref, paired_double_tau(), 0.0)
-        np.testing.assert_allclose(out.amplitudes, ref.amplitudes, atol=1e-15)
+        np.testing.assert_allclose(out, ref, atol=1e-15)
 
     def test_preserves_particle_number(self):
         ref = hartree_fock_reference(4, 2)
         out = apply_pool_operator(ref, paired_double_tau(), np.pi / 2)
         assert expectation(out, number_operator(4)) == pytest.approx(2.0)
-        assert abs(out.norm() - 1.0) < 1e-10
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("tau_builder", [paired_double_tau,
                                              singlet_single_tau,
@@ -136,15 +141,14 @@ class TestPoolOperator:
         rng = np.random.default_rng(7)
         amps = rng.normal(size=16) + 1j * rng.normal(size=16)
         amps /= np.linalg.norm(amps)
-        state = StateVector(4, amps)
-        out = apply_pool_operator(state, tau, theta)
+        out = apply_pool_operator(amps, tau, theta)
         dense = expm(theta * to_matrix(tau))
-        np.testing.assert_allclose(out.amplitudes, dense @ amps, atol=1e-10)
+        np.testing.assert_allclose(out, dense @ amps, atol=1e-10)
 
     def test_rejects_hermitian_operator(self):
         herm = from_string(2, "X0", 1.0)
         with pytest.raises(ValueError):
-            apply_pool_operator(StateVector(2), herm, 0.5)
+            apply_pool_operator(ket(2), herm, 0.5)
 
 
 class TestAgainstKroneckerOracle:
@@ -159,7 +163,7 @@ class TestAgainstKroneckerOracle:
     def state(self):
         rng = np.random.default_rng(41)
         amps = rng.normal(size=256) + 1j * rng.normal(size=256)
-        return StateVector(8, amps / np.linalg.norm(amps))
+        return amps / np.linalg.norm(amps)
 
     def test_one_action_entry_per_x_mask(self, h4):
         assert len(h4.h_p) == 185
@@ -176,34 +180,33 @@ class TestAgainstKroneckerOracle:
             theta = float(rng.uniform(-1.5, 1.5))
             out = apply_pool_operator(state, op.qubit_form, theta)
             dense = expm(theta * sum_kron_matrix(op.qubit_form))
-            np.testing.assert_allclose(out.amplitudes,
-                                       dense @ state.amplitudes, atol=1e-10)
+            np.testing.assert_allclose(out,
+                                       dense @ state, atol=1e-10)
 
     def test_hamiltonian_action_and_expectation(self, h4, state):
-        h_psi = sum_kron_matrix(h4.h_p) @ state.amplitudes
+        h_psi = sum_kron_matrix(h4.h_p) @ state
         np.testing.assert_allclose(apply_operator(state, h4.h_p), h_psi,
                                    atol=1e-10)
         assert abs(expectation(state, h4.h_p)
-                   - np.vdot(state.amplitudes, h_psi).real) < 1e-10
+                   - np.vdot(state, h_psi).real) < 1e-10
 
 
 class TestExpectation:
     def test_z_convention(self):
         z = from_string(1, "Z0")
-        assert expectation(StateVector(1), z) == pytest.approx(1.0)
+        assert expectation(ket(1), z) == pytest.approx(1.0)
 
     def test_identity_returns_coefficient(self):
         rng = np.random.default_rng(3)
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         amps /= np.linalg.norm(amps)
-        state = StateVector(3, amps)
         c = 1.37
-        assert expectation(state, PauliSum.identity(3, c)) == pytest.approx(c)
+        assert expectation(amps, PauliSum.identity(3, c)) == pytest.approx(c)
 
     def test_rejects_non_hermitian(self):
         bad = from_string(1, "X0", 1j)
         with pytest.raises(ValueError):
-            expectation(StateVector(1), bad)
+            expectation(ket(1), bad)
 
     @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
                               st.floats(-2, 2, allow_nan=False)),
@@ -215,9 +218,8 @@ class TestExpectation:
         rng = np.random.default_rng(seed)
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         amps /= np.linalg.norm(amps)
-        state = StateVector(3, amps)
         dense = float(np.real(np.vdot(amps, to_matrix(s) @ amps)))
-        assert expectation(state, s) == pytest.approx(dense, abs=1e-10)
+        assert expectation(amps, s) == pytest.approx(dense, abs=1e-10)
 
 
 class TestInfidelity:
@@ -226,8 +228,8 @@ class TestInfidelity:
         assert infidelity(s, s) == 0.0
 
     def test_orthogonal_states(self):
-        a = StateVector.basis_state(2, 0)
-        b = StateVector.basis_state(2, 3)
+        a = ket(2, 0)
+        b = ket(2, 3)
         assert infidelity(a, b) == pytest.approx(1.0)
 
     @given(st.floats(-np.pi, np.pi, allow_nan=False))
@@ -235,9 +237,7 @@ class TestInfidelity:
         rng = np.random.default_rng(11)
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
         amps /= np.linalg.norm(amps)
-        a = StateVector(2, amps)
-        b = StateVector(2, np.exp(1j * phi) * amps)
-        assert infidelity(a, b) == pytest.approx(0.0, abs=1e-12)
+        assert infidelity(amps, np.exp(1j * phi) * amps) == pytest.approx(0.0, abs=1e-12)
 
     @given(st.floats(-np.pi, np.pi, allow_nan=False),
            st.sampled_from([0.0, 1e-15, 1e-9, 1e-3]),
@@ -247,16 +247,49 @@ class TestInfidelity:
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         amps /= np.linalg.norm(amps)
         other = np.exp(1j * phi) * amps + noise * rng.normal(size=8)
-        value = infidelity(StateVector(3, amps), StateVector(3, other))
+        value = infidelity(amps, other)
         assert value >= 0.0
         if noise == 0.0:
             assert value < 1e-15
 
     def test_unnormalised_inputs_are_normalised(self):
-        a = StateVector(1, [3.0, 0.0])
-        b = StateVector(1, [1.0, 1.0])
+        a = np.array([3.0, 0.0])
+        b = np.array([1.0, 1.0])
         assert infidelity(a, b) == pytest.approx(1 - np.sqrt(0.5), abs=1e-15)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(Exception):
-            infidelity(StateVector(1), StateVector(2))
+        with pytest.raises(DimensionMismatchError):
+            infidelity(ket(1), ket(2))
+
+
+class TestArraySize:
+    """Every function checks a state's length against the qubit count of
+    its operator and raises DimensionMismatchError."""
+
+    @pytest.mark.parametrize("amps", [ket(1), ket(3), np.zeros(3, complex),
+                                      np.zeros((2, 2), complex)])
+    def test_apply_pool_operator(self, amps):
+        with pytest.raises(DimensionMismatchError):
+            apply_pool_operator(amps, one_string_tau(2, 0b01, 0b10), 0.3)
+
+    @pytest.mark.parametrize("amps", [ket(1), ket(3), np.zeros(3, complex)])
+    def test_apply_operator(self, amps):
+        with pytest.raises(DimensionMismatchError):
+            apply_operator(amps, number_operator(2))
+
+    @pytest.mark.parametrize("amps", [ket(1), ket(3), np.zeros(3, complex)])
+    def test_expectation(self, amps):
+        with pytest.raises(DimensionMismatchError):
+            expectation(amps, number_operator(2))
+
+    @pytest.mark.parametrize("state,reference", [
+        (ket(2), ket(1)), (np.zeros(3, complex), np.zeros(3, complex)),
+        (ket(2), np.zeros((2, 2), complex))])
+    def test_infidelity(self, state, reference):
+        with pytest.raises(DimensionMismatchError):
+            infidelity(state, reference)
+
+    def test_reference_is_a_complex_array(self):
+        ref = hartree_fock_reference(3, 2)
+        assert isinstance(ref, np.ndarray)
+        assert ref.dtype == complex and ref.shape == (8,)
