@@ -31,7 +31,7 @@ from .ansatz import (
     full_uccsd_ansatz,
     prepare_state,
 )
-from .fcidump import MolecularHamiltonian, to_fermion_hamiltonian
+from .fcidump import QUBIT_CAP, MolecularHamiltonian, to_fermion_hamiltonian
 from .fermion import jordan_wigner
 from .optimize import (
     DEFAULT_BUDGET,
@@ -42,10 +42,14 @@ from .optimize import (
     minimize_nelder_mead,
 )
 from .pauli import PauliSum, ResourceLimitError, commutator_term_counts
-from .statevector import apply_operator, expectation, hartree_fock_reference
+from .statevector import (
+    apply_operator,
+    expectation,
+    hartree_fock_reference,
+    sector_indices,
+)
 
 OPTIMIZERS = ("nelder_mead", "lbfgs")
-QUBIT_CAP = 12
 
 
 class OpenShellError(ValueError):
@@ -68,7 +72,8 @@ def check_supported(ham: MolecularHamiltonian):
 class QubitProblem:
     """JW Hamiltonian ``h_p`` plus constant ``core``, UCCSD ``pool`` and HF
     ``reference`` of one input; an input that `check_supported` rejects
-    raises before any transform runs."""
+    raises before any transform runs. ``h_p`` and the pool are restricted
+    to the reference's (N, S_z) block, ``h_p.basis``."""
 
     __slots__ = ("label", "n_qubits", "n_electrons", "h_p", "core", "pool",
                  "reference", "_commutator_counts")
@@ -79,7 +84,8 @@ class QubitProblem:
         self.n_qubits = ham.n_qubits
         self.n_electrons = ham.n_electrons
         fermion_h, self.core = to_fermion_hamiltonian(ham)
-        self.h_p = jordan_wigner(fermion_h)
+        self.h_p = jordan_wigner(fermion_h).restrict(
+            sector_indices(ham.n_qubits, ham.n_electrons))
         self.pool = build_uccsd_pool(ham.n_spatial, ham.n_electrons)
         self.reference = hartree_fock_reference(ham.n_qubits, ham.n_electrons)
         self._commutator_counts = None
@@ -203,17 +209,16 @@ class RunResult:
 def screen_pool(psi: np.ndarray, h_p: PauliSum, pool) -> np.ndarray:
     """Gradient vector <psi| [H_P, tau_k] |psi> over the whole pool.
 
-    Evaluated as ``2 Re <H_P psi| tau_k psi>``, equal for anti-Hermitian
-    tau_k (Grimsley et al., arXiv:1812.11173) and Hermitian H_P, which is
-    checked. Charges no ledger.
+    Evaluated as ``2 <H_P psi| tau_k psi>`` on the real block, equal for
+    anti-Hermitian tau_k (Grimsley et al., arXiv:1812.11173) and Hermitian
+    H_P, which is checked. Charges no ledger.
     """
     if not pool:
         raise ValueError("cannot screen an empty pool")
-    if not h_p.is_hermitian():
-        raise ValueError("screening requires a Hermitian H_P")
+    if not h_p.hermitian:
+        raise ValueError("screening requires a restricted Hermitian H_P")
     h_psi = apply_operator(psi, h_p)
-    return np.array([2.0 * np.vdot(h_psi,
-                                   apply_operator(psi, op.qubit_form)).real
+    return np.array([2.0 * np.dot(h_psi, apply_operator(psi, op.qubit_form))
                      for op in pool])
 
 

@@ -18,14 +18,13 @@ from .fermion import (
     LadderProduct,
     anti_hermitian_pair,
     jordan_wigner,
-    number_operator,
 )
-from .pauli import commutator
-from .statevector import apply_pool_operator
+from .pauli import PauliSum
+from .statevector import apply_pool_operator, sector_indices
 
 
 class PoolOperator:
-    """One candidate excitation: fermionic form plus its JW qubit image."""
+    """One candidate excitation: fermionic form plus its block JW image."""
 
     __slots__ = ("id", "fermionic", "qubit_form", "description")
 
@@ -70,16 +69,19 @@ def _theta_vector(ansatz: Ansatz, thetas) -> np.ndarray:
     return thetas
 
 
-def _validate_pool_operator(op: PoolOperator, n_qubits: int):
+def _validate_pool_operator(op: PoolOperator, basis) -> PauliSum:
+    """``op.qubit_form`` restricted to ``basis``, which checks that it is
+    real there and conserves N and S_z."""
     q = op.qubit_form
     if not q.is_anti_hermitian():
         raise ValueError(f"pool operator {op.description} not anti-Hermitian")
     if not q.terms_mutually_commute():
         raise ValueError(
             f"pool operator {op.description} has non-commuting strings")
-    if len(commutator(q, number_operator(n_qubits))):
-        raise ValueError(
-            f"pool operator {op.description} breaks particle number")
+    try:
+        return q.restrict(basis)
+    except ValueError as exc:
+        raise ValueError(f"pool operator {op.description}: {exc}") from exc
 
 
 def build_uccsd_pool(n_spatial: int, n_electrons: int) -> list[PoolOperator]:
@@ -160,10 +162,11 @@ def build_uccsd_pool(n_spatial: int, n_electrons: int) -> list[PoolOperator]:
                                            f"{tag} (mixed B)"))
 
     pool = []
+    basis = sector_indices(n_so, n_electrons)
     for t, description in candidates:
         tau = anti_hermitian_pair(t)
         op = PoolOperator(len(pool), tau, jordan_wigner(tau), description)
-        _validate_pool_operator(op, n_so)
+        op.qubit_form = _validate_pool_operator(op, basis)
         pool.append(op)
     return pool
 
@@ -177,12 +180,13 @@ def full_uccsd_ansatz(pool) -> Ansatz:
 
 def prepare_state(ansatz: Ansatz, thetas, reference: np.ndarray) -> np.ndarray:
     """Apply the ansatz exponentials to the reference, first operator
-    first, operator ``k`` with angle ``thetas[k]``."""
+    first, operator ``k`` with angle ``thetas[k]``. The result is a new
+    array, also for an empty ansatz."""
     state = reference
     for pid, theta in zip(ansatz.ids, _theta_vector(ansatz, thetas)):
         state = apply_pool_operator(state, ansatz.pool[pid].qubit_form,
                                     theta)
-    return state
+    return state if ansatz.ids else reference.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +304,7 @@ def circuit_metrics(circuit: GateCircuit) -> dict:
 
 
 def simulate_circuit(circuit: GateCircuit, state: np.ndarray) -> np.ndarray:
-    """Apply the compiled gates to a state (compilation oracle)."""
+    """Apply the compiled gates to ``2**n`` amplitudes (compilation oracle)."""
     amps = np.array(state, dtype=complex)
     dim = amps.shape[0]
     basis = np.arange(dim)

@@ -14,7 +14,9 @@ import re
 import numpy as np
 
 from .fermion import FermionOperator, LadderProduct
+from .pauli import ResourceLimitError
 
+QUBIT_CAP = 12
 SYMMETRY_TOL = 1e-10
 DUPLICATE_TOL = 1e-10
 
@@ -155,6 +157,9 @@ def parse_fcidump(text, label="") -> MolecularHamiltonian:
         raise FcidumpParseError(
             f"MS2={fields['MS2']}: only closed-shell singlets (MS2=0) are "
             "supported", header_line)
+    if 2 * norb > QUBIT_CAP:  # before the NORB**4 tensor is allocated
+        raise ResourceLimitError(
+            f"{2 * norb} qubits exceeds the cap of {QUBIT_CAP}")
 
     core = 0.0
     h1 = np.zeros((norb, norb))

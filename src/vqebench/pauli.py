@@ -16,6 +16,7 @@ import numpy as np
 
 PRUNE_THRESHOLD = 1e-12
 HERMITIAN_TOL = 1e-12
+LEAK_TOL = 1e-12
 MATRIX_QUBIT_CAP = 12
 _PHASES = (1, 1j, -1, -1j)  # i**k, the phase of a string product
 
@@ -61,16 +62,17 @@ def _pauli_string(n_qubits: int, x_mask: int, z_mask: int) -> str:
 class PauliSum:
     """Linear combination of Pauli strings with merged, pruned coefficients.
 
-    Immutable by convention: all arithmetic returns new sums, and the
-    compiled ``action`` is kept on the instance. Terms with
+    Immutable by convention: all arithmetic returns new, unrestricted
+    sums. A sum returned by `restrict` also carries its ``basis``, whether
+    it is ``hermitian`` and its compiled ``action`` there. Terms with
     ``|coefficient| < PRUNE_THRESHOLD`` are dropped on every merge.
     """
 
-    __slots__ = ("n_qubits", "terms", "_action")
+    __slots__ = ("n_qubits", "terms", "basis", "hermitian", "_action")
 
     def __init__(self, n_qubits: int, terms=None):
         self.n_qubits = n_qubits
-        self._action = None
+        self.basis = self.hermitian = self._action = None
         self.terms: dict[tuple[int, int], complex] = {}
         if terms:
             for (x, z), c in dict(terms).items():
@@ -94,19 +96,44 @@ class PauliSum:
         return sorted(((x, z, c) for (x, z), c in self.terms.items()),
                       key=lambda t: (t[1], t[0]))
 
+    def restrict(self, basis: np.ndarray) -> "PauliSum":
+        """This sum on the ascending basis states ``basis``, with its real
+        ``action`` there compiled once and kept. Raises ValueError unless
+        the sum is Hermitian or anti-Hermitian, real on ``basis`` and maps
+        it into itself; an entry leaving it may be at most ``LEAK_TOL``.
+        """
+        hermitian = self.is_hermitian()
+        if not (hermitian or self.is_anti_hermitian()):
+            raise ValueError("only a Hermitian or anti-Hermitian sum can be "
+                             "restricted")
+        out = PauliSum(self.n_qubits)
+        out.terms, out.basis, out.hermitian = self.terms, basis, hermitian
+        out._action = []
+        for targets, diagonal in _basis_action(self, basis):
+            off = targets < 0
+            leak = np.abs(diagonal[off]).max(initial=0.0)
+            if leak > LEAK_TOL:
+                raise ValueError(f"the sum leaves the block: max dropped "
+                                 f"entry = {leak:.3e}")
+            diagonal[off] = 0.0
+            if diagonal.imag.any():
+                raise ValueError(f"the sum is not real on the block: max "
+                                 f"|Im| = {np.abs(diagonal.imag).max():.3e}")
+            targets[off] = np.flatnonzero(off)
+            out._action.append((targets, np.ascontiguousarray(diagonal.real)))
+        return out
+
     @property
     def action(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``(targets, diagonal)`` per distinct X mask, ascending.
-
-        The group of strings with X mask ``x`` maps basis state ``b`` to
-        ``diagonal[b] |targets[b]>``, with ``targets = b ^ x``; the sum is
-        ``op |psi> = sum over groups of (diagonal * psi)[targets]``.
-        Built on first use and kept. Read only.
+        """``(targets, diagonal)`` per distinct X mask, ascending, as
+        `_basis_action` builds it, but real and with every entry that left
+        ``basis`` mapped to itself with diagonal 0; so ``op |psi> = sum
+        over groups of (diagonal * psi)[targets]``. Kept by `restrict`;
+        an unrestricted sum raises ValueError. Read only.
         """
         if self._action is None:
-            self._action = _basis_action(self)
-        else:
-            _basis_action.hits += len(self._action)
+            raise ValueError("the sum has no basis: restrict it first")
+        _basis_action.hits += len(self._action)
         return self._action
 
     def coefficient(self, x_mask: int, z_mask: int) -> complex:
@@ -272,19 +299,23 @@ def _with_y_counts(s: PauliSum) -> list[tuple[int, int, int, complex]]:
 CacheInfo = namedtuple("CacheInfo", "hits misses")
 
 
-def _basis_action(s: PauliSum) -> list:
-    """Compile ``s.action``; see ``PauliSum.action``.
+def _basis_action(s: PauliSum, basis: np.ndarray) -> list:
+    """``(targets, diagonal)`` per distinct X mask of ``s``, ascending, over
+    the ascending basis states ``basis``: the group maps ``basis[i]`` to
+    ``diagonal[i] |basis[targets[i]]>``, and ``targets[i]`` is -1 where
+    ``basis[i] ^ x`` is not in ``basis``.
 
-    Each diagonal sums ``coefficient * string_phases`` over its group's
-    strings in `PauliSum.sorted_terms` order. Counts group actions
+    Each complex diagonal sums ``coefficient * string_phases`` over its
+    group's strings in `PauliSum.sorted_terms` order. Counts group actions
     built (``misses``) and reused from a kept ``action`` (``hits``) since
     import; ``cache_info()`` reads them.
     """
-    basis = np.arange(1 << s.n_qubits, dtype=np.int64)
+    position = np.full(1 << s.n_qubits, -1, dtype=np.int64)
+    position[basis] = np.arange(len(basis))
     diagonals: dict[int, np.ndarray] = {}
     for x, z, c in s.sorted_terms():
         diagonals[x] = diagonals.get(x, 0.0) + c * string_phases(basis, x, z)
-    action = [(basis ^ x, diagonals[x]) for x in sorted(diagonals)]
+    action = [(position[basis ^ x], diagonals[x]) for x in sorted(diagonals)]
     _basis_action.misses += len(action)
     return action
 
@@ -316,7 +347,7 @@ def to_matrix(s: PauliSum) -> np.ndarray:
             f"{s.n_qubits} qubits exceeds dense-matrix cap {MATRIX_QUBIT_CAP}")
     dim = 1 << s.n_qubits
     mat = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim)
-    for targets, diagonal in s.action:
+    cols = np.arange(dim, dtype=np.int64)
+    for targets, diagonal in _basis_action(s, cols):
         mat[targets, cols] += diagonal
     return mat

@@ -2,9 +2,10 @@
 
 Self-contained (synthetic Hamiltonians, seeded randomness) so it can run
 anywhere the package is installed, without test data or extra packages.
-The dense references of the exponential and commutator checks are
-Kronecker products of single-qubit matrices, independent of the compiled
-``PauliSum.action`` that the simulator and `to_matrix` share.
+The dense references of the exponential, commutator and screening checks
+are Kronecker products of single-qubit matrices over all ``2**n`` states,
+independent of the compiled action that the simulator and `to_matrix`
+share; block states are embedded there.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .pauli import (
     commutator_term_counts,
     to_matrix,
 )
-from .statevector import expectation, hartree_fock_reference
+from .statevector import embed, hartree_fock_reference
 
 
 def _expm_anti_hermitian(mat: np.ndarray, scale: float) -> np.ndarray:
@@ -98,15 +99,18 @@ def run_selftest() -> bool:
         pool = build_uccsd_pool(n_spatial, n_electrons)
         n_qubits = 2 * n_spatial
         ref = hartree_fock_reference(n_qubits, n_electrons)
+        basis = pool[0].qubit_form.basis
+        full_ref = embed(ref, basis, n_qubits)
         ok_apply = ok_circuit = True
         for op in pool:
             theta = float(rng.uniform(-np.pi, np.pi))
             ansatz = Ansatz(pool, [op.id])
-            fast = prepare_state(ansatz, [theta], ref)
+            fast = embed(prepare_state(ansatz, [theta], ref), basis, n_qubits)
             dense = _expm_anti_hermitian(_kron_matrix(op.qubit_form),
-                                         theta) @ ref
+                                         theta) @ full_ref
             ok_apply &= bool(np.allclose(fast, dense, atol=1e-10))
-            gated = simulate_circuit(compile_circuit(ansatz, [theta]), ref)
+            gated = simulate_circuit(compile_circuit(ansatz, [theta]),
+                                     full_ref)
             ok_circuit &= bool(np.allclose(gated, fast, atol=1e-10))
         check(f"pool exponentials match dense matrix exponential "
               f"({n_spatial},{n_electrons})", ok_apply)
@@ -127,24 +131,28 @@ def run_selftest() -> bool:
     check("symbolic commutator matches dense commutator", ok)
 
     for n_spatial, n_electrons in ((4, 2), (4, 4)):
-        pool = build_uccsd_pool(n_spatial, n_electrons)
-        dim = 1 << (2 * n_spatial)
-        h = PauliSum(2 * n_spatial, {
-            (int(rng.integers(dim)), int(rng.integers(dim))): rng.normal()
-            for _ in range(40)})
-        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        psi = amps / np.linalg.norm(amps)
-        expected = [expectation(psi, commutator(h, op.qubit_form))
-                    for op in pool]
-        check(f"pool screening matches commutator expectations "
+        # random real integrals with the symmetries of (ij|kl)
+        h1 = rng.normal(size=(n_spatial, n_spatial))
+        h2 = rng.normal(size=(n_spatial,) * 4)
+        for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
+            h2 = h2 + h2.transpose(perm)
+        problem = QubitProblem(MolecularHamiltonian(
+            n_spatial, n_electrons, 0.0, h1 + h1.T, h2, label="random"))
+        pool, basis = problem.pool, problem.h_p.basis
+        psi = rng.normal(size=len(basis))
+        full = embed(psi, basis, 2 * n_spatial)
+        h_mat = _kron_matrix(problem.h_p)
+        expected = [np.vdot(full, (h_mat @ m - m @ h_mat) @ full).real
+                    for m in (_kron_matrix(op.qubit_form) for op in pool)]
+        check(f"pool screening matches dense commutator expectations "
               f"({n_spatial},{n_electrons})",
-              bool(np.allclose(screen_pool(psi, h, pool), expected,
+              bool(np.allclose(screen_pool(psi, problem.h_p, pool), expected,
                                rtol=0, atol=1e-10)))
         ops = [op.qubit_form for op in pool]
         check(f"vectorised commutator term counts match symbolic ones "
               f"({n_spatial},{n_electrons})",
-              commutator_term_counts(h, ops) == [
-                  commutator(h, op).non_identity_term_count()
+              commutator_term_counts(problem.h_p, ops) == [
+                  commutator(problem.h_p, op).non_identity_term_count()
                   for op in ops])
 
     problem = QubitProblem(_synthetic_hamiltonian())

@@ -38,7 +38,13 @@ from vqebench.fermion import jordan_wigner, verify_car
 from vqebench.fci import infidelity_vs_fci, solve_fci
 from vqebench.optimize import Objective, central_difference_gradient
 from vqebench.pauli import commutator, to_matrix
-from vqebench.statevector import expectation, hartree_fock_reference, infidelity
+from vqebench.statevector import (
+    embed,
+    expectation,
+    hartree_fock_reference,
+    infidelity,
+    sector_indices,
+)
 
 DATA = Path(__file__).parent / "data"
 H2_POINTS = [f"{0.5 + 0.1 * k:.3f}" for k in range(21)]
@@ -171,7 +177,7 @@ def test_criterion_3_gradient_identity():
     while cases < 200:
         ham = random_cas22_hamiltonian(rng)
         fermion_h, core = to_fermion_hamiltonian(ham)
-        h_p = jordan_wigner(fermion_h)
+        h_p = jordan_wigner(fermion_h).restrict(sector_indices(4, 2))
         n_existing = int(rng.integers(0, 4))
         elements = [(int(rng.integers(0, len(pool_cache))),
                      float(rng.uniform(-np.pi, np.pi)))
@@ -218,13 +224,16 @@ def test_criterion_5_oracle_equivalence():
         pool = build_uccsd_pool(n_spatial, n_electrons)
         n_qubits = 2 * n_spatial
         ref = hartree_fock_reference(n_qubits, n_electrons)
+        basis = sector_indices(n_qubits, n_electrons)
+        full_ref = embed(ref, basis, n_qubits)
         for op in pool:
             theta = float(rng.uniform(-np.pi, np.pi))
             ansatz = Ansatz(pool, [op.id])
-            fast = prepare_state(ansatz, [theta], ref)
-            dense = expm(theta * to_matrix(op.qubit_form)) @ ref
+            fast = embed(prepare_state(ansatz, [theta], ref), basis, n_qubits)
+            dense = expm(theta * to_matrix(op.qubit_form)) @ full_ref
             assert np.max(np.abs(fast - dense)) <= 1e-10
-            gated = simulate_circuit(compile_circuit(ansatz, [theta]), ref)
+            gated = simulate_circuit(compile_circuit(ansatz, [theta]),
+                                     full_ref)
             assert np.max(np.abs(gated - fast)) <= 1e-10
             checked += 1
     for n in range(1, 7):

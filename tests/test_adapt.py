@@ -83,7 +83,8 @@ class TestScreenPool:
         if state == "random":
             rng = np.random.default_rng(11)
             psi = prepare_state(*random_ansatz(pool, rng, 3), ref)
-        expected = [expectation(psi, commutator(h_p, op.qubit_form))
+        expected = [expectation(psi, commutator(h_p, op.qubit_form)
+                                .restrict(h_p.basis))
                     for op in pool]
         np.testing.assert_allclose(screen_pool(psi, h_p, pool), expected,
                                    rtol=0, atol=1e-10)
@@ -203,6 +204,15 @@ class TestRunAdapt:
         # energy is the HF determinant energy: 2 * (-1.0) + core
         assert res.energy == pytest.approx(-1.7)
 
+    def test_empty_ansatz_state_is_not_the_problem_reference(self):
+        problem = diagonal_problem()
+        res = run_adapt(problem, AdaptConfig())
+        assert len(res.ansatz) == 0
+        state = res.prepared_state()
+        assert state is not problem.reference
+        state[:] = 7.0  # an in-place edit must not reach the problem
+        np.testing.assert_array_equal(problem.reference, [1.0, 0, 0, 0])
+
     def test_trace_invariants(self, nah):
         res = run_adapt(nah, AdaptConfig(optimizer="lbfgs"))
         energies = [rec.energy for rec in res.trace]
@@ -242,7 +252,9 @@ class TestRunAdapt:
         res = run_adapt(problem, AdaptConfig(optimizer="lbfgs",
                                              max_iterations=1))
         psi = res.prepared_state()
-        grads = [expectation(psi, commutator(problem.h_p, op.qubit_form))
+        basis = problem.h_p.basis
+        grads = [expectation(psi, commutator(problem.h_p,
+                                             op.qubit_form).restrict(basis))
                  for op in res.ansatz.pool]
         assert not res.converged
         assert res.final_grad_norm == pytest.approx(np.linalg.norm(grads),

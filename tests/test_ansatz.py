@@ -8,6 +8,8 @@ from vqebench.ansatz import (
     Ansatz,
     Gate,
     GateCircuit,
+    PoolOperator,
+    _validate_pool_operator,
     build_uccsd_pool,
     circuit_metrics,
     compile_circuit,
@@ -15,7 +17,14 @@ from vqebench.ansatz import (
     prepare_state,
     simulate_circuit,
 )
-from vqebench.fermion import number_operator, sz_operator
+from vqebench.fermion import (
+    FermionOperator,
+    LadderProduct,
+    anti_hermitian_pair,
+    jordan_wigner,
+    number_operator,
+    sz_operator,
+)
 from vqebench.pauli import (
     DimensionMismatchError,
     PauliSum,
@@ -23,10 +32,14 @@ from vqebench.pauli import (
     to_matrix,
 )
 from vqebench.statevector import (
+    embed,
     expectation,
     hartree_fock_reference,
     infidelity,
+    sector_indices,
 )
+
+SECTOR = sector_indices(4, 2)
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +99,28 @@ class TestPoolConstruction:
         assert len(cas22_pool[0].qubit_form) == 4   # singlet single
         assert len(cas22_pool[1].qubit_form) == 8   # paired double
 
+    def test_operators_are_restricted_to_the_reference_block(self,
+                                                             cas22_pool):
+        for op in cas22_pool:
+            assert op.qubit_form.basis.tolist() == SECTOR.tolist()
+            assert op.qubit_form.hermitian is False
+
+    def test_spin_flip_single_is_rejected(self):
+        # alpha 0 -> beta 1 conserves N but not S_z: it leaves the block
+        t = FermionOperator(4, [LadderProduct([(3, True), (0, False)])])
+        tau = anti_hermitian_pair(t)
+        op = PoolOperator(0, tau, jordan_wigner(tau), "spin flip")
+        assert op.qubit_form.is_anti_hermitian()
+        assert op.qubit_form.terms_mutually_commute()
+        with pytest.raises(ValueError, match="spin flip: .*leaves the block"):
+            _validate_pool_operator(op, SECTOR)
+
+    def test_hermitian_operator_is_rejected(self):
+        herm = PauliSum(4, {(0b0101, 0): 1.0})  # X0 X2, an alpha hop
+        op = PoolOperator(0, None, herm, "hermitian")
+        with pytest.raises(ValueError, match="not anti-Hermitian"):
+            _validate_pool_operator(op, SECTOR)
+
 
 def closed_form_pool_size(n_spatial, n_electrons):
     """Singles ``n_occ * n_virt``; per (i <= j, a <= b) quadruple, 1 paired
@@ -128,12 +163,13 @@ class TestPrepareState:
         ref = hartree_fock_reference(4, 2)
         out = prepare_state(Ansatz(cas22_pool), [], ref)
         np.testing.assert_array_equal(out, ref)
+        assert out is not ref
 
     def test_conserves_number_and_sz(self, cas22_pool):
         rng = np.random.default_rng(5)
         ref = hartree_fock_reference(4, 2)
-        n_op = number_operator(4)
-        sz = sz_operator(4)
+        n_op = number_operator(4).restrict(SECTOR)
+        sz = sz_operator(4).restrict(SECTOR)
         for _ in range(10):
             thetas = rng.uniform(-np.pi, np.pi, size=2)
             out = prepare_state(full_uccsd_ansatz(cas22_pool), thetas, ref)
@@ -145,10 +181,10 @@ class TestPrepareState:
         thetas = [0.41, -0.77]
         ref = hartree_fock_reference(4, 2)
         out = prepare_state(full_uccsd_ansatz(cas22_pool), thetas, ref)
-        dense = ref
+        dense = embed(ref, SECTOR, 4)
         for op, theta in zip(cas22_pool, thetas):
             dense = expm(theta * to_matrix(op.qubit_form)) @ dense
-        np.testing.assert_allclose(out, dense, atol=1e-10)
+        np.testing.assert_allclose(embed(out, SECTOR, 4), dense, atol=1e-10)
 
     @pytest.mark.parametrize("thetas", [[], [0.1], [0.1, 0.2, 0.3],
                                         [[0.1, 0.2]]])
@@ -227,12 +263,15 @@ class TestCompileCircuit:
         pool = build_uccsd_pool(n_spatial, n_electrons)
         n_qubits = 2 * n_spatial
         ref = hartree_fock_reference(n_qubits, n_electrons)
+        basis = sector_indices(n_qubits, n_electrons)
         rng = np.random.default_rng(n_qubits)
         for op in pool:
             theta = float(rng.uniform(-np.pi, np.pi))
             ansatz = Ansatz(pool, [op.id])
-            direct = prepare_state(ansatz, [theta], ref)
-            gated = simulate_circuit(compile_circuit(ansatz, [theta]), ref)
+            direct = embed(prepare_state(ansatz, [theta], ref), basis,
+                           n_qubits)
+            gated = simulate_circuit(compile_circuit(ansatz, [theta]),
+                                     embed(ref, basis, n_qubits))
             assert infidelity(gated, direct) < 1e-10
             np.testing.assert_allclose(gated, direct, atol=1e-10)
 
@@ -279,5 +318,4 @@ class TestMetricsAndSerialization:
 
 
 def make_pool_op(qubit_form):
-    from vqebench.ansatz import PoolOperator
     return PoolOperator(0, None, qubit_form, "test operator")

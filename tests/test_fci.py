@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vqebench.adapt import QubitProblem
-from vqebench.fcidump import MolecularHamiltonian, load_fcidump
+from vqebench import pauli
+from vqebench.fcidump import (MolecularHamiltonian, load_fcidump,
+                              to_fermion_hamiltonian)
 from vqebench.fermion import (FermionOperator, LadderProduct, jordan_wigner,
                               number_operator)
-from vqebench.fci import (infidelity_vs_fci, sector_indices, sector_matrix,
-                          solve_fci)
+from vqebench.fci import (FciSolution, infidelity_vs_fci, sector_indices,
+                          sector_matrix, solve_fci)
 from vqebench.pauli import ResourceLimitError, to_matrix
-from vqebench.statevector import expectation
+from vqebench.statevector import embed, expectation
 
 DATA = Path(__file__).parent / "data"
 
@@ -70,6 +72,16 @@ class TestSector:
         assert mat.dtype == np.float64
         assert mat.shape == (36, 36)
 
+    def test_restricted_hamiltonian_reuses_its_action(self):
+        problem = problem_of("h4_r1.000.fcidump")
+        misses = pauli._basis_action.cache_info().misses
+        mat = sector_matrix(problem.h_p, problem.h_p.basis)
+        assert pauli._basis_action.cache_info().misses == misses
+        np.testing.assert_array_equal(
+            mat, sector_matrix(jordan_wigner(to_fermion_hamiltonian(
+                load_fcidump(DATA / "h4_r1.000.fcidump"))[0]),
+                sector_indices(8, 4)))
+
     def test_imaginary_entry_raises(self):
         # i (a0^ a2 - a2^ a0) conserves N and S_z but is imaginary
         hop = FermionOperator(4, [LadderProduct([(0, True), (2, False)], 1j),
@@ -97,8 +109,9 @@ class TestSolveFci:
         sol = solve_fci(single_orbital_problem(eps, coulomb, core))
         assert sol.energy == pytest.approx(2 * eps + coulomb + core,
                                            abs=1e-12)
-        # ground state is the doubly occupied determinant |11>
-        assert abs(sol.ground_state[0b11]) == pytest.approx(1.0)
+        # the block holds only the doubly occupied determinant |11>
+        assert sector_indices(2, 2).tolist() == [0b11]
+        assert sol.ground_state.tolist() == [1.0]
 
     def test_h2_matches_independent_determinant_ci(self):
         # frozen oracle values from the generator's Slater-Condon CI
@@ -120,15 +133,19 @@ class TestSolveFci:
         assert sol.energy == pytest.approx(-1.137, abs=1e-3)
 
     def test_ground_state_in_sector(self):
-        sol = solve_fci(problem_of("h2_r1.100.fcidump"))
-        n_expect = expectation(sol.ground_state, number_operator(4))
+        problem = problem_of("h2_r1.100.fcidump")
+        sol = solve_fci(problem)
+        assert sol.ground_state.dtype == np.float64
+        assert sol.ground_state.shape == problem.h_p.basis.shape == (4,)
+        n_op = number_operator(4).restrict(problem.h_p.basis)
+        n_expect = expectation(sol.ground_state, n_op)
         assert n_expect == pytest.approx(2.0, abs=1e-10)
 
     def test_eigen_residual(self):
         problem = problem_of("h2_r2.500.fcidump")
         sol = solve_fci(problem)
         h_mat = to_matrix(problem.h_p)
-        vec = sol.ground_state
+        vec = embed(sol.ground_state, problem.h_p.basis, 4)
         residual = h_mat @ vec - (sol.energy - problem.core) * vec
         assert np.linalg.norm(residual) <= 1e-8
 
@@ -168,12 +185,9 @@ class TestInfidelityVsFci:
 
     def test_orthogonal_state(self):
         sol = solve_fci(problem_of("h2_r0.735.fcidump"))
-        # |0101> puts both electrons on alpha orbitals (S_z = +1), outside
-        # the reference's block; orthogonalize it against the ground vector
-        # all the same.
+        # a random block state, orthogonalized against the ground vector
         ground = sol.ground_state
-        probe = np.zeros_like(ground)
-        probe[0b0101] = 1.0
+        probe = np.random.default_rng(4).normal(size=ground.size)
         overlap = np.vdot(ground, probe)
         probe = probe - overlap * ground
         probe /= np.linalg.norm(probe)
@@ -182,14 +196,17 @@ class TestInfidelityVsFci:
     def test_degenerate_ground_space_uses_projection(self):
         sol = FLAT_SOLUTION
         assert sol.degeneracy_flag
-        # any block state lies in the (fully degenerate) ground space
-        state = np.zeros(16, dtype=complex)
-        state[0b1001] = 1.0
+        # any block state lies in the (fully degenerate) ground space,
+        # whatever eigenvector basis the solver returned for it
+        assert sol._ground_basis.shape == (4, 4)
+        state = np.random.default_rng(9).normal(size=4)
         assert infidelity_vs_fci(state, sol) == pytest.approx(0.0, abs=1e-10)
-        # both electrons alpha: S_z = +1, outside the reference's block
-        state = np.zeros(16, dtype=complex)
-        state[0b0101] = 1.0
-        assert infidelity_vs_fci(state, sol) == pytest.approx(1.0, abs=1e-10)
+        # a state orthogonal to a ground space of two block states
+        partial = FciSolution(sol.energy, np.eye(4)[0], 2, True,
+                              np.eye(4)[:, :2])
+        state = np.array([0.0, 0.0, 0.6, -0.8])
+        assert infidelity_vs_fci(state, partial) == pytest.approx(1.0,
+                                                                  abs=1e-10)
 
     @settings(max_examples=60, deadline=None)
     @given(phase=st.floats(-np.pi, np.pi, allow_nan=False),

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,12 @@ from vqebench.fcidump import (
     write_fcidump,
 )
 from vqebench.fermion import jordan_wigner, number_operator
-from vqebench.pauli import commutator
-from vqebench.statevector import expectation, hartree_fock_reference
+from vqebench.pauli import ResourceLimitError, commutator
+from vqebench.statevector import (
+    expectation,
+    hartree_fock_reference,
+    sector_indices,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -114,6 +119,18 @@ class TestParse:
         assert ham.n_electrons == 2
         assert ham.core_energy > 0  # nuclear repulsion
 
+    def test_qubit_cap_is_checked_from_the_header(self):
+        # NORB=40 would need a 20 MB h2 tensor before any later check
+        text = MINIMAL.replace("NORB=2", "NORB=40")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="80 qubits"):
+                parse_fcidump(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["h2_r0.735.fcidump",
@@ -152,7 +169,8 @@ class TestToFermionHamiltonian:
     def test_reference_expectation_is_mean_field_energy(self, name):
         ham = load_fcidump(DATA / name)
         fermion_h, core = to_fermion_hamiltonian(ham)
-        h_p = jordan_wigner(fermion_h)
+        h_p = jordan_wigner(fermion_h).restrict(
+            sector_indices(ham.n_qubits, ham.n_electrons))
         ref = hartree_fock_reference(ham.n_qubits, ham.n_electrons)
         assert expectation(ref, h_p) + core == pytest.approx(
             mean_field_energy(ham), abs=1e-10)

@@ -5,7 +5,9 @@ Every simulator change must leave ``examples_configs/*_out/`` unchanged
 unless it says why, so the last bits of every reported number are pinned
 here. The reported infidelity must not depend on the FCI eigensolver: the
 scans are rerun with the earlier complex solve of the whole N-electron
-block, kept here as the oracle, and must give the same bytes.
+block, kept here as the oracle, and must give the same bytes. Its
+eigenvectors are restricted to the reference's (N, S_z) block, where the
+prepared states live, after checking that they have no weight outside it.
 """
 from pathlib import Path
 
@@ -24,15 +26,18 @@ SCANS = ["h2_scan", "nah_scan"]
 def complex_n_block_fci(problem):
     """FCI from a complex ``eigh`` of the whole N-electron block: the
     solver `fci.solve_fci` used before it moved to the real (N, S_z)
-    block of the reference."""
+    block of the reference. The ground vectors are returned over that
+    block, which must hold all but 1e-12 of their weight."""
     n_qubits = problem.n_qubits
     basis = np.arange(1 << n_qubits)
     indices = basis[np.bitwise_count(basis) == problem.n_electrons]
     block = to_matrix(problem.h_p)[np.ix_(indices, indices)]
     eigenvalues, eigenvectors = np.linalg.eigh(block)
     n_ground = int(np.sum(eigenvalues - eigenvalues[0] < 1e-9))
-    ground_basis = np.zeros((1 << n_qubits, n_ground), dtype=complex)
-    ground_basis[indices] = eigenvectors[:, :n_ground]
+    in_sector = np.isin(indices, problem.h_p.basis)
+    dropped = eigenvectors[~in_sector, :n_ground]
+    assert np.sum(np.abs(dropped) ** 2) < 1e-12
+    ground_basis = eigenvectors[in_sector, :n_ground]
     return FciSolution(eigenvalues[0] + problem.core, ground_basis[:, 0],
                        problem.n_electrons, n_ground > 1, ground_basis)
 

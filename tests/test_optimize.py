@@ -59,7 +59,7 @@ class TestCentralDifferenceGradient:
         grad = central_difference_gradient(obj, np.zeros(obj.dimension),
                                            1e-5)
         for k, op in enumerate(pool):
-            comm = commutator(h_p, op.qubit_form)
+            comm = commutator(h_p, op.qubit_form).restrict(h_p.basis)
             expected = expectation(ref, comm)
             assert grad[k] == pytest.approx(expected, abs=1e-6)
 

@@ -15,6 +15,7 @@ from vqebench.pauli import (
     commutator_term_counts,
     to_matrix,
 )
+from vqebench.statevector import sector_indices
 
 DATA = Path(__file__).parent / "data"
 
@@ -446,6 +447,61 @@ class TestToMatrix:
         s = sum_of(2, terms)
         np.testing.assert_allclose(to_matrix(s), sum_kron_matrix(s),
                                    atol=1e-12)
+
+
+class TestRestrict:
+    """A sum's real action on a basis, against its dense matrix."""
+
+    SECTOR = np.array([0b0011, 0b0110, 0b1001, 0b1100])  # one alpha, one beta
+
+    def test_matches_the_dense_block(self):
+        # alpha hop a0^ a2 + h.c. plus a diagonal: real and block-conserving
+        s = (from_string(4, "X0 Z1 X2", 0.5) + from_string(4, "Y0 Z1 Y2", 0.5)
+             + from_string(4, "Z0", 0.3))
+        r = s.restrict(self.SECTOR)
+        assert r.basis is self.SECTOR and r.hermitian
+        assert r.terms == s.terms and s.basis is None
+        block = np.zeros((4, 4))
+        for targets, diagonal in r.action:
+            assert diagonal.dtype == np.float64
+            block[targets, np.arange(4)] += diagonal
+        np.testing.assert_array_equal(
+            block, to_matrix(s)[np.ix_(self.SECTOR, self.SECTOR)].real)
+
+    def test_leaving_entry_raises(self):
+        with pytest.raises(ValueError, match="leaves the block"):
+            from_string(4, "X0").restrict(self.SECTOR)
+
+    def test_entry_leaving_by_at_most_leak_tol_is_dropped(self):
+        # one alpha electron on qubits 0, 2, 4: X0 X2 keeps it in the block
+        # unless it sits on qubit 4, where the group's diagonal is 2e-13
+        basis = sector_indices(6, 1)
+        s = (from_string(6, "X0 X2", 0.5)
+             + from_string(6, "X0 X2 Z4", 0.5 - 2e-13))
+        ((targets, diagonal),) = s.restrict(basis).action
+        leaving = (basis & 0b010000) != 0
+        assert leaving.any() and not leaving.all()
+        np.testing.assert_array_equal(targets[leaving],
+                                      np.flatnonzero(leaving))
+        np.testing.assert_array_equal(diagonal[leaving], 0.0)
+        np.testing.assert_array_equal(basis[targets[~leaving]],
+                                      basis[~leaving] ^ 0b000101)
+
+    def test_imaginary_entry_raises(self):
+        with pytest.raises(ValueError, match="not real"):
+            from_string(4, "Z0", 1j).restrict(self.SECTOR)
+
+    def test_neither_hermitian_nor_anti_hermitian_raises(self):
+        s = from_string(4, "Z0") + from_string(4, "Z1", 1j)
+        with pytest.raises(ValueError, match="Hermitian"):
+            s.restrict(self.SECTOR)
+
+    def test_arithmetic_returns_unrestricted_sums(self):
+        r = from_string(4, "Z0").restrict(self.SECTOR)
+        for out in (r + r, 2.0 * r, r * r, commutator(r, r)):
+            assert out.basis is None
+            with pytest.raises(ValueError, match="restrict"):
+                out.action
 
 
 # coefficients either exactly real or with imaginary part well clear of

@@ -2,12 +2,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 from test_pauli import from_string, sum_kron_matrix
 
-from vqebench.adapt import QubitProblem
+from vqebench import pauli
+from vqebench.adapt import AdaptConfig, QubitProblem, run_adapt
+from vqebench.ansatz import Ansatz, full_uccsd_ansatz, prepare_state
 from vqebench.fcidump import load_fcidump
+from vqebench.fci import infidelity_vs_fci, solve_fci
 from vqebench.fermion import (
     FermionOperator,
     LadderProduct,
@@ -15,23 +18,37 @@ from vqebench.fermion import (
     jordan_wigner,
     number_operator,
 )
+from vqebench.optimize import Objective, central_difference_gradient
 from vqebench.pauli import DimensionMismatchError, PauliSum, to_matrix
 from vqebench.statevector import (
     apply_operator,
     apply_pool_operator,
+    embed,
     expectation,
     hartree_fock_reference,
     infidelity,
+    sector_indices,
 )
 
 DATA = Path(__file__).parent / "data"
+SECTOR = sector_indices(4, 2)  # one alpha and one beta electron
 
 
 def ket(n_qubits, index=0):
-    """Computational basis state ``|index>`` as a complex array."""
-    amps = np.zeros(1 << n_qubits, dtype=complex)
+    """Computational basis state ``|index>`` over all ``2**n`` states."""
+    amps = np.zeros(1 << n_qubits)
     amps[index] = 1.0
     return amps
+
+
+def full(n_qubits):
+    """All ``2**n`` basis states: a basis every sum maps into itself."""
+    return np.arange(1 << n_qubits, dtype=np.int64)
+
+
+def random_state(rng, dim):
+    amps = rng.normal(size=dim)
+    return amps / np.linalg.norm(amps)
 
 
 def paired_double_tau(n_so=4):
@@ -50,31 +67,37 @@ def singlet_single_tau(n_so=4):
 
 
 def one_string_tau(n_qubits, x_mask, z_mask, weight=1.0):
-    """``i * weight * P`` for one Pauli string P, so that
-    ``apply_pool_operator(state, tau, angle)`` is ``exp(i angle weight P)``."""
-    return PauliSum(n_qubits, {(x_mask, z_mask): 1j * weight})
+    """``i * weight * P`` for one Pauli string P over all ``2**n`` states,
+    so that ``apply_pool_operator(state, tau, angle)`` is
+    ``exp(i angle weight P)``; real when P has an odd number of Y."""
+    return PauliSum(n_qubits, {(x_mask, z_mask): 1j * weight}).restrict(
+        full(n_qubits))
 
 
 def weighted_group_tau():
-    """Commuting strings whose X-mask group has |diagonal| 0.4 on some
-    states and 1.0 on others (every UCCSD pool operator has 0 or 1)."""
-    return PauliSum(4, {(0b0011, 0b0000): 0.3j, (0b0011, 0b0011): 0.7j,
-                        (0b0100, 0b1000): -0.5j})
+    """Commuting real strings whose X-mask group 0b0011 has |diagonal| 0.4
+    on some states and 1.0 on others (every UCCSD pool operator has 0 or
+    1): ``-0.3 (-1)**b0 - 0.7 (-1)**b1``."""
+    return PauliSum(4, {(0b0011, 0b0001): 0.3j, (0b0011, 0b0010): 0.7j,
+                        (0b0100, 0b1100): -0.5j})
 
 
 class TestHartreeFockReference:
     def test_two_electrons_in_four_qubits(self):
         ref = hartree_fock_reference(4, 2)
-        assert ref[0b0011] == 1.0
-        assert np.count_nonzero(ref) == 1
+        assert ref.shape == (len(SECTOR),) == (4,)
+        assert np.count_nonzero(ref) == 1 and ref.max() == 1.0
+        assert SECTOR[np.argmax(ref)] == 0b0011
 
     def test_vacuum(self):
         ref = hartree_fock_reference(2, 0)
-        assert ref[0] == 1.0
+        assert ref.tolist() == [1.0]
+        assert sector_indices(2, 0).tolist() == [0]
 
     def test_particle_count(self):
         ref = hartree_fock_reference(4, 2)
-        assert expectation(ref, number_operator(4)) == pytest.approx(2.0)
+        n_op = number_operator(4).restrict(SECTOR)
+        assert expectation(ref, n_op) == pytest.approx(2.0)
 
     def test_too_many_electrons(self):
         with pytest.raises(ValueError):
@@ -83,37 +106,35 @@ class TestHartreeFockReference:
 
 class TestPauliExponential:
     def test_rabi_rotation(self):
-        out = apply_pool_operator(ket(1), one_string_tau(1, 1, 0),
+        # i Y0 = [[0, 1], [-1, 0]] is real: |0> turns into -|1>
+        out = apply_pool_operator(ket(1), one_string_tau(1, 1, 1),
                                   np.pi / 2)
-        np.testing.assert_allclose(out, [0.0, 1j], atol=1e-15)
+        np.testing.assert_allclose(out, [0.0, -1.0], atol=1e-15)
 
     def test_zero_angle_is_identity(self):
-        state = np.full(4, 0.5, dtype=complex)
+        state = np.full(4, 0.5)
         out = apply_pool_operator(state, one_string_tau(2, 0b01, 0b11), 0.0)
         np.testing.assert_array_equal(out, state)
 
-    def test_z_rotation_is_global_phase_on_basis_state(self):
-        theta = 0.731
-        out = apply_pool_operator(ket(1), one_string_tau(1, 0, 1),
-                                  theta)
-        np.testing.assert_allclose(out[0], np.exp(1j * theta),
-                                   atol=1e-14)
-        assert infidelity(out, ket(1)) == pytest.approx(0.0, abs=1e-12)
+    def test_z_rotation_is_rejected_as_not_real(self):
+        # exp(i theta Z) is a complex phase, which a real block cannot hold
+        with pytest.raises(ValueError, match="not real"):
+            one_string_tau(1, 0, 1)
 
     def test_rejects_non_hermitian(self):
-        # P = 1j * X0 is not Hermitian, so i P is not anti-Hermitian
+        # P = -1j * X0 is not Hermitian, so i P = X0 is not anti-Hermitian
         with pytest.raises(ValueError):
-            apply_pool_operator(ket(1), one_string_tau(1, 1, 0, 1j),
-                                0.3)
+            apply_pool_operator(ket(1), one_string_tau(1, 1, 0, -1j), 0.3)
 
-    @given(st.floats(-np.pi, np.pi, allow_nan=False), st.integers(0, 15),
+    @given(st.floats(-np.pi, np.pi, allow_nan=False), st.integers(1, 15),
            st.integers(0, 15))
     @settings(max_examples=50)
     def test_matches_matrix_exponential(self, angle, x_mask, z_mask):
+        # an odd number of Y factors makes i P real
+        assume((x_mask & z_mask).bit_count() % 2)
         tau = one_string_tau(4, x_mask, z_mask)
         rng = np.random.default_rng(x_mask * 16 + z_mask)
-        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-        amps /= np.linalg.norm(amps)
+        amps = random_state(rng, 16)
         out = apply_pool_operator(amps, tau, angle)
         dense = expm(angle * sum_kron_matrix(tau))
         np.testing.assert_allclose(out, dense @ amps, atol=1e-10)
@@ -123,13 +144,16 @@ class TestPauliExponential:
 class TestPoolOperator:
     def test_zero_angle(self):
         ref = hartree_fock_reference(4, 2)
-        out = apply_pool_operator(ref, paired_double_tau(), 0.0)
+        out = apply_pool_operator(ref, paired_double_tau().restrict(SECTOR),
+                                  0.0)
         np.testing.assert_allclose(out, ref, atol=1e-15)
 
     def test_preserves_particle_number(self):
         ref = hartree_fock_reference(4, 2)
-        out = apply_pool_operator(ref, paired_double_tau(), np.pi / 2)
-        assert expectation(out, number_operator(4)) == pytest.approx(2.0)
+        out = apply_pool_operator(ref, paired_double_tau().restrict(SECTOR),
+                                  np.pi / 2)
+        n_op = number_operator(4).restrict(SECTOR)
+        assert expectation(out, n_op) == pytest.approx(2.0)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("tau_builder", [paired_double_tau,
@@ -137,23 +161,22 @@ class TestPoolOperator:
                                              weighted_group_tau])
     @pytest.mark.parametrize("theta", [-2.1, -0.3, 0.17, 1.9])
     def test_matches_dense_expm(self, tau_builder, theta):
-        tau = tau_builder()
-        rng = np.random.default_rng(7)
-        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-        amps /= np.linalg.norm(amps)
+        tau = tau_builder().restrict(full(4))
+        amps = random_state(np.random.default_rng(7), 16)
         out = apply_pool_operator(amps, tau, theta)
         dense = expm(theta * to_matrix(tau))
         np.testing.assert_allclose(out, dense @ amps, atol=1e-10)
 
     def test_rejects_hermitian_operator(self):
-        herm = from_string(2, "X0", 1.0)
+        herm = from_string(2, "X0", 1.0).restrict(full(2))
         with pytest.raises(ValueError):
             apply_pool_operator(ket(2), herm, 0.5)
 
 
 class TestAgainstKroneckerOracle:
-    """The grouped action on the committed 8-qubit H4 problem against dense
-    Kronecker-product matrices, which do not go through `PauliSum.action`."""
+    """The block action on the committed 8-qubit H4 problem against dense
+    Kronecker-product matrices and matrix exponentials over all 256 states,
+    which do not go through the compiled action."""
 
     @pytest.fixture(scope="class")
     def h4(self):
@@ -161,9 +184,7 @@ class TestAgainstKroneckerOracle:
 
     @pytest.fixture(scope="class")
     def state(self):
-        rng = np.random.default_rng(41)
-        amps = rng.normal(size=256) + 1j * rng.normal(size=256)
-        return amps / np.linalg.norm(amps)
+        return random_state(np.random.default_rng(41), 36)
 
     def test_one_action_entry_per_x_mask(self, h4):
         assert len(h4.h_p) == 185
@@ -172,39 +193,116 @@ class TestAgainstKroneckerOracle:
         for op in h4.pool:
             masks = {x for x, _ in op.qubit_form.terms}
             assert len(op.qubit_form.action) == len(masks)
+            for targets, diagonal in op.qubit_form.action:
+                assert targets.shape == diagonal.shape == (36,)
+                assert diagonal.dtype == np.float64
 
     def test_pool_exponentials(self, h4, state):
         assert len(h4.pool) == 19
         rng = np.random.default_rng(5)
+        basis = h4.h_p.basis
         for op in h4.pool:
             theta = float(rng.uniform(-1.5, 1.5))
             out = apply_pool_operator(state, op.qubit_form, theta)
             dense = expm(theta * sum_kron_matrix(op.qubit_form))
-            np.testing.assert_allclose(out,
-                                       dense @ state, atol=1e-10)
+            np.testing.assert_allclose(embed(out, basis, 8),
+                                       dense @ embed(state, basis, 8),
+                                       atol=1e-10)
 
     def test_hamiltonian_action_and_expectation(self, h4, state):
-        h_psi = sum_kron_matrix(h4.h_p) @ state
-        np.testing.assert_allclose(apply_operator(state, h4.h_p), h_psi,
-                                   atol=1e-10)
+        full_state = embed(state, h4.h_p.basis, 8)
+        h_psi = sum_kron_matrix(h4.h_p) @ full_state
+        np.testing.assert_allclose(
+            embed(apply_operator(state, h4.h_p), h4.h_p.basis, 8), h_psi,
+            atol=1e-10)
         assert abs(expectation(state, h4.h_p)
-                   - np.vdot(state, h_psi).real) < 1e-10
+                   - np.vdot(full_state, h_psi).real) < 1e-10
+
+    def test_full_uccsd_state_matches_expm_products(self, h4):
+        thetas = np.random.default_rng(8).uniform(-1.0, 1.0, len(h4.pool))
+        out = prepare_state(full_uccsd_ansatz(h4.pool), thetas, h4.reference)
+        dense = embed(h4.reference, h4.h_p.basis, 8)
+        for op, theta in zip(h4.pool, thetas):
+            dense = expm(theta * to_matrix(op.qubit_form)) @ dense
+        np.testing.assert_allclose(embed(out, h4.h_p.basis, 8), dense,
+                                   rtol=0, atol=1e-12)
+
+
+def full_space_rotation(psi, tau, theta):
+    """``exp(theta * tau) psi`` over all ``2**n`` complex amplitudes with
+    the grouped full-space loop the block action replaced: the reference
+    of the block exponentials."""
+    for targets, diagonal in pauli._basis_action(tau, full(tau.n_qubits)):
+        norm = np.abs(diagonal)
+        angle = theta * norm
+        scale = np.divide(np.sin(angle), norm, out=np.zeros_like(norm),
+                          where=norm > 0)
+        psi = np.cos(angle) * psi + scale * (diagonal * psi)[targets]
+    return psi
+
+
+class TestH6Block:
+    """The 12-qubit H6 chain: 400 block states of 4096."""
+
+    @pytest.fixture(scope="class")
+    def h6(self):
+        return QubitProblem(load_fcidump(DATA / "h6" / "h6_r1.000.fcidump"))
+
+    def test_full_uccsd_state_matches_full_space_loop_bit_for_bit(self, h6):
+        basis = h6.h_p.basis
+        assert len(basis) == 400 and len(h6.pool) == 81
+        thetas = np.random.default_rng(6).uniform(-1.0, 1.0, len(h6.pool))
+        out = prepare_state(full_uccsd_ansatz(h6.pool), thetas, h6.reference)
+        psi = embed(h6.reference, basis, 12)
+        for op, theta in zip(h6.pool, thetas):
+            psi = full_space_rotation(psi, op.qubit_form, theta)
+        np.testing.assert_array_equal(embed(out, basis, 12), psi)
+
+    def test_screening_matches_finite_differences(self, h6):
+        from vqebench.adapt import screen_pool
+
+        rng = np.random.default_rng(3)
+        base = Ansatz(h6.pool, rng.integers(len(h6.pool), size=2))
+        thetas = rng.uniform(-0.5, 0.5, size=2)
+        grads = screen_pool(prepare_state(base, thetas, h6.reference),
+                            h6.h_p, h6.pool)
+        for k, op in enumerate(h6.pool):
+            extended = base.extended(op.id)
+
+            def energy(theta, extended=extended):
+                return expectation(
+                    prepare_state(extended, theta, h6.reference), h6.h_p)
+
+            fd = central_difference_gradient(
+                Objective(energy, len(extended)), np.append(thetas, 0.0),
+                1e-5)
+            assert grads[k] == pytest.approx(fd[-1], abs=1e-6)
+
+    def test_adapt_step_builds_no_action(self, h6):
+        # every action was compiled over the block when the problem was
+        # built; FCI and one ADAPT step reuse them and build none
+        for s in [h6.h_p] + [op.qubit_form for op in h6.pool]:
+            assert all(len(t) == 400 for t, _ in s.action)
+        misses = pauli._basis_action.cache_info().misses
+        sol = solve_fci(h6)
+        result = run_adapt(h6, AdaptConfig(max_iterations=1))
+        assert 0 <= infidelity_vs_fci(result.prepared_state(), sol) < 1
+        assert pauli._basis_action.cache_info().misses == misses
 
 
 class TestExpectation:
     def test_z_convention(self):
-        z = from_string(1, "Z0")
+        z = from_string(1, "Z0").restrict(full(1))
         assert expectation(ket(1), z) == pytest.approx(1.0)
 
     def test_identity_returns_coefficient(self):
-        rng = np.random.default_rng(3)
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        amps /= np.linalg.norm(amps)
+        amps = random_state(np.random.default_rng(3), 8)
         c = 1.37
-        assert expectation(amps, PauliSum.identity(3, c)) == pytest.approx(c)
+        identity = PauliSum.identity(3, c).restrict(full(3))
+        assert expectation(amps, identity) == pytest.approx(c)
 
     def test_rejects_non_hermitian(self):
-        bad = from_string(1, "X0", 1j)
+        bad = from_string(1, "Y0", 1j).restrict(full(1))  # real, i Y0
         with pytest.raises(ValueError):
             expectation(ket(1), bad)
 
@@ -214,12 +312,13 @@ class TestExpectation:
            st.integers(0, 2 ** 10))
     @settings(max_examples=50)
     def test_matches_dense_quadratic_form(self, term_specs, seed):
-        s = PauliSum(3, {(x, z): c for x, z, c in term_specs})
-        rng = np.random.default_rng(seed)
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        amps /= np.linalg.norm(amps)
+        # strings with an even number of Y are real
+        s = PauliSum(3, {(x, z): c for x, z, c in term_specs
+                         if (x & z).bit_count() % 2 == 0})
+        amps = random_state(np.random.default_rng(seed), 8)
         dense = float(np.real(np.vdot(amps, to_matrix(s) @ amps)))
-        assert expectation(amps, s) == pytest.approx(dense, abs=1e-10)
+        assert expectation(amps, s.restrict(full(3))) == pytest.approx(
+            dense, abs=1e-10)
 
 
 class TestInfidelity:
@@ -263,33 +362,47 @@ class TestInfidelity:
 
 
 class TestArraySize:
-    """Every function checks a state's length against the qubit count of
-    its operator and raises DimensionMismatchError."""
+    """Every function checks a state's length against the basis of its
+    operator, or infidelity against the other state, and raises
+    DimensionMismatchError."""
 
-    @pytest.mark.parametrize("amps", [ket(1), ket(3), np.zeros(3, complex),
-                                      np.zeros((2, 2), complex)])
+    @pytest.mark.parametrize("amps", [ket(1), ket(3), np.zeros(3),
+                                      np.zeros((2, 2))])
     def test_apply_pool_operator(self, amps):
         with pytest.raises(DimensionMismatchError):
-            apply_pool_operator(amps, one_string_tau(2, 0b01, 0b10), 0.3)
+            apply_pool_operator(amps, singlet_single_tau().restrict(SECTOR),
+                                0.3)
 
-    @pytest.mark.parametrize("amps", [ket(1), ket(3), np.zeros(3, complex)])
+    @pytest.mark.parametrize("amps", [ket(1), ket(3), np.zeros(3)])
     def test_apply_operator(self, amps):
         with pytest.raises(DimensionMismatchError):
-            apply_operator(amps, number_operator(2))
+            apply_operator(amps, number_operator(4).restrict(SECTOR))
 
-    @pytest.mark.parametrize("amps", [ket(1), ket(3), np.zeros(3, complex)])
+    @pytest.mark.parametrize("amps", [ket(1), ket(3), np.zeros(3)])
     def test_expectation(self, amps):
         with pytest.raises(DimensionMismatchError):
-            expectation(amps, number_operator(2))
+            expectation(amps, number_operator(4).restrict(SECTOR))
 
     @pytest.mark.parametrize("state,reference", [
-        (ket(2), ket(1)), (np.zeros(3, complex), np.zeros(3, complex)),
-        (ket(2), np.zeros((2, 2), complex))])
+        (ket(2), ket(1)), (np.zeros(3), np.zeros(4)),
+        (ket(2), np.zeros((2, 2)))])
     def test_infidelity(self, state, reference):
         with pytest.raises(DimensionMismatchError):
             infidelity(state, reference)
 
-    def test_reference_is_a_complex_array(self):
+    def test_reference_is_a_real_block_array(self):
         ref = hartree_fock_reference(3, 2)
         assert isinstance(ref, np.ndarray)
-        assert ref.dtype == complex and ref.shape == (8,)
+        assert ref.dtype == np.float64 and ref.shape == (2,)
+
+    def test_unrestricted_sum_has_no_action(self):
+        with pytest.raises(ValueError, match="restrict"):
+            apply_operator(ket(2), number_operator(2))
+
+
+class TestEmbed:
+    def test_places_amplitudes_on_the_basis(self):
+        out = embed(np.array([0.6, -0.8, 0.0, 0.0]), SECTOR, 4)
+        assert out.shape == (16,)
+        assert out[0b0011] == 0.6 and out[0b0110] == -0.8
+        assert np.count_nonzero(out) == 2
