@@ -35,17 +35,14 @@ from .ansatz import (
 from .fcidump import (
     MolecularHamiltonian,
     load_fcidump,
-    mean_field_energy,
     parse_fcidump,
     to_fermion_hamiltonian,
-    write_fcidump,
 )
 from .fermion import (
     FermionOperator,
     LadderProduct,
     anti_hermitian_pair,
     jordan_wigner,
-    number_operator,
     verify_car,
 )
 from .fci import FciSolution, infidelity_vs_fci, solve_fci
@@ -56,7 +53,7 @@ from .optimize import (
     minimize_lbfgs,
     minimize_nelder_mead,
 )
-from .pauli import PauliSum, commutator, to_matrix
+from .pauli import PauliSum, to_matrix
 from .statevector import (
     apply_operator,
     apply_pool_operator,
@@ -73,13 +70,11 @@ __all__ = [
     "Objective", "OptimizationResult", "PauliSum", "PoolOperator",
     "QubitProblem", "RunResult",
     "anti_hermitian_pair", "apply_operator", "apply_pool_operator",
-    "build_uccsd_pool",
-    "central_difference_gradient", "circuit_metrics", "commutator",
+    "build_uccsd_pool", "central_difference_gradient", "circuit_metrics",
     "compile_circuit", "expectation", "full_uccsd_ansatz",
     "hartree_fock_reference", "infidelity", "infidelity_vs_fci",
-    "jordan_wigner", "load_fcidump", "mean_field_energy",
-    "minimize_lbfgs", "minimize_nelder_mead", "number_operator",
-    "parse_fcidump", "prepare_state", "run_adapt", "run_vqe", "screen_pool",
-    "select_operator", "simulate_circuit", "solve_fci",
-    "to_fermion_hamiltonian", "to_matrix", "verify_car", "write_fcidump",
+    "jordan_wigner", "load_fcidump", "minimize_lbfgs",
+    "minimize_nelder_mead", "parse_fcidump", "prepare_state", "run_adapt",
+    "run_vqe", "screen_pool", "select_operator", "simulate_circuit",
+    "solve_fci", "to_fermion_hamiltonian", "to_matrix", "verify_car",
 ]

@@ -24,13 +24,12 @@ from .statevector import apply_pool_operator, sector_indices
 
 
 class PoolOperator:
-    """One candidate excitation: fermionic form plus its block JW image."""
+    """One candidate excitation: its JW image on the reference's block."""
 
-    __slots__ = ("id", "fermionic", "qubit_form", "description")
+    __slots__ = ("id", "qubit_form", "description")
 
-    def __init__(self, op_id, fermionic, qubit_form, description):
+    def __init__(self, op_id, qubit_form, description):
         self.id = op_id
-        self.fermionic = fermionic
         self.qubit_form = qubit_form
         self.description = description
 
@@ -69,19 +68,21 @@ def _theta_vector(ansatz: Ansatz, thetas) -> np.ndarray:
     return thetas
 
 
-def _validate_pool_operator(op: PoolOperator, basis) -> PauliSum:
-    """``op.qubit_form`` restricted to ``basis``, which checks that it is
-    real there and conserves N and S_z."""
-    q = op.qubit_form
-    if not q.is_anti_hermitian():
-        raise ValueError(f"pool operator {op.description} not anti-Hermitian")
+def _validate_pool_operator(q: PauliSum, description: str,
+                            basis) -> PauliSum:
+    """``q`` restricted to ``basis``, which checks that it is real there
+    and conserves N and S_z; it must also be anti-Hermitian, with mutually
+    commuting strings."""
+    try:
+        restricted = q.restrict(basis)
+    except ValueError as exc:
+        raise ValueError(f"pool operator {description}: {exc}") from exc
+    if restricted.hermitian:
+        raise ValueError(f"pool operator {description} not anti-Hermitian")
     if not q.terms_mutually_commute():
         raise ValueError(
-            f"pool operator {op.description} has non-commuting strings")
-    try:
-        return q.restrict(basis)
-    except ValueError as exc:
-        raise ValueError(f"pool operator {op.description}: {exc}") from exc
+            f"pool operator {description} has non-commuting strings")
+    return restricted
 
 
 def build_uccsd_pool(n_spatial: int, n_electrons: int) -> list[PoolOperator]:
@@ -164,10 +165,10 @@ def build_uccsd_pool(n_spatial: int, n_electrons: int) -> list[PoolOperator]:
     pool = []
     basis = sector_indices(n_so, n_electrons)
     for t, description in candidates:
-        tau = anti_hermitian_pair(t)
-        op = PoolOperator(len(pool), tau, jordan_wigner(tau), description)
-        op.qubit_form = _validate_pool_operator(op, basis)
-        pool.append(op)
+        qubit_form = jordan_wigner(anti_hermitian_pair(t))
+        pool.append(PoolOperator(
+            len(pool), _validate_pool_operator(qubit_form, description, basis),
+            description))
     return pool
 
 

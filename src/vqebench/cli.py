@@ -25,7 +25,6 @@ import json
 import os
 import statistics
 import sys
-import tempfile
 from pathlib import Path
 
 from .adapt import (
@@ -250,28 +249,21 @@ def run_scan(cfg: ScanConfig) -> list[ScanRow]:
 
 
 def _atomic_write(path: Path, content: str):
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name,
-                                    suffix=".tmp")
+    """Write through a new temporary file beside ``path``, which is
+    created as ``open(path, "w")`` would create it, so the umask sets its
+    mode, and then replaces ``path``."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with open(tmp, "x") as fh:
             fh.write(content)
-        os.replace(tmp_name, path)
+        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
+        tmp.unlink(missing_ok=True)
         raise
 
 
 def render_csv(rows) -> str:
     return "\n".join([CSV_HEADER] + [row.csv_line() for row in rows]) + "\n"
-
-
-def parse_scan_csv(text: str) -> list[dict]:
-    lines = text.strip().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("unexpected CSV header")
-    keys = CSV_HEADER.split(",")
-    return [dict(zip(keys, line.split(","))) for line in lines[1:]]
 
 
 def render_json(rows) -> str:
@@ -377,6 +369,11 @@ def _cmd_scan(args) -> int:
         return 1
     cfg = parse_scan_config(config_path.read_text(),
                             base_dir=config_path.parent)
+    try:  # before any row is computed, like the inputs
+        cfg.output.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.output}: "
+                          f"{exc.strerror}") from exc
     rows = run_scan(cfg)
     artifacts = emit_report(rows, cfg.output)
     print(GRADIENT_FREE_NOTE)

@@ -217,33 +217,6 @@ def parse_fcidump(text, label="") -> MolecularHamiltonian:
     return MolecularHamiltonian(norb, nelec, core, h1, h2, label=label)
 
 
-def write_fcidump(m: MolecularHamiltonian) -> str:
-    """Canonical serializer of a singlet (``MS2=0``);
-    parse(write(parse(x))) is bit-for-bit stable."""
-    lines = [f"&FCI NORB={m.n_spatial},NELEC={m.n_electrons},MS2=0,",
-             f" ORBSYM={','.join('1' for _ in range(m.n_spatial))},",
-             " ISYM=1,", "&END"]
-    n = m.n_spatial
-    emitted = set()
-    for i in range(n):
-        for j in range(i + 1):
-            for k in range(n):
-                for l in range(k + 1):
-                    key = _canonical_two_body(i + 1, j + 1, k + 1, l + 1)
-                    value = m.h2[i, j, k, l]
-                    if key in emitted or value == 0.0:
-                        continue
-                    emitted.add(key)
-                    a, b, c, d = key
-                    lines.append(f" {value:.17g} {a} {b} {c} {d}")
-    for i in range(n):
-        for j in range(i + 1):
-            if m.h1[i, j] != 0.0:
-                lines.append(f" {m.h1[i, j]:.17g} {i + 1} {j + 1} 0 0")
-    lines.append(f" {m.core_energy:.17g} 0 0 0 0")
-    return "\n".join(lines) + "\n"
-
-
 def load_fcidump(path, label=None) -> MolecularHamiltonian:
     with open(path, "rb") as fh:
         text = fh.read()
@@ -283,21 +256,3 @@ def to_fermion_hamiltonian(m: MolecularHamiltonian):
                                  (2 * s + sq, False), (2 * r + sp, False)],
                                 coeff))
     return FermionOperator(n_so, products), m.core_energy
-
-
-def mean_field_energy(m: MolecularHamiltonian) -> float:
-    """Closed-form restricted mean-field energy from the integrals.
-
-    Independent oracle for the expectation of the JW Hamiltonian on the
-    Hartree-Fock reference determinant: doubly occupy the lowest
-    ``n_electrons / 2`` spatial orbitals.
-    """
-    if m.n_electrons % 2:
-        raise ValueError("mean-field formula assumes a closed shell")
-    occ = range(m.n_electrons // 2)
-    energy = m.core_energy
-    for i in occ:
-        energy += 2.0 * m.h1[i, i]
-        for j in occ:
-            energy += 2.0 * m.h2[i, i, j, j] - m.h2[i, j, j, i]
-    return energy

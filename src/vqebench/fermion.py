@@ -129,24 +129,6 @@ def jordan_wigner(f: FermionOperator) -> PauliSum:
     return PauliSum(n, terms)
 
 
-def number_operator(n_spin_orbitals: int) -> PauliSum:
-    """JW image of the total number operator, ``sum_p (I - Z_p) / 2``."""
-    terms = {(0, 0): 0.5 * n_spin_orbitals}
-    for p in range(n_spin_orbitals):
-        terms[(0, 1 << p)] = -0.5
-    return PauliSum(n_spin_orbitals, terms)
-
-
-def sz_operator(n_spin_orbitals: int) -> PauliSum:
-    """JW image of S_z under interleaved ordering: (n_alpha - n_beta) / 2."""
-    terms: dict[tuple[int, int], complex] = {}
-    for p in range(n_spin_orbitals):
-        sign = 1.0 if p % 2 == 0 else -1.0
-        terms[(0, 1 << p)] = terms.get((0, 1 << p), 0.0) - 0.25 * sign
-        terms[(0, 0)] = terms.get((0, 0), 0.0) + 0.25 * sign
-    return PauliSum(n_spin_orbitals, terms)
-
-
 def verify_car(n: int) -> bool:
     """True iff the JW images satisfy {a_p, a_q^dag} = delta_pq, {a_p, a_q} = 0.
 

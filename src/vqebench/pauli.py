@@ -136,9 +136,6 @@ class PauliSum:
         _basis_action.hits += len(self._action)
         return self._action
 
-    def coefficient(self, x_mask: int, z_mask: int) -> complex:
-        return self.terms.get((x_mask, z_mask), 0.0)
-
     def non_identity_term_count(self) -> int:
         return len(self.terms) - (1 if (0, 0) in self.terms else 0)
 
@@ -218,40 +215,17 @@ class PauliSum:
         return f"PauliSum({self.n_qubits}, {len(self.terms)} terms)"
 
 
-def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
-    """``a b - b a`` as a pruned sum.
-
-    Two Pauli strings either commute or anticommute, so each term pair
-    contributes either nothing or twice the product, ``2.0 * (ca * cb *
-    phase)``, accumulated in the pair order of `PauliSum.__mul__`.
-    """
-    _check_same_qubits(a, b)
-    acc: dict[tuple[int, int], complex] = {}
-    b_terms = _with_y_counts(b)
-    for (xa, za), ca in a.terms.items():
-        ya = (xa & za).bit_count()
-        for xb, zb, yb, cb in b_terms:
-            zx = (za & xb).bit_count()
-            if ((xa & zb).bit_count() + zx) % 2 == 0:
-                continue
-            x = xa ^ xb
-            z = za ^ zb
-            phase = _PHASES[(ya + yb - (x & z).bit_count() + 2 * zx) % 4]
-            key = (x, z)
-            acc[key] = acc.get(key, 0.0) + 2.0 * (ca * cb * phase)
-    return PauliSum(a.n_qubits, acc)
-
-
 def commutator_term_counts(h: PauliSum, ops) -> list[int]:
-    """``commutator(h, op).non_identity_term_count()`` for each op in turn,
-    without building the sums.
+    """The non-identity term count of ``[h, op] = h op - op h``, as a
+    pruned sum, for each op in turn, without building the sums.
 
-    Each op's anticommuting term pairs are formed as numpy arrays, valued
-    ``2.0 * (ca * cb * phase)`` with the bits of `commutator`, and summed
-    per key in its pair order (``h``'s terms outer, ``op``'s inner). So a
-    key that cancels there, exactly or below ``PRUNE_THRESHOLD``, is not
-    counted here either. Keys are ``(x << n) | z`` in int64, which limits
-    ``n`` to 31 qubits.
+    Two Pauli strings either commute or anticommute, so only the
+    anticommuting term pairs contribute, each ``2.0 * (ca * cb * phase)``
+    with the phase of `PauliSum.__mul__`. Each op's pairs are formed as
+    numpy arrays and summed per string in product order (``h``'s terms
+    outer, ``op``'s inner); a string whose sum cancels there, exactly or
+    below ``PRUNE_THRESHOLD``, is not counted. Keys are ``(x << n) | z``
+    in int64, which limits ``n`` to 31 qubits.
     """
     n = h.n_qubits
     if n > 31:

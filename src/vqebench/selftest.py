@@ -2,10 +2,10 @@
 
 Self-contained (synthetic Hamiltonians, seeded randomness) so it can run
 anywhere the package is installed, without test data or extra packages.
-The dense references of the exponential, commutator and screening checks
-are Kronecker products of single-qubit matrices over all ``2**n`` states,
-independent of the compiled action that the simulator and `to_matrix`
-share; block states are embedded there.
+The dense references of the exponential, screening, term-count and
+particle-number checks are Kronecker products of single-qubit matrices
+over all ``2**n`` states, independent of the compiled action that the
+simulator and `to_matrix` share; block states are embedded there.
 """
 from __future__ import annotations
 
@@ -20,15 +20,9 @@ from .ansatz import (
     simulate_circuit,
 )
 from .fcidump import MolecularHamiltonian
-from .fermion import number_operator, verify_car
+from .fermion import verify_car
 from .fci import infidelity_vs_fci, solve_fci
-from .pauli import (
-    PAULI_MATRICES,
-    PauliSum,
-    commutator,
-    commutator_term_counts,
-    to_matrix,
-)
+from .pauli import PAULI_MATRICES, PauliSum, commutator_term_counts, to_matrix
 from .statevector import embed, hartree_fock_reference
 
 
@@ -51,6 +45,29 @@ def _kron_matrix(s: PauliSum) -> np.ndarray:
             term = np.kron(PAULI_MATRICES[letter], term)
         mat += term
     return mat
+
+
+def _number_matrix(n_qubits: int) -> np.ndarray:
+    """The particle number as a dense diagonal: ``popcount(b)`` on ``|b>``."""
+    return np.diag(np.bitwise_count(np.arange(1 << n_qubits)).astype(float))
+
+
+def _pauli_term_count(mat: np.ndarray) -> int:
+    """Non-identity Pauli strings with ``|c| > 1e-9`` in the expansion of
+    the dense ``2**n`` matrix ``mat``.
+
+    The X-mask-``x`` part of ``mat`` maps ``|b>`` to ``d_x[b] |b ^ x>``,
+    with ``d_x[b] = sum_z c(x, z) i**popcount(x & z) (-1)**popcount(b & z)``,
+    so a Walsh-Hadamard transform of ``d_x`` over ``b`` gives ``2**n``
+    times ``|c(x, z)|`` for every ``z`` at once.
+    """
+    states = np.arange(len(mat))
+    walsh = 1.0 - 2.0 * (np.bitwise_count(np.bitwise_and.outer(states,
+                                                               states)) & 1)
+    d = mat[np.bitwise_xor.outer(states, states), states]  # d[x, b]
+    c = np.abs(d @ walsh) / len(mat)  # c[x, z]
+    c[0, 0] = 0.0
+    return int(np.count_nonzero(c > 1e-9))
 
 
 def _synthetic_hamiltonian() -> MolecularHamiltonian:
@@ -86,7 +103,7 @@ def run_selftest() -> bool:
     for n_spatial, n_electrons in ((2, 2), (3, 2), (4, 2), (4, 4)):
         pool = build_uccsd_pool(n_spatial, n_electrons)
         n_qubits = 2 * n_spatial
-        n_mat = to_matrix(number_operator(n_qubits))
+        n_mat = _number_matrix(n_qubits)
         ok = True
         for op in pool:
             mat = to_matrix(op.qubit_form)
@@ -117,19 +134,6 @@ def run_selftest() -> bool:
         check(f"compiled circuits match pool exponentials "
               f"({n_spatial},{n_electrons})", ok_circuit)
 
-    ok = True
-    for _ in range(20):
-        n = 3
-        terms_a = {(int(rng.integers(8)), int(rng.integers(8))):
-                   complex(rng.normal(), rng.normal()) for _ in range(3)}
-        terms_b = {(int(rng.integers(8)), int(rng.integers(8))):
-                   complex(rng.normal(), rng.normal()) for _ in range(3)}
-        a, b = PauliSum(n, terms_a), PauliSum(n, terms_b)
-        ma, mb = _kron_matrix(a), _kron_matrix(b)
-        ok &= bool(np.allclose(_kron_matrix(commutator(a, b)),
-                               ma @ mb - mb @ ma, atol=1e-10))
-    check("symbolic commutator matches dense commutator", ok)
-
     for n_spatial, n_electrons in ((4, 2), (4, 4)):
         # random real integrals with the symmetries of (ij|kl)
         h1 = rng.normal(size=(n_spatial, n_spatial))
@@ -142,25 +146,27 @@ def run_selftest() -> bool:
         psi = rng.normal(size=len(basis))
         full = embed(psi, basis, 2 * n_spatial)
         h_mat = _kron_matrix(problem.h_p)
-        expected = [np.vdot(full, (h_mat @ m - m @ h_mat) @ full).real
-                    for m in (_kron_matrix(op.qubit_form) for op in pool)]
+        commutators = [h_mat @ m - m @ h_mat
+                       for m in (_kron_matrix(op.qubit_form) for op in pool)]
+        expected = [np.vdot(full, c @ full).real for c in commutators]
         check(f"pool screening matches dense commutator expectations "
               f"({n_spatial},{n_electrons})",
               bool(np.allclose(screen_pool(psi, problem.h_p, pool), expected,
                                rtol=0, atol=1e-10)))
-        ops = [op.qubit_form for op in pool]
-        check(f"vectorised commutator term counts match symbolic ones "
+        check(f"commutator term counts match dense commutator expansions "
               f"({n_spatial},{n_electrons})",
-              commutator_term_counts(problem.h_p, ops) == [
-                  commutator(problem.h_p, op).non_identity_term_count()
-                  for op in ops])
+              commutator_term_counts(problem.h_p,
+                                     [op.qubit_form for op in pool])
+              == [_pauli_term_count(c) for c in commutators])
 
     problem = QubitProblem(_synthetic_hamiltonian())
     sol = solve_fci(problem)
     h_p = problem.h_p
     check("JW Hamiltonian is Hermitian", h_p.is_hermitian())
+    h_mat, n_mat = _kron_matrix(h_p), _number_matrix(4)
     check("JW Hamiltonian conserves particle number",
-          len(commutator(h_p, number_operator(4))) == 0)
+          bool(np.allclose(h_mat @ n_mat, n_mat @ h_mat, rtol=0,
+                           atol=1e-12)))
     grads = screen_pool(sol.ground_state, h_p, problem.pool)
     check("pool gradients vanish on the exact eigenstate",
           bool(np.max(np.abs(grads)) < 1e-8))

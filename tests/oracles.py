@@ -1,0 +1,90 @@
+"""Reference implementations the package itself does not run.
+
+Each is an oracle for something the package computes another way:
+
+- `commutator`, the symbolic ``[a, b]`` one term pair at a time, for
+  `pauli.commutator_term_counts` (the ledger's counts) and for screening;
+- `number_operator` and `sz_operator`, the JW images of N and S_z, for
+  the (N, S_z) block that `PauliSum.restrict` keeps;
+- `format_fcidump` and `mean_field_energy`, from the standalone
+  ``scripts/make_reference_data.py`` that wrote the committed FCIDUMPs,
+  for `fcidump.parse_fcidump` and the Hartree-Fock reference expectation.
+"""
+from __future__ import annotations
+
+import importlib.util
+from functools import cache
+from pathlib import Path
+
+from vqebench.fcidump import MolecularHamiltonian
+from vqebench.pauli import DimensionMismatchError, PauliSum
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / \
+    "make_reference_data.py"
+
+
+def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
+    """``a b - b a`` as a pruned sum.
+
+    Two Pauli strings either commute or anticommute, so each term pair
+    contributes either nothing or twice its product, ``2.0 * (ca * cb *
+    phase)``, with the phase of `PauliSum.__mul__`. Pairs are summed per
+    string in product order (``a``'s terms outer, ``b``'s inner), and the
+    result is pruned once.
+    """
+    if a.n_qubits != b.n_qubits:
+        raise DimensionMismatchError(
+            f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
+    acc: dict[tuple[int, int], complex] = {}
+    for (xa, za), ca in a.terms.items():
+        for (xb, zb), cb in b.terms.items():
+            zx = (za & xb).bit_count()
+            if ((xa & zb).bit_count() + zx) % 2 == 0:
+                continue
+            x, z = xa ^ xb, za ^ zb
+            k = ((xa & za).bit_count() + (xb & zb).bit_count()
+                 - (x & z).bit_count() + 2 * zx) % 4
+            acc[(x, z)] = acc.get((x, z), 0.0) + 2.0 * (
+                ca * cb * (1, 1j, -1, -1j)[k])
+    return PauliSum(a.n_qubits, acc)
+
+
+def number_operator(n_spin_orbitals: int) -> PauliSum:
+    """JW image of the total number operator, ``sum_p (I - Z_p) / 2``."""
+    terms = {(0, 0): 0.5 * n_spin_orbitals}
+    for p in range(n_spin_orbitals):
+        terms[(0, 1 << p)] = -0.5
+    return PauliSum(n_spin_orbitals, terms)
+
+
+def sz_operator(n_spin_orbitals: int) -> PauliSum:
+    """JW image of S_z under interleaved ordering: (n_alpha - n_beta) / 2."""
+    terms: dict[tuple[int, int], complex] = {}
+    for p in range(n_spin_orbitals):
+        sign = 1.0 if p % 2 == 0 else -1.0
+        terms[(0, 1 << p)] = terms.get((0, 1 << p), 0.0) - 0.25 * sign
+        terms[(0, 0)] = terms.get((0, 0), 0.0) + 0.25 * sign
+    return PauliSum(n_spin_orbitals, terms)
+
+
+@cache
+def reference_script():
+    """``scripts/make_reference_data.py`` as a module, loaded once."""
+    spec = importlib.util.spec_from_file_location("make_reference_data",
+                                                  SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def format_fcidump(m: MolecularHamiltonian) -> str:
+    """The FCIDUMP text the script writes for these integrals."""
+    return reference_script().format_fcidump(m.h1, m.h2, m.core_energy,
+                                             m.n_electrons)
+
+
+def mean_field_energy(m: MolecularHamiltonian) -> float:
+    """The script's closed-shell mean-field energy: the lowest
+    ``n_electrons / 2`` spatial orbitals doubly occupied."""
+    return reference_script().active_space_hf_energy(
+        m.h1, m.h2, m.core_energy, m.n_electrons)

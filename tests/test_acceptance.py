@@ -37,7 +37,7 @@ from vqebench.fcidump import MolecularHamiltonian, load_fcidump, to_fermion_hami
 from vqebench.fermion import jordan_wigner, verify_car
 from vqebench.fci import infidelity_vs_fci, solve_fci
 from vqebench.optimize import Objective, central_difference_gradient
-from vqebench.pauli import commutator, to_matrix
+from vqebench.pauli import to_matrix
 from vqebench.statevector import (
     embed,
     expectation,

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import commutator
 
 from vqebench import adapt
 from vqebench.adapt import (
@@ -19,7 +20,7 @@ from vqebench.ansatz import Ansatz, build_uccsd_pool, prepare_state
 from vqebench.fcidump import MolecularHamiltonian, load_fcidump
 from vqebench.fci import infidelity_vs_fci, solve_fci
 from vqebench.optimize import Objective, central_difference_gradient
-from vqebench.pauli import commutator, commutator_term_counts
+from vqebench.pauli import commutator_term_counts
 from vqebench.statevector import expectation
 
 DATA = Path(__file__).parent / "data"

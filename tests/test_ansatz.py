@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from oracles import number_operator, sz_operator
 from scipy.linalg import expm
 
 from vqebench.ansatz import (
@@ -22,15 +23,8 @@ from vqebench.fermion import (
     LadderProduct,
     anti_hermitian_pair,
     jordan_wigner,
-    number_operator,
-    sz_operator,
 )
-from vqebench.pauli import (
-    DimensionMismatchError,
-    PauliSum,
-    commutator,
-    to_matrix,
-)
+from vqebench.pauli import DimensionMismatchError, PauliSum, to_matrix
 from vqebench.statevector import (
     embed,
     expectation,
@@ -108,18 +102,16 @@ class TestPoolConstruction:
     def test_spin_flip_single_is_rejected(self):
         # alpha 0 -> beta 1 conserves N but not S_z: it leaves the block
         t = FermionOperator(4, [LadderProduct([(3, True), (0, False)])])
-        tau = anti_hermitian_pair(t)
-        op = PoolOperator(0, tau, jordan_wigner(tau), "spin flip")
-        assert op.qubit_form.is_anti_hermitian()
-        assert op.qubit_form.terms_mutually_commute()
+        q = jordan_wigner(anti_hermitian_pair(t))
+        assert q.is_anti_hermitian()
+        assert q.terms_mutually_commute()
         with pytest.raises(ValueError, match="spin flip: .*leaves the block"):
-            _validate_pool_operator(op, SECTOR)
+            _validate_pool_operator(q, "spin flip", SECTOR)
 
     def test_hermitian_operator_is_rejected(self):
         herm = PauliSum(4, {(0b0101, 0): 1.0})  # X0 X2, an alpha hop
-        op = PoolOperator(0, None, herm, "hermitian")
         with pytest.raises(ValueError, match="not anti-Hermitian"):
-            _validate_pool_operator(op, SECTOR)
+            _validate_pool_operator(herm, "hermitian", SECTOR)
 
 
 def closed_form_pool_size(n_spatial, n_electrons):
@@ -318,4 +310,4 @@ class TestMetricsAndSerialization:
 
 
 def make_pool_op(qubit_form):
-    return PoolOperator(0, None, qubit_form, "test operator")
+    return PoolOperator(0, qubit_form, "test operator")

@@ -1,7 +1,8 @@
 import json
+import os
+import stat
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from vqebench import adapt, cli
@@ -12,13 +13,11 @@ from vqebench.cli import (
     emit_report,
     main,
     parse_scan_config,
-    parse_scan_csv,
     render_csv,
     render_json,
     run_scan,
 )
 from vqebench.adapt import AdaptConfig, OpenShellError
-from vqebench.fcidump import MolecularHamiltonian, write_fcidump
 from vqebench.pauli import ResourceLimitError
 
 DATA = Path(__file__).parent / "data"
@@ -33,12 +32,20 @@ def odd_electron_dump(tmp_path):
 
 
 def fourteen_qubit_dump(tmp_path):
-    """7 spatial orbitals: above the 12-qubit cap."""
-    big = MolecularHamiltonian(7, 2, 0.0, np.eye(7),
-                               np.zeros((7, 7, 7, 7)), label="big")
+    """7 spatial orbitals: above the 12-qubit cap, which the parser checks
+    at the header, so the dump needs no records."""
     dump = tmp_path / "big.fcidump"
-    dump.write_text(write_fcidump(big))
+    dump.write_text("&FCI NORB=7,NELEC=2,MS2=0,\n&END\n")
     return dump
+
+
+def parse_scan_csv(text: str) -> list[dict]:
+    """The rows of a ``scan.csv``, one dict per row keyed by the header."""
+    lines = text.strip().splitlines()
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValueError("unexpected CSV header")
+    keys = CSV_HEADER.split(",")
+    return [dict(zip(keys, line.split(","))) for line in lines[1:]]
 
 
 def config_text(inputs, methods="fci", optimizers="lbfgs",
@@ -244,6 +251,17 @@ class TestReports:
         summary = artifacts["summary"].read_text()
         assert "Nelder-Mead" in summary  # optimizer note in every report
 
+    def test_reports_get_the_mode_of_a_plain_open(self, rows, tmp_path):
+        old = os.umask(0o022)
+        try:
+            artifacts = emit_report(rows, tmp_path / "out")
+        finally:
+            os.umask(old)
+        for path in artifacts.values():
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644
+        assert sorted(path.name for path in (tmp_path / "out").iterdir()) \
+            == ["scan.csv", "scan.json", "summary.txt"]  # no temporary left
+
     def test_summary_optimizer_gap_is_microhartree(self, rows):
         vqe = {r.optimizer: r.energy for r in rows if r.method == "vqe"}
         gap = vqe["nelder_mead"] - vqe["lbfgs"]
@@ -296,6 +314,22 @@ class TestMainEntry:
         assert main(["scan", "--config", str(config)]) == 1
         assert "internal" not in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("output", ["occupied", "occupied/sub"])
+    def test_blocked_output_is_input_error(self, tmp_path, capsys,
+                                           monkeypatch, output):
+        def no_rows(cfg):
+            raise AssertionError("rows computed before the output was made")
+
+        (tmp_path / "occupied").write_text("a file, not a directory\n")
+        config = tmp_path / "scan.cfg"
+        config.write_text(config_text(
+            [("0.735", DATA / "h2_r0.735.fcidump")], output=output))
+        monkeypatch.setattr(cli, "run_scan", no_rows)
+        assert main(["scan", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory")
+        assert output in err
 
     def test_bad_run_flag_is_input_error(self):
         assert main(["run", "--fcidump", str(DATA / "h2_r0.735.fcidump"),

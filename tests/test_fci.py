@@ -4,13 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import number_operator
 
 from vqebench.adapt import QubitProblem
 from vqebench import pauli
 from vqebench.fcidump import (MolecularHamiltonian, load_fcidump,
                               to_fermion_hamiltonian)
-from vqebench.fermion import (FermionOperator, LadderProduct, jordan_wigner,
-                              number_operator)
+from vqebench.fermion import FermionOperator, LadderProduct, jordan_wigner
 from vqebench.fci import (FciSolution, infidelity_vs_fci, sector_indices,
                           sector_matrix, solve_fci)
 from vqebench.pauli import ResourceLimitError, to_matrix

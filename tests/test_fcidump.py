@@ -3,19 +3,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import (
+    commutator,
+    format_fcidump,
+    mean_field_energy,
+    number_operator,
+)
 
 from vqebench.fcidump import (
     FcidumpIntegrityError,
     FcidumpParseError,
     MolecularHamiltonian,
     load_fcidump,
-    mean_field_energy,
     parse_fcidump,
     to_fermion_hamiltonian,
-    write_fcidump,
 )
-from vqebench.fermion import jordan_wigner, number_operator
-from vqebench.pauli import ResourceLimitError, commutator
+from vqebench.fermion import jordan_wigner
+from vqebench.pauli import ResourceLimitError
 from vqebench.statevector import (
     expectation,
     hartree_fock_reference,
@@ -133,17 +137,26 @@ class TestParse:
 
 
 class TestRoundTrip:
+    """Against ``format_fcidump`` of ``scripts/make_reference_data.py``,
+    the writer of the committed files."""
+
     @pytest.mark.parametrize("name", ["h2_r0.735.fcidump",
                                       "nah_r1.800.fcidump"])
     def test_parse_write_parse_bit_identical(self, name):
         first = load_fcidump(DATA / name)
-        text = write_fcidump(first)
+        text = format_fcidump(first)
         second = parse_fcidump(text)
         assert second.core_energy == first.core_energy
         np.testing.assert_array_equal(second.h1, first.h1)
         np.testing.assert_array_equal(second.h2, first.h2)
-        assert write_fcidump(second) == text
+        assert format_fcidump(second) == text
         assert text.startswith("&FCI NORB=2,NELEC=2,MS2=0,")
+
+    @pytest.mark.parametrize("path", sorted(DATA.rglob("*.fcidump")),
+                             ids=lambda path: path.name)
+    def test_script_writes_every_committed_file(self, path):
+        data = path.read_bytes()
+        assert format_fcidump(parse_fcidump(data)).encode("ascii") == data
 
 
 class TestToFermionHamiltonian:

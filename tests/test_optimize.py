@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import commutator
 
 from vqebench.adapt import QubitProblem
 from vqebench.ansatz import full_uccsd_ansatz, prepare_state
@@ -12,7 +13,6 @@ from vqebench.optimize import (
     minimize_lbfgs,
     minimize_nelder_mead,
 )
-from vqebench.pauli import commutator
 from vqebench.statevector import expectation
 
 DATA = Path(__file__).parent / "data"

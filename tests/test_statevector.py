@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from oracles import number_operator
 from scipy.linalg import expm
 from test_pauli import from_string, sum_kron_matrix
 
@@ -16,7 +17,6 @@ from vqebench.fermion import (
     LadderProduct,
     anti_hermitian_pair,
     jordan_wigner,
-    number_operator,
 )
 from vqebench.optimize import Objective, central_difference_gradient
 from vqebench.pauli import DimensionMismatchError, PauliSum, to_matrix
