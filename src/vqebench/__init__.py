@@ -59,7 +59,6 @@ from .statevector import (
     apply_pool_operator,
     expectation,
     hartree_fock_reference,
-    infidelity,
 )
 
 __version__ = "0.1.0"
@@ -72,7 +71,7 @@ __all__ = [
     "anti_hermitian_pair", "apply_operator", "apply_pool_operator",
     "build_uccsd_pool", "central_difference_gradient", "circuit_metrics",
     "compile_circuit", "expectation", "full_uccsd_ansatz",
-    "hartree_fock_reference", "infidelity", "infidelity_vs_fci",
+    "hartree_fock_reference", "infidelity_vs_fci",
     "jordan_wigner", "load_fcidump", "minimize_lbfgs",
     "minimize_nelder_mead", "parse_fcidump", "prepare_state", "run_adapt",
     "run_vqe", "screen_pool", "select_operator", "simulate_circuit",

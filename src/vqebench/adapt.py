@@ -31,7 +31,7 @@ from .ansatz import (
     full_uccsd_ansatz,
     prepare_state,
 )
-from .fcidump import QUBIT_CAP, MolecularHamiltonian, to_fermion_hamiltonian
+from .fcidump import MolecularHamiltonian, to_fermion_hamiltonian
 from .fermion import jordan_wigner
 from .optimize import (
     DEFAULT_BUDGET,
@@ -41,7 +41,7 @@ from .optimize import (
     minimize_lbfgs,
     minimize_nelder_mead,
 )
-from .pauli import PauliSum, ResourceLimitError, commutator_term_counts
+from .pauli import PauliSum, commutator_term_counts
 from .statevector import (
     apply_operator,
     expectation,
@@ -52,34 +52,16 @@ from .statevector import (
 OPTIMIZERS = ("nelder_mead", "lbfgs")
 
 
-class OpenShellError(ValueError):
-    """The input has an odd electron count; the UCCSD pool and the
-    Hartree-Fock reference need a closed shell."""
-
-
-def check_supported(ham: MolecularHamiltonian):
-    """Raise ResourceLimitError above QUBIT_CAP qubits and OpenShellError
-    for an odd electron count; both are input errors."""
-    if ham.n_qubits > QUBIT_CAP:
-        raise ResourceLimitError(
-            f"{ham.n_qubits} qubits exceeds the cap of {QUBIT_CAP}")
-    if ham.n_electrons % 2:
-        raise OpenShellError(
-            f"{ham.n_electrons} electrons: the UCCSD pool needs a "
-            "closed-shell reference")
-
-
 class QubitProblem:
     """JW Hamiltonian ``h_p`` plus constant ``core``, UCCSD ``pool`` and HF
-    ``reference`` of one input; an input that `check_supported` rejects
-    raises before any transform runs. ``h_p`` and the pool are restricted
-    to the reference's (N, S_z) block, ``h_p.basis``."""
+    ``reference`` of one supported input (every `MolecularHamiltonian` is
+    one). ``h_p`` and the pool are restricted to the reference's (N, S_z)
+    block, ``h_p.basis``."""
 
     __slots__ = ("label", "n_qubits", "n_electrons", "h_p", "core", "pool",
                  "reference", "_commutator_counts")
 
     def __init__(self, ham: MolecularHamiltonian):
-        check_supported(ham)
         self.label = ham.label
         self.n_qubits = ham.n_qubits
         self.n_electrons = ham.n_electrons

@@ -27,17 +27,11 @@ import statistics
 import sys
 from pathlib import Path
 
-from .adapt import (
-    AdaptConfig,
-    OpenShellError,
-    QubitProblem,
-    check_supported,
-    run_adapt,
-    run_vqe,
-)
+from .adapt import AdaptConfig, QubitProblem, run_adapt, run_vqe
 from .fcidump import (
     FcidumpIntegrityError,
     FcidumpParseError,
+    OpenShellError,
     load_fcidump,
 )
 from .fci import infidelity_vs_fci, solve_fci
@@ -210,16 +204,13 @@ def _row_from_result(label, result, fci_energy, infid) -> ScanRow:
 def run_scan(cfg: ScanConfig) -> list[ScanRow]:
     """Run every input x method x optimizer combination.
 
-    All inputs are parsed and passed through `adapt.check_supported` up
-    front, so a bad file aborts before any computation. Each input then
+    All inputs are loaded up front, and loading rejects an unsupported
+    one, so a bad file aborts before any computation. Each input then
     becomes one `QubitProblem` that all its rows share; FCI is solved
     first for the error and infidelity columns.
     """
-    hamiltonians = []
-    for label, path in cfg.inputs:
-        ham = load_fcidump(path, label=label)
-        check_supported(ham)
-        hamiltonians.append((label, ham))
+    hamiltonians = [(label, load_fcidump(path, label=label))
+                    for label, path in cfg.inputs]
 
     rows = []
     for label, ham in hamiltonians:

@@ -8,34 +8,34 @@ import numpy as np
 
 from .adapt import QubitProblem
 from .pauli import PauliSum
-from .statevector import infidelity, sector_indices  # noqa: F401 re-export
+from .statevector import sector_indices  # noqa: F401 re-export
 
 DEGENERACY_GAP = 1e-9
 RESIDUAL_TOL = 1e-8
 
 
 class FciSolution:
-    """Lowest eigenpair of H_P in the (N, S_z) block of the reference.
+    """Lowest energy of H_P in the (N, S_z) block of the reference, and
+    its ground space: orthonormal columns over ``h_p.basis``."""
 
-    ``degeneracy_flag`` means a degenerate ground space within that block.
-    ``ground_state`` and ``_ground_basis`` columns are over ``h_p.basis``.
-    """
+    __slots__ = ("energy", "ground_space")
 
-    __slots__ = ("energy", "ground_state", "sector", "degeneracy_flag",
-                 "_ground_basis")
-
-    def __init__(self, energy, ground_state, sector, degeneracy_flag,
-                 ground_basis):
+    def __init__(self, energy, ground_space):
         self.energy = float(energy)
-        self.ground_state = ground_state
-        self.sector = int(sector)
-        self.degeneracy_flag = bool(degeneracy_flag)
-        self._ground_basis = ground_basis  # columns: degenerate eigenvectors
+        self.ground_space = ground_space
+
+    @property
+    def ground_state(self) -> np.ndarray:
+        return self.ground_space[:, 0]
+
+    @property
+    def degeneracy_flag(self) -> bool:
+        """A ground space degenerate within the block."""
+        return self.ground_space.shape[1] > 1
 
     def __repr__(self):
         flag = ", degenerate" if self.degeneracy_flag else ""
-        return (f"FciSolution(E={self.energy:.9f}, "
-                f"{self.sector} electrons{flag})")
+        return f"FciSolution(E={self.energy:.9f}{flag})"
 
 
 def sector_matrix(h_p: PauliSum, indices: np.ndarray) -> np.ndarray:
@@ -59,8 +59,8 @@ def solve_fci(problem: QubitProblem) -> FciSolution:
     """Ground state of the problem's JW Hamiltonian in the (N, S_z) block
     of the reference, from a real symmetric eigensolve.
 
-    Reported energy includes the core energy. The ground-state sign is
-    fixed by making the largest amplitude positive.
+    Reported energy includes the core energy. The sign of the first
+    ground vector is fixed by making its largest amplitude positive.
     """
     mat = sector_matrix(problem.h_p, problem.h_p.basis)
     eigenvalues, eigenvectors = np.linalg.eigh(mat)
@@ -71,26 +71,24 @@ def solve_fci(problem: QubitProblem) -> FciSolution:
     if np.linalg.norm(residual) > RESIDUAL_TOL:
         raise AssertionError("eigenpair residual above tolerance")
 
-    basis = eigenvectors[:, :n_ground]
-    ground = basis[:, 0] * np.sign(basis[np.argmax(np.abs(basis[:, 0])), 0])
-    return FciSolution(eigenvalues[0] + problem.core, ground,
-                       problem.n_electrons, n_ground > 1, basis)
+    space = eigenvectors[:, :n_ground]
+    space[:, 0] *= np.sign(space[np.argmax(np.abs(space[:, 0])), 0])
+    return FciSolution(eigenvalues[0] + problem.core, space)
 
 
 def infidelity_vs_fci(prepared: np.ndarray, sol: FciSolution) -> float:
     """State-preparation error against the FCI ground space.
 
-    For a ground space degenerate within the block this is the distance to
-    the whole space, ``||a - P a / ||P a|| ||^2 / 2`` for the normalised
-    prepared state ``a`` and the projector ``P`` onto the space: that is
-    ``1 - ||P a||`` without its cancellation, and it does not depend on the
-    arbitrary eigenvector basis returned by the solver.
+    The distance to the whole space, ``||a - P a / ||P a|| ||^2 / 2`` for
+    the normalised prepared state ``a`` and the projector ``P`` onto the
+    space: that is ``1 - ||P a||`` without its cancellation, so never
+    negative, and it does not depend on global phase or on the eigenvector
+    basis the solver returned for a degenerate space. For one ground
+    vector ``b`` it is ``1 - |<b|a>|``.
     """
-    if not sol.degeneracy_flag:
-        return infidelity(prepared, sol.ground_state)
     a = prepared / np.linalg.norm(prepared)
-    basis = sol._ground_basis
-    projected = basis @ (basis.conj().T @ a)
+    space = sol.ground_space
+    projected = space @ (space.conj().T @ a)
     norm = np.linalg.norm(projected)
     if norm == 0.0:
         return 1.0

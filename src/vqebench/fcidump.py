@@ -4,11 +4,18 @@ An FCIDUMP carries a namelist header (``&FCI NORB=..., NELEC=..., MS2=...``
 terminated by ``&END`` or ``/``) followed by ``value i j k l`` records with
 1-based spatial indices: ``i=j=k=l=0`` is the scalar core energy, ``k=l=0``
 a one-electron element, anything else a two-electron integral in chemist
-notation ``(ij|kl)``. Only closed-shell singlets are supported: the header
-needs ``0 < NELEC <= 2 * NORB``, and ``MS2``, when given, must be 0.
+notation ``(ij|kl)``.
+
+This module alone decides which inputs are supported: at most `QUBIT_CAP`
+qubits and an even electron count (`check_supported`), finite integrals,
+and, in a header, ``0 < NELEC <= 2 * NORB`` and ``MS2`` 0 when given.
+`parse_fcidump` checks the header before the ``NORB**4`` tensor is
+allocated, and a `MolecularHamiltonian` checks itself on construction, so
+one that exists is supported.
 """
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -33,6 +40,23 @@ class FcidumpParseError(ValueError):
 
 class FcidumpIntegrityError(ValueError):
     """Duplicate records disagree beyond tolerance."""
+
+
+class OpenShellError(ValueError):
+    """The input has an odd electron count; the UCCSD pool and the
+    Hartree-Fock reference need a closed shell."""
+
+
+def check_supported(n_spatial: int, n_electrons: int):
+    """Raise ResourceLimitError above QUBIT_CAP qubits and OpenShellError
+    for an odd electron count; both are input errors."""
+    if 2 * n_spatial > QUBIT_CAP:
+        raise ResourceLimitError(
+            f"{2 * n_spatial} qubits exceeds the cap of {QUBIT_CAP}")
+    if n_electrons % 2:
+        raise OpenShellError(
+            f"{n_electrons} electrons: the UCCSD pool needs a "
+            "closed-shell reference")
 
 
 class MolecularHamiltonian:
@@ -64,6 +88,10 @@ class MolecularHamiltonian:
         if not 0 < self.n_electrons <= 2 * n:
             raise ValueError(
                 f"electron count {self.n_electrons} outside (0, {2 * n}]")
+        check_supported(n, self.n_electrons)
+        if not (math.isfinite(self.core_energy)
+                and np.isfinite(self.h1).all() and np.isfinite(self.h2).all()):
+            raise ValueError("integrals are not all finite")
         if not np.allclose(self.h1, self.h1.T, atol=SYMMETRY_TOL):
             raise ValueError("h1 is not symmetric")
         for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
@@ -157,9 +185,7 @@ def parse_fcidump(text, label="") -> MolecularHamiltonian:
         raise FcidumpParseError(
             f"MS2={fields['MS2']}: only closed-shell singlets (MS2=0) are "
             "supported", header_line)
-    if 2 * norb > QUBIT_CAP:  # before the NORB**4 tensor is allocated
-        raise ResourceLimitError(
-            f"{2 * norb} qubits exceeds the cap of {QUBIT_CAP}")
+    check_supported(norb, nelec)  # before the NORB**4 tensor is allocated
 
     core = 0.0
     h1 = np.zeros((norb, norb))
@@ -186,6 +212,9 @@ def parse_fcidump(text, label="") -> MolecularHamiltonian:
         except ValueError as exc:
             raise FcidumpParseError(f"bad record {line.strip()!r}",
                                     line_no) from exc
+        if not math.isfinite(value):
+            raise FcidumpParseError(f"non-finite value {parts[0]!r}",
+                                    line_no)
         if (i, j, k, l) == (0, 0, 0, 0):
             record(("core",), value, line_no)
             core = value

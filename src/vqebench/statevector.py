@@ -97,22 +97,3 @@ def expectation(state: np.ndarray, observable: PauliSum) -> float:
     if not observable.hermitian:
         raise ValueError("expectation requires a Hermitian observable")
     return float(np.dot(state, op_state))
-
-
-def infidelity(state: np.ndarray, reference: np.ndarray) -> float:
-    """``1 - |<reference|state>|`` of the normalised states, without its
-    cancellation.
-
-    Computed as ``||a - e^{i phi} b||^2 / 2`` for normalised ``a`` (state)
-    and ``b`` (reference), where ``phi`` is the phase of ``<b|a>``; so it
-    is never negative and insensitive to global phase.
-    """
-    if state.ndim != 1 or state.shape != reference.shape:
-        raise DimensionMismatchError(
-            f"state shape {state.shape} against reference shape "
-            f"{reference.shape}")
-    a = state / np.linalg.norm(state)
-    b = reference / np.linalg.norm(reference)
-    overlap = np.vdot(b, a)
-    phase = overlap / abs(overlap) if overlap != 0 else 1.0
-    return float(np.linalg.norm(a - phase * b) ** 2) / 2

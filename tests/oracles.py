@@ -6,6 +6,8 @@ Each is an oracle for something the package computes another way:
   `pauli.commutator_term_counts` (the ledger's counts) and for screening;
 - `number_operator` and `sz_operator`, the JW images of N and S_z, for
   the (N, S_z) block that `PauliSum.restrict` keeps;
+- `infidelity`, ``1 - |<b|a>|`` against one reference state, for
+  `fci.infidelity_vs_fci` on a one-vector ground space;
 - `format_fcidump` and `mean_field_energy`, from the standalone
   ``scripts/make_reference_data.py`` that wrote the committed FCIDUMPs,
   for `fcidump.parse_fcidump` and the Hartree-Fock reference expectation.
@@ -15,6 +17,8 @@ from __future__ import annotations
 import importlib.util
 from functools import cache
 from pathlib import Path
+
+import numpy as np
 
 from vqebench.fcidump import MolecularHamiltonian
 from vqebench.pauli import DimensionMismatchError, PauliSum
@@ -65,6 +69,25 @@ def sz_operator(n_spin_orbitals: int) -> PauliSum:
         terms[(0, 1 << p)] = terms.get((0, 1 << p), 0.0) - 0.25 * sign
         terms[(0, 0)] = terms.get((0, 0), 0.0) + 0.25 * sign
     return PauliSum(n_spin_orbitals, terms)
+
+
+def infidelity(state: np.ndarray, reference: np.ndarray) -> float:
+    """``1 - |<reference|state>|`` of the normalised states, without its
+    cancellation.
+
+    Computed as ``||a - e^{i phi} b||^2 / 2`` for normalised ``a`` (state)
+    and ``b`` (reference), where ``phi`` is the phase of ``<b|a>``; so it
+    is never negative and insensitive to global phase.
+    """
+    if state.ndim != 1 or state.shape != reference.shape:
+        raise DimensionMismatchError(
+            f"state shape {state.shape} against reference shape "
+            f"{reference.shape}")
+    a = state / np.linalg.norm(state)
+    b = reference / np.linalg.norm(reference)
+    overlap = np.vdot(b, a)
+    phase = overlap / abs(overlap) if overlap != 0 else 1.0
+    return float(np.linalg.norm(a - phase * b) ** 2) / 2
 
 
 @cache

@@ -10,7 +10,6 @@ that final energies carry the 1e-6 accuracy the criteria pin (the spread
 rule is a looser stopping test than the reference optimizer's relative
 drop at equal nominal tolerance).
 """
-import json
 import time
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from vqebench.ansatz import (
     prepare_state,
     simulate_circuit,
 )
-from vqebench.cli import ScanConfig, main, run_scan
+from vqebench.cli import main
 from vqebench.fcidump import MolecularHamiltonian, load_fcidump, to_fermion_hamiltonian
 from vqebench.fermion import jordan_wigner, verify_car
 from vqebench.fci import infidelity_vs_fci, solve_fci
@@ -42,7 +41,6 @@ from vqebench.statevector import (
     embed,
     expectation,
     hartree_fock_reference,
-    infidelity,
     sector_indices,
 )
 

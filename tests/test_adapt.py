@@ -8,8 +8,6 @@ from oracles import commutator
 from vqebench import adapt
 from vqebench.adapt import (
     AdaptConfig,
-    MeasurementLedger,
-    OpenShellError,
     QubitProblem,
     run_adapt,
     run_vqe,
@@ -17,7 +15,7 @@ from vqebench.adapt import (
     select_operator,
 )
 from vqebench.ansatz import Ansatz, build_uccsd_pool, prepare_state
-from vqebench.fcidump import MolecularHamiltonian, load_fcidump
+from vqebench.fcidump import MolecularHamiltonian, OpenShellError, load_fcidump
 from vqebench.fci import infidelity_vs_fci, solve_fci
 from vqebench.optimize import Objective, central_difference_gradient
 from vqebench.pauli import commutator_term_counts
@@ -338,7 +336,6 @@ class TestQubitProblem:
             raise AssertionError("transform ran on an open-shell input")
 
         monkeypatch.setattr(adapt, "to_fermion_hamiltonian", no_transform)
-        ham = MolecularHamiltonian(2, 1, 0.0, np.eye(2),
-                                   np.zeros((2, 2, 2, 2)), label="odd")
         with pytest.raises(OpenShellError, match="closed-shell"):
-            QubitProblem(ham)
+            QubitProblem(MolecularHamiltonian(
+                2, 1, 0.0, np.eye(2), np.zeros((2, 2, 2, 2)), label="odd"))

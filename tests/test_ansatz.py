@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from oracles import number_operator, sz_operator
+from oracles import infidelity, number_operator, sz_operator
 from scipy.linalg import expm
 
 from vqebench.ansatz import (
@@ -29,7 +29,6 @@ from vqebench.statevector import (
     embed,
     expectation,
     hartree_fock_reference,
-    infidelity,
     sector_indices,
 )
 

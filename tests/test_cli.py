@@ -17,7 +17,8 @@ from vqebench.cli import (
     render_json,
     run_scan,
 )
-from vqebench.adapt import AdaptConfig, OpenShellError
+from vqebench.adapt import AdaptConfig
+from vqebench.fcidump import OpenShellError
 from vqebench.pauli import ResourceLimitError
 
 DATA = Path(__file__).parent / "data"
@@ -423,6 +424,23 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert "MS2" in captured.err
         assert "-1.137306036" not in captured.out
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1e400"])
+    @pytest.mark.parametrize("record,line", [
+        ("0.68238953315204121 1 1 1 1", 5),
+        ("0.75596744417142869 0 0 0 0", 14)], ids=["two-electron", "core"])
+    def test_non_finite_integral_is_input_error(self, tmp_path, capsys,
+                                                value, record, line):
+        dump = tmp_path / "bad.fcidump"
+        text = (DATA / "h2_r0.700.fcidump").read_text()
+        assert record in text
+        dump.write_text(text.replace(record,
+                                     f"{value} {record.split(' ', 1)[1]}"))
+        assert main(["run", "--fcidump", str(dump), "--method", "fci"]) == 1
+        captured = capsys.readouterr()
+        assert f"line {line}" in captured.err
+        assert "non-finite" in captured.err
+        assert "fci energy" not in captured.out
 
     def test_label_with_comma_is_input_error(self, tmp_path, capsys):
         config = tmp_path / "scan.cfg"

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import number_operator
+from oracles import infidelity, number_operator
 
 from vqebench.adapt import QubitProblem
 from vqebench import pauli
@@ -166,10 +166,10 @@ class TestSolveFci:
             n_block_lowest(problem) + problem.core, abs=1e-12)
 
     def test_qubit_cap(self):
-        big = MolecularHamiltonian(7, 2, 0.0, np.zeros((7, 7)) + np.eye(7),
-                                   np.zeros((7, 7, 7, 7)), label="big")
         with pytest.raises(ResourceLimitError):
-            QubitProblem(big)
+            QubitProblem(MolecularHamiltonian(
+                7, 2, 0.0, np.zeros((7, 7)) + np.eye(7),
+                np.zeros((7, 7, 7, 7)), label="big"))
 
     def test_degenerate_hamiltonian_flagged(self):
         sol = solve_fci(flat_problem(core=0.25))
@@ -198,15 +198,33 @@ class TestInfidelityVsFci:
         assert sol.degeneracy_flag
         # any block state lies in the (fully degenerate) ground space,
         # whatever eigenvector basis the solver returned for it
-        assert sol._ground_basis.shape == (4, 4)
+        assert sol.ground_space.shape == (4, 4)
         state = np.random.default_rng(9).normal(size=4)
         assert infidelity_vs_fci(state, sol) == pytest.approx(0.0, abs=1e-10)
         # a state orthogonal to a ground space of two block states
-        partial = FciSolution(sol.energy, np.eye(4)[0], 2, True,
-                              np.eye(4)[:, :2])
+        partial = FciSolution(sol.energy, np.eye(4)[:, :2])
         state = np.array([0.0, 0.0, 0.6, -0.8])
         assert infidelity_vs_fci(state, partial) == pytest.approx(1.0,
                                                                   abs=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 50),
+           phase=st.floats(-np.pi, np.pi, allow_nan=False),
+           noise=st.sampled_from([0.0, 1e-16, 1e-12, 1e-8, 1e-3, 1.0]),
+           seed=st.integers(0, 2**32 - 1),
+           complex_reference=st.booleans())
+    def test_one_vector_space_is_the_rank_one_infidelity(
+            self, dim, phase, noise, seed, complex_reference):
+        rng = np.random.default_rng(seed)
+        reference = rng.normal(size=dim)
+        if complex_reference:
+            reference = reference + 1j * rng.normal(size=dim)
+        reference /= np.linalg.norm(reference)
+        state = np.exp(1j * phase) * reference + noise * (
+            rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        sol = FciSolution(0.0, reference[:, np.newaxis])
+        assert infidelity_vs_fci(state, sol) == pytest.approx(
+            infidelity(state, reference), abs=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(phase=st.floats(-np.pi, np.pi, allow_nan=False),

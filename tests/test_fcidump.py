@@ -14,6 +14,7 @@ from vqebench.fcidump import (
     FcidumpIntegrityError,
     FcidumpParseError,
     MolecularHamiltonian,
+    OpenShellError,
     load_fcidump,
     parse_fcidump,
     to_fermion_hamiltonian,
@@ -83,6 +84,15 @@ class TestParse:
         with pytest.raises(FcidumpParseError) as err:
             parse_fcidump(text)
         assert "line 6" in str(err.value)
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1e400"])
+    @pytest.mark.parametrize("record", ["1 1 1 1", "0 0 0 0"],
+                             ids=["two-electron", "core"])
+    def test_non_finite_value_reports_line(self, value, record):
+        text = MINIMAL.replace(" 0.5 0 0 0 0", f" {value} {record}")
+        with pytest.raises(FcidumpParseError, match="non-finite") as err:
+            parse_fcidump(text)
+        assert "line 5" in str(err.value)
 
     def test_malformed_record(self):
         with pytest.raises(FcidumpParseError):
@@ -210,6 +220,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             MolecularHamiltonian(2, 5, 0.0, np.zeros((2, 2)),
                                  np.zeros((2, 2, 2, 2)))
+
+    def test_odd_electron_count_rejected(self):
+        with pytest.raises(OpenShellError, match="closed-shell"):
+            MolecularHamiltonian(2, 1, 0.0, np.eye(2), np.zeros((2, 2, 2, 2)))
+
+    def test_qubit_cap(self):
+        with pytest.raises(ResourceLimitError, match="14 qubits"):
+            MolecularHamiltonian(7, 2, 0.0, np.eye(7),
+                                 np.zeros((7, 7, 7, 7)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["core", "h1", "h2"])
+    def test_non_finite_integral_rejected(self, field, value):
+        core, h1, h2 = 0.0, np.eye(2), np.zeros((2, 2, 2, 2))
+        if field == "core":
+            core = value
+        elif field == "h1":
+            h1[1, 1] = value
+        else:
+            h2[1, 1, 1, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            MolecularHamiltonian(2, 2, core, h1, h2)
 
     def test_asymmetric_h2_rejected(self):
         h2 = np.zeros((2, 2, 2, 2))

@@ -37,9 +37,8 @@ def complex_n_block_fci(problem):
     in_sector = np.isin(indices, problem.h_p.basis)
     dropped = eigenvectors[~in_sector, :n_ground]
     assert np.sum(np.abs(dropped) ** 2) < 1e-12
-    ground_basis = eigenvectors[in_sector, :n_ground]
-    return FciSolution(eigenvalues[0] + problem.core, ground_basis[:, 0],
-                       problem.n_electrons, n_ground > 1, ground_basis)
+    return FciSolution(eigenvalues[0] + problem.core,
+                       eigenvectors[in_sector, :n_ground])
 
 
 def first_difference(artifact, produced, committed):

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from oracles import number_operator
+from oracles import infidelity, number_operator
 from scipy.linalg import expm
 from test_pauli import from_string, sum_kron_matrix
 
@@ -26,7 +26,6 @@ from vqebench.statevector import (
     embed,
     expectation,
     hartree_fock_reference,
-    infidelity,
     sector_indices,
 )
 
