@@ -9,6 +9,7 @@ the factorized exponential in the simulator exact.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -85,7 +86,9 @@ def _validate_pool_operator(q: PauliSum, description: str,
     return restricted
 
 
-def build_uccsd_pool(n_spatial: int, n_electrons: int) -> list[PoolOperator]:
+@functools.cache
+def build_uccsd_pool(n_spatial: int,
+                     n_electrons: int) -> tuple[PoolOperator, ...]:
     """Singlet-adapted singles and doubles over a closed-shell reference.
 
     Singles pair the alpha and beta channels of each occupied->virtual
@@ -94,6 +97,10 @@ def build_uccsd_pool(n_spatial: int, n_electrons: int) -> list[PoolOperator]:
     pairing always, plus the exchange-mixed and same-spin pairings when
     both index pairs are distinct. Deterministic order: singles first,
     then doubles, lexicographic in spatial indices.
+
+    Built once per ``(n_spatial, n_electrons)`` and shared by every
+    problem of that shape, so the pool and its operators are read only;
+    ``build_uccsd_pool.__wrapped__`` builds a fresh one.
     """
     if n_electrons % 2:
         raise ValueError(
@@ -162,14 +169,12 @@ def build_uccsd_pool(n_spatial: int, n_electrons: int) -> list[PoolOperator]:
                         candidates.append((FermionOperator(n_so, [prod_b]),
                                            f"{tag} (mixed B)"))
 
-    pool = []
     basis = sector_indices(n_so, n_electrons)
-    for t, description in candidates:
-        qubit_form = jordan_wigner(anti_hermitian_pair(t))
-        pool.append(PoolOperator(
-            len(pool), _validate_pool_operator(qubit_form, description, basis),
-            description))
-    return pool
+    return tuple(
+        PoolOperator(k, _validate_pool_operator(
+            jordan_wigner(anti_hermitian_pair(t)), description, basis),
+            description)
+        for k, (t, description) in enumerate(candidates))
 
 
 def full_uccsd_ansatz(pool) -> Ansatz:

@@ -47,11 +47,11 @@ def sector_matrix(h_p: PauliSum, indices: np.ndarray) -> np.ndarray:
     """
     if h_p.basis is not indices:
         h_p = h_p.restrict(indices)
+    targets, values = h_p.action
     dim = len(indices)
-    cols = np.arange(dim)
     mat = np.zeros((dim, dim))
-    for targets, diagonal in h_p.action:
-        mat[targets, cols] += diagonal
+    # entry (i, targets[g, i]) sums values[g, i] from 0.0, g ascending
+    np.add.at(mat, (np.arange(dim), targets), values)
     return mat
 
 

@@ -110,7 +110,7 @@ def jordan_wigner(f: FermionOperator) -> PauliSum:
     Each product's image is added into one dict, in product order, and
     pruned on every merge as `PauliSum.__add__` would: a key whose running
     sum drops below PRUNE_THRESHOLD is deleted, and re-enters at the end
-    if a later product brings it back. `PauliSum.action` sorts the terms,
+    if a later product brings it back. `PauliSum.restrict` sorts the terms,
     so that order reaches the golden scan bytes only through the
     coefficient bits it produces.
     """

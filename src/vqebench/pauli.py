@@ -6,6 +6,10 @@ set; both bits set mean Y. The ``i`` in ``Y = i X Z`` is folded into the
 coefficient during products, so a stored term always reads
 ``coefficient * (tensor product of I/X/Y/Z)``.
 
+`PauliSum.restrict` compiles a sum once into what `statevector` reads on
+a block of basis states: stacked ``(targets, values)`` rows, one per X
+mask, and for an anti-Hermitian sum its scalar ``rotations``.
+
 Qubit 0 is the least significant bit of basis-state indices throughout.
 """
 from __future__ import annotations
@@ -64,15 +68,17 @@ class PauliSum:
 
     Immutable by convention: all arithmetic returns new, unrestricted
     sums. A sum returned by `restrict` also carries its ``basis``, whether
-    it is ``hermitian`` and its compiled ``action`` there. Terms with
+    it is ``hermitian``, its compiled ``action`` there and, if
+    anti-Hermitian, its ``rotations`` (else None). Terms with
     ``|coefficient| < PRUNE_THRESHOLD`` are dropped on every merge.
     """
 
-    __slots__ = ("n_qubits", "terms", "basis", "hermitian", "_action")
+    __slots__ = ("n_qubits", "terms", "basis", "hermitian", "rotations",
+                 "_action")
 
     def __init__(self, n_qubits: int, terms=None):
         self.n_qubits = n_qubits
-        self.basis = self.hermitian = self._action = None
+        self.basis = self.hermitian = self.rotations = self._action = None
         self.terms: dict[tuple[int, int], complex] = {}
         if terms:
             for (x, z), c in dict(terms).items():
@@ -101,6 +107,14 @@ class PauliSum:
         ``action`` there compiled once and kept. Raises ValueError unless
         the sum is Hermitian or anti-Hermitian, real on ``basis`` and maps
         it into itself; an entry leaving it may be at most ``LEAK_TOL``.
+
+        An anti-Hermitian sum also keeps ``rotations``: ``(active,
+        partners, coupling, w)`` per X-mask group ``G``, ascending, and per
+        distinct nonzero ``|diagonal| = w`` in it. ``exp(theta G)`` maps
+        ``psi[active]`` to ``cos(theta w) psi[active] + sin(theta w) / w *
+        coupling * psi[partners]`` and leaves the other entries; a pair
+        ``(i, targets[i])`` shares ``|diagonal|``, so the rotations of one
+        group touch disjoint entries.
         """
         hermitian = self.is_hermitian()
         if not (hermitian or self.is_anti_hermitian()):
@@ -108,32 +122,41 @@ class PauliSum:
                              "restricted")
         out = PauliSum(self.n_qubits)
         out.terms, out.basis, out.hermitian = self.terms, basis, hermitian
-        out._action = []
-        for targets, diagonal in _basis_action(self, basis):
-            off = targets < 0
-            leak = np.abs(diagonal[off]).max(initial=0.0)
-            if leak > LEAK_TOL:
-                raise ValueError(f"the sum leaves the block: max dropped "
-                                 f"entry = {leak:.3e}")
-            diagonal[off] = 0.0
-            if diagonal.imag.any():
-                raise ValueError(f"the sum is not real on the block: max "
-                                 f"|Im| = {np.abs(diagonal.imag).max():.3e}")
-            targets[off] = np.flatnonzero(off)
-            out._action.append((targets, np.ascontiguousarray(diagonal.real)))
+        targets, diagonal = _basis_action(self, basis)
+        off = targets < 0
+        leak = np.abs(diagonal[off]).max(initial=0.0)
+        if leak > LEAK_TOL:
+            raise ValueError(f"the sum leaves the block: max dropped "
+                             f"entry = {leak:.3e}")
+        diagonal[off] = 0.0
+        if diagonal.imag.any():
+            raise ValueError(f"the sum is not real on the block: max "
+                             f"|Im| = {np.abs(diagonal.imag).max():.3e}")
+        diagonal = diagonal.real
+        np.copyto(targets, np.arange(len(basis)), where=off)
+        values = diagonal[np.arange(len(targets))[:, None], targets]
+        targets.flags.writeable = values.flags.writeable = False
+        out._action = targets, values
+        if not hermitian:
+            out.rotations = tuple(
+                (active, t[active], v[active], w)
+                for t, v, norm in zip(targets, values, np.abs(diagonal))
+                for w in sorted(set(norm[norm > 0].tolist()))
+                for active in [np.flatnonzero(norm == w)])
         return out
 
     @property
-    def action(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``(targets, diagonal)`` per distinct X mask, ascending, as
-        `_basis_action` builds it, but real and with every entry that left
-        ``basis`` mapped to itself with diagonal 0; so ``op |psi> = sum
-        over groups of (diagonal * psi)[targets]``. Kept by `restrict`;
-        an unrestricted sum raises ValueError. Read only.
+    def action(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(targets, values)``: two ``(groups, len(basis))`` arrays, one
+        row per distinct X mask, ascending, with ``op |psi> = sum over
+        rows of values * psi[targets]``. Row ``g`` is the group that maps
+        ``basis[i]`` to ``values[g, targets[g, i]] |basis[targets[g, i]]>``;
+        an entry that left ``basis`` maps to itself with value 0. Kept by
+        `restrict`; an unrestricted sum raises ValueError. Read only.
         """
         if self._action is None:
             raise ValueError("the sum has no basis: restrict it first")
-        _basis_action.hits += len(self._action)
+        _basis_action.hits += len(self._action[0])
         return self._action
 
     def non_identity_term_count(self) -> int:
@@ -159,7 +182,7 @@ class PauliSum:
         below. Pairs are accumulated in product order (``self``'s terms
         outer, ``other``'s inner); the result keeps that first-seen key
         order and is pruned once. `fermion.jordan_wigner` depends on these
-        bits and that order; `PauliSum.action` sorts the terms, so the
+        bits and that order; `PauliSum.restrict` sorts the terms, so the
         order reaches the golden scan bytes only through the coefficient
         bits.
         """
@@ -273,10 +296,12 @@ def _with_y_counts(s: PauliSum) -> list[tuple[int, int, int, complex]]:
 CacheInfo = namedtuple("CacheInfo", "hits misses")
 
 
-def _basis_action(s: PauliSum, basis: np.ndarray) -> list:
-    """``(targets, diagonal)`` per distinct X mask of ``s``, ascending, over
-    the ascending basis states ``basis``: the group maps ``basis[i]`` to
-    ``diagonal[i] |basis[targets[i]]>``, and ``targets[i]`` is -1 where
+def _basis_action(s: PauliSum,
+                  basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(targets, diagonal)``: two ``(groups, len(basis))`` arrays, one
+    row per distinct X mask ``x`` of ``s``, ascending, over the ascending
+    basis states ``basis``. Row ``g`` maps ``basis[i]`` to ``diagonal[g,
+    i] |basis[targets[g, i]]>``, and ``targets[g, i]`` is -1 where
     ``basis[i] ^ x`` is not in ``basis``.
 
     Each complex diagonal sums ``coefficient * string_phases`` over its
@@ -286,12 +311,13 @@ def _basis_action(s: PauliSum, basis: np.ndarray) -> list:
     """
     position = np.full(1 << s.n_qubits, -1, dtype=np.int64)
     position[basis] = np.arange(len(basis))
-    diagonals: dict[int, np.ndarray] = {}
+    masks = sorted({x for x, _ in s.terms})
+    row = {x: g for g, x in enumerate(masks)}
+    diagonal = np.zeros((len(masks), len(basis)), dtype=complex)
     for x, z, c in s.sorted_terms():
-        diagonals[x] = diagonals.get(x, 0.0) + c * string_phases(basis, x, z)
-    action = [(position[basis ^ x], diagonals[x]) for x in sorted(diagonals)]
-    _basis_action.misses += len(action)
-    return action
+        diagonal[row[x]] += c * string_phases(basis, x, z)
+    _basis_action.misses += len(masks)
+    return position[basis ^ np.array(masks, np.int64)[:, None]], diagonal
 
 
 _basis_action.hits = _basis_action.misses = 0
@@ -322,6 +348,6 @@ def to_matrix(s: PauliSum) -> np.ndarray:
     dim = 1 << s.n_qubits
     mat = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim, dtype=np.int64)
-    for targets, diagonal in _basis_action(s, cols):
-        mat[targets, cols] += diagonal
+    targets, diagonal = _basis_action(s, cols)
+    mat[targets, cols] += diagonal  # every (target, column) pair distinct
     return mat

@@ -2,20 +2,26 @@
 pool-operator exponentials.
 
 A state is a 1-D float64 ndarray over the ascending basis states of a
-block, `sector_indices`, and an operator acts on it through its action
-restricted to the same states (`PauliSum.restrict`); a length mismatch
-raises `DimensionMismatchError`. Basis index bit ``q`` is the value of
-qubit ``q`` (qubit 0 least significant); qubit value 1 means the spin
-orbital is occupied. The full ``2**n`` space is a test oracle (`embed`).
+block, `sector_indices`, and an operator acts on it through the kernels
+`PauliSum.restrict` compiled over the same states: ``op |psi>`` is one
+gather, multiply and sum over the stacked ``(targets, values)`` rows of
+`PauliSum.action`, and a pool exponential is a few scalar rotations from
+its ``rotations``. A length mismatch raises `DimensionMismatchError`.
+Basis index bit ``q`` is the value of qubit ``q`` (qubit 0 least
+significant); qubit value 1 means the spin orbital is occupied. The full
+``2**n`` space is a test oracle (`embed`).
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .pauli import DimensionMismatchError, PauliSum
 
 
-def _checked_action(amps: np.ndarray, op: PauliSum) -> list:
+def _checked_action(amps: np.ndarray,
+                    op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
     action = op.action  # ValueError for an unrestricted sum
     if amps.shape != op.basis.shape:
         raise DimensionMismatchError(
@@ -66,34 +72,33 @@ def apply_pool_operator(state: np.ndarray, tau: PauliSum,
     in ascending X-mask order. A group ``G`` couples only ``b`` and
     ``b ^ x``, as a real antisymmetric 2x2 block with ``G^2 = -d^2`` for its
     diagonal ``d``, so ``exp(theta G) = cos(theta |d|) + sin(theta |d|) /
-    |d| G`` (the closed form of Yordanov et al., arXiv:2005.14475). The
+    |d| G`` (the closed form of Yordanov et al., arXiv:2005.14475): one
+    scalar rotation per distinct ``|d|``, kept in ``tau.rotations``. The
     product is exact when the groups commute, which every pool element
     guarantees (its strings commute, checked at pool construction).
     """
-    action = _checked_action(state, tau)
+    _checked_action(state, tau)
     if tau.hermitian:
         raise ValueError("pool operator must be anti-Hermitian")
-    for targets, diagonal in action:
-        norm = np.abs(diagonal)
-        angle = theta * norm
-        scale = np.divide(np.sin(angle), norm, out=np.zeros_like(norm),
-                          where=norm > 0)
-        state = np.cos(angle) * state + scale * (diagonal * state)[targets]
+    theta = float(theta)
+    state = state.copy()
+    for active, partners, coupling, w in tau.rotations:
+        angle = theta * w
+        state[active] = (math.cos(angle) * state[active]
+                         + math.sin(angle) / w * (coupling * state[partners]))
     return state
 
 
 def apply_operator(state: np.ndarray, op: PauliSum) -> np.ndarray:
     """Amplitudes of ``op |state>`` (not normalized), ``op`` restricted."""
-    out = np.zeros(len(state))
-    for targets, diagonal in _checked_action(state, op):
-        out += (diagonal * state)[targets]
-    return out
+    targets, values = _checked_action(state, op)
+    # the axis-0 reduce adds the rows in ascending X-mask order
+    return np.add.reduce(values * state[targets], axis=0)
 
 
 def expectation(state: np.ndarray, observable: PauliSum) -> float:
     """``<state| observable |state>`` for a restricted Hermitian observable,
     computed as ``<state| (observable |state>)`` without a matrix."""
-    op_state = apply_operator(state, observable)
-    if not observable.hermitian:
+    if observable.hermitian is False:  # None: unrestricted, raised below
         raise ValueError("expectation requires a Hermitian observable")
-    return float(np.dot(state, op_state))
+    return float(np.dot(state, apply_operator(state, observable)))

@@ -8,6 +8,10 @@ Each is an oracle for something the package computes another way:
   the (N, S_z) block that `PauliSum.restrict` keeps;
 - `infidelity`, ``1 - |<b|a>|`` against one reference state, for
   `fci.infidelity_vs_fci` on a one-vector ground space;
+- `group_action`, `apply_by_groups` and `exponential_by_groups`, the
+  per-X-mask-group loops the package ran before it compiled a restricted
+  sum into stacked ``(targets, values)`` rows and scalar rotations, for
+  `statevector.apply_operator`, `expectation` and `apply_pool_operator`;
 - `format_fcidump` and `mean_field_energy`, from the standalone
   ``scripts/make_reference_data.py`` that wrote the committed FCIDUMPs,
   for `fcidump.parse_fcidump` and the Hartree-Fock reference expectation.
@@ -20,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from vqebench import pauli
 from vqebench.fcidump import MolecularHamiltonian
 from vqebench.pauli import DimensionMismatchError, PauliSum
 
@@ -88,6 +93,43 @@ def infidelity(state: np.ndarray, reference: np.ndarray) -> float:
     overlap = np.vdot(b, a)
     phase = overlap / abs(overlap) if overlap != 0 else 1.0
     return float(np.linalg.norm(a - phase * b) ** 2) / 2
+
+
+def group_action(op: PauliSum, basis=None) -> list:
+    """``(targets, diagonal)`` per distinct X mask of ``op``, ascending,
+    over the ascending basis states ``basis`` (default ``op.basis``): the
+    group maps ``basis[i]`` to ``diagonal[i] |basis[targets[i]]>``, and an
+    entry leaving ``basis`` maps to itself with diagonal 0. ``op`` must be
+    real on ``basis``."""
+    basis = op.basis if basis is None else basis
+    targets, diagonal = pauli._basis_action(op, basis)
+    off = targets < 0
+    if diagonal.imag[~off].any():
+        raise ValueError("the sum is not real on the basis")
+    return list(zip(np.where(off, np.arange(len(basis)), targets),
+                    np.where(off, 0.0, diagonal.real)))
+
+
+def apply_by_groups(state: np.ndarray, groups) -> np.ndarray:
+    """``op |state>`` from `group_action` pairs, one group at a time."""
+    out = np.zeros(len(state))
+    for targets, diagonal in groups:
+        out += (diagonal * state)[targets]
+    return out
+
+
+def exponential_by_groups(state: np.ndarray, groups,
+                          theta: float) -> np.ndarray:
+    """``exp(theta * tau) |state>`` from `group_action` pairs of an
+    anti-Hermitian tau, each group's closed form ``cos(theta |d|) +
+    sin(theta |d|) / |d| G`` evaluated over whole arrays."""
+    for targets, diagonal in groups:
+        norm = np.abs(diagonal)
+        angle = theta * norm
+        scale = np.divide(np.sin(angle), norm, out=np.zeros_like(norm),
+                          where=norm > 0)
+        state = np.cos(angle) * state + scale * (diagonal * state)[targets]
+    return state
 
 
 @cache

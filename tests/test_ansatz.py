@@ -47,11 +47,18 @@ class TestPoolConstruction:
         assert "double" in cas22_pool[1].description
 
     def test_no_virtuals_means_empty_pool(self):
-        assert build_uccsd_pool(1, 2) == []
+        assert build_uccsd_pool(1, 2) == ()
 
     def test_odd_electron_count_rejected(self):
         with pytest.raises(ValueError):
             build_uccsd_pool(3, 3)
+
+    def test_built_once_per_shape_and_shared(self):
+        pool = build_uccsd_pool(3, 2)
+        assert isinstance(pool, tuple)
+        assert build_uccsd_pool(3, 2) is pool
+        targets, values = pool[0].qubit_form.action
+        assert not (targets.flags.writeable or values.flags.writeable)
 
     @pytest.mark.parametrize("n_spatial,n_electrons",
                              [(2, 2), (3, 2), (4, 2), (4, 4)])
@@ -69,7 +76,7 @@ class TestPoolConstruction:
 
     def test_deterministic_ordering(self):
         first = build_uccsd_pool(3, 2)
-        second = build_uccsd_pool(3, 2)
+        second = build_uccsd_pool.__wrapped__(3, 2)  # a fresh build
         assert [op.description for op in first] == \
             [op.description for op in second]
         singles = [k for k, op in enumerate(first)

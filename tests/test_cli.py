@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from vqebench import adapt, cli
+from vqebench import adapt, ansatz, cli
 from vqebench.cli import (
     ConfigError,
     CSV_HEADER,
@@ -22,6 +22,7 @@ from vqebench.fcidump import OpenShellError
 from vqebench.pauli import ResourceLimitError
 
 DATA = Path(__file__).parent / "data"
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples_configs"
 
 
 def odd_electron_dump(tmp_path):
@@ -198,6 +199,23 @@ class TestRunScan:
         assert fermion_calls == ["h2", "nah"]
         assert pool_calls == [(2, 2), (2, 2)]
         assert count_calls == [2, 2]  # once per input, not per optimizer
+
+    def test_scan_builds_each_pool_shape_once(self, monkeypatch):
+        # the 21 H2 inputs share one CAS(2,2) pool: its two operators are
+        # the only Jordan-Wigner images built for the pool
+        calls = []
+        transform = ansatz.jordan_wigner
+
+        def counting(f):
+            calls.append(f)
+            return transform(f)
+
+        ansatz.build_uccsd_pool.cache_clear()
+        monkeypatch.setattr(ansatz, "jordan_wigner", counting)
+        config = EXAMPLES / "h2_scan.cfg"
+        cfg = parse_scan_config(config.read_text(), base_dir=EXAMPLES)
+        assert len(run_scan(cfg)) == 21 * 5
+        assert len(calls) == 2
 
     def test_variational_rows_never_below_fci(self):
         cfg = ScanConfig([("0.9", DATA / "h2_r0.900.fcidump")],

@@ -123,7 +123,8 @@ def exact_items(s: PauliSum):
 
 def pool_fermionic_forms(n_spatial, n_electrons):
     """The fermionic form of each pool operator, in pool order: the
-    arguments `build_uccsd_pool` passes to `jordan_wigner`."""
+    arguments `build_uccsd_pool` passes to `jordan_wigner` in a fresh
+    build, past its memo."""
     forms = []
 
     def recording(f):
@@ -132,7 +133,7 @@ def pool_fermionic_forms(n_spatial, n_electrons):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ansatz, "jordan_wigner", recording)
-        pool = build_uccsd_pool(n_spatial, n_electrons)
+        pool = build_uccsd_pool.__wrapped__(n_spatial, n_electrons)
     assert len(forms) == len(pool)
     return forms
 

@@ -8,7 +8,14 @@ scans are rerun with the earlier complex solve of the whole N-electron
 block, kept here as the oracle, and must give the same bytes. Its
 eigenvectors are restricted to the reference's (N, S_z) block, where the
 prepared states live, after checking that they have no weight outside it.
+
+The committed scans have 4 qubits; the 8-qubit H4 scan (fci, vqe and
+adapt with Nelder-Mead and L-BFGS) is pinned by the sha256 of its
+``scan.csv``, so a printed digit that moves on those longer paths shows.
+A last-bit change in the simulator kernels that moves no printed digit
+is left to the exact kernel oracles in ``test_statevector.py``.
 """
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +27,10 @@ from vqebench.fci import FciSolution
 from vqebench.pauli import to_matrix
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples_configs"
+DATA = Path(__file__).resolve().parent / "data"
 SCANS = ["h2_scan", "nah_scan"]
+H4_SCAN_CSV_SHA256 = \
+    "0982eae8d3b8ec338d31d20b7519cf65cee38dbe0225bc3e681871a7315aa478"
 
 
 def complex_n_block_fci(problem):
@@ -77,6 +87,18 @@ def test_committed_outputs_do_not_depend_on_the_fci_solver(
         name, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "solve_fci", complex_n_block_fci)
     assert_reproduces_committed(name, tmp_path)
+
+
+def test_h4_scan_csv_is_pinned(tmp_path):
+    config = tmp_path / "h4.cfg"
+    config.write_text(
+        "output = out\nmethods = fci, vqe, adapt\n"
+        "optimizers = nelder_mead, lbfgs\nmax_iterations = 50\n"
+        f"input = 1.000 {DATA / 'h4_r1.000.fcidump'}\n")
+    assert main(["scan", "--config", str(config)]) == 0
+    csv = (tmp_path / "out" / "scan.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == H4_SCAN_CSV_SHA256, \
+        csv.decode()
 
 
 def test_first_difference_names_line_and_both_versions():

@@ -472,10 +472,12 @@ class TestRestrict:
         r = s.restrict(self.SECTOR)
         assert r.basis is self.SECTOR and r.hermitian
         assert r.terms == s.terms and s.basis is None
+        targets, values = r.action
+        assert targets.shape == values.shape == (2, 4)  # X masks 0, 0b101
+        assert values.dtype == np.float64
         block = np.zeros((4, 4))
-        for targets, diagonal in r.action:
-            assert diagonal.dtype == np.float64
-            block[targets, np.arange(4)] += diagonal
+        for t, v in zip(targets, values):
+            block[np.arange(4), t] += v
         np.testing.assert_array_equal(
             block, to_matrix(s)[np.ix_(self.SECTOR, self.SECTOR)].real)
 
@@ -489,12 +491,12 @@ class TestRestrict:
         basis = sector_indices(6, 1)
         s = (from_string(6, "X0 X2", 0.5)
              + from_string(6, "X0 X2 Z4", 0.5 - 2e-13))
-        ((targets, diagonal),) = s.restrict(basis).action
+        (targets,), (values,) = s.restrict(basis).action
         leaving = (basis & 0b010000) != 0
         assert leaving.any() and not leaving.all()
         np.testing.assert_array_equal(targets[leaving],
                                       np.flatnonzero(leaving))
-        np.testing.assert_array_equal(diagonal[leaving], 0.0)
+        np.testing.assert_array_equal(values[leaving], 0.0)
         np.testing.assert_array_equal(basis[targets[~leaving]],
                                       basis[~leaving] ^ 0b000101)
 

@@ -3,7 +3,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from oracles import infidelity, number_operator
+from oracles import (
+    apply_by_groups,
+    exponential_by_groups,
+    group_action,
+    infidelity,
+    number_operator,
+)
 from scipy.linalg import expm
 from test_pauli import from_string, sum_kron_matrix
 
@@ -11,7 +17,7 @@ from vqebench import pauli
 from vqebench.adapt import AdaptConfig, QubitProblem, run_adapt
 from vqebench.ansatz import Ansatz, full_uccsd_ansatz, prepare_state
 from vqebench.fcidump import load_fcidump
-from vqebench.fci import infidelity_vs_fci, solve_fci
+from vqebench.fci import infidelity_vs_fci, sector_matrix, solve_fci
 from vqebench.fermion import (
     FermionOperator,
     LadderProduct,
@@ -188,13 +194,12 @@ class TestAgainstKroneckerOracle:
     def test_one_action_entry_per_x_mask(self, h4):
         assert len(h4.h_p) == 185
         assert len({x for x, _ in h4.h_p.terms}) == 27
-        assert len(h4.h_p.action) == 27
+        assert h4.h_p.action[0].shape == (27, 36)
         for op in h4.pool:
             masks = {x for x, _ in op.qubit_form.terms}
-            assert len(op.qubit_form.action) == len(masks)
-            for targets, diagonal in op.qubit_form.action:
-                assert targets.shape == diagonal.shape == (36,)
-                assert diagonal.dtype == np.float64
+            targets, values = op.qubit_form.action
+            assert targets.shape == values.shape == (len(masks), 36)
+            assert values.dtype == np.float64
 
     def test_pool_exponentials(self, h4, state):
         assert len(h4.pool) == 19
@@ -227,19 +232,6 @@ class TestAgainstKroneckerOracle:
                                    rtol=0, atol=1e-12)
 
 
-def full_space_rotation(psi, tau, theta):
-    """``exp(theta * tau) psi`` over all ``2**n`` complex amplitudes with
-    the grouped full-space loop the block action replaced: the reference
-    of the block exponentials."""
-    for targets, diagonal in pauli._basis_action(tau, full(tau.n_qubits)):
-        norm = np.abs(diagonal)
-        angle = theta * norm
-        scale = np.divide(np.sin(angle), norm, out=np.zeros_like(norm),
-                          where=norm > 0)
-        psi = np.cos(angle) * psi + scale * (diagonal * psi)[targets]
-    return psi
-
-
 class TestH6Block:
     """The 12-qubit H6 chain: 400 block states of 4096."""
 
@@ -252,9 +244,11 @@ class TestH6Block:
         assert len(basis) == 400 and len(h6.pool) == 81
         thetas = np.random.default_rng(6).uniform(-1.0, 1.0, len(h6.pool))
         out = prepare_state(full_uccsd_ansatz(h6.pool), thetas, h6.reference)
+        # the grouped loop over all 2**12 complex amplitudes
         psi = embed(h6.reference, basis, 12)
         for op, theta in zip(h6.pool, thetas):
-            psi = full_space_rotation(psi, op.qubit_form, theta)
+            psi = exponential_by_groups(
+                psi, group_action(op.qubit_form, full(12)), theta)
         np.testing.assert_array_equal(embed(out, basis, 12), psi)
 
     def test_screening_matches_finite_differences(self, h6):
@@ -281,7 +275,7 @@ class TestH6Block:
         # every action was compiled over the block when the problem was
         # built; FCI and one ADAPT step reuse them and build none
         for s in [h6.h_p] + [op.qubit_form for op in h6.pool]:
-            assert all(len(t) == 400 for t, _ in s.action)
+            assert s.action[0].shape[1] == 400
         misses = pauli._basis_action.cache_info().misses
         sol = solve_fci(h6)
         result = run_adapt(h6, AdaptConfig(max_iterations=1))
@@ -289,7 +283,88 @@ class TestH6Block:
         assert pauli._basis_action.cache_info().misses == misses
 
 
+KERNEL_PROBLEMS = {"h2": "h2_r0.735.fcidump", "nah": "nah_r1.000.fcidump",
+                   "h4": "h4_r1.000.fcidump", "h6": "h6/h6_r1.000.fcidump"}
+EDGE_ANGLES = [0.0, np.pi, -np.pi, 1e-9, -1e-9]
+
+
+@pytest.fixture(scope="module", params=sorted(KERNEL_PROBLEMS))
+def kernel_problem(request):
+    return QubitProblem(load_fcidump(DATA / KERNEL_PROBLEMS[request.param]))
+
+
+class TestKernelsAgainstGroupLoops:
+    """The compiled kernels against the per-group loops they replaced
+    (`oracles.group_action`): the same floating-point operations on each
+    entry, so the results are equal, not close."""
+
+    def test_pool_exponentials(self, kernel_problem):
+        rng = np.random.default_rng(17)
+        state = random_state(rng, len(kernel_problem.reference))
+        thetas = list(rng.uniform(-2 * np.pi, 2 * np.pi, 50)) + EDGE_ANGLES
+        for op in kernel_problem.pool:
+            # every UCCSD group is one rotation: |d| is 0 or 1
+            assert [r[3] for r in op.qubit_form.rotations] == \
+                [1.0] * len(op.qubit_form.action[0])
+            groups = group_action(op.qubit_form)
+            for theta in thetas:
+                assert np.array_equal(
+                    apply_pool_operator(state, op.qubit_form, theta),
+                    exponential_by_groups(state, groups, theta)), \
+                    (op, theta)
+
+    @pytest.mark.parametrize("theta", [-2.1, 0.17] + EDGE_ANGLES)
+    def test_group_with_two_magnitudes(self, theta):
+        tau = weighted_group_tau().restrict(full(4))
+        assert len(tau.rotations) == 3  # 0.4 and 1.0 in one group, 0.5
+        state = random_state(np.random.default_rng(2), 16)
+        assert np.array_equal(
+            apply_pool_operator(state, tau, theta),
+            exponential_by_groups(state, group_action(tau), theta))
+
+    def test_operator_action_and_expectation(self, kernel_problem):
+        rng = np.random.default_rng(23)
+        h_groups = group_action(kernel_problem.h_p)
+        for _ in range(5):
+            state = random_state(rng, len(kernel_problem.reference))
+            h_psi = apply_by_groups(state, h_groups)
+            assert np.array_equal(
+                apply_operator(state, kernel_problem.h_p), h_psi)
+            assert expectation(state, kernel_problem.h_p) == \
+                float(np.dot(state, h_psi))
+            for op in kernel_problem.pool:
+                assert np.array_equal(
+                    apply_operator(state, op.qubit_form),
+                    apply_by_groups(state, group_action(op.qubit_form)))
+
+    def test_fci_sector_matrix(self, kernel_problem):
+        h_p = kernel_problem.h_p
+        dim = len(h_p.basis)
+        dense = np.zeros((dim, dim))
+        for targets, diagonal in group_action(h_p):
+            dense[targets, np.arange(dim)] += diagonal
+        assert np.array_equal(sector_matrix(h_p, h_p.basis), dense)
+
+    def test_sum_without_groups_gives_zeros(self):
+        zero = PauliSum(4).restrict(SECTOR)
+        assert zero.action[0].shape == zero.action[1].shape == (0, 4)
+        state = random_state(np.random.default_rng(1), 4)
+        out = apply_operator(state, zero)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, np.zeros(4))
+        np.testing.assert_array_equal(
+            out, apply_by_groups(state, group_action(zero)))
+        assert expectation(state, zero) == 0.0
+
+
 class TestExpectation:
+    def test_non_hermitian_observable_is_rejected_before_any_work(self):
+        tau = paired_double_tau().restrict(SECTOR)
+        hits = pauli._basis_action.cache_info().hits
+        with pytest.raises(ValueError, match="Hermitian"):
+            expectation(hartree_fock_reference(4, 2), tau)
+        assert pauli._basis_action.cache_info().hits == hits
+
     def test_z_convention(self):
         z = from_string(1, "Z0").restrict(full(1))
         assert expectation(ket(1), z) == pytest.approx(1.0)
