@@ -7,7 +7,10 @@ The adaptive loop screens the operator pool for the gradients
 ``<psi| [H_P, tau_k] |psi> = 2 Re <H_P psi| tau_k psi>``, appends the
 operator with the largest absolute gradient, and re-optimizes every
 parameter from an all-zeros start. A converged run ends when the pool
-gradient norm drops to the configured threshold.
+gradient norm drops to the configured threshold. Each of the at most
+``max_iterations`` screenings is charged; a run that uses them all
+screens its returned state once more, uncharged, for its final gradient
+norm. VQE and every ADAPT iteration share one fit step, `_fit`.
 
 Measurement cost is tracked symbolically: every expectation evaluated
 charges one unit per non-identity Pauli term of the measured operator
@@ -50,6 +53,9 @@ from .statevector import (
 )
 
 OPTIMIZERS = ("nelder_mead", "lbfgs")
+# The numeric `AdaptConfig` settings, in the order a scan config checks them.
+SETTINGS = ("grad_norm_threshold", "max_iterations", "tol_rel_energy",
+            "fd_step")
 
 
 class QubitProblem:
@@ -85,11 +91,15 @@ class QubitProblem:
         return self._commutator_counts
 
 
-class AdaptConfig:
-    """Knobs for the adaptive loop and the inner optimizations."""
+class ConfigError(ValueError):
+    """Bad scan configuration or run settings."""
 
-    __slots__ = ("grad_norm_threshold", "max_iterations", "optimizer",
-                 "tol_rel_energy", "fd_step")
+
+class AdaptConfig:
+    """Knobs for the adaptive loop and the inner optimizations. The one
+    home of their defaults and checks; a bad value raises `ConfigError`."""
+
+    __slots__ = SETTINGS + ("optimizer",)
 
     def __init__(self, grad_norm_threshold=1e-2, max_iterations=50,
                  optimizer="lbfgs", tol_rel_energy=DEFAULT_TOL,
@@ -98,12 +108,12 @@ class AdaptConfig:
                             ("tol_rel_energy", tol_rel_energy),
                             ("fd_step", fd_step)):
             if not 0 < value < math.inf:  # also false for nan
-                raise ValueError(
+                raise ConfigError(
                     f"{name} must be positive and finite, got {value}")
         if max_iterations < 1 or not float(max_iterations).is_integer():
-            raise ValueError("max_iterations must be a positive integer")
+            raise ConfigError("max_iterations must be a positive integer")
         if optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
+            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
         self.grad_norm_threshold = float(grad_norm_threshold)
         self.max_iterations = int(max_iterations)
         self.optimizer = optimizer
@@ -166,10 +176,9 @@ class RunResult:
     """Common record returned by `run_vqe` and `run_adapt`.
 
     ``final_grad_norm`` is the pool gradient norm at the returned state
-    (None for VQE). A run that used up ``max_iterations`` screens its final
-    state once more for it; that screening is not charged to the ledger.
-    ``theta`` holds the optimised angles of ``ansatz``, one per pool id;
-    ``reference`` is the problem's Hartree-Fock state the ansatz acts on.
+    (None for VQE). ``theta`` holds the optimised angles of ``ansatz``,
+    one per pool id; ``reference`` is the problem's Hartree-Fock state the
+    ansatz acts on.
     """
 
     __slots__ = ("method", "optimizer", "ansatz", "theta", "energy",
@@ -218,76 +227,64 @@ def select_operator(grads, pool) -> int:
     raise AssertionError("unreachable")
 
 
-def _energy_objective(ansatz: Ansatz, problem: QubitProblem,
-                      ledger: MeasurementLedger) -> Objective:
-    n_terms = problem.h_p.non_identity_term_count()
+def _fit(problem: QubitProblem, cfg: AdaptConfig, ansatz: Ansatz,
+         ledger: MeasurementLedger):
+    """``(theta, energy, converged)`` of ``ansatz`` optimised from all
+    zeros, each energy evaluation charged to ``ledger``. An empty ansatz
+    leaves the reference, whose energy is computed and charged nothing."""
+    h_p, reference = problem.h_p, problem.reference
+    if not len(ansatz):
+        return np.zeros(0), expectation(reference, h_p) + problem.core, True
+    n_terms = h_p.non_identity_term_count()
 
     def energy(theta):
-        state = prepare_state(ansatz, theta, problem.reference)
-        return expectation(state, problem.h_p) + problem.core
+        return (expectation(prepare_state(ansatz, theta, reference), h_p)
+                + problem.core)
 
-    return Objective(energy, len(ansatz),
-                     on_evaluation=lambda: ledger.charge_energy(n_terms))
-
-
-def _optimize(cfg: AdaptConfig, objective: Objective, theta0):
+    objective = Objective(energy, len(ansatz),
+                          on_evaluation=lambda: ledger.charge_energy(n_terms))
+    theta0 = np.zeros(len(ansatz))
     if cfg.optimizer == "lbfgs":
-        return minimize_lbfgs(objective, theta0, cfg.tol_rel_energy,
-                              h=cfg.fd_step, max_evals=DEFAULT_BUDGET)
-    return minimize_nelder_mead(objective, theta0, cfg.tol_rel_energy,
-                                max_evals=DEFAULT_BUDGET)
+        result = minimize_lbfgs(objective, theta0, cfg.tol_rel_energy,
+                                h=cfg.fd_step, max_evals=DEFAULT_BUDGET)
+    else:
+        result = minimize_nelder_mead(objective, theta0, cfg.tol_rel_energy,
+                                      max_evals=DEFAULT_BUDGET)
+    return result.theta_opt, result.energy, result.converged
 
 
 def run_adapt(problem: QubitProblem,
               cfg: AdaptConfig | None = None) -> RunResult:
     """Grow the ansatz one operator at a time until ||G|| falls below
     threshold, re-optimizing all parameters from zero each iteration.
+    An empty pool has nothing to add: the reference is returned, converged.
     """
     cfg = cfg or AdaptConfig()
     h_p, pool, reference = problem.h_p, problem.pool, problem.reference
     ledger = MeasurementLedger()
     trace: list[AdaptIteration] = []
-
     ansatz = Ansatz(pool)
-    theta = np.zeros(0)
-    energy = expectation(reference, h_p) + problem.core
-    converged = False
+    theta, energy, _ = _fit(problem, cfg, ansatz, ledger)
+    converged, final_grad_norm = not pool, 0.0
 
-    if pool:
-        # Each screening is charged as measuring every [H_P, tau_k]; the
-        # problem counts their terms once for all runs on it.
-        comm_terms = problem.commutator_counts
-        for _ in range(cfg.max_iterations):
-            psi = prepare_state(ansatz, theta, reference)
-            grads = screen_pool(psi, h_p, pool)
-            for n_terms in comm_terms:
-                ledger.charge_commutator(n_terms)
-            grad_norm = float(np.linalg.norm(grads))
-            if grad_norm <= cfg.grad_norm_threshold:
-                converged = True
-                final_grad_norm = grad_norm
-                trace.append(AdaptIteration(
-                    None, grad_norm, grads, energy, theta,
-                    ledger.total()))
-                break
-            selected = select_operator(grads, pool)
-            ansatz = ansatz.extended(selected)
-            objective = _energy_objective(ansatz, problem, ledger)
-            result = _optimize(cfg, objective, np.zeros(len(ansatz)))
-            theta = result.theta_opt
-            energy = result.energy
+    for iteration in range(cfg.max_iterations + 1 if pool else 0):
+        grads = screen_pool(prepare_state(ansatz, theta, reference), h_p, pool)
+        final_grad_norm = float(np.linalg.norm(grads))
+        if iteration == cfg.max_iterations:
+            break  # out of iterations: the uncharged diagnostic
+        for n_terms in problem.commutator_counts:
+            ledger.charge_commutator(n_terms)
+        if final_grad_norm <= cfg.grad_norm_threshold:
+            converged = True
             trace.append(AdaptIteration(
-                selected, grad_norm, grads, energy, theta, ledger.total(),
-                optimizer_converged=result.converged))
-        else:
-            # Out of iterations: the reported norm is that of the returned
-            # state. It is a diagnostic, so the ledger is not charged.
-            psi = prepare_state(ansatz, theta, reference)
-            final_grad_norm = float(np.linalg.norm(
-                screen_pool(psi, h_p, pool)))
-    else:
-        converged = True  # nothing to add
-        final_grad_norm = 0.0
+                None, final_grad_norm, grads, energy, theta, ledger.total()))
+            break
+        selected = select_operator(grads, pool)
+        ansatz = ansatz.extended(selected)
+        theta, energy, fit_converged = _fit(problem, cfg, ansatz, ledger)
+        trace.append(AdaptIteration(
+            selected, final_grad_norm, grads, energy, theta, ledger.total(),
+            optimizer_converged=fit_converged))
 
     return RunResult(
         method="adapt", optimizer=cfg.optimizer, ansatz=ansatz, theta=theta,
@@ -300,23 +297,12 @@ def run_vqe(problem: QubitProblem,
             cfg: AdaptConfig | None = None) -> RunResult:
     """Plain VQE: the fixed full-UCCSD ansatz optimized once from zero."""
     cfg = cfg or AdaptConfig()
-    pool, reference = problem.pool, problem.reference
+    pool = problem.pool
     ledger = MeasurementLedger()
-
-    if not pool:
-        energy = expectation(reference, problem.h_p) + problem.core
-        return RunResult(
-            method="vqe", optimizer=cfg.optimizer, ansatz=Ansatz(pool),
-            theta=np.zeros(0), energy=energy, converged=True, trace=[],
-            ledger=ledger, resources={"gate_count": 0, "depth": 0},
-            final_grad_norm=None, reference=reference)
-
-    ansatz = full_uccsd_ansatz(pool)
-    objective = _energy_objective(ansatz, problem, ledger)
-    result = _optimize(cfg, objective, np.zeros(len(ansatz)))
+    ansatz = full_uccsd_ansatz(pool) if pool else Ansatz(pool)
+    theta, energy, converged = _fit(problem, cfg, ansatz, ledger)
     return RunResult(
-        method="vqe", optimizer=cfg.optimizer, ansatz=ansatz,
-        theta=result.theta_opt, energy=result.energy,
-        converged=result.converged, trace=[], ledger=ledger,
-        resources=circuit_metrics(compile_circuit(ansatz, result.theta_opt)),
-        final_grad_norm=None, reference=reference)
+        method="vqe", optimizer=cfg.optimizer, ansatz=ansatz, theta=theta,
+        energy=energy, converged=converged, trace=[], ledger=ledger,
+        resources=circuit_metrics(compile_circuit(ansatz, theta)),
+        final_grad_norm=None, reference=problem.reference)

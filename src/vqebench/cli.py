@@ -14,9 +14,11 @@ The scan config is a plain key-value text file::
     input = 0.70 data/h2_r0.700.fcidump
 
 ``input`` lines repeat, one per scan point, and keep file order; every
-other key may be set once. The gradient-free optimizer is Nelder-Mead
-(standing in for the reference implementation's COBYLA); every summary
-report says so.
+other key may be set once. A config, like the ``run`` flags, passes on
+only the settings it gives: `AdaptConfig` holds their defaults (shown
+above) and checks. ``scan`` and ``run`` score a method with one call. The
+gradient-free optimizer is Nelder-Mead (standing in for the reference
+implementation's COBYLA); every summary report says so.
 """
 from __future__ import annotations
 
@@ -27,7 +29,15 @@ import statistics
 import sys
 from pathlib import Path
 
-from .adapt import AdaptConfig, QubitProblem, run_adapt, run_vqe
+from .adapt import (
+    OPTIMIZERS,
+    SETTINGS,
+    AdaptConfig,
+    ConfigError,
+    QubitProblem,
+    run_adapt,
+    run_vqe,
+)
 from .fcidump import (
     FcidumpIntegrityError,
     FcidumpParseError,
@@ -39,7 +49,6 @@ from .pauli import ResourceLimitError
 from .selftest import run_selftest
 
 METHOD_ORDER = ("fci", "vqe", "adapt")
-OPTIMIZER_ORDER = ("nelder_mead", "lbfgs")
 OPTIMIZER_ALIASES = {"nm": "nelder_mead", "nelder_mead": "nelder_mead",
                      "nelder-mead": "nelder_mead", "lbfgs": "lbfgs",
                      "l-bfgs": "lbfgs"}
@@ -56,17 +65,6 @@ def format_infidelity(value: float) -> str:
     """An infidelity as every report prints it: ``.6e``, and 0 below
     INFIDELITY_FLOOR, the absolute floor of double-precision overlaps."""
     return f"{0.0 if value < INFIDELITY_FLOOR else value:.6e}"
-
-
-class ConfigError(ValueError):
-    """Bad scan configuration or run settings."""
-
-
-def _adapt_config(**settings) -> AdaptConfig:
-    try:
-        return AdaptConfig(**settings)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 class ScanConfig:
@@ -92,7 +90,7 @@ class ScanConfig:
             raise ConfigError("vqe/adapt methods need at least one optimizer")
         self.inputs = list(inputs)
         self.methods = [m for m in METHOD_ORDER if m in methods]
-        self.optimizers = [o for o in OPTIMIZER_ORDER if o in optimizers]
+        self.optimizers = [o for o in OPTIMIZERS if o in optimizers]
         self.adapt = adapt
         self.output = Path(output)
 
@@ -134,28 +132,21 @@ def parse_scan_config(text: str, base_dir: Path | None = None) -> ScanConfig:
 
     methods = split_list("methods", METHOD_ORDER)
     optimizers = []
-    for token in split_list("optimizers", OPTIMIZER_ORDER):
+    for token in split_list("optimizers", OPTIMIZERS):
         canon = OPTIMIZER_ALIASES.get(token.lower())
         if canon is None:
             raise ConfigError(f"unknown optimizer {token!r}")
         optimizers.append(canon)
 
-    def number(key, default):
-        raw = fields.get(key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad numeric value for {key}: {raw!r}") \
-                from exc
-
-    adapt = _adapt_config(
-        grad_norm_threshold=number("grad_norm_threshold", 1e-2),
-        max_iterations=number("max_iterations", 50),
-        tol_rel_energy=number("tol_rel_energy", 1e-6),
-        fd_step=number("fd_step", 1e-5),
-    )
+    settings = {}
+    for key in SETTINGS:
+        if key in fields:
+            try:
+                settings[key] = float(fields[key])
+            except ValueError as exc:
+                raise ConfigError(f"bad numeric value for {key}: "
+                                  f"{fields[key]!r}") from exc
+    adapt = AdaptConfig(**settings)
     output = fields.get("output", "scan_out")
     return ScanConfig(inputs, methods, optimizers, adapt,
                       base_dir / output)
@@ -201,6 +192,13 @@ def _row_from_result(label, result, fci_energy, infid) -> ScanRow:
         converged=result.converged)
 
 
+def _run_method(method, problem, sol, cfg):
+    """Run ``vqe`` or ``adapt``: the result and its infidelity vs ``sol``."""
+    runner = run_vqe if method == "vqe" else run_adapt
+    result = runner(problem, cfg)
+    return result, infidelity_vs_fci(result.prepared_state(), sol)
+
+
 def run_scan(cfg: ScanConfig) -> list[ScanRow]:
     """Run every input x method x optimizer combination.
 
@@ -224,16 +222,11 @@ def run_scan(cfg: ScanConfig) -> list[ScanRow]:
                     n_operators=0, gate_count=0, depth=0,
                     measurement_total=0, converged=True))
                 continue
-            runner = run_vqe if method == "vqe" else run_adapt
             for optimizer in cfg.optimizers:
                 adapt_cfg = AdaptConfig(
-                    grad_norm_threshold=cfg.adapt.grad_norm_threshold,
-                    max_iterations=cfg.adapt.max_iterations,
                     optimizer=optimizer,
-                    tol_rel_energy=cfg.adapt.tol_rel_energy,
-                    fd_step=cfg.adapt.fd_step)
-                result = runner(problem, adapt_cfg)
-                infid = infidelity_vs_fci(result.prepared_state(), sol)
+                    **{key: getattr(cfg.adapt, key) for key in SETTINGS})
+                result, infid = _run_method(method, problem, sol, adapt_cfg)
                 rows.append(_row_from_result(label, result, sol.energy,
                                              infid))
     return rows
@@ -342,12 +335,14 @@ def _build_parser() -> argparse.ArgumentParser:
     single = sub.add_parser("run", help="run one method on one FCIDUMP")
     single.add_argument("--fcidump", required=True, type=Path)
     single.add_argument("--method", required=True, choices=METHOD_ORDER)
-    single.add_argument("--optimizer", default="lbfgs",
+    single.add_argument("--optimizer", type=str.lower,
                         choices=sorted(OPTIMIZER_ALIASES))
-    single.add_argument("--grad-norm-threshold", type=float, default=1e-2)
-    single.add_argument("--tol", type=float, default=1e-6)
-    single.add_argument("--fd-step", type=float, default=1e-5)
-    single.add_argument("--max-iter", type=int, default=50)
+    single.add_argument("--grad-norm-threshold", type=float)
+    single.add_argument("--tol", type=float, dest="tol_rel_energy",
+                        metavar="TOL")
+    single.add_argument("--fd-step", type=float)
+    single.add_argument("--max-iter", type=int, dest="max_iterations",
+                        metavar="MAX_ITER")
 
     sub.add_parser("selftest", help="run the built-in invariant suite")
     return parser
@@ -375,10 +370,11 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = _adapt_config(grad_norm_threshold=args.grad_norm_threshold,
-                        max_iterations=args.max_iter,
-                        optimizer=OPTIMIZER_ALIASES[args.optimizer.lower()],
-                        tol_rel_energy=args.tol, fd_step=args.fd_step)
+    settings = {key: value for key in SETTINGS
+                if (value := getattr(args, key)) is not None}
+    if args.optimizer is not None:
+        settings["optimizer"] = OPTIMIZER_ALIASES[args.optimizer]
+    cfg = AdaptConfig(**settings)
     problem = QubitProblem(load_fcidump(args.fcidump))
     sol = solve_fci(problem)
     if args.method == "fci":
@@ -386,9 +382,7 @@ def _cmd_run(args) -> int:
         if sol.degeneracy_flag:
             print("note: degenerate ground space")
         return 0
-    runner = run_vqe if args.method == "vqe" else run_adapt
-    result = runner(problem, cfg)
-    infid = infidelity_vs_fci(result.prepared_state(), sol)
+    result, infid = _run_method(args.method, problem, sol, cfg)
     print(GRADIENT_FREE_NOTE)
     print(f"method: {result.method}  optimizer: {result.optimizer}")
     print(f"energy: {result.energy:.9f}")

@@ -106,10 +106,62 @@ class TestConfigParsing:
                                               r"set on line 2"):
             parse_scan_config(text)
 
+    @pytest.mark.parametrize("value", ["bad", "-1"],
+                             ids=["unparsable", "out-of-range"])
+    def test_first_bad_setting_is_reported_in_settings_order(self, value):
+        # file order puts tol_rel_energy first; the report does not follow it
+        text = (config_text([("a", "x.fcidump")])
+                + f"tol_rel_energy = {value}\n"
+                + f"grad_norm_threshold = {value}\n")
+        with pytest.raises(ConfigError, match="grad_norm_threshold"):
+            parse_scan_config(text)
+
     def test_comments_and_blank_lines_ignored(self):
         text = "# hello\n\n" + config_text([("a", "x.fcidump")])
         cfg = parse_scan_config(text)
         assert len(cfg.inputs) == 1
+
+
+class TestSettingDefaults:
+    """`AdaptConfig` is the one home of the run settings' defaults: a scan
+    config and a ``run`` command that set none reach the runner with
+    whatever `AdaptConfig` declares."""
+
+    DEFAULTS = (5e-3, 3, "nelder_mead", 1e-7, 2e-5)
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        configs = []
+        runner = cli.run_adapt
+
+        def recording(problem, cfg):
+            configs.append(cfg)
+            return runner(problem, cfg)
+
+        monkeypatch.setattr(AdaptConfig.__init__, "__defaults__",
+                            self.DEFAULTS)
+        monkeypatch.setattr(cli, "run_adapt", recording)
+        return configs
+
+    def assert_defaults(self, cfg, optimizer):
+        threshold, max_iterations, _, tol, fd_step = self.DEFAULTS
+        assert (cfg.grad_norm_threshold, cfg.max_iterations,
+                cfg.tol_rel_energy, cfg.fd_step, cfg.optimizer) \
+            == (threshold, max_iterations, tol, fd_step, optimizer)
+
+    def test_scan_config_without_settings(self, seen):
+        text = config_text([("0.735", DATA / "h2_r0.735.fcidump")],
+                           methods="adapt", optimizers="lbfgs")
+        run_scan(parse_scan_config(text))
+        [cfg] = seen
+        self.assert_defaults(cfg, "lbfgs")  # the scan names its optimizer
+
+    def test_run_without_setting_flags(self, seen, capsys):
+        assert main(["run", "--fcidump", str(DATA / "h2_r0.735.fcidump"),
+                     "--method", "adapt"]) == 0
+        [cfg] = seen
+        self.assert_defaults(cfg, "nelder_mead")
+        assert "optimizer: nelder_mead" in capsys.readouterr().out
 
 
 class TestRunScan:
@@ -480,6 +532,16 @@ class TestMainEntry:
         assert code == 0
         out = capsys.readouterr().out
         assert "-1.137306036" in out
+
+    @pytest.mark.parametrize("spelling,optimizer", [
+        ("NM", "nelder_mead"), ("L-BFGS", "lbfgs")])
+    def test_run_optimizer_spelling_ignores_case(self, capsys, spelling,
+                                                 optimizer):
+        # a scan config reads the same spellings in any case
+        code = main(["run", "--fcidump", str(DATA / "h2_r0.700.fcidump"),
+                     "--method", "vqe", "--optimizer", spelling])
+        assert code == 0
+        assert f"optimizer: {optimizer}" in capsys.readouterr().out
 
     def test_run_adapt_nm_alias(self, capsys):
         code = main(["run", "--fcidump",

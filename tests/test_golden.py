@@ -14,6 +14,10 @@ adapt with Nelder-Mead and L-BFGS) is pinned by the sha256 of its
 ``scan.csv``, so a printed digit that moves on those longer paths shows.
 A last-bit change in the simulator kernels that moves no printed digit
 is left to the exact kernel oracles in ``test_statevector.py``.
+
+``vqebench run`` is pinned the same way: the sha256 of its whole stdout
+for every method and optimizer on H2, for an input whose pool is empty,
+and for one ADAPT step on the 12-qubit H6 chain.
 """
 import hashlib
 from pathlib import Path
@@ -31,6 +35,41 @@ DATA = Path(__file__).resolve().parent / "data"
 SCANS = ["h2_scan", "nah_scan"]
 H4_SCAN_CSV_SHA256 = \
     "0982eae8d3b8ec338d31d20b7519cf65cee38dbe0225bc3e681871a7315aa478"
+EMPTY_POOL = None  # a one-orbital, two-electron dump written per test
+RUN_PINS = [
+    pytest.param(
+        "h2_r0.735.fcidump", "fci", [],
+        "10b7ab73e8ddb8441ddf64b2d27481782699fbb9762abe1e82c1c322416b455b",
+        id="h2-fci"),
+    pytest.param(
+        "h2_r0.735.fcidump", "vqe", ["--optimizer", "nm"],
+        "00a8f3d433988ac1d13687c1e74707f614244f68be3b3a94abd99eaf839d0c03",
+        id="h2-vqe-nm"),
+    pytest.param(
+        "h2_r0.735.fcidump", "vqe", ["--optimizer", "lbfgs"],
+        "813a25fcb9bb614e00f09d813b0f998e7a42fb31f718d6200894549a144e9ea4",
+        id="h2-vqe-lbfgs"),
+    pytest.param(
+        "h2_r0.735.fcidump", "adapt", ["--optimizer", "nm"],
+        "b1903cb3e856f29903bd4aeb645648f98ae96a0e075ba8e523a1d000d39bfa24",
+        id="h2-adapt-nm"),
+    pytest.param(
+        "h2_r0.735.fcidump", "adapt", ["--optimizer", "lbfgs"],
+        "a9918573465b55f459d6fe91df9c66bc8001765ad1761f9f4c076c3a69977ad9",
+        id="h2-adapt-lbfgs"),
+    pytest.param(
+        EMPTY_POOL, "vqe", [],
+        "6ceb5d41b9dba4cb1fc32503cb051b2ba646cbbffb377d2e30193a75be5371ed",
+        id="empty-pool-vqe"),
+    pytest.param(
+        EMPTY_POOL, "adapt", [],
+        "add81162830fa5c789c2518101a2b872edfc54894f1fb8c3b8e74422358adcde",
+        id="empty-pool-adapt"),
+    pytest.param(
+        "h6/h6_r1.000.fcidump", "adapt", ["--max-iter", "1"],
+        "9358849bdb2556ff362ca4cacebd933f20d4431718a458a51869a5ea4c7f0ef7",
+        id="h6-adapt-max-iter-1"),
+]
 
 
 def complex_n_block_fci(problem):
@@ -99,6 +138,20 @@ def test_h4_scan_csv_is_pinned(tmp_path):
     csv = (tmp_path / "out" / "scan.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == H4_SCAN_CSV_SHA256, \
         csv.decode()
+
+
+@pytest.mark.parametrize("dump,method,flags,digest", RUN_PINS)
+def test_run_stdout_is_pinned(tmp_path, capsys, dump, method, flags, digest):
+    if dump is EMPTY_POOL:  # one orbital, doubly occupied: no excitation
+        path = tmp_path / "one_orbital.fcidump"
+        path.write_text("&FCI NORB=1,NELEC=2,MS2=0 /\n 0.3 1 1 1 1\n"
+                        " -0.7 1 1 0 0\n 0.2 0 0 0 0\n")
+    else:
+        path = DATA / dump
+    argv = ["run", "--fcidump", str(path), "--method", method, *flags]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
 def test_first_difference_names_line_and_both_versions():
