@@ -337,12 +337,19 @@ def _build_parser() -> argparse.ArgumentParser:
     single.add_argument("--method", required=True, choices=METHOD_ORDER)
     single.add_argument("--optimizer", type=str.lower,
                         choices=sorted(OPTIMIZER_ALIASES))
-    single.add_argument("--grad-norm-threshold", type=float)
+    single.add_argument("--grad-norm-threshold", type=float,
+                        help="ADAPT stops once the pool gradient norm is "
+                             "at or below this")
     single.add_argument("--tol", type=float, dest="tol_rel_energy",
-                        metavar="TOL")
-    single.add_argument("--fd-step", type=float)
+                        metavar="TOL",
+                        help="absolute energy change, in Hartree, at or "
+                             "below which an optimizer stops")
+    single.add_argument("--fd-step", type=float,
+                        help="central-difference step of the L-BFGS "
+                             "gradient, in radians")
     single.add_argument("--max-iter", type=int, dest="max_iterations",
-                        metavar="MAX_ITER")
+                        metavar="MAX_ITER",
+                        help="most operators ADAPT adds")
 
     sub.add_parser("selftest", help="run the built-in invariant suite")
     return parser
@@ -416,8 +423,7 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         return 0 if run_selftest() else 2
     except (ConfigError, FcidumpParseError, FcidumpIntegrityError,
-            ResourceLimitError, OpenShellError, FileNotFoundError,
-            IsADirectoryError) as exc:
+            ResourceLimitError, OpenShellError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (AssertionError, ValueError, RuntimeError) as exc:

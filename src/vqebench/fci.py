@@ -8,6 +8,7 @@ import numpy as np
 
 from .adapt import QubitProblem
 from .pauli import PauliSum
+# perfbench's worker reads fci.sector_indices for its sector-size check
 from .statevector import sector_indices  # noqa: F401 re-export
 
 DEGENERACY_GAP = 1e-9

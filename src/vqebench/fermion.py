@@ -10,6 +10,8 @@ import numpy as np
 
 from .pauli import PRUNE_THRESHOLD, PauliSum, to_matrix
 
+_PHASES = (1, 1j, -1, -1j)  # i**k
+
 
 class LadderProduct:
     """Ordered product of ladder operators with a complex coefficient.
@@ -64,19 +66,6 @@ class FermionOperator:
         return FermionOperator(self.n_spin_orbitals,
                                [p.dagger() for p in self.products])
 
-    def __add__(self, other: "FermionOperator") -> "FermionOperator":
-        if self.n_spin_orbitals != other.n_spin_orbitals:
-            raise ValueError("orbital counts differ")
-        return FermionOperator(self.n_spin_orbitals,
-                               self.products + other.products)
-
-    def __sub__(self, other: "FermionOperator") -> "FermionOperator":
-        negated = [LadderProduct(p.factors, -p.coefficient)
-                   for p in other.products]
-        if self.n_spin_orbitals != other.n_spin_orbitals:
-            raise ValueError("orbital counts differ")
-        return FermionOperator(self.n_spin_orbitals, self.products + negated)
-
     def __repr__(self):
         return (f"FermionOperator({self.n_spin_orbitals} orbitals, "
                 f"{len(self.products)} products)")
@@ -89,38 +78,51 @@ def anti_hermitian_pair(t: FermionOperator) -> FermionOperator:
             raise ValueError(
                 "anti_hermitian_pair requires creation factors before "
                 f"annihilation factors, got {prod!r}")
-    return t - t.dagger()
-
-
-def _ladder_image(p: int, dagger: bool, n_qubits: int) -> PauliSum:
-    """JW image of a single ladder operator.
-
-    ``a_p^dagger -> Z_{<p} (X_p - i Y_p) / 2`` and the conjugate for
-    ``a_p``.
-    """
-    z_chain = (1 << p) - 1
-    return PauliSum(n_qubits, {
-        (1 << p, z_chain): 0.5,
-        (1 << p, z_chain | (1 << p)): complex(0.0, -0.5 if dagger else 0.5)})
+    return FermionOperator(t.n_spin_orbitals, t.products + [
+        LadderProduct(p.factors, -p.coefficient)
+        for p in t.dagger().products])
 
 
 def jordan_wigner(f: FermionOperator) -> PauliSum:
     """Jordan-Wigner transform of a fermion operator to a Pauli sum.
 
-    Each product's image is added into one dict, in product order, and
-    pruned on every merge as `PauliSum.__add__` would: a key whose running
-    sum drops below PRUNE_THRESHOLD is deleted, and re-enters at the end
-    if a later product brings it back. `PauliSum.restrict` sorts the terms,
-    so that order reaches the golden scan bytes only through the
-    coefficient bits it produces.
+    ``a_p^dagger -> Z_{<p} (X_p - i Y_p) / 2`` and ``a_p -> Z_{<p} (X_p +
+    i Y_p) / 2``, so a product of k ladder operators is at most ``2**k``
+    strings. Each is one path of X/Y choices, the first factor's the
+    outermost, carried as ``i**e X^x Z^z``: factor ``(p, dagger)`` with
+    choice ``y`` (1 for Y) multiplies by ``Z_{<p} X_p Z_p^y``, whose
+    ``Z^z X_p`` commutation adds 2 to ``e`` when bit p of ``z`` is set, and
+    whose Y term adds the phase of ``-/+ i Y_p = +/- X_p Z_p``. A path is
+    worth ``coefficient * 0.5**k * i**(e - popcount(x & z))`` on its
+    string, since ``Y = i X Z``.
+
+    A product's paths are summed per string in path order and pruned below
+    PRUNE_THRESHOLD; the products are then added into one dict, in order,
+    and pruned on every merge: a key whose running sum drops below the
+    threshold is deleted, and re-enters at the end if a later product
+    brings it back. `PauliSum.restrict` sorts the terms, so that order
+    reaches the golden scan bytes only through the coefficient bits it
+    produces.
     """
     n = f.n_spin_orbitals
     terms: dict[tuple[int, int], complex] = {}
     for prod in f.products:
-        acc = PauliSum.identity(n, prod.coefficient)
-        for p, d in prod.factors:
-            acc = acc * _ladder_image(p, d, n)
-        for key, c in acc.terms.items():
+        paths = [(0, 0, 0)]
+        for p, dagger in prod.factors:
+            bit, y_phase = 1 << p, 0 if dagger else 2
+            paths = [(x ^ bit, z ^ (bit - 1) ^ (y << p),
+                      e + 2 * ((z >> p) & 1) + y * y_phase)
+                     for x, z, e in paths for y in (0, 1)]
+        scale = prod.coefficient * 0.5 ** len(prod.factors)
+        weights = [scale * phase for phase in _PHASES]
+        image: dict[tuple[int, int], complex] = {}
+        for x, z, e in paths:
+            key = (x, z)
+            image[key] = image.get(key, 0.0) + weights[
+                (e - (x & z).bit_count()) % 4]
+        for key, c in image.items():
+            if abs(c) < PRUNE_THRESHOLD:
+                continue
             c = terms.get(key, 0.0) + c
             if abs(c) >= PRUNE_THRESHOLD:
                 terms[key] = c
@@ -130,15 +132,21 @@ def jordan_wigner(f: FermionOperator) -> PauliSum:
 
 
 def verify_car(n: int) -> bool:
-    """True iff the JW images satisfy {a_p, a_q^dag} = delta_pq, {a_p, a_q} = 0.
+    """True iff the `jordan_wigner` images of single ladder operators
+    satisfy {a_p, a_q^dag} = delta_pq and {a_p, a_q} = 0.
 
     Checked densely via Pauli matrices, so n is capped at 8.
     """
     if n > 8:
         raise ValueError("verify_car is a dense self-test, capped at n <= 8")
     eye = np.eye(1 << n)
-    creates = [to_matrix(_ladder_image(p, True, n)) for p in range(n)]
-    destroys = [to_matrix(_ladder_image(p, False, n)) for p in range(n)]
+
+    def image(p, dagger):
+        return to_matrix(jordan_wigner(
+            FermionOperator(n, [LadderProduct([(p, dagger)])])))
+
+    creates = [image(p, True) for p in range(n)]
+    destroys = [image(p, False) for p in range(n)]
     for p in range(n):
         for q in range(n):
             anti = destroys[p] @ creates[q] + creates[q] @ destroys[p]

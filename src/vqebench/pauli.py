@@ -2,9 +2,9 @@
 
 Terms are stored symplectically: qubit ``q`` carries an X factor when bit
 ``q`` of ``x_mask`` is set and a Z factor when bit ``q`` of ``z_mask`` is
-set; both bits set mean Y. The ``i`` in ``Y = i X Z`` is folded into the
-coefficient during products, so a stored term always reads
-``coefficient * (tensor product of I/X/Y/Z)``.
+set; both bits set mean Y. A stored term always reads ``coefficient *
+(tensor product of I/X/Y/Z)``: whoever builds a sum folds the ``i`` in
+``Y = i X Z`` into the coefficient, as `fermion.jordan_wigner` does.
 
 `PauliSum.restrict` compiles a sum once into what `statevector` reads on
 a block of basis states: stacked ``(targets, values)`` rows, one per X
@@ -22,7 +22,6 @@ PRUNE_THRESHOLD = 1e-12
 HERMITIAN_TOL = 1e-12
 LEAK_TOL = 1e-12
 MATRIX_QUBIT_CAP = 12
-_PHASES = (1, 1j, -1, -1j)  # i**k, the phase of a string product
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -66,11 +65,12 @@ def _pauli_string(n_qubits: int, x_mask: int, z_mask: int) -> str:
 class PauliSum:
     """Linear combination of Pauli strings with merged, pruned coefficients.
 
-    Immutable by convention: all arithmetic returns new, unrestricted
-    sums. A sum returned by `restrict` also carries its ``basis``, whether
-    it is ``hermitian``, its compiled ``action`` there and, if
-    anti-Hermitian, its ``rotations`` (else None). Terms with
-    ``|coefficient| < PRUNE_THRESHOLD`` are dropped on every merge.
+    Immutable by convention, with no arithmetic of its own: sums are built
+    whole, by `fermion.jordan_wigner`. A sum returned by `restrict` also
+    carries its ``basis``, whether it is ``hermitian``, its compiled
+    ``action`` there and, if anti-Hermitian, its ``rotations`` (else
+    None). Terms with ``|coefficient| < PRUNE_THRESHOLD`` are dropped when
+    the sum is made.
     """
 
     __slots__ = ("n_qubits", "terms", "basis", "hermitian", "rotations",
@@ -88,10 +88,6 @@ class PauliSum:
                         f"x={x:#x} z={z:#x}")
                 if abs(c) >= PRUNE_THRESHOLD:
                     self.terms[(x, z)] = complex(c)
-
-    @classmethod
-    def identity(cls, n_qubits: int, coefficient: complex = 1.0) -> "PauliSum":
-        return cls(n_qubits, {(0, 0): coefficient})
 
     def __len__(self):
         return len(self.terms)
@@ -162,50 +158,6 @@ class PauliSum:
     def non_identity_term_count(self) -> int:
         return len(self.terms) - (1 if (0, 0) in self.terms else 0)
 
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        _check_same_qubits(self, other)
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            acc[key] = acc.get(key, 0.0) + c
-        return PauliSum(self.n_qubits, acc)
-
-    def __sub__(self, other: "PauliSum") -> "PauliSum":
-        return self + (-1.0) * other
-
-    def __mul__(self, other):
-        """Operator product with another sum, or scaling by a scalar.
-
-        Each term pair gives one string with the XOR of the input masks
-        and coefficient ``ca * cb * phase``. Writing each string as
-        ``i**popcount(x & z) * X^x Z^z`` and commuting the inner
-        ``Z^za X^xb`` pair gives ``phase = i**k`` with the exponent ``k``
-        below. Pairs are accumulated in product order (``self``'s terms
-        outer, ``other``'s inner); the result keeps that first-seen key
-        order and is pruned once. `fermion.jordan_wigner` depends on these
-        bits and that order; `PauliSum.restrict` sorts the terms, so the
-        order reaches the golden scan bytes only through the coefficient
-        bits.
-        """
-        if isinstance(other, PauliSum):
-            _check_same_qubits(self, other)
-            acc: dict[tuple[int, int], complex] = {}
-            b_terms = _with_y_counts(other)
-            for (xa, za), ca in self.terms.items():
-                ya = (xa & za).bit_count()
-                for xb, zb, yb, cb in b_terms:
-                    x = xa ^ xb
-                    z = za ^ zb
-                    phase = _PHASES[(ya + yb - (x & z).bit_count()
-                                     + 2 * (za & xb).bit_count()) % 4]
-                    key = (x, z)
-                    acc[key] = acc.get(key, 0.0) + ca * cb * phase
-            return PauliSum(self.n_qubits, acc)
-        return PauliSum(self.n_qubits,
-                        {k: complex(other) * c for k, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        return self * scalar
-
     def __eq__(self, other):
         if not isinstance(other, PauliSum) or self.n_qubits != other.n_qubits:
             return False
@@ -243,8 +195,11 @@ def commutator_term_counts(h: PauliSum, ops) -> list[int]:
     pruned sum, for each op in turn, without building the sums.
 
     Two Pauli strings either commute or anticommute, so only the
-    anticommuting term pairs contribute, each ``2.0 * (ca * cb * phase)``
-    with the phase of `PauliSum.__mul__`. Each op's pairs are formed as
+    anticommuting term pairs contribute, each ``2.0 * (ca * cb * phase)``.
+    Writing each string as ``i**popcount(x & z) * X^x Z^z`` and commuting
+    the inner ``Z^za X^xb`` pair gives ``phase = i**k`` with the exponent
+    ``k`` below, on the string with the XOR of the pair's masks. Each op's
+    pairs are formed as
     numpy arrays and summed per string in product order (``h``'s terms
     outer, ``op``'s inner); a string whose sum cancels there, exactly or
     below ``PRUNE_THRESHOLD``, is not counted. Keys are ``(x << n) | z``
@@ -286,11 +241,6 @@ def _term_arrays(s: PauliSum):
     x, z = keys[:, 0], keys[:, 1]
     c = np.fromiter(s.terms.values(), complex, len(s.terms))
     return x, z, np.bitwise_count(x & z).astype(np.int64), c.real, c.imag
-
-
-def _with_y_counts(s: PauliSum) -> list[tuple[int, int, int, complex]]:
-    """``(x_mask, z_mask, popcount(x & z), coefficient)`` per term."""
-    return [(x, z, (x & z).bit_count(), c) for (x, z), c in s.terms.items()]
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses")

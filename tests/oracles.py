@@ -2,6 +2,10 @@
 
 Each is an oracle for something the package computes another way:
 
+- `product` and `add`, whole-sum Pauli arithmetic (``a b`` one term pair
+  at a time, and ``a + b``), and `jordan_wigner_sequential`, the
+  Jordan-Wigner transform built on them one ladder factor at a time, for
+  the closed form of `fermion.jordan_wigner`;
 - `commutator`, the symbolic ``[a, b]`` one term pair at a time, for
   `pauli.commutator_term_counts` (the ledger's counts) and for screening;
 - `number_operator` and `sz_operator`, the JW images of N and S_z, for
@@ -26,10 +30,70 @@ import numpy as np
 
 from vqebench import pauli
 from vqebench.fcidump import MolecularHamiltonian
-from vqebench.pauli import DimensionMismatchError, PauliSum
+from vqebench.fermion import FermionOperator
+from vqebench.pauli import PRUNE_THRESHOLD, DimensionMismatchError, PauliSum
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / \
     "make_reference_data.py"
+
+
+def product(a: PauliSum, b: PauliSum) -> PauliSum:
+    """The operator product ``a b`` as a pruned sum.
+
+    Each term pair gives one string with the XOR of the input masks and
+    coefficient ``ca * cb * phase``. Writing each string as
+    ``i**popcount(x & z) * X^x Z^z`` and commuting the inner ``Z^za X^xb``
+    pair gives ``phase = i**k`` with the exponent ``k`` below. Pairs are
+    accumulated in product order (``a``'s terms outer, ``b``'s inner); the
+    result keeps that first-seen key order and is pruned once.
+    """
+    pauli._check_same_qubits(a, b)
+    acc: dict[tuple[int, int], complex] = {}
+    for (xa, za), ca in a.terms.items():
+        for (xb, zb), cb in b.terms.items():
+            x, z = xa ^ xb, za ^ zb
+            k = ((xa & za).bit_count() + (xb & zb).bit_count()
+                 - (x & z).bit_count() + 2 * (za & xb).bit_count()) % 4
+            acc[(x, z)] = acc.get((x, z), 0.0) + ca * cb * (1, 1j, -1, -1j)[k]
+    return PauliSum(a.n_qubits, acc)
+
+
+def add(a: PauliSum, b: PauliSum) -> PauliSum:
+    """``a + b``: ``b``'s terms added into ``a``'s, in order, pruned once."""
+    pauli._check_same_qubits(a, b)
+    acc = dict(a.terms)
+    for key, c in b.terms.items():
+        acc[key] = acc.get(key, 0.0) + c
+    return PauliSum(a.n_qubits, acc)
+
+
+def jordan_wigner_sequential(f: FermionOperator) -> PauliSum:
+    """Jordan-Wigner transform one ladder factor at a time.
+
+    Each product starts from its coefficient times the identity and is
+    multiplied by ``Z_{<p} (X_p -/+ i Y_p) / 2`` for each factor in turn
+    with `product`; its image is then added into one dict, in product
+    order, and pruned on every merge: a key whose running sum drops below
+    PRUNE_THRESHOLD is deleted, and re-enters at the end if a later
+    product brings it back.
+    """
+    n = f.n_spin_orbitals
+    terms: dict[tuple[int, int], complex] = {}
+    for prod in f.products:
+        image = PauliSum(n, {(0, 0): prod.coefficient})
+        for p, dagger in prod.factors:
+            chain = (1 << p) - 1
+            image = product(image, PauliSum(n, {
+                (1 << p, chain): 0.5,
+                (1 << p, chain | (1 << p)): complex(0.0, -0.5 if dagger
+                                                    else 0.5)}))
+        for key, c in image.terms.items():
+            c = terms.get(key, 0.0) + c
+            if abs(c) >= PRUNE_THRESHOLD:
+                terms[key] = c
+            else:
+                terms.pop(key, None)
+    return PauliSum(n, terms)
 
 
 def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
@@ -37,13 +101,11 @@ def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
 
     Two Pauli strings either commute or anticommute, so each term pair
     contributes either nothing or twice its product, ``2.0 * (ca * cb *
-    phase)``, with the phase of `PauliSum.__mul__`. Pairs are summed per
-    string in product order (``a``'s terms outer, ``b``'s inner), and the
-    result is pruned once.
+    phase)``, with the phase of `product`. Pairs are summed per string in
+    product order (``a``'s terms outer, ``b``'s inner), and the result is
+    pruned once.
     """
-    if a.n_qubits != b.n_qubits:
-        raise DimensionMismatchError(
-            f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
+    pauli._check_same_qubits(a, b)
     acc: dict[tuple[int, int], complex] = {}
     for (xa, za), ca in a.terms.items():
         for (xb, zb), cb in b.terms.items():

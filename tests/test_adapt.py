@@ -18,7 +18,7 @@ from vqebench.ansatz import Ansatz, build_uccsd_pool, prepare_state
 from vqebench.fcidump import MolecularHamiltonian, OpenShellError, load_fcidump
 from vqebench.fci import infidelity_vs_fci, solve_fci
 from vqebench.optimize import Objective, central_difference_gradient
-from vqebench.pauli import commutator_term_counts
+from vqebench.pauli import PauliSum, commutator_term_counts
 from vqebench.statevector import expectation
 
 DATA = Path(__file__).parent / "data"
@@ -71,7 +71,8 @@ class TestScreenPool:
 
     def test_non_hermitian_hamiltonian_rejected(self, h2):
         with pytest.raises(ValueError):
-            screen_pool(h2.reference, 1j * h2.h_p, h2.pool)
+            screen_pool(h2.reference, PauliSum(h2.h_p.n_qubits, {
+                key: 1j * c for key, c in h2.h_p.terms.items()}), h2.pool)
 
     @pytest.mark.parametrize("state", ["hf", "random"])
     @pytest.mark.parametrize("name", sorted(SYSTEMS))

@@ -446,6 +446,28 @@ class TestMainEntry:
         assert main(["--help"]) == 0
         assert "usage:" in capsys.readouterr().out
 
+    def test_tol_help_states_its_unit(self, capsys):
+        assert main(["run", "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--tol TOL absolute energy change, in Hartree" in out
+
+    @pytest.mark.parametrize("command", ["run", "scan"])
+    def test_os_error_on_an_input_is_input_error(self, tmp_path, capsys,
+                                                 command):
+        # a path through a regular file: NotADirectoryError, an OSError
+        # that is neither FileNotFoundError nor IsADirectoryError
+        dump = DATA / "h2_r0.735.fcidump" / "x"
+        if command == "run":
+            argv = ["run", "--fcidump", str(dump), "--method", "fci"]
+        else:
+            config = tmp_path / "scan.cfg"
+            config.write_text(config_text([("bad", dump)]))
+            argv = ["scan", "--config", str(config)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Not a directory" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["run", "scan"])
     def test_too_many_qubits_is_input_error(self, tmp_path, capsys,
                                             command):

@@ -11,10 +11,10 @@ from vqebench import pauli
 from vqebench.fcidump import (MolecularHamiltonian, load_fcidump,
                               to_fermion_hamiltonian)
 from vqebench.fermion import FermionOperator, LadderProduct, jordan_wigner
-from vqebench.fci import (FciSolution, infidelity_vs_fci, sector_indices,
-                          sector_matrix, solve_fci)
+from vqebench.fci import (FciSolution, infidelity_vs_fci, sector_matrix,
+                          solve_fci)
 from vqebench.pauli import ResourceLimitError, to_matrix
-from vqebench.statevector import embed, expectation
+from vqebench.statevector import embed, expectation, sector_indices
 
 DATA = Path(__file__).parent / "data"
 

@@ -2,8 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from oracles import number_operator
+from hypothesis import example, given, settings, strategies as st
+from oracles import add, jordan_wigner_sequential, number_operator
 
 from vqebench import ansatz, fermion
 from vqebench.ansatz import build_uccsd_pool
@@ -15,9 +15,15 @@ from vqebench.fermion import (
     jordan_wigner,
     verify_car,
 )
-from vqebench.pauli import PauliSum, to_matrix
+from vqebench.pauli import PRUNE_THRESHOLD, PauliSum, to_matrix
 
 DATA = Path(__file__).parent / "data"
+
+
+def scaled(s: PauliSum, factor) -> PauliSum:
+    """``factor * s``, pruned."""
+    return PauliSum(s.n_qubits, {key: complex(factor) * c
+                                 for key, c in s.terms.items()})
 
 
 def single(n, p, q, coeff=1.0):
@@ -94,26 +100,14 @@ class TestJordanWigner:
             LadderProduct(g.products[0].factors, beta),
         ])
         lhs = jordan_wigner(combined)
-        rhs = alpha * jordan_wigner(f) + beta * jordan_wigner(g)
+        rhs = add(scaled(jordan_wigner(f), alpha),
+                  scaled(jordan_wigner(g), beta))
         np.testing.assert_allclose(to_matrix(lhs), to_matrix(rhs), atol=1e-12)
 
     def test_hermitian_operator_maps_hermitian(self):
         t = single(4, 2, 0, 0.7)
-        herm = t + t.dagger()
+        herm = FermionOperator(4, t.products + t.dagger().products)
         assert jordan_wigner(herm).is_hermitian()
-
-
-def jordan_wigner_by_addition(f: FermionOperator) -> PauliSum:
-    """Oracle: the quadratic ``out = out + acc`` accumulation, one new sum
-    per ladder product."""
-    n = f.n_spin_orbitals
-    out = PauliSum(n)
-    for prod in f.products:
-        acc = PauliSum.identity(n, prod.coefficient)
-        for p, d in prod.factors:
-            acc = acc * fermion._ladder_image(p, d, n)
-        out = out + acc
-    return out
 
 
 def exact_items(s: PauliSum):
@@ -139,17 +133,18 @@ def pool_fermionic_forms(n_spatial, n_electrons):
 
 
 def committed_operators():
-    """The fermion Hamiltonian and the pool operators of every committed
-    FCIDUMP, tagged ``<file>:H`` and ``<file>:<pool id>``."""
-    pools = {}
-    for path in sorted(DATA.glob("*.fcidump")):
+    """The fermion Hamiltonian of every committed FCIDUMP, H6's included,
+    tagged ``<file>:H``, and the pool operators of each of their shapes,
+    tagged ``<file>:<pool id>`` after the first file of that shape."""
+    shapes = set()
+    for path in sorted(DATA.rglob("*.fcidump")):
         ham = load_fcidump(path)
         yield f"{path.stem}:H", to_fermion_hamiltonian(ham)[0]
         shape = (ham.n_spatial, ham.n_electrons)
-        if shape not in pools:
-            pools[shape] = pool_fermionic_forms(*shape)
-        for op_id, tau in enumerate(pools[shape]):
-            yield f"{path.stem}:{op_id}", tau
+        if shape not in shapes:
+            shapes.add(shape)
+            for op_id, tau in enumerate(pool_fermionic_forms(*shape)):
+                yield f"{path.stem}:{op_id}", tau
 
 
 class TestAccumulationOrder:
@@ -158,8 +153,10 @@ class TestAccumulationOrder:
         for tag, f in committed_operators():
             tags.append(tag)
             assert exact_items(jordan_wigner(f)) == \
-                exact_items(jordan_wigner_by_addition(f)), tag
-        assert {tag.split("_")[0] for tag in tags} == {"h2", "h4", "nah"}
+                exact_items(jordan_wigner_sequential(f)), tag
+        assert {tag.split("_")[0] for tag in tags} == {"h2", "h4", "h6",
+                                                       "nah"}
+        assert len(tags) == 147
 
     def test_cancelled_key_is_pruned_and_reinserted_last(self):
         # a0^ -> 0.5 X0 - 0.5i Y0; the third product leaves 5e-14 of both,
@@ -173,16 +170,82 @@ class TestAccumulationOrder:
         out = jordan_wigner(f)
         assert list(out.terms) == [(0, 0), (0, 2), (1, 0), (1, 1)]
         assert out.terms[(1, 0)] == 0.125
-        assert exact_items(out) == exact_items(jordan_wigner_by_addition(f))
+        assert exact_items(out) == exact_items(jordan_wigner_sequential(f))
 
-    def test_never_adds_whole_sums(self, monkeypatch):
-        def refuse(self, other):
-            raise AssertionError("PauliSum.__add__ called")
 
-        f = to_fermion_hamiltonian(load_fcidump(DATA / "h4_r1.000.fcidump"))[0]
-        expected = exact_items(jordan_wigner(f))
-        monkeypatch.setattr(PauliSum, "__add__", refuse)
-        assert exact_items(jordan_wigner(f)) == expected
+def ladder_products(n, normal_ordered):
+    """Products on ``n`` orbitals, repeats allowed. Normal-ordered ones
+    hold at most two creators before at most two annihilators, the shape
+    of every product `to_fermion_hamiltonian` and `build_uccsd_pool` emit;
+    arbitrary ones hold up to six factors in any order."""
+    orbital = st.integers(0, n - 1)
+    if normal_ordered:
+        factors = st.builds(
+            lambda c, a: [(p, True) for p in c] + [(p, False) for p in a],
+            st.lists(orbital, max_size=2), st.lists(orbital, max_size=2))
+    else:
+        factors = st.lists(st.tuples(orbital, st.booleans()), max_size=6)
+    # magnitudes from well above PRUNE_THRESHOLD down to a tenth of it;
+    # a part is zero or far from subnormal, where the paths' one halving
+    # by 0.5**k and the oracle's halving per factor round differently
+    magnitude = st.floats(-13, 0.5).map(lambda e: 10.0 ** e)
+    part = st.floats(-1, 1).filter(lambda v: v == 0 or abs(v) > 1e-200)
+    unit = st.sampled_from([1.0, -1.0, 1j, -1j]) | st.builds(complex, part,
+                                                              part)
+    coefficient = st.builds(lambda r, u: r * u, magnitude, unit)
+    return st.builds(LadderProduct, factors, coefficient)
+
+
+@st.composite
+def fermion_operators(draw, normal_ordered):
+    n = draw(st.integers(1, 6))
+    products = draw(st.lists(ladder_products(n, normal_ordered),
+                             min_size=1, max_size=4))
+    return FermionOperator(n, products)
+
+
+# a0 a0^ a0 a0^ = a0 a0^: four paths end on the identity
+REPEATED = FermionOperator(1, [LadderProduct(
+    [(0, False), (0, True), (0, False), (0, True)], 0.3 - 0.2j)])
+
+
+class TestClosedForm:
+    """`jordan_wigner` maps each product straight to its strings, against
+    the product taken one ladder factor at a time."""
+
+    @given(fermion_operators(normal_ordered=True))
+    @settings(max_examples=300)
+    def test_normal_ordered_products_give_the_oracle_bits(self, f):
+        assert exact_items(jordan_wigner(f)) == \
+            exact_items(jordan_wigner_sequential(f))
+
+    @given(fermion_operators(normal_ordered=False))
+    @example(REPEATED)
+    @example(FermionOperator(5, [LadderProduct(  # a subnormal part
+        [(4, True), (0, True), (3, False)], complex(1.9e-9, 4.3e-318))]))
+    @settings(max_examples=150)
+    def test_any_product_gives_the_oracle_matrix(self, f):
+        np.testing.assert_allclose(to_matrix(jordan_wigner(f)),
+                                   to_matrix(jordan_wigner_sequential(f)),
+                                   rtol=0, atol=1e-12)
+
+    def test_repeated_orbital_sums_in_path_order(self):
+        # the four identity paths are summed once, at the end, where the
+        # oracle sums them pairwise after each factor
+        assert jordan_wigner(REPEATED).terms[(0, 0)] == complex(
+            0.15, -0.09999999999999999)
+        assert jordan_wigner_sequential(REPEATED).terms[(0, 0)] == complex(
+            0.15, -0.1)
+
+    def test_product_image_is_pruned_before_it_merges(self):
+        # n1 = (I - Z1) / 2; the second product's 0.5e-12 on both strings
+        # is pruned with its product, so it never reaches the first's 0.5
+        f = FermionOperator(2, [
+            LadderProduct([(1, True), (1, False)], 1.0),
+            LadderProduct([(1, True), (1, False)], PRUNE_THRESHOLD)])
+        out = jordan_wigner(f)
+        assert out.terms == {(0, 0): 0.5, (0, 2): -0.5}
+        assert exact_items(out) == exact_items(jordan_wigner_sequential(f))
 
 
 class TestCanonicalAnticommutation:
@@ -194,10 +257,15 @@ class TestCanonicalAnticommutation:
         assert verify_car(n)
 
     def test_corrupted_transform_fails(self, monkeypatch):
-        # creation images replaced by annihilation images
-        original = fermion._ladder_image
-        monkeypatch.setattr(fermion, "_ladder_image",
-                            lambda p, dagger, n: original(p, False, n))
+        # creation factors transformed as annihilation factors
+        original = fermion.jordan_wigner
+
+        def no_creators(f):
+            return original(FermionOperator(f.n_spin_orbitals, [
+                LadderProduct([(p, False) for p, _ in prod.factors],
+                              prod.coefficient) for prod in f.products]))
+
+        monkeypatch.setattr(fermion, "jordan_wigner", no_creators)
         assert not verify_car(4)
 
     def test_cap(self):

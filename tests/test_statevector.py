@@ -372,7 +372,7 @@ class TestExpectation:
     def test_identity_returns_coefficient(self):
         amps = random_state(np.random.default_rng(3), 8)
         c = 1.37
-        identity = PauliSum.identity(3, c).restrict(full(3))
+        identity = PauliSum(3, {(0, 0): c}).restrict(full(3))
         assert expectation(amps, identity) == pytest.approx(c)
 
     def test_rejects_non_hermitian(self):
