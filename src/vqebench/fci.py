@@ -42,17 +42,16 @@ class FciSolution:
 def sector_matrix(h_p: PauliSum, indices: np.ndarray) -> np.ndarray:
     """Dense real H_P block over the ascending basis states ``indices``.
 
-    Densifies the block action of `PauliSum.restrict`, which raises
+    Writes the nonzero block entries of `PauliSum.restrict`, which raises
     ValueError for a sum that leaves the block or is not real on it. A sum
     already restricted to ``indices`` reuses its kept action.
     """
     if h_p.basis is not indices:
         h_p = h_p.restrict(indices)
-    targets, values = h_p.action
-    dim = len(indices)
-    mat = np.zeros((dim, dim))
-    # entry (i, targets[g, i]) sums values[g, i] from 0.0, g ascending
-    np.add.at(mat, (np.arange(dim), targets), values)
+    rows, cols, values = h_p.action
+    mat = np.zeros((len(indices), len(indices)))
+    # each (row, col) pair is one X mask's entry: nothing to accumulate
+    mat[rows, cols] = values
     return mat
 
 

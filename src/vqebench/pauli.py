@@ -6,9 +6,9 @@ set; both bits set mean Y. A stored term always reads ``coefficient *
 (tensor product of I/X/Y/Z)``: whoever builds a sum folds the ``i`` in
 ``Y = i X Z`` into the coefficient, as `fermion.jordan_wigner` does.
 
-`PauliSum.restrict` compiles a sum once into what `statevector` reads on
-a block of basis states: stacked ``(targets, values)`` rows, one per X
-mask, and for an anti-Hermitian sum its scalar ``rotations``.
+`PauliSum.restrict` compiles a sum once into what `statevector` and `fci`
+read on a block of basis states: its nonzero block entries ``(rows, cols,
+values)`` and, for an anti-Hermitian sum, scalar ``rotations`` from them.
 
 Qubit 0 is the least significant bit of basis-state indices throughout.
 """
@@ -104,13 +104,14 @@ class PauliSum:
         the sum is Hermitian or anti-Hermitian, real on ``basis`` and maps
         it into itself; an entry leaving it may be at most ``LEAK_TOL``.
 
-        An anti-Hermitian sum also keeps ``rotations``: ``(active,
-        partners, coupling, w)`` per X-mask group ``G``, ascending, and per
-        distinct nonzero ``|diagonal| = w`` in it. ``exp(theta G)`` maps
-        ``psi[active]`` to ``cos(theta w) psi[active] + sin(theta w) / w *
-        coupling * psi[partners]`` and leaves the other entries; a pair
-        ``(i, targets[i])`` shares ``|diagonal|``, so the rotations of one
-        group touch disjoint entries.
+        An anti-Hermitian sum also keeps ``rotations``: ``(rows[run],
+        cols[run], values[run], w)`` per X-mask group ``G`` and distinct
+        ``|values| = w`` in it, both ascending, where ``run`` holds the
+        group's entries of magnitude ``w``. ``exp(theta G)`` maps
+        ``psi[rows[run]]`` to ``cos(theta w) psi[rows[run]] + sin(theta w)
+        / w * values[run] * psi[cols[run]]`` and leaves the other entries;
+        a group's entries ``(r, c)`` and ``(c, r)`` share ``|values|``, so
+        the rotations of one group touch disjoint entries.
         """
         hermitian = self.is_hermitian()
         if not (hermitian or self.is_anti_hermitian()):
@@ -128,31 +129,31 @@ class PauliSum:
         if diagonal.imag.any():
             raise ValueError(f"the sum is not real on the block: max "
                              f"|Im| = {np.abs(diagonal.imag).max():.3e}")
-        diagonal = diagonal.real
-        np.copyto(targets, np.arange(len(basis)), where=off)
-        values = diagonal[np.arange(len(targets))[:, None], targets]
-        targets.flags.writeable = values.flags.writeable = False
-        out._action = targets, values
+        group, cols = np.nonzero(diagonal.real)
+        rows, values = targets[group, cols], diagonal.real[group, cols]
+        for a in (rows, cols, values):
+            a.flags.writeable = False
+        out._action = rows, cols, values
         if not hermitian:
+            norm = np.abs(values)
             out.rotations = tuple(
-                (active, t[active], v[active], w)
-                for t, v, norm in zip(targets, values, np.abs(diagonal))
-                for w in sorted(set(norm[norm > 0].tolist()))
-                for active in [np.flatnonzero(norm == w)])
+                (rows[run], cols[run], values[run], w)
+                for g, w in sorted(set(zip(group.tolist(), norm.tolist())))
+                for run in [np.flatnonzero((group == g) & (norm == w))])
         return out
 
     @property
-    def action(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(targets, values)``: two ``(groups, len(basis))`` arrays, one
-        row per distinct X mask, ascending, with ``op |psi> = sum over
-        rows of values * psi[targets]``. Row ``g`` is the group that maps
-        ``basis[i]`` to ``values[g, targets[g, i]] |basis[targets[g, i]]>``;
-        an entry that left ``basis`` maps to itself with value 0. Kept by
+    def action(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, values)``: the nonzero entries of the real block
+        matrix over ``basis``, ``<basis[rows[e]]| op |basis[cols[e]]> =
+        values[e]``, so ``op |psi>[rows[e]] += values[e] * psi[cols[e]]``.
+        Entries run by X mask ``basis[rows] ^ basis[cols]``, ascending, then
+        by ``cols``; each ``(row, col)`` pair occurs once. Kept by
         `restrict`; an unrestricted sum raises ValueError. Read only.
         """
         if self._action is None:
             raise ValueError("the sum has no basis: restrict it first")
-        _basis_action.hits += len(self._action[0])
+        _basis_action.hits += 1
         return self._action
 
     def non_identity_term_count(self) -> int:
@@ -255,9 +256,9 @@ def _basis_action(s: PauliSum,
     ``basis[i] ^ x`` is not in ``basis``.
 
     Each complex diagonal sums ``coefficient * string_phases`` over its
-    group's strings in `PauliSum.sorted_terms` order. Counts group actions
-    built (``misses``) and reused from a kept ``action`` (``hits``) since
-    import; ``cache_info()`` reads them.
+    group's strings in `PauliSum.sorted_terms` order. Counts actions built
+    here (``misses``) and kept actions read through `PauliSum.action`
+    (``hits``) since import; ``cache_info()`` reads them.
     """
     position = np.full(1 << s.n_qubits, -1, dtype=np.int64)
     position[basis] = np.arange(len(basis))
@@ -266,7 +267,7 @@ def _basis_action(s: PauliSum,
     diagonal = np.zeros((len(masks), len(basis)), dtype=complex)
     for x, z, c in s.sorted_terms():
         diagonal[row[x]] += c * string_phases(basis, x, z)
-    _basis_action.misses += len(masks)
+    _basis_action.misses += 1
     return position[basis ^ np.array(masks, np.int64)[:, None]], diagonal
 
 

@@ -4,9 +4,9 @@ pool-operator exponentials.
 A state is a 1-D float64 ndarray over the ascending basis states of a
 block, `sector_indices`, and an operator acts on it through the kernels
 `PauliSum.restrict` compiled over the same states: ``op |psi>`` is one
-gather, multiply and sum over the stacked ``(targets, values)`` rows of
-`PauliSum.action`, and a pool exponential is a few scalar rotations from
-its ``rotations``. A length mismatch raises `DimensionMismatchError`.
+`np.bincount` over the nonzero block entries ``(rows, cols, values)`` of
+`PauliSum.action`, and a pool exponential is a few scalar rotations cut
+from them (``rotations``). A length mismatch raises `DimensionMismatchError`.
 Basis index bit ``q`` is the value of qubit ``q`` (qubit 0 least
 significant); qubit value 1 means the spin orbital is occupied. The full
 ``2**n`` space is a test oracle (`embed`).
@@ -20,8 +20,7 @@ import numpy as np
 from .pauli import DimensionMismatchError, PauliSum
 
 
-def _checked_action(amps: np.ndarray,
-                    op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
+def _checked_action(amps: np.ndarray, op: PauliSum) -> tuple:
     action = op.action  # ValueError for an unrestricted sum
     if amps.shape != op.basis.shape:
         raise DimensionMismatchError(
@@ -91,9 +90,10 @@ def apply_pool_operator(state: np.ndarray, tau: PauliSum,
 
 def apply_operator(state: np.ndarray, op: PauliSum) -> np.ndarray:
     """Amplitudes of ``op |state>`` (not normalized), ``op`` restricted."""
-    targets, values = _checked_action(state, op)
-    # the axis-0 reduce adds the rows in ascending X-mask order
-    return np.add.reduce(values * state[targets], axis=0)
+    rows, cols, values = _checked_action(state, op)
+    # each row adds its terms in entry order, so by ascending X mask
+    out = np.bincount(rows, values * state[cols], len(state))
+    return out.astype(float, copy=False)  # int zeros when there are none
 
 
 def expectation(state: np.ndarray, observable: PauliSum) -> float:

@@ -14,7 +14,7 @@ Each is an oracle for something the package computes another way:
   `fci.infidelity_vs_fci` on a one-vector ground space;
 - `group_action`, `apply_by_groups` and `exponential_by_groups`, the
   per-X-mask-group loops the package ran before it compiled a restricted
-  sum into stacked ``(targets, values)`` rows and scalar rotations, for
+  sum into its nonzero block entries and scalar rotations, for
   `statevector.apply_operator`, `expectation` and `apply_pool_operator`;
 - `format_fcidump` and `mean_field_energy`, from the standalone
   ``scripts/make_reference_data.py`` that wrote the committed FCIDUMPs,

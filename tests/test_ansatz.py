@@ -57,8 +57,7 @@ class TestPoolConstruction:
         pool = build_uccsd_pool(3, 2)
         assert isinstance(pool, tuple)
         assert build_uccsd_pool(3, 2) is pool
-        targets, values = pool[0].qubit_form.action
-        assert not (targets.flags.writeable or values.flags.writeable)
+        assert not any(a.flags.writeable for a in pool[0].qubit_form.action)
 
     @pytest.mark.parametrize("n_spatial,n_electrons",
                              [(2, 2), (3, 2), (4, 2), (4, 4)])

@@ -377,13 +377,19 @@ class TestMainEntry:
                                       "grad_norm_threshold = inf",
                                       "tol_rel_energy = nan",
                                       "fd_step = inf",
-                                      "output = again"])
+                                      "output = again",
+                                      "methods =",
+                                      pytest.param("methods = vqe\n"
+                                                   "optimizers =",
+                                                   id="vqe, optimizers ="),
+                                      "input = 0.70"])
     def test_bad_config_value_is_input_error(self, tmp_path, capsys, line):
+        # the methods and optimizers lines are left to the case
         config = tmp_path / "scan.cfg"
-        config.write_text(config_text(
-            [("0.735", DATA / "h2_r0.735.fcidump")]) + line + "\n")
+        config.write_text(f"output = out\ninput = 0.735 "
+                          f"{DATA / 'h2_r0.735.fcidump'}\n{line}\n")
         assert main(["scan", "--config", str(config)]) == 1
-        assert "internal" not in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("output", ["occupied", "occupied/sub"])
@@ -554,6 +560,25 @@ class TestMainEntry:
         assert code == 0
         out = capsys.readouterr().out
         assert "-1.137306036" in out
+
+    def test_run_fci_notes_a_degenerate_ground_space(self, tmp_path,
+                                                     capsys):
+        # two spatial orbitals and only a core energy: all four
+        # determinants of the S_z = 0 block tie at 0.25
+        dump = tmp_path / "flat.fcidump"
+        dump.write_text("&FCI NORB=2,NELEC=2,MS2=0 /\n 0.25 0 0 0 0\n")
+        assert main(["run", "--fcidump", str(dump), "--method", "fci"]) == 0
+        assert capsys.readouterr().out == ("fci energy: 0.250000000\n"
+                                           "note: degenerate ground space\n")
+
+    def test_internal_error_exits_two(self, monkeypatch, capsys):
+        def broken(problem):
+            raise AssertionError("eigenpair residual above tolerance")
+
+        monkeypatch.setattr(cli, "solve_fci", broken)
+        assert main(["run", "--fcidump", str(DATA / "h2_r0.735.fcidump"),
+                     "--method", "fci"]) == 2
+        assert capsys.readouterr().err.startswith("internal error:")
 
     @pytest.mark.parametrize("spelling,optimizer", [
         ("NM", "nelder_mead"), ("L-BFGS", "lbfgs")])

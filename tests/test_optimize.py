@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from oracles import commutator
 
+from vqebench import optimize
 from vqebench.adapt import QubitProblem
 from vqebench.ansatz import full_uccsd_ansatz, prepare_state
 from vqebench.fcidump import load_fcidump
 from vqebench.optimize import (
+    LBFGS_MEMORY,
     Objective,
     central_difference_gradient,
     minimize_lbfgs,
@@ -97,6 +99,39 @@ class TestNelderMead:
         result = minimize_nelder_mead(obj, np.zeros(2), 1e-9)
         assert result.n_energy_evals == obj.evaluation_count
 
+    @staticmethod
+    def point_well(calls):
+        """0 at the origin and 1 everywhere else: no reflection or
+        contraction away from the origin improves, so every pass shrinks."""
+        def energy(t):
+            calls.append(t.copy())
+            return 0.0 if not t.any() else 1.0
+        return Objective(energy, 2)
+
+    def test_shrink_when_contraction_fails(self):
+        calls = []
+        result = minimize_nelder_mead(self.point_well(calls), np.zeros(2),
+                                      1e-6, max_evals=11)
+        # the 3-vertex start, then two passes of reflection, inside
+        # contraction and a shrink of both vertices halfway to the origin
+        assert result.n_energy_evals == len(calls) == 11
+        assert not result.converged and result.energy == 0.0
+        np.testing.assert_array_equal(result.theta_opt, [0.0, 0.0])
+        for k, step in enumerate([0.1, 0.05]):
+            np.testing.assert_array_equal(
+                calls[3 + 4 * k:7 + 4 * k],
+                [[step, -step], [step / 4, step / 2],
+                 [step / 2, 0.0], [0.0, step / 2]])
+
+    def test_shrink_stops_at_the_budget(self):
+        calls = []
+        result = minimize_nelder_mead(self.point_well(calls), np.zeros(2),
+                                      1e-6, max_evals=6)
+        # the budget leaves one of the two shrink evaluations
+        assert result.n_energy_evals == len(calls) == 6
+        assert not result.converged
+        np.testing.assert_array_equal(calls[-1], [0.05, 0.0])
+
     def test_deterministic(self):
         runs = []
         for _ in range(2):
@@ -151,6 +186,22 @@ class TestLbfgs:
         # are single energy evaluations
         assert result.n_energy_evals == obj.evaluation_count
         assert result.n_energy_evals >= result.n_gradient_evals * 8
+
+    def test_rosenbrock_past_the_memory(self, monkeypatch):
+        def rosenbrock(t):
+            return float((1 - t[0]) ** 2 + 100 * (t[1] - t[0] ** 2) ** 2)
+
+        result = minimize_lbfgs(Objective(rosenbrock, 2), np.zeros(2), 1e-12)
+        assert result.converged
+        assert len(result.trace) - 1 > LBFGS_MEMORY
+        np.testing.assert_allclose(result.theta_opt, [1.0, 1.0], atol=1e-6)
+        # the cap drops the oldest pairs: without it the steps differ
+        monkeypatch.setattr(optimize, "LBFGS_MEMORY", len(result.trace))
+        uncapped = minimize_lbfgs(Objective(rosenbrock, 2), np.zeros(2),
+                                  1e-12)
+        assert uncapped.trace[:LBFGS_MEMORY + 2] == \
+            result.trace[:LBFGS_MEMORY + 2]
+        assert uncapped.trace != result.trace
 
     def test_deterministic(self):
         results = []

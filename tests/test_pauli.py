@@ -474,12 +474,13 @@ class TestRestrict:
         r = s.restrict(self.SECTOR)
         assert r.basis is self.SECTOR and r.hermitian
         assert r.terms == s.terms and s.basis is None
-        targets, values = r.action
-        assert targets.shape == values.shape == (2, 4)  # X masks 0, 0b101
-        assert values.dtype == np.float64
+        rows, cols, values = r.action
+        assert values.dtype == np.float64 and values.all()
+        # X mask 0 on every state, then 0b101 pairing 0011-0110, 1001-1100
+        np.testing.assert_array_equal(
+            self.SECTOR[rows] ^ self.SECTOR[cols], [0] * 4 + [0b101] * 4)
         block = np.zeros((4, 4))
-        for t, v in zip(targets, values):
-            block[np.arange(4), t] += v
+        block[rows, cols] = values
         np.testing.assert_array_equal(
             block, to_matrix(s)[np.ix_(self.SECTOR, self.SECTOR)].real)
 
@@ -493,14 +494,12 @@ class TestRestrict:
         basis = sector_indices(6, 1)
         s = add(from_string(6, "X0 X2", 0.5),
                 from_string(6, "X0 X2 Z4", 0.5 - 2e-13))
-        (targets,), (values,) = s.restrict(basis).action
+        rows, cols, values = s.restrict(basis).action
         leaving = (basis & 0b010000) != 0
         assert leaving.any() and not leaving.all()
-        np.testing.assert_array_equal(targets[leaving],
-                                      np.flatnonzero(leaving))
-        np.testing.assert_array_equal(values[leaving], 0.0)
-        np.testing.assert_array_equal(basis[targets[~leaving]],
-                                      basis[~leaving] ^ 0b000101)
+        np.testing.assert_array_equal(cols, np.flatnonzero(~leaving))
+        assert values.all()
+        np.testing.assert_array_equal(basis[rows], basis[cols] ^ 0b000101)
 
     def test_imaginary_entry_raises(self):
         with pytest.raises(ValueError, match="not real"):
