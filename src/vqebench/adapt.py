@@ -32,6 +32,7 @@ from .ansatz import (
     circuit_metrics,
     compile_circuit,
     full_uccsd_ansatz,
+    prepare_shifted_states,
     prepare_state,
 )
 from .fcidump import MolecularHamiltonian, to_fermion_hamiltonian
@@ -241,12 +242,17 @@ def _fit(problem: QubitProblem, cfg: AdaptConfig, ansatz: Ansatz,
         return (expectation(prepare_state(ansatz, theta, reference), h_p)
                 + problem.core)
 
+    def shifted_energies(theta, h):  # a gradient's 2n states, built together
+        return [expectation(row, h_p) + problem.core for row in
+                prepare_shifted_states(ansatz, theta, h, reference)]
+
     objective = Objective(energy, len(ansatz),
                           on_evaluation=lambda: ledger.charge_energy(n_terms))
     theta0 = np.zeros(len(ansatz))
     if cfg.optimizer == "lbfgs":
         result = minimize_lbfgs(objective, theta0, cfg.tol_rel_energy,
-                                h=cfg.fd_step, max_evals=DEFAULT_BUDGET)
+                                h=cfg.fd_step, max_evals=DEFAULT_BUDGET,
+                                batch=shifted_energies)
     else:
         result = minimize_nelder_mead(objective, theta0, cfg.tol_rel_energy,
                                       max_evals=DEFAULT_BUDGET)

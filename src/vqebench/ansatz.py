@@ -21,7 +21,7 @@ from .fermion import (
     jordan_wigner,
 )
 from .pauli import PauliSum
-from .statevector import apply_pool_operator, sector_indices
+from .statevector import apply_pool_operator, rotate_rows, sector_indices
 
 
 class PoolOperator:
@@ -193,6 +193,35 @@ def prepare_state(ansatz: Ansatz, thetas, reference: np.ndarray) -> np.ndarray:
         state = apply_pool_operator(state, ansatz.pool[pid].qubit_form,
                                     theta)
     return state if ansatz.ids else reference.copy()
+
+
+def prepare_shifted_states(ansatz: Ansatz, thetas, step: float,
+                           reference: np.ndarray) -> np.ndarray:
+    """The ``2n`` states of a central-difference gradient, as the rows of
+    one ``(2n, dim)`` array: row ``2k`` is ``prepare_state(ansatz, thetas +
+    step e_k, reference)`` and row ``2k + 1`` the same at ``thetas - step
+    e_k``, bit for bit.
+
+    The shifted points share their prefix, so they are built together:
+    operator ``k`` adds the two rows shifted at ``k`` as copies of the
+    unshifted state before it, then rotates every row so far in one pass.
+    The unshifted state is kept twice, once per sign: a plus row's
+    unshifted angle is ``theta_k + 0.0``, which differs from ``theta_k`` in
+    its sign bit when ``theta_k`` is ``-0.0``.
+    """
+    thetas = _theta_vector(ansatz, thetas)
+    n = len(thetas)
+    stack = np.empty((2 * n + 2, len(reference)))
+    stack[:2] = reference  # the unshifted plus and minus rows
+    for k, (pid, theta) in enumerate(zip(ansatz.ids, thetas.tolist())):
+        rows = 2 * k + 4
+        stack[rows - 2:rows] = stack[:2]
+        pick = np.arange(rows) % 2
+        pick[-2:] += 2
+        rotate_rows(stack[:rows], ansatz.pool[pid].qubit_form,
+                    (theta + 0.0, theta - 0.0, theta + step, theta - step),
+                    pick)
+    return stack[2:]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,12 @@
 Both optimizers are deterministic and count every objective call. The
 energy-change tolerance is an absolute spread in Hartree (the quantity
 the convergence literature calls "relative energy"), defaulting to 1e-6.
+
+L-BFGS takes each central-difference gradient's ``2n`` shifted energies
+from one call: an optional ``batch(theta, h)`` function that evaluates
+them together, or else the objective's own function mapped over the same
+points in the same order. Either way the objective charges ``2n``
+evaluations, so the counts do not depend on how the energies were found.
 """
 from __future__ import annotations
 
@@ -26,15 +32,47 @@ class Objective:
         self.evaluation_count = 0
         self._on_evaluation = on_evaluation
 
-    def __call__(self, theta) -> float:
+    def _parameters(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.dimension,):
             raise ValueError(
                 f"expected {self.dimension} parameters, got {theta.shape}")
+        return theta
+
+    def __call__(self, theta) -> float:
+        theta = self._parameters(theta)
         self.evaluation_count += 1
         if self._on_evaluation is not None:
             self._on_evaluation()
         return float(self._fn(theta))
+
+    def shifted_energies(self, theta, h: float, batch=None) -> np.ndarray:
+        """The energies at ``theta + h e_k`` and ``theta - h e_k``, k
+        ascending, plus before minus: ``batch(theta, h)`` when given,
+        else the objective's function at each point in turn. Charged as
+        ``2 * dimension`` evaluations; a batch returning another number of
+        energies raises ValueError."""
+        theta = self._parameters(theta)
+        if batch is None:
+            batch = self._map_shifted
+        energies = np.array(batch(theta, h), dtype=float)
+        if energies.shape != (2 * self.dimension,):
+            raise ValueError(f"expected {2 * self.dimension} shifted "
+                             f"energies, got shape {energies.shape}")
+        self.evaluation_count += energies.size
+        if self._on_evaluation is not None:
+            for _ in range(energies.size):
+                self._on_evaluation()
+        return energies
+
+    def _map_shifted(self, theta, h):
+        energies = []
+        for k in range(theta.size):
+            step = np.zeros_like(theta)
+            step[k] = h
+            energies += [float(self._fn(theta + step)),
+                         float(self._fn(theta - step))]
+        return energies
 
 
 class OptimizationResult:
@@ -56,18 +94,22 @@ class OptimizationResult:
                 f"{self.n_energy_evals} evals, {status})")
 
 
+def _check_fd_step(h) -> None:
+    if not 0 < h < np.inf:  # also false for nan
+        raise ValueError(
+            f"finite-difference step must be positive and finite, got {h}")
+
+
 def central_difference_gradient(obj: Objective, theta,
-                                h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Central finite differences; exactly 2 * dimension evaluations."""
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
-    theta = np.asarray(theta, dtype=float)
-    grad = np.empty_like(theta)
-    for k in range(theta.size):
-        step = np.zeros_like(theta)
-        step[k] = h
-        grad[k] = (obj(theta + step) - obj(theta - step)) / (2.0 * h)
-    return grad
+                                h: float = DEFAULT_FD_STEP,
+                                batch=None) -> np.ndarray:
+    """Central finite differences ``(E(theta + h e_k) - E(theta - h e_k))
+    / 2h`` from one `Objective.shifted_energies` call, so exactly ``2 *
+    dimension`` evaluations; ``batch`` is passed on to it. A step ``h``
+    outside ``(0, inf)`` raises ValueError before any evaluation."""
+    _check_fd_step(h)
+    energies = obj.shifted_energies(theta, h, batch)
+    return (energies[0::2] - energies[1::2]) / (2.0 * h)
 
 
 def minimize_nelder_mead(obj: Objective, theta0,
@@ -144,7 +186,8 @@ def minimize_nelder_mead(obj: Objective, theta0,
 def minimize_lbfgs(obj: Objective, theta0,
                    tol_rel_energy: float = DEFAULT_TOL,
                    h: float = DEFAULT_FD_STEP,
-                   max_evals: int = DEFAULT_BUDGET) -> OptimizationResult:
+                   max_evals: int = DEFAULT_BUDGET,
+                   batch=None) -> OptimizationResult:
     """L-BFGS with central-difference gradients and Armijo backtracking.
 
     Two-loop recursion with memory LBFGS_MEMORY, Armijo constant 1e-4,
@@ -154,11 +197,17 @@ def minimize_lbfgs(obj: Objective, theta0,
     the budget runs out. A failed line search returns the best iterate
     with converged = False, as does a budget too small for a step and its
     gradient; no call past the 1 + 2 * dim of the start exceeds max_evals.
+
+    Each gradient is one `central_difference_gradient` call with step
+    ``h``, which must lie in ``(0, inf)`` (checked before any evaluation),
+    and ``batch``, the optional function of ``(theta, h)`` that returns
+    its ``2 * dim`` shifted energies at once.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     dim = theta.size
     if dim < 1:
         raise ValueError("L-BFGS needs at least one parameter")
+    _check_fd_step(h)
     start_count = obj.evaluation_count
     n_gradient_evals = 0
 
@@ -167,7 +216,7 @@ def minimize_lbfgs(obj: Objective, theta0,
 
     energy = obj(theta)
     trace = [energy]
-    grad = central_difference_gradient(obj, theta, h)
+    grad = central_difference_gradient(obj, theta, h, batch)
     n_gradient_evals += 1
     s_history: list[np.ndarray] = []
     y_history: list[np.ndarray] = []
@@ -211,7 +260,7 @@ def minimize_lbfgs(obj: Objective, theta0,
             return OptimizationResult(theta, energy, spent(),
                                       n_gradient_evals, False, trace)
         new_theta, new_energy = accepted
-        new_grad = central_difference_gradient(obj, new_theta, h)
+        new_grad = central_difference_gradient(obj, new_theta, h, batch)
         n_gradient_evals += 1
         s_vec = new_theta - theta
         y_vec = new_grad - grad

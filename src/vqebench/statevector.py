@@ -6,7 +6,9 @@ block, `sector_indices`, and an operator acts on it through the kernels
 `PauliSum.restrict` compiled over the same states: ``op |psi>`` is one
 `np.bincount` over the nonzero block entries ``(rows, cols, values)`` of
 `PauliSum.action`, and a pool exponential is a few scalar rotations cut
-from them (``rotations``). A length mismatch raises `DimensionMismatchError`.
+from them (``rotations``). The same rotations also turn the rows of a
+``(m, dim)`` stack at once, each at its own angle (`rotate_rows`). A
+length mismatch raises `DimensionMismatchError`.
 Basis index bit ``q`` is the value of qubit ``q`` (qubit 0 least
 significant); qubit value 1 means the spin orbital is occupied. The full
 ``2**n`` space is a test oracle (`embed`).
@@ -79,13 +81,39 @@ def apply_pool_operator(state: np.ndarray, tau: PauliSum,
     _checked_action(state, tau)
     if tau.hermitian:
         raise ValueError("pool operator must be anti-Hermitian")
-    theta = float(theta)
-    state = state.copy()
-    for active, partners, coupling, w in tau.rotations:
-        angle = theta * w
-        state[active] = (math.cos(angle) * state[active]
-                         + math.sin(angle) / w * (coupling * state[partners]))
-    return state
+    return _rotate(state.copy(), tau.rotations, float(theta))
+
+
+def rotate_rows(stack: np.ndarray, tau: PauliSum, angles,
+                pick: np.ndarray) -> None:
+    """Replace row ``i`` of the ``(m, dim)`` stack, in place, by
+    ``exp(angles[pick[i]] * tau) |row>``.
+
+    Each row gets the bits `apply_pool_operator` gives it at its angle:
+    the rotations are the same, with cos and sin taken once per distinct
+    angle and broadcast over the rows that share it.
+    """
+    _checked_action(stack[0], tau)
+    if tau.hermitian:
+        raise ValueError("pool operator must be anti-Hermitian")
+    _rotate(stack.T, tau.rotations, angles, pick)
+
+
+def _rotate(states: np.ndarray, rotations, theta, pick=None) -> np.ndarray:
+    """Apply ``rotations`` to ``states`` in place and return it: a 1-D
+    state at the float angle ``theta``, or each column ``j`` of a ``(dim,
+    m)`` array at ``theta[pick[j]]``."""
+    for active, partners, coupling, w in rotations:
+        if pick is None:
+            angle = theta * w
+            c, s = math.cos(angle), math.sin(angle)
+        else:
+            c = np.array([math.cos(t * w) for t in theta])[pick]
+            s = np.array([math.sin(t * w) for t in theta])[pick]
+            coupling = coupling[:, None]
+        states[active] = (c * states[active]
+                          + s / w * (coupling * states[partners]))
+    return states
 
 
 def apply_operator(state: np.ndarray, op: PauliSum) -> np.ndarray:

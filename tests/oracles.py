@@ -16,6 +16,9 @@ Each is an oracle for something the package computes another way:
   per-X-mask-group loops the package ran before it compiled a restricted
   sum into its nonzero block entries and scalar rotations, for
   `statevector.apply_operator`, `expectation` and `apply_pool_operator`;
+- `shifted_points`, a central-difference gradient's points one at a
+  time, as `Objective` maps its function over them, for
+  `ansatz.prepare_shifted_states` and the batched gradient;
 - `format_fcidump` and `mean_field_energy`, from the standalone
   ``scripts/make_reference_data.py`` that wrote the committed FCIDUMPs,
   for `fcidump.parse_fcidump` and the Hartree-Fock reference expectation.
@@ -192,6 +195,17 @@ def exponential_by_groups(state: np.ndarray, groups,
                           where=norm > 0)
         state = np.cos(angle) * state + scale * (diagonal * state)[targets]
     return state
+
+
+def shifted_points(theta: np.ndarray, h: float):
+    """``theta + h e_k`` then ``theta - h e_k``, k ascending, each built by
+    adding or subtracting a whole step vector, so an unshifted ``-0.0``
+    is ``0.0`` in the plus points and ``-0.0`` in the minus points."""
+    for k in range(len(theta)):
+        step = np.zeros_like(theta)
+        step[k] = h
+        yield theta + step
+        yield theta - step
 
 
 @cache

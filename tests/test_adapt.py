@@ -311,6 +311,50 @@ class TestRunVqe:
         assert a.ledger.as_dict() == b.ledger.as_dict()
 
 
+class TestBatchedGradients:
+    """L-BFGS takes each gradient's 2n energies from states built together;
+    the fit must not depend on it, down to the bits and the ledger."""
+
+    @pytest.mark.parametrize("runner", [run_vqe, run_adapt])
+    def test_h4_fit_equals_per_point_fit(self, runner, monkeypatch):
+        h4 = problem_of("h4")
+        lbfgs = adapt.minimize_lbfgs
+        runs = {}
+        for batched in (True, False):
+            evals = runs[batched] = []
+
+            def recording(*args, batched=batched, evals=evals, **kwargs):
+                assert callable(kwargs["batch"])
+                if not batched:
+                    del kwargs["batch"]
+                result = lbfgs(*args, **kwargs)
+                evals.append((result.n_energy_evals, result.converged))
+                return result
+
+            monkeypatch.setattr(adapt, "minimize_lbfgs", recording)
+            result = runner(h4, AdaptConfig(optimizer="lbfgs"))
+            evals.append((result.theta.tobytes(), result.energy,
+                          result.converged, result.ledger.as_dict(),
+                          result.ansatz.ids))
+        assert len(runs[True]) > 1
+        assert runs[True] == runs[False]
+
+    def test_batch_of_the_wrong_length_is_an_internal_error(
+            self, monkeypatch, capsys):
+        from vqebench import ansatz
+        from vqebench.cli import main
+
+        def one_row_short(*args):
+            return ansatz.prepare_shifted_states(*args)[:-1]
+
+        monkeypatch.setattr(adapt, "prepare_shifted_states", one_row_short)
+        with pytest.raises(ValueError, match="shifted energies"):
+            run_vqe(problem_of("h2"), AdaptConfig(optimizer="lbfgs"))
+        assert main(["run", "--fcidump", str(DATA / SYSTEMS["h2"]),
+                     "--method", "vqe", "--optimizer", "lbfgs"]) == 2
+        assert "shifted energies" in capsys.readouterr().err
+
+
 class TestAdaptConfig:
     def test_validation(self):
         with pytest.raises(ValueError):

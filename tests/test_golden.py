@@ -17,7 +17,9 @@ is left to the exact kernel oracles in ``test_statevector.py``.
 
 ``vqebench run`` is pinned the same way: the sha256 of its whole stdout
 for every method and optimizer on H2, for an input whose pool is empty,
-and for one ADAPT step on the 12-qubit H6 chain.
+and for one and for three ADAPT steps on the 12-qubit H6 chain; the
+three-step run fits up to three angles with L-BFGS, so its finite-
+difference gradients take several shifted states at 12 qubits.
 """
 import hashlib
 from pathlib import Path
@@ -69,6 +71,10 @@ RUN_PINS = [
         "h6/h6_r1.000.fcidump", "adapt", ["--max-iter", "1"],
         "9358849bdb2556ff362ca4cacebd933f20d4431718a458a51869a5ea4c7f0ef7",
         id="h6-adapt-max-iter-1"),
+    pytest.param(
+        "h6/h6_r1.000.fcidump", "adapt", ["--max-iter", "3"],
+        "1804193ffebdb40e7a3f08ce80a50f9c78b10e05ae577779f32fc559f5d3f5f5",
+        id="h6-adapt-max-iter-3"),
 ]
 
 

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import commutator
+from oracles import commutator, shifted_points
 
 from vqebench import optimize
 from vqebench.adapt import QubitProblem
@@ -55,6 +55,72 @@ class TestCentralDifferenceGradient:
         obj = Objective(lambda t: 0.0, 1)
         with pytest.raises(ValueError):
             central_difference_gradient(obj, np.zeros(1), 0.0)
+
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"),
+                                   float("-inf")])
+    def test_non_finite_step_rejected_before_any_evaluation(self, h):
+        calls = []
+        obj = Objective(lambda t: 0.0, 3, on_evaluation=lambda: calls.append(1))
+        with pytest.raises(ValueError, match="positive and finite"):
+            central_difference_gradient(obj, np.zeros(3), h)
+        with pytest.raises(ValueError, match="positive and finite"):
+            minimize_lbfgs(obj, np.zeros(3), h=h)
+        assert obj.evaluation_count == 0 and not calls
+
+    def test_batch_is_charged_as_two_evaluations_per_dimension(self):
+        calls, seen = [], []
+        obj = Objective(lambda t: float(t @ t), 4,
+                        on_evaluation=lambda: calls.append(1))
+
+        def batch(theta, h):
+            seen.append((theta.copy(), h))
+            return [float(p @ p) for p in shifted_points(theta, h)]
+
+        theta = np.array([0.1, -0.2, 0.0, 0.3])
+        grad = central_difference_gradient(obj, theta, 1e-4, batch=batch)
+        assert obj.evaluation_count == 8 and len(calls) == 8
+        assert len(seen) == 1 and seen[0][1] == 1e-4
+        np.testing.assert_array_equal(seen[0][0], theta)
+        assert grad.tobytes() == central_difference_gradient(
+            Objective(lambda t: float(t @ t), 4), theta, 1e-4).tobytes()
+
+    def test_per_point_energies_come_in_gradient_order(self):
+        points = []
+        obj = Objective(lambda t: points.append(t.copy()) or 0.0, 2)
+        theta = np.array([-0.0, 0.5])
+        central_difference_gradient(obj, theta, 0.25)
+        expected = list(shifted_points(theta, 0.25))
+        assert [p.tobytes() for p in points] == \
+            [p.tobytes() for p in expected]
+        # theta_0 = -0.0: 0.0 in the plus point of k = 1, -0.0 in its minus
+        assert not np.signbit(points[2][0]) and np.signbit(points[3][0])
+
+    @pytest.mark.parametrize("n_energies", [5, 7, 0])
+    def test_batch_of_the_wrong_length_is_rejected(self, n_energies):
+        obj = Objective(lambda t: 0.0, 3)
+        with pytest.raises(ValueError, match="6 shifted energies"):
+            central_difference_gradient(
+                obj, np.zeros(3), batch=lambda t, h: [0.0] * n_energies)
+        assert obj.evaluation_count == 0
+
+    def test_lbfgs_passes_its_batch_to_every_gradient(self):
+        batches = []
+
+        def batch(theta, h):
+            batches.append(h)
+            return [quadratic(p) for p in shifted_points(theta, h)]
+
+        def quadratic(t):
+            return float(np.sum((t - 0.2) ** 2))
+
+        with_batch = minimize_lbfgs(Objective(quadratic, 3), np.zeros(3),
+                                    1e-10, h=1e-4, batch=batch)
+        without = minimize_lbfgs(Objective(quadratic, 3), np.zeros(3),
+                                 1e-10, h=1e-4)
+        assert batches == [1e-4] * with_batch.n_gradient_evals
+        assert with_batch.theta_opt.tobytes() == without.theta_opt.tobytes()
+        assert (with_batch.energy, with_batch.n_energy_evals) == \
+            (without.energy, without.n_energy_evals)
 
     def test_vqe_gradient_at_zero_matches_commutator(self, h2_problem):
         obj, h_p, pool, ref, _ = h2_problem

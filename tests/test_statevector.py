@@ -9,13 +9,20 @@ from oracles import (
     group_action,
     infidelity,
     number_operator,
+    shifted_points,
 )
 from scipy.linalg import expm
 from test_pauli import from_string, sum_kron_matrix
 
 from vqebench import pauli
 from vqebench.adapt import AdaptConfig, QubitProblem, run_adapt
-from vqebench.ansatz import Ansatz, full_uccsd_ansatz, prepare_state
+from vqebench.ansatz import (
+    Ansatz,
+    build_uccsd_pool,
+    full_uccsd_ansatz,
+    prepare_shifted_states,
+    prepare_state,
+)
 from vqebench.fcidump import load_fcidump
 from vqebench.fci import infidelity_vs_fci, sector_matrix, solve_fci
 from vqebench.fermion import (
@@ -24,7 +31,11 @@ from vqebench.fermion import (
     anti_hermitian_pair,
     jordan_wigner,
 )
-from vqebench.optimize import Objective, central_difference_gradient
+from vqebench.optimize import (
+    DEFAULT_FD_STEP,
+    Objective,
+    central_difference_gradient,
+)
 from vqebench.pauli import DimensionMismatchError, PauliSum, to_matrix
 from vqebench.statevector import (
     apply_operator,
@@ -32,6 +43,7 @@ from vqebench.statevector import (
     embed,
     expectation,
     hartree_fock_reference,
+    rotate_rows,
     sector_indices,
 )
 
@@ -360,6 +372,109 @@ class TestKernelsAgainstGroupLoops:
         np.testing.assert_array_equal(
             out, apply_by_groups(state, group_action(zero)))
         assert expectation(state, zero) == 0.0
+
+
+class TestShiftedStates:
+    """A gradient's 2n states built together, sharing their prefix, have
+    the bits of `prepare_state` at each point; signed zeros count."""
+
+    @staticmethod
+    def cases(pool, rng):
+        """``(ids, thetas)``: one operator at 0.0, -0.0 and a random angle;
+        an ansatz that repeats pool ids; the full UCCSD ansatz."""
+        for theta in (0.0, -0.0, float(rng.uniform(-0.5, 0.5))):
+            yield [int(rng.integers(len(pool)))], np.array([theta])
+        a, b = rng.choice(len(pool), 2, replace=len(pool) < 2)
+        for ids in ([a, b, a, b, b, a], list(range(len(pool)))):
+            thetas = rng.uniform(-0.5, 0.5, len(ids))
+            thetas[[0, len(ids) // 2]] = 0.0
+            thetas[[1, -1]] = -0.0
+            yield ids, thetas
+
+    @staticmethod
+    def assert_rows_match(ansatz, thetas, step, reference):
+        stack = prepare_shifted_states(ansatz, thetas, step, reference)
+        assert stack.shape == (2 * len(ansatz), len(reference))
+        for row, point in zip(stack, shifted_points(thetas, step),
+                              strict=True):
+            assert row.tobytes() == \
+                prepare_state(ansatz, point, reference).tobytes(), \
+                (ansatz, point)
+
+    @pytest.mark.parametrize("step", [DEFAULT_FD_STEP, 0.25])
+    def test_rows_equal_prepare_state_bit_for_bit(self, kernel_problem,
+                                                  step):
+        pool, reference = kernel_problem.pool, kernel_problem.reference
+        for ids, thetas in self.cases(pool, np.random.default_rng(29)):
+            self.assert_rows_match(Ansatz(pool, ids), thetas, step,
+                                   reference)
+
+    def test_signed_zero_amplitudes(self, kernel_problem):
+        # A rotation by a zero angle keeps a -0.0 amplitude or turns it
+        # into 0.0, by the angle's sign. The plus points carry theta_k +
+        # 0.0 where the minus points carry theta_k, so their prefixes
+        # differ once theta_k is -0.0.
+        rng = np.random.default_rng(43)
+        pool = kernel_problem.pool
+        reference = rng.normal(size=len(kernel_problem.reference))
+        for _ in range(20):
+            reference[rng.random(len(reference)) < 0.5] = -0.0
+            thetas = np.where(rng.random(4) < 0.5, -0.0,
+                              rng.uniform(-0.5, 0.5, 4))
+            self.assert_rows_match(
+                Ansatz(pool, rng.integers(len(pool), size=4)), thetas,
+                DEFAULT_FD_STEP, reference)
+
+    def test_batched_gradient_equals_per_point_gradient(self,
+                                                        kernel_problem):
+        h_p, core = kernel_problem.h_p, kernel_problem.core
+        pool, reference = kernel_problem.pool, kernel_problem.reference
+        for ids, thetas in self.cases(pool, np.random.default_rng(37)):
+            ansatz = Ansatz(pool, ids)
+
+            def energy(theta, ansatz=ansatz):
+                return expectation(prepare_state(ansatz, theta, reference),
+                                   h_p) + core
+
+            def batch(theta, h, ansatz=ansatz):
+                return [expectation(row, h_p) + core for row in
+                        prepare_shifted_states(ansatz, theta, h, reference)]
+
+            per_point = central_difference_gradient(
+                Objective(energy, len(ids)), thetas)
+            batched = central_difference_gradient(
+                Objective(energy, len(ids)), thetas, batch=batch)
+            assert batched.tobytes() == per_point.tobytes(), ids
+
+    def test_empty_ansatz_has_no_rows(self):
+        reference = hartree_fock_reference(4, 2)
+        stack = prepare_shifted_states(
+            Ansatz(build_uccsd_pool(2, 2)), [], 0.1, reference)
+        assert stack.shape == (0, 4)
+
+    @pytest.mark.parametrize("angles", [(-2.1, 0.17, -0.0, np.pi),
+                                        (0.0, -0.0, 1e-9, -1e-9)])
+    def test_rotate_rows_equals_apply_pool_operator(self, angles):
+        tau = weighted_group_tau().restrict(full(4))
+        stack = np.random.default_rng(4).normal(size=(7, 16))
+        pick = np.array([0, 1, 2, 3, 0, 2, 1])
+        expected = [apply_pool_operator(row, tau, angles[p])
+                    for row, p in zip(stack, pick)]
+        rotate_rows(stack, tau, angles, pick)
+        for row, want in zip(stack, expected):
+            assert row.tobytes() == want.tobytes()
+
+    def test_rotate_rows_keeps_the_operator_checks(self):
+        tau = paired_double_tau().restrict(SECTOR)
+        with pytest.raises(DimensionMismatchError):
+            rotate_rows(np.zeros((3, 5)), tau, (0.1,), np.zeros(3, int))
+        hermitian = PauliSum(4, {(0b0011, 0b0000): 1.0}).restrict(full(4))
+        with pytest.raises(ValueError, match="anti-Hermitian"):
+            rotate_rows(np.zeros((3, 16)), hermitian, (0.1,),
+                        np.zeros(3, int))
+        with pytest.raises(ValueError, match="restrict"):
+            rotate_rows(np.zeros((3, 4)), paired_double_tau(), (0.1,),
+                        np.zeros(3, int))
 
 
 class TestExpectation:
