@@ -27,6 +27,7 @@ from .ansatz import (
     PoolOperator,
     build_uccsd_pool,
     circuit_metrics,
+    circuit_resources,
     compile_circuit,
     full_uccsd_ansatz,
     prepare_state,
@@ -70,7 +71,7 @@ __all__ = [
     "QubitProblem", "RunResult",
     "anti_hermitian_pair", "apply_operator", "apply_pool_operator",
     "build_uccsd_pool", "central_difference_gradient", "circuit_metrics",
-    "compile_circuit", "expectation", "full_uccsd_ansatz",
+    "circuit_resources", "compile_circuit", "expectation", "full_uccsd_ansatz",
     "hartree_fock_reference", "infidelity_vs_fci",
     "jordan_wigner", "load_fcidump", "minimize_lbfgs",
     "minimize_nelder_mead", "parse_fcidump", "prepare_state", "run_adapt",

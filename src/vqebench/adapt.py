@@ -29,8 +29,7 @@ import numpy as np
 from .ansatz import (
     Ansatz,
     build_uccsd_pool,
-    circuit_metrics,
-    compile_circuit,
+    circuit_resources,
     full_uccsd_ansatz,
     prepare_shifted_states,
     prepare_state,
@@ -179,7 +178,8 @@ class RunResult:
     ``final_grad_norm`` is the pool gradient norm at the returned state
     (None for VQE). ``theta`` holds the optimised angles of ``ansatz``,
     one per pool id; ``reference`` is the problem's Hartree-Fock state the
-    ansatz acts on.
+    ansatz acts on. ``resources`` is the gate count and depth of the
+    ansatz circuit, `circuit_resources`: they do not depend on ``theta``.
     """
 
     __slots__ = ("method", "optimizer", "ansatz", "theta", "energy",
@@ -295,7 +295,7 @@ def run_adapt(problem: QubitProblem,
     return RunResult(
         method="adapt", optimizer=cfg.optimizer, ansatz=ansatz, theta=theta,
         energy=energy, converged=converged, trace=trace, ledger=ledger,
-        resources=circuit_metrics(compile_circuit(ansatz, theta)),
+        resources=circuit_resources(ansatz),
         final_grad_norm=final_grad_norm, reference=reference)
 
 
@@ -310,5 +310,5 @@ def run_vqe(problem: QubitProblem,
     return RunResult(
         method="vqe", optimizer=cfg.optimizer, ansatz=ansatz, theta=theta,
         energy=energy, converged=converged, trace=[], ledger=ledger,
-        resources=circuit_metrics(compile_circuit(ansatz, theta)),
+        resources=circuit_resources(ansatz),
         final_grad_norm=None, reference=problem.reference)

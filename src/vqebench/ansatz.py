@@ -1,5 +1,5 @@
-"""Singlet-adapted UCCSD operator pool, ansatz state preparation, and
-gate-level circuit compilation for resource reports.
+"""Singlet-adapted UCCSD operator pool, ansatz state preparation, circuit
+resources, and the gate-level compilation they are counted from.
 
 Pool operators are anti-Hermitian ``tau = T - T^dagger`` with T built from
 spin-channel sums that share one variational amplitude. Channels are
@@ -27,12 +27,38 @@ from .statevector import apply_pool_operator, rotate_rows, sector_indices
 class PoolOperator:
     """One candidate excitation: its JW image on the reference's block."""
 
-    __slots__ = ("id", "qubit_form", "description")
+    __slots__ = ("id", "qubit_form", "description", "_summary")
 
     def __init__(self, op_id, qubit_form, description):
         self.id = op_id
         self.qubit_form = qubit_form
         self.description = description
+        self._summary = None
+
+    @property
+    def circuit_summary(self) -> tuple[int, np.ndarray]:
+        """``(gate_count, depth_map)`` of this operator's compiled gates,
+        which do not depend on its angle; built on first use and kept.
+
+        ``depth_map[q, j]`` is the longest gate path from qubit ``j``'s
+        frontier to qubit ``q``'s, in max-plus form (``NO_PATH`` where there
+        is none), so the greedy depth frontier after the gates is
+        ``(depth_map + frontier).max(axis=1)``.
+        """
+        if self._summary is None:
+            n = self.qubit_form.n_qubits
+            rows = list(np.where(np.eye(n, dtype=bool), 0, NO_PATH))
+            gates = [g for x, z, _ in self.qubit_form.sorted_terms()
+                     for g in _exponential_template(n, x, z, 0.0)]
+            for gate in gates:  # a gate's qubits leave it on one layer
+                row = functools.reduce(
+                    np.maximum, [rows[q] for q in gate.qubits]) + 1
+                for q in gate.qubits:
+                    rows[q] = row
+            depth_map = np.array(rows)
+            depth_map.flags.writeable = False  # shared with the pool
+            self._summary = len(gates), depth_map
+        return self._summary
 
     def __repr__(self):
         return f"PoolOperator({self.id}: {self.description})"
@@ -225,8 +251,24 @@ def prepare_shifted_states(ansatz: Ansatz, thetas, step: float,
 
 
 # ---------------------------------------------------------------------------
-# Gate-level compilation
+# Circuit resources, and the gate-level compilation they are counted from
 # ---------------------------------------------------------------------------
+
+NO_PATH = -(1 << 40)  # the max-plus zero of a depth map, far below any path
+
+
+def circuit_resources(ansatz: Ansatz) -> dict:
+    """Gate count and greedy depth of the ansatz circuit, composed from its
+    operators' `PoolOperator.circuit_summary` without building a gate.
+    Equal to ``circuit_metrics(compile_circuit(ansatz, thetas))`` at any
+    angles."""
+    gate_count, frontier = 0, np.zeros(1, dtype=np.int64)
+    for pid in ansatz.ids:
+        count, depth_map = ansatz.pool[pid].circuit_summary
+        gate_count += count
+        frontier = (depth_map + frontier).max(axis=1)
+    return {"gate_count": gate_count, "depth": int(frontier.max())}
+
 
 class Gate:
     """One gate: H q | RX angle q | RZ angle q | CNOT control target.
@@ -311,11 +353,11 @@ def _exponential_template(n_qubits: int, x_mask: int, z_mask: int,
 
 def compile_circuit(ansatz: Ansatz, thetas) -> GateCircuit:
     """Compile the ansatz at the given angles with the raw CNOT-staircase
-    template.
+    template: the gate-level oracle of `circuit_resources`.
 
-    Terms are emitted in canonical order; theta = 0 operators still emit
-    gates so that resource reports reflect circuit structure rather than
-    parameter values.
+    Terms are emitted in canonical order. The angles set only the rotation
+    angles: theta = 0 operators still emit their gates, so the gates' kinds
+    and qubits, and hence the resources, do not depend on theta.
     """
     n_qubits = ansatz.pool[0].qubit_form.n_qubits if ansatz.pool else 0
     gates = []

@@ -15,6 +15,8 @@ from .adapt import AdaptConfig, QubitProblem, run_adapt, run_vqe, screen_pool
 from .ansatz import (
     Ansatz,
     build_uccsd_pool,
+    circuit_metrics,
+    circuit_resources,
     compile_circuit,
     full_uccsd_ansatz,
     prepare_shifted_states,
@@ -144,7 +146,7 @@ def run_selftest() -> bool:
         ref = hartree_fock_reference(n_qubits, n_electrons)
         basis = pool[0].qubit_form.basis
         full_ref = embed(ref, basis, n_qubits)
-        ok_apply = ok_circuit = True
+        ok_apply = ok_circuit = ok_resources = True
         for op in pool:
             theta = float(rng.uniform(-np.pi, np.pi))
             ansatz = Ansatz(pool, [op.id])
@@ -152,13 +154,20 @@ def run_selftest() -> bool:
             dense = _expm_anti_hermitian(_kron_matrix(op.qubit_form),
                                          theta) @ full_ref
             ok_apply &= bool(np.allclose(fast, dense, atol=1e-10))
-            gated = simulate_circuit(compile_circuit(ansatz, [theta]),
-                                     full_ref)
+            circuit = compile_circuit(ansatz, [theta])
+            gated = simulate_circuit(circuit, full_ref)
             ok_circuit &= bool(np.allclose(gated, fast, atol=1e-10))
+            ok_resources &= circuit_resources(ansatz) == circuit_metrics(
+                circuit)
+        reverse = Ansatz(pool, [op.id for op in reversed(pool)])
+        ok_resources &= circuit_resources(reverse) == circuit_metrics(
+            compile_circuit(reverse, np.linspace(-1.0, 1.0, len(pool))))
         check(f"pool exponentials match dense matrix exponential "
               f"({n_spatial},{n_electrons})", ok_apply)
         check(f"compiled circuits match pool exponentials "
               f"({n_spatial},{n_electrons})", ok_circuit)
+        check(f"resource summaries match compiled circuits "
+              f"({n_spatial},{n_electrons})", ok_resources)
 
     batch_ok = True
     for n_spatial, n_electrons in ((4, 2), (4, 4)):

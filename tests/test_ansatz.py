@@ -1,7 +1,10 @@
+import functools
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import infidelity, number_operator, sz_operator
 from scipy.linalg import expm
 
@@ -13,11 +16,13 @@ from vqebench.ansatz import (
     _validate_pool_operator,
     build_uccsd_pool,
     circuit_metrics,
+    circuit_resources,
     compile_circuit,
     full_uccsd_ansatz,
     prepare_state,
     simulate_circuit,
 )
+from vqebench.fcidump import load_fcidump
 from vqebench.fermion import (
     FermionOperator,
     LadderProduct,
@@ -33,6 +38,15 @@ from vqebench.statevector import (
 )
 
 SECTOR = sector_indices(4, 2)
+DATA = Path(__file__).parent / "data"
+COMMITTED_INPUTS = {"h2": "h2_r0.735.fcidump", "nah": "nah_r1.000.fcidump",
+                    "h4": "h4_r1.000.fcidump", "h6": "h6/h6_r1.000.fcidump"}
+
+
+@functools.cache
+def committed_pool(name):
+    ham = load_fcidump(DATA / COMMITTED_INPUTS[name])
+    return build_uccsd_pool(ham.n_spatial, ham.n_electrons)
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +326,59 @@ class TestMetricsAndSerialization:
         lines = text_a.strip().splitlines()
         assert all(line.split()[0] in ("H", "RX", "RZ", "CNOT")
                    for line in lines)
+
+
+def compiled_metrics(ansatz, thetas):
+    return circuit_metrics(compile_circuit(ansatz, thetas))
+
+
+class TestCircuitResources:
+    """`circuit_resources`, composed from per-operator summaries, against
+    the gate-level oracle ``circuit_metrics(compile_circuit(...))``."""
+
+    @pytest.mark.parametrize("name", sorted(COMMITTED_INPUTS))
+    def test_every_operator_and_full_uccsd(self, name):
+        pool = committed_pool(name)
+        rng = np.random.default_rng(19)
+        for op in pool:
+            ansatz = Ansatz(pool, [op.id])
+            assert circuit_resources(ansatz) == compiled_metrics(
+                ansatz, rng.uniform(-np.pi, np.pi, 1))
+        ansatz = full_uccsd_ansatz(pool)
+        assert circuit_resources(ansatz) == compiled_metrics(
+            ansatz, rng.uniform(-np.pi, np.pi, len(pool)))
+
+    @given(st.lists(st.integers(0, 18), max_size=40),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_id_sequences_with_repeats(self, ids, seed):
+        ansatz = Ansatz(committed_pool("h4"), ids)  # 19 operators
+        thetas = np.random.default_rng(seed).uniform(-np.pi, np.pi, len(ids))
+        assert circuit_resources(ansatz) == compiled_metrics(ansatz, thetas)
+
+    def test_empty_ansatz(self, cas22_pool):
+        for pool in (cas22_pool, ()):
+            resources = circuit_resources(Ansatz(pool))
+            assert resources == {"gate_count": 0, "depth": 0}
+            assert all(type(v) is int for v in resources.values())
+
+    def test_counts_are_python_ints_and_summaries_read_only(self,
+                                                             cas22_pool):
+        resources = circuit_resources(full_uccsd_ansatz(cas22_pool))
+        assert all(type(v) is int for v in resources.values())
+        _, depth_map = cas22_pool[1].circuit_summary
+        assert cas22_pool[1].circuit_summary[1] is depth_map
+        assert not depth_map.flags.writeable
+
+    @pytest.mark.parametrize("name", sorted(COMMITTED_INPUTS))
+    def test_gates_do_not_depend_on_theta(self, name):
+        # the summaries are built once, at theta = 0, for every angle
+        ansatz = full_uccsd_ansatz(committed_pool(name))
+        thetas = np.random.default_rng(23).uniform(-np.pi, np.pi, len(ansatz))
+        at_zero, at_random = (
+            [(g.kind, g.qubits) for g in compile_circuit(ansatz, t).gates]
+            for t in (np.zeros(len(ansatz)), thetas))
+        assert at_zero == at_random
 
 
 def make_pool_op(qubit_form):
