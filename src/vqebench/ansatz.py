@@ -21,7 +21,7 @@ from .fermion import (
     jordan_wigner,
 )
 from .pauli import PauliSum
-from .statevector import apply_pool_operator, rotate_rows, sector_indices
+from .statevector import apply_pool_operators, rotate_rows, sector_indices
 
 
 class PoolOperator:
@@ -212,13 +212,14 @@ def full_uccsd_ansatz(pool) -> Ansatz:
 
 def prepare_state(ansatz: Ansatz, thetas, reference: np.ndarray) -> np.ndarray:
     """Apply the ansatz exponentials to the reference, first operator
-    first, operator ``k`` with angle ``thetas[k]``. The result is a new
-    array, also for an empty ansatz."""
-    state = reference
-    for pid, theta in zip(ansatz.ids, _theta_vector(ansatz, thetas)):
-        state = apply_pool_operator(state, ansatz.pool[pid].qubit_form,
-                                    theta)
-    return state if ansatz.ids else reference.copy()
+    first, operator ``k`` with angle ``thetas[k]``, by
+    `statevector.apply_pool_operators`: the reference is copied once, as
+    float64, and that copy is rotated in place, operator by operator. The
+    result is a new array, also for an empty ansatz; ``reference`` is not
+    changed."""
+    return apply_pool_operators(
+        reference, [ansatz.pool[pid].qubit_form for pid in ansatz.ids],
+        _theta_vector(ansatz, thetas).tolist())
 
 
 def prepare_shifted_states(ansatz: Ansatz, thetas, step: float,

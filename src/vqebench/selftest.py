@@ -28,7 +28,12 @@ from .fermion import verify_car
 from .fci import infidelity_vs_fci, solve_fci
 from .optimize import Objective, central_difference_gradient
 from .pauli import PAULI_MATRICES, PauliSum, commutator_term_counts, to_matrix
-from .statevector import embed, expectation, hartree_fock_reference
+from .statevector import (
+    apply_pool_operator,
+    embed,
+    expectation,
+    hartree_fock_reference,
+)
 
 
 def _expm_anti_hermitian(mat: np.ndarray, scale: float) -> np.ndarray:
@@ -168,6 +173,19 @@ def run_selftest() -> bool:
               f"({n_spatial},{n_electrons})", ok_circuit)
         check(f"resource summaries match compiled circuits "
               f"({n_spatial},{n_electrons})", ok_resources)
+        ok_in_place = True
+        for ansatz in (full_uccsd_ansatz(pool), reverse):
+            thetas = np.random.default_rng(7).uniform(-np.pi, np.pi,
+                                                      len(ansatz))
+            chain = ref
+            for pid, theta in zip(ansatz.ids, thetas):
+                chain = apply_pool_operator(chain, pool[pid].qubit_form,
+                                            theta)
+            ok_in_place &= (prepare_state(ansatz, thetas, ref).tobytes()
+                            == chain.tobytes())
+        check(f"in-place state preparation equals the per-operator "
+              f"exponentials bit for bit ({n_spatial},{n_electrons})",
+              ok_in_place)
 
     batch_ok = True
     for n_spatial, n_electrons in ((4, 2), (4, 4)):

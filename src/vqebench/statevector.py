@@ -6,9 +6,11 @@ block, `sector_indices`, and an operator acts on it through the kernels
 `PauliSum.restrict` compiled over the same states: ``op |psi>`` is one
 `np.bincount` over the nonzero block entries ``(rows, cols, values)`` of
 `PauliSum.action`, and a pool exponential is a few scalar rotations cut
-from them (``rotations``). The same rotations also turn the rows of a
-``(m, dim)`` stack at once, each at its own angle (`rotate_rows`). A
-length mismatch raises `DimensionMismatchError`.
+from them (``rotations``), which turn one float64 copy of the state in
+place, operator after operator (`apply_pool_operators`). The same
+rotations also turn the rows of a ``(m, dim)`` stack at once, each at
+its own angle (`rotate_rows`). A length mismatch raises
+`DimensionMismatchError`.
 Basis index bit ``q`` is the value of qubit ``q`` (qubit 0 least
 significant); qubit value 1 means the spin orbital is occupied. The full
 ``2**n`` space is a test oracle (`embed`).
@@ -67,7 +69,8 @@ def embed(state: np.ndarray, basis: np.ndarray, n_qubits: int) -> np.ndarray:
 
 def apply_pool_operator(state: np.ndarray, tau: PauliSum,
                         theta: float) -> np.ndarray:
-    """``exp(theta * tau) |state>`` for a restricted anti-Hermitian tau.
+    """``exp(theta * tau) |state>`` for a restricted anti-Hermitian tau, as
+    a new float64 array: `apply_pool_operators` with one operator.
 
     Applied as the product of the exact exponentials of its X-mask groups,
     in ascending X-mask order. A group ``G`` couples only ``b`` and
@@ -78,10 +81,37 @@ def apply_pool_operator(state: np.ndarray, tau: PauliSum,
     product is exact when the groups commute, which every pool element
     guarantees (its strings commute, checked at pool construction).
     """
-    _checked_action(state, tau)
-    if tau.hermitian:
-        raise ValueError("pool operator must be anti-Hermitian")
-    return _rotate(state.copy(), tau.rotations, float(theta))
+    return apply_pool_operators(state, (tau,), (float(theta),))
+
+
+def apply_pool_operators(state: np.ndarray, taus, thetas) -> np.ndarray:
+    """``exp(thetas[-1] taus[-1]) ... exp(thetas[0] taus[0]) |state>``, first
+    operator first, each as in `apply_pool_operator`; ``taus`` and
+    ``thetas`` are sequences, the angles Python floats.
+
+    ``state`` is copied once into a new float64 array (an integer state is
+    converted, a complex one raises TypeError), and each rotation turns
+    that copy in place. Every operator is checked before the first turns:
+    restricted to a basis of the state's length (else ValueError, or
+    DimensionMismatchError) and anti-Hermitian (else ValueError).
+    """
+    psi = np.asarray(state).astype(np.float64, casting="same_kind")
+    for tau in taus:
+        if tau.rotations is None or tau.basis.shape != psi.shape:
+            _checked_action(psi, tau)  # raises for no basis or a mismatch
+            raise ValueError("pool operator must be anti-Hermitian")
+    for tau, theta in zip(taus, thetas):
+        for active, partners, coupling, w in tau.rotations:
+            # c * psi[active] + s / w * (coupling * psi[partners]), in place
+            c, s = math.cos(theta * w), math.sin(theta * w)
+            turned = psi[partners]
+            turned *= coupling
+            turned *= s / w
+            kept = psi[active]
+            kept *= c
+            kept += turned
+            psi[active] = kept
+    return psi
 
 
 def rotate_rows(stack: np.ndarray, tau: PauliSum, angles,
@@ -96,24 +126,12 @@ def rotate_rows(stack: np.ndarray, tau: PauliSum, angles,
     _checked_action(stack[0], tau)
     if tau.hermitian:
         raise ValueError("pool operator must be anti-Hermitian")
-    _rotate(stack.T, tau.rotations, angles, pick)
-
-
-def _rotate(states: np.ndarray, rotations, theta, pick=None) -> np.ndarray:
-    """Apply ``rotations`` to ``states`` in place and return it: a 1-D
-    state at the float angle ``theta``, or each column ``j`` of a ``(dim,
-    m)`` array at ``theta[pick[j]]``."""
-    for active, partners, coupling, w in rotations:
-        if pick is None:
-            angle = theta * w
-            c, s = math.cos(angle), math.sin(angle)
-        else:
-            c = np.array([math.cos(t * w) for t in theta])[pick]
-            s = np.array([math.sin(t * w) for t in theta])[pick]
-            coupling = coupling[:, None]
+    states = stack.T
+    for active, partners, coupling, w in tau.rotations:
+        c = np.array([math.cos(t * w) for t in angles])[pick]
+        s = np.array([math.sin(t * w) for t in angles])[pick]
         states[active] = (c * states[active]
-                          + s / w * (coupling * states[partners]))
-    return states
+                          + s / w * (coupling[:, None] * states[partners]))
 
 
 def apply_operator(state: np.ndarray, op: PauliSum) -> np.ndarray:

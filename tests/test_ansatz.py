@@ -5,9 +5,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import infidelity, number_operator, sz_operator
+from oracles import (
+    exponential_by_groups,
+    group_action,
+    infidelity,
+    number_operator,
+    sz_operator,
+)
 from scipy.linalg import expm
 
+from vqebench import statevector
 from vqebench.ansatz import (
     Ansatz,
     Gate,
@@ -31,6 +38,7 @@ from vqebench.fermion import (
 )
 from vqebench.pauli import DimensionMismatchError, PauliSum, to_matrix
 from vqebench.statevector import (
+    apply_pool_operator,
     embed,
     expectation,
     hartree_fock_reference,
@@ -208,6 +216,123 @@ class TestPrepareState:
         with pytest.raises(DimensionMismatchError):
             prepare_state(full_uccsd_ansatz(cas22_pool), [0.1, 0.2],
                           hartree_fock_reference(6, 2))
+
+
+def operator_chain(pool, ids, thetas, state):
+    """The ansatz state one `apply_pool_operator` call per operator."""
+    for pid, theta in zip(ids, thetas):
+        state = apply_pool_operator(state, pool[pid].qubit_form, theta)
+    return state
+
+
+@functools.cache
+def pool_group_actions(name):
+    return [group_action(op.qubit_form) for op in committed_pool(name)]
+
+
+def group_chain(name, ids, thetas, state):
+    """The ansatz state from the per-X-mask-group loops of `oracles`."""
+    for pid, theta in zip(ids, thetas):
+        state = exponential_by_groups(state, pool_group_actions(name)[pid],
+                                      theta)
+    return state
+
+
+def assert_prepares_as_chains(name, ids, thetas, reference):
+    """`prepare_state` gives the bytes of the one-operator chain and the
+    values of the group-loop chain (which may differ in the sign of a
+    zero it adds to an untouched entry)."""
+    out = prepare_state(Ansatz(committed_pool(name), ids), thetas, reference)
+    chain = operator_chain(committed_pool(name), ids, thetas, reference)
+    assert out.tobytes() == chain.tobytes(), (ids, thetas)
+    assert np.array_equal(out, group_chain(name, ids, thetas, reference))
+
+
+EDGE_ANGLES = [0.0, -0.0, np.pi, -np.pi, 2 * np.pi + 0.5, -7.25, 40.0]
+
+
+class TestInPlacePreparation:
+    """`prepare_state` rotates one copy of the reference in place; it must
+    give the bytes of the per-operator exponentials."""
+
+    @pytest.mark.parametrize("name", sorted(COMMITTED_INPUTS))
+    def test_every_operator_and_full_uccsd(self, name):
+        pool = committed_pool(name)
+        rng = np.random.default_rng(29)
+        ham = load_fcidump(DATA / COMMITTED_INPUTS[name])
+        reference = hartree_fock_reference(ham.n_qubits, ham.n_electrons)
+        states = [rng.normal(size=len(reference)), reference]
+        for state in states:
+            for op in pool:
+                assert_prepares_as_chains(name, [op.id],
+                                          rng.uniform(-np.pi, np.pi, 1),
+                                          state)
+            assert_prepares_as_chains(name, [op.id for op in pool],
+                                      rng.uniform(-np.pi, np.pi, len(pool)),
+                                      state)
+
+    @given(st.lists(st.integers(0, 18), max_size=40),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_id_sequences_with_repeats(self, ids, seed):
+        rng = np.random.default_rng(seed)  # the H4 pool has 19 operators
+        assert_prepares_as_chains("h4", ids,
+                                  rng.uniform(-np.pi, np.pi, len(ids)),
+                                  rng.normal(size=36))
+
+    @pytest.mark.parametrize("shift", range(len(EDGE_ANGLES)))
+    def test_edge_angles(self, shift):
+        pool = committed_pool("h4")
+        reference = hartree_fock_reference(8, 4)
+        for op in pool:
+            assert_prepares_as_chains("h4", [op.id], [EDGE_ANGLES[shift]],
+                                      reference)
+        thetas = np.roll(np.resize(EDGE_ANGLES, len(pool)), shift)
+        assert_prepares_as_chains("h4", [op.id for op in pool], thetas,
+                                  reference)
+
+    @pytest.mark.parametrize("ids", [[], [0, 1, 0]])
+    def test_reference_is_left_alone_and_result_is_new(self, cas22_pool,
+                                                       ids):
+        reference = hartree_fock_reference(4, 2)
+        reference.flags.writeable = False
+        out = prepare_state(Ansatz(cas22_pool, ids), [0.3] * len(ids),
+                            reference)
+        assert reference.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert out.flags.writeable and out.dtype == np.float64
+        assert not np.shares_memory(out, reference)
+
+    def test_integer_reference_is_taken_as_float64(self):
+        pool = committed_pool("h2")
+        reference = hartree_fock_reference(4, 2)
+        out = prepare_state(full_uccsd_ansatz(pool), [0.3, -0.2],
+                            reference.astype(int))
+        assert out.dtype == np.float64
+        assert out.tobytes() == prepare_state(
+            full_uccsd_ansatz(pool), [0.3, -0.2], reference).tobytes()
+        assert out[0] == pytest.approx(0.912, abs=1e-3)
+        with pytest.raises(TypeError):
+            prepare_state(full_uccsd_ansatz(pool), [0.3, -0.2],
+                          reference.astype(complex))
+
+    @pytest.mark.parametrize("bad,error,match", [
+        ("length", DimensionMismatchError, "amplitudes"),
+        ("hermitian", ValueError, "anti-Hermitian"),
+        ("unrestricted", ValueError, "restrict")])
+    def test_errors_raise_before_any_rotation(self, cas22_pool, monkeypatch,
+                                              bad, error, match):
+        reference = hartree_fock_reference(4, 2)
+        last = cas22_pool[1]
+        if bad == "length":
+            reference = hartree_fock_reference(6, 2)
+        elif bad == "hermitian":
+            last = make_pool_op(number_operator(4).restrict(SECTOR))
+        else:
+            last = make_pool_op(PauliSum(4, cas22_pool[1].qubit_form.terms))
+        monkeypatch.setattr(statevector, "math", None)  # no cos, no sin
+        with pytest.raises(error, match=match):
+            prepare_state(Ansatz([cas22_pool[0], last], [0, 1]), [0.3, 0.2],
+                          reference)
 
 
 class TestAnsatz:

@@ -12,8 +12,11 @@ prepared states live, after checking that they have no weight outside it.
 The committed scans have 4 qubits; the 8-qubit H4 scan (fci, vqe and
 adapt with Nelder-Mead and L-BFGS) is pinned by the sha256 of its
 ``scan.csv``, so a printed digit that moves on those longer paths shows.
-A last-bit change in the simulator kernels that moves no printed digit
-is left to the exact kernel oracles in ``test_statevector.py``.
+Its Nelder-Mead VQE row, which prepares one state per energy evaluation,
+is also pinned to the bit: the energy's hex form, the sha256 of the
+angles' bytes and the ledger's counts. Any other last-bit change in the
+simulator kernels that moves no printed digit is left to the exact
+kernel oracles in ``test_statevector.py`` and ``test_ansatz.py``.
 
 ``vqebench run`` is pinned the same way: the sha256 of its whole stdout
 for every method and optimizer on H2, for an input whose pool is empty,
@@ -28,7 +31,9 @@ import numpy as np
 import pytest
 
 from vqebench import cli
+from vqebench.adapt import AdaptConfig, QubitProblem, run_vqe
 from vqebench.cli import emit_report, main, parse_scan_config, run_scan
+from vqebench.fcidump import load_fcidump
 from vqebench.fci import FciSolution
 from vqebench.pauli import to_matrix
 
@@ -144,6 +149,16 @@ def test_h4_scan_csv_is_pinned(tmp_path):
     csv = (tmp_path / "out" / "scan.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == H4_SCAN_CSV_SHA256, \
         csv.decode()
+
+
+def test_h4_nelder_mead_vqe_is_pinned_to_the_bit():
+    result = run_vqe(QubitProblem(load_fcidump(DATA / "h4_r1.000.fcidump")),
+                     AdaptConfig(optimizer="nelder_mead"))
+    assert result.energy.hex() == "-0x1.154987cee3b18p+1"
+    assert hashlib.sha256(result.theta.tobytes()).hexdigest() == \
+        "bf77cc3c0bb0dc0179e1e035c09bd28615ab063027ebb10e2c45920e41fbfe12"
+    assert result.ledger.energy_evaluations == 1005
+    assert result.ledger.total() == 184920
 
 
 @pytest.mark.parametrize("dump,method,flags,digest", RUN_PINS)

@@ -184,6 +184,23 @@ class TestPoolOperator:
         dense = expm(theta * to_matrix(tau))
         np.testing.assert_allclose(out, dense @ amps, atol=1e-10)
 
+    def test_integer_state_is_taken_as_float64(self):
+        ref = hartree_fock_reference(4, 2)
+        tau = singlet_single_tau().restrict(SECTOR)
+        out = apply_pool_operator(ref.astype(int), tau, 0.3)
+        assert out.dtype == np.float64 and out.any()
+        assert out.tobytes() == apply_pool_operator(ref, tau, 0.3).tobytes()
+        with pytest.raises(TypeError):
+            apply_pool_operator(ref.astype(complex), tau, 0.3)
+
+    def test_state_is_left_alone_and_result_is_new(self):
+        ref = hartree_fock_reference(4, 2)
+        ref.flags.writeable = False
+        out = apply_pool_operator(ref, singlet_single_tau().restrict(SECTOR),
+                                  0.3)
+        assert ref.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert not np.shares_memory(out, ref) and out.flags.writeable
+
     def test_rejects_hermitian_operator(self):
         herm = from_string(2, "X0", 1.0).restrict(full(2))
         with pytest.raises(ValueError):
