@@ -242,7 +242,7 @@ def _fit(problem: QubitProblem, cfg: AdaptConfig, ansatz: Ansatz,
         return (expectation(prepare_state(ansatz, theta, reference), h_p)
                 + problem.core)
 
-    def shifted_energies(theta, h):  # a gradient's 2n states, built together
+    def batch(theta, h):  # a gradient's 2n energies, states built together
         return [expectation(row, h_p) + problem.core for row in
                 prepare_shifted_states(ansatz, theta, h, reference)]
 
@@ -252,7 +252,7 @@ def _fit(problem: QubitProblem, cfg: AdaptConfig, ansatz: Ansatz,
     if cfg.optimizer == "lbfgs":
         result = minimize_lbfgs(objective, theta0, cfg.tol_rel_energy,
                                 h=cfg.fd_step, max_evals=DEFAULT_BUDGET,
-                                batch=shifted_energies)
+                                batch=batch)
     else:
         result = minimize_nelder_mead(objective, theta0, cfg.tol_rel_energy,
                                       max_evals=DEFAULT_BUDGET)

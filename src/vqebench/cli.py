@@ -426,7 +426,7 @@ def main(argv=None) -> int:
             ResourceLimitError, OpenShellError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (AssertionError, ValueError, RuntimeError) as exc:
+    except Exception as exc:  # any other failure is ours, never a traceback
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
 

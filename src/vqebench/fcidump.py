@@ -8,7 +8,8 @@ notation ``(ij|kl)``.
 
 This module alone decides which inputs are supported: at most `QUBIT_CAP`
 qubits and an even electron count (`check_supported`), finite integrals,
-and, in a header, ``0 < NELEC <= 2 * NORB`` and ``MS2`` 0 when given.
+one- and two-electron integrals of magnitude at most `INTEGRAL_CAP`, and,
+in a header, ``0 < NELEC <= 2 * NORB`` and ``MS2`` 0 when given.
 `parse_fcidump` checks the header before the ``NORB**4`` tensor is
 allocated, and a `MolecularHamiltonian` checks itself on construction, so
 one that exists is supported.
@@ -24,6 +25,9 @@ from .fermion import FermionOperator, LadderProduct
 from .pauli import ResourceLimitError
 
 QUBIT_CAP = 12
+# Eh; sums of larger integrals can overflow while the Hamiltonian is
+# compiled. The core energy never enters a matrix and is not capped.
+INTEGRAL_CAP = 1e4
 SYMMETRY_TOL = 1e-10
 DUPLICATE_TOL = 1e-10
 
@@ -89,9 +93,12 @@ class MolecularHamiltonian:
             raise ValueError(
                 f"electron count {self.n_electrons} outside (0, {2 * n}]")
         check_supported(n, self.n_electrons)
+        # nan and inf fail the comparisons with the cap as well
         if not (math.isfinite(self.core_energy)
-                and np.isfinite(self.h1).all() and np.isfinite(self.h2).all()):
-            raise ValueError("integrals are not all finite")
+                and np.abs(self.h1).max() <= INTEGRAL_CAP
+                and np.abs(self.h2).max() <= INTEGRAL_CAP):
+            raise ValueError("integrals must be finite, and the one- and "
+                             f"two-electron ones at most {INTEGRAL_CAP:g} Eh")
         if not np.allclose(self.h1, self.h1.T, atol=SYMMETRY_TOL):
             raise ValueError("h1 is not symmetric")
         for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
@@ -219,6 +226,10 @@ def parse_fcidump(text, label="") -> MolecularHamiltonian:
             record(("core",), value, line_no)
             core = value
             continue
+        if abs(value) > INTEGRAL_CAP:
+            raise FcidumpParseError(
+                f"integral {parts[0]!r} exceeds the cap of "
+                f"{INTEGRAL_CAP:g} Eh in magnitude", line_no)
         for name, idx in (("i", i), ("j", j), ("k", k), ("l", l)):
             if idx < 0 or idx > norb:
                 raise FcidumpParseError(

@@ -5,10 +5,9 @@ energy-change tolerance is an absolute spread in Hartree (the quantity
 the convergence literature calls "relative energy"), defaulting to 1e-6.
 
 L-BFGS takes each central-difference gradient's ``2n`` shifted energies
-from one call: an optional ``batch(theta, h)`` function that evaluates
-them together, or else the objective's own function mapped over the same
-points in the same order. Either way the objective charges ``2n``
-evaluations, so the counts do not depend on how the energies were found.
+from one call of the caller's ``batch(theta, h)``, which evaluates them
+together. The objective is charged ``2n`` evaluations for them, so the
+counts do not depend on how the energies were found.
 """
 from __future__ import annotations
 
@@ -46,34 +45,6 @@ class Objective:
             self._on_evaluation()
         return float(self._fn(theta))
 
-    def shifted_energies(self, theta, h: float, batch=None) -> np.ndarray:
-        """The energies at ``theta + h e_k`` and ``theta - h e_k``, k
-        ascending, plus before minus: ``batch(theta, h)`` when given,
-        else the objective's function at each point in turn. Charged as
-        ``2 * dimension`` evaluations; a batch returning another number of
-        energies raises ValueError."""
-        theta = self._parameters(theta)
-        if batch is None:
-            batch = self._map_shifted
-        energies = np.array(batch(theta, h), dtype=float)
-        if energies.shape != (2 * self.dimension,):
-            raise ValueError(f"expected {2 * self.dimension} shifted "
-                             f"energies, got shape {energies.shape}")
-        self.evaluation_count += energies.size
-        if self._on_evaluation is not None:
-            for _ in range(energies.size):
-                self._on_evaluation()
-        return energies
-
-    def _map_shifted(self, theta, h):
-        energies = []
-        for k in range(theta.size):
-            step = np.zeros_like(theta)
-            step[k] = h
-            energies += [float(self._fn(theta + step)),
-                         float(self._fn(theta - step))]
-        return energies
-
 
 class OptimizationResult:
     __slots__ = ("theta_opt", "energy", "n_energy_evals", "n_gradient_evals",
@@ -100,15 +71,23 @@ def _check_fd_step(h) -> None:
             f"finite-difference step must be positive and finite, got {h}")
 
 
-def central_difference_gradient(obj: Objective, theta,
-                                h: float = DEFAULT_FD_STEP,
-                                batch=None) -> np.ndarray:
+def central_difference_gradient(obj: Objective, theta, h: float,
+                                batch) -> np.ndarray:
     """Central finite differences ``(E(theta + h e_k) - E(theta - h e_k))
-    / 2h`` from one `Objective.shifted_energies` call, so exactly ``2 *
-    dimension`` evaluations; ``batch`` is passed on to it. A step ``h``
-    outside ``(0, inf)`` raises ValueError before any evaluation."""
+    / 2h`` from one ``batch(theta, h)`` call, which returns those energies,
+    k ascending, plus before minus. A step outside ``(0, inf)``, a wrong
+    ``theta`` shape or a wrong number of energies raises ValueError before
+    ``2 * dimension`` evaluations are charged to ``obj``."""
     _check_fd_step(h)
-    energies = obj.shifted_energies(theta, h, batch)
+    theta = obj._parameters(theta)
+    energies = np.array(batch(theta, h), dtype=float)
+    if energies.shape != (2 * obj.dimension,):
+        raise ValueError(f"expected {2 * obj.dimension} shifted "
+                         f"energies, got shape {energies.shape}")
+    obj.evaluation_count += energies.size
+    if obj._on_evaluation is not None:
+        for _ in range(energies.size):
+            obj._on_evaluation()
     return (energies[0::2] - energies[1::2]) / (2.0 * h)
 
 
@@ -186,8 +165,8 @@ def minimize_nelder_mead(obj: Objective, theta0,
 def minimize_lbfgs(obj: Objective, theta0,
                    tol_rel_energy: float = DEFAULT_TOL,
                    h: float = DEFAULT_FD_STEP,
-                   max_evals: int = DEFAULT_BUDGET,
-                   batch=None) -> OptimizationResult:
+                   max_evals: int = DEFAULT_BUDGET, *,
+                   batch) -> OptimizationResult:
     """L-BFGS with central-difference gradients and Armijo backtracking.
 
     Two-loop recursion with memory LBFGS_MEMORY, Armijo constant 1e-4,
@@ -200,8 +179,8 @@ def minimize_lbfgs(obj: Objective, theta0,
 
     Each gradient is one `central_difference_gradient` call with step
     ``h``, which must lie in ``(0, inf)`` (checked before any evaluation),
-    and ``batch``, the optional function of ``(theta, h)`` that returns
-    its ``2 * dim`` shifted energies at once.
+    and ``batch``, the function of ``(theta, h)`` that returns its
+    ``2 * dim`` shifted energies at once.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     dim = theta.size

@@ -26,7 +26,7 @@ from .ansatz import (
 from .fcidump import MolecularHamiltonian
 from .fermion import verify_car
 from .fci import infidelity_vs_fci, solve_fci
-from .optimize import Objective, central_difference_gradient
+from .optimize import DEFAULT_FD_STEP, Objective, central_difference_gradient
 from .pauli import PAULI_MATRICES, PauliSum, commutator_term_counts, to_matrix
 from .statevector import (
     apply_pool_operator,
@@ -109,11 +109,17 @@ def _batched_gradient_matches(problem: QubitProblem) -> bool:
         return [expectation(row, h_p) for row in prepare_shifted_states(
             ansatz, theta, h, problem.reference)]
 
-    per_point = central_difference_gradient(Objective(energy, len(ansatz)),
-                                            thetas)
-    batched = central_difference_gradient(Objective(energy, len(ansatz)),
-                                          thetas, batch=batch)
-    return batched.tobytes() == per_point.tobytes()
+    def per_point(theta, h):  # theta + h e_k then theta - h e_k, k ascending
+        energies = []
+        for step in np.eye(len(theta)) * h:
+            energies += [energy(theta + step), energy(theta - step)]
+        return energies
+
+    per_point_grad = central_difference_gradient(
+        Objective(energy, len(ansatz)), thetas, DEFAULT_FD_STEP, per_point)
+    batched = central_difference_gradient(
+        Objective(energy, len(ansatz)), thetas, DEFAULT_FD_STEP, batch)
+    return batched.tobytes() == per_point_grad.tobytes()
 
 
 def run_selftest() -> bool:

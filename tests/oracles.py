@@ -17,8 +17,10 @@ Each is an oracle for something the package computes another way:
   sum into its nonzero block entries and scalar rotations, for
   `statevector.apply_operator`, `expectation` and `apply_pool_operator`;
 - `shifted_points`, a central-difference gradient's points one at a
-  time, as `Objective` maps its function over them, for
-  `ansatz.prepare_shifted_states` and the batched gradient;
+  time, and `per_point_batch`, a function evaluated at each of them in
+  turn: the only per-point reference of `ansatz.prepare_shifted_states`
+  and of the batch that `central_difference_gradient` and
+  `minimize_lbfgs` require;
 - `format_fcidump` and `mean_field_energy`, from the standalone
   ``scripts/make_reference_data.py`` that wrote the committed FCIDUMPs,
   for `fcidump.parse_fcidump` and the Hartree-Fock reference expectation.
@@ -206,6 +208,12 @@ def shifted_points(theta: np.ndarray, h: float):
         step[k] = h
         yield theta + step
         yield theta - step
+
+
+def per_point_batch(fn):
+    """The ``batch(theta, h)`` of a central-difference gradient that
+    evaluates ``fn`` at each of `shifted_points` in turn."""
+    return lambda theta, h: [float(fn(p)) for p in shifted_points(theta, h)]
 
 
 @cache

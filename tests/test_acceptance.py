@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import per_point_batch
 from scipy.linalg import expm
 
 from vqebench.adapt import (
@@ -193,7 +194,7 @@ def test_criterion_3_gradient_identity():
 
             obj = Objective(energy, len(extended))
             fd = central_difference_gradient(obj, np.append(thetas, 0.0),
-                                             1e-5)
+                                             1e-5, per_point_batch(energy))
             diff = abs(fd[-1] - grads[k])
             worst = max(worst, diff)
             assert diff <= 1e-6, f"case {cases}: |fd - commutator| = {diff}"

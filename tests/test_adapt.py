@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import commutator
+from oracles import commutator, per_point_batch
 
 from vqebench import adapt
 from vqebench.adapt import (
@@ -111,7 +111,7 @@ class TestScreenPool:
 
                 obj = Objective(energy, len(extended))
                 fd = central_difference_gradient(obj, np.append(thetas, 0.0),
-                                                 1e-5)
+                                                 1e-5, per_point_batch(energy))
                 assert grads[k] == pytest.approx(fd[-1], abs=1e-6)
 
     def test_ledger_charges_commutator_terms(self):
@@ -325,8 +325,8 @@ class TestBatchedGradients:
 
             def recording(*args, batched=batched, evals=evals, **kwargs):
                 assert callable(kwargs["batch"])
-                if not batched:
-                    del kwargs["batch"]
+                if not batched:  # the objective's own function, point by point
+                    kwargs["batch"] = per_point_batch(args[0]._fn)
                 result = lbfgs(*args, **kwargs)
                 evals.append((result.n_energy_evals, result.converged))
                 return result

@@ -580,6 +580,49 @@ class TestMainEntry:
                      "--method", "fci"]) == 2
         assert capsys.readouterr().err.startswith("internal error:")
 
+    def test_any_other_exception_exits_two_without_traceback(
+            self, monkeypatch, capsys):
+        def broken(problem):
+            raise IndexError("index 0 is out of bounds for axis 1")
+
+        monkeypatch.setattr(cli, "solve_fci", broken)
+        assert main(["run", "--fcidump", str(DATA / "h2_r0.735.fcidump"),
+                     "--method", "fci"]) == 2
+        assert capsys.readouterr().err == \
+            "internal error: index 0 is out of bounds for axis 1\n"
+
+    @pytest.mark.parametrize("dump,record,value,line", [
+        ("h2_r0.735.fcidump", "0.69857372273202045 2 2 2 2", "-1e8", 10),
+        ("nah_r1.900.fcidump", "0.28465818528565645 2 2 1 1", "-1e308", 7),
+        ("h2_r0.735.fcidump", "-1.2563390730032582 1 1 0 0", "1e7", 11)],
+        ids=["h2-two-electron", "nah-two-electron", "h2-one-electron"])
+    def test_integral_above_the_cap_is_input_error(self, tmp_path, capsys,
+                                                   dump, record, value,
+                                                   line):
+        # sums of such integrals overflowed while H was compiled: an
+        # eigenpair residual (exit 2) or an uncaught IndexError
+        bad = tmp_path / "huge.fcidump"
+        text = (DATA / dump).read_text()
+        assert record in text
+        bad.write_text(text.replace(record,
+                                    f"{value} {record.split(' ', 1)[1]}"))
+        assert main(["run", "--fcidump", str(bad), "--method", "vqe",
+                     "--max-iter", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"line {line}" in err
+        assert "exceeds the cap" in err
+
+    @pytest.mark.parametrize("value", ["1e308", "-1e308"])
+    def test_core_energy_is_not_capped(self, tmp_path, capsys, value):
+        dump = tmp_path / "core.fcidump"
+        text = (DATA / "nah_r1.900.fcidump").read_text()
+        record = "-159.50285248478329 0 0 0 0"
+        assert record in text
+        dump.write_text(text.replace(record, f"{value} 0 0 0 0"))
+        assert main(["run", "--fcidump", str(dump), "--method", "vqe",
+                     "--max-iter", "3"]) == 0
+        assert "energy" in capsys.readouterr().out
+
     @pytest.mark.parametrize("spelling,optimizer", [
         ("NM", "nelder_mead"), ("L-BFGS", "lbfgs")])
     def test_run_optimizer_spelling_ignores_case(self, capsys, spelling,

@@ -94,6 +94,16 @@ class TestParse:
             parse_fcidump(text)
         assert "line 5" in str(err.value)
 
+    @pytest.mark.parametrize("record", ["1 1 1 1", "2 1 0 0"],
+                             ids=["two-electron", "one-electron"])
+    def test_integral_above_the_cap_reports_line(self, record):
+        text = MINIMAL.replace(" 0.5 0 0 0 0", f" -1.00001e4 {record}")
+        with pytest.raises(FcidumpParseError, match="exceeds the cap") as err:
+            parse_fcidump(text)
+        assert "line 5" in str(err.value)
+        at_cap = parse_fcidump(text.replace("-1.00001e4", "-1e4"))
+        assert np.abs(at_cap.h1).max() + np.abs(at_cap.h2).max() == 1e4
+
     def test_malformed_record(self):
         with pytest.raises(FcidumpParseError):
             parse_fcidump(MINIMAL + " 0.1 1 1 0\n")
@@ -242,6 +252,14 @@ class TestValidation:
             h2[1, 1, 1, 1] = value
         with pytest.raises(ValueError, match="finite"):
             MolecularHamiltonian(2, 2, core, h1, h2)
+
+    @pytest.mark.parametrize("field", ["h1", "h2"])
+    def test_integral_above_the_cap_rejected(self, field):
+        h1, h2 = np.eye(2), np.zeros((2, 2, 2, 2))
+        (h1 if field == "h1" else h2).flat[0] = -2e4
+        with pytest.raises(ValueError, match="at most 10000 Eh"):
+            MolecularHamiltonian(2, 2, 0.0, h1, h2)
+        MolecularHamiltonian(2, 2, 1e308, np.eye(2), np.zeros((2,) * 4))
 
     def test_asymmetric_h2_rejected(self):
         h2 = np.zeros((2, 2, 2, 2))

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import commutator, shifted_points
+from oracles import commutator, per_point_batch, shifted_points
 
 from vqebench import optimize
 from vqebench.adapt import QubitProblem
@@ -31,40 +31,59 @@ def h2_problem():
     def energy(theta):
         return expectation(prepare_state(ansatz, theta, ref), h_p) + core
 
-    return Objective(energy, len(ansatz)), h_p, pool, ref, core
+    return (Objective(energy, len(ansatz)), per_point_batch(energy), h_p,
+            pool, ref, core)
 
 
 class TestCentralDifferenceGradient:
     def test_exact_on_quadratic(self):
-        obj = Objective(lambda t: float(t[0] ** 2), 1)
+        def square(t):
+            return float(t[0] ** 2)
+
+        obj = Objective(square, 1)
         for h in (1e-2, 1e-4, 1e-6):
-            grad = central_difference_gradient(obj, np.array([1.0]), h)
+            grad = central_difference_gradient(obj, np.array([1.0]), h,
+                                               per_point_batch(square))
             assert grad[0] == pytest.approx(2.0, abs=1e-7)
 
     def test_constant_objective(self):
         obj = Objective(lambda t: 3.3, 4)
-        grad = central_difference_gradient(obj, np.zeros(4), 1e-5)
+        grad = central_difference_gradient(obj, np.zeros(4), 1e-5,
+                                           per_point_batch(lambda t: 3.3))
         np.testing.assert_array_equal(grad, np.zeros(4))
 
     def test_costs_two_evals_per_dimension(self):
         obj = Objective(lambda t: float(t @ t), 5)
-        central_difference_gradient(obj, np.zeros(5), 1e-5)
+        central_difference_gradient(obj, np.zeros(5), 1e-5,
+                                    per_point_batch(lambda t: float(t @ t)))
         assert obj.evaluation_count == 10
 
     def test_rejects_bad_step(self):
         obj = Objective(lambda t: 0.0, 1)
         with pytest.raises(ValueError):
-            central_difference_gradient(obj, np.zeros(1), 0.0)
+            central_difference_gradient(obj, np.zeros(1), 0.0,
+                                        per_point_batch(lambda t: 0.0))
 
     @pytest.mark.parametrize("h", [float("nan"), float("inf"),
                                    float("-inf")])
     def test_non_finite_step_rejected_before_any_evaluation(self, h):
         calls = []
         obj = Objective(lambda t: 0.0, 3, on_evaluation=lambda: calls.append(1))
+        batch = per_point_batch(lambda t: calls.append(2) or 0.0)
         with pytest.raises(ValueError, match="positive and finite"):
-            central_difference_gradient(obj, np.zeros(3), h)
+            central_difference_gradient(obj, np.zeros(3), h, batch)
         with pytest.raises(ValueError, match="positive and finite"):
-            minimize_lbfgs(obj, np.zeros(3), h=h)
+            minimize_lbfgs(obj, np.zeros(3), h=h, batch=batch)
+        assert obj.evaluation_count == 0 and not calls
+
+    @pytest.mark.parametrize("theta", [np.zeros(2), np.zeros(4),
+                                       np.zeros((3, 1))])
+    def test_wrong_parameter_count_rejected_before_the_batch(self, theta):
+        calls = []
+        obj = Objective(lambda t: 0.0, 3, on_evaluation=lambda: calls.append(1))
+        batch = per_point_batch(lambda t: calls.append(2) or 0.0)
+        with pytest.raises(ValueError, match="expected 3 parameters"):
+            central_difference_gradient(obj, theta, 1e-5, batch)
         assert obj.evaluation_count == 0 and not calls
 
     def test_batch_is_charged_as_two_evaluations_per_dimension(self):
@@ -77,18 +96,25 @@ class TestCentralDifferenceGradient:
             return [float(p @ p) for p in shifted_points(theta, h)]
 
         theta = np.array([0.1, -0.2, 0.0, 0.3])
-        grad = central_difference_gradient(obj, theta, 1e-4, batch=batch)
+        grad = central_difference_gradient(obj, theta, 1e-4, batch)
         assert obj.evaluation_count == 8 and len(calls) == 8
         assert len(seen) == 1 and seen[0][1] == 1e-4
         np.testing.assert_array_equal(seen[0][0], theta)
-        assert grad.tobytes() == central_difference_gradient(
-            Objective(lambda t: float(t @ t), 4), theta, 1e-4).tobytes()
+        energies = [float(p @ p) for p in shifted_points(theta, 1e-4)]
+        expected = [(energies[2 * k] - energies[2 * k + 1]) / 2e-4
+                    for k in range(4)]
+        assert grad.tobytes() == np.array(expected).tobytes()
 
     def test_per_point_energies_come_in_gradient_order(self):
         points = []
-        obj = Objective(lambda t: points.append(t.copy()) or 0.0, 2)
+
+        def record(t):
+            points.append(t.copy())
+            return 0.0
+
         theta = np.array([-0.0, 0.5])
-        central_difference_gradient(obj, theta, 0.25)
+        central_difference_gradient(Objective(record, 2), theta, 0.25,
+                                    per_point_batch(record))
         expected = list(shifted_points(theta, 0.25))
         assert [p.tobytes() for p in points] == \
             [p.tobytes() for p in expected]
@@ -97,35 +123,34 @@ class TestCentralDifferenceGradient:
 
     @pytest.mark.parametrize("n_energies", [5, 7, 0])
     def test_batch_of_the_wrong_length_is_rejected(self, n_energies):
-        obj = Objective(lambda t: 0.0, 3)
+        calls = []
+        obj = Objective(lambda t: 0.0, 3, on_evaluation=lambda: calls.append(1))
         with pytest.raises(ValueError, match="6 shifted energies"):
             central_difference_gradient(
-                obj, np.zeros(3), batch=lambda t, h: [0.0] * n_energies)
-        assert obj.evaluation_count == 0
+                obj, np.zeros(3), 1e-5, lambda t, h: [0.0] * n_energies)
+        assert obj.evaluation_count == 0 and not calls
 
     def test_lbfgs_passes_its_batch_to_every_gradient(self):
         batches = []
 
         def batch(theta, h):
             batches.append(h)
-            return [quadratic(p) for p in shifted_points(theta, h)]
+            return per_point_batch(quadratic)(theta, h)
 
         def quadratic(t):
             return float(np.sum((t - 0.2) ** 2))
 
-        with_batch = minimize_lbfgs(Objective(quadratic, 3), np.zeros(3),
-                                    1e-10, h=1e-4, batch=batch)
-        without = minimize_lbfgs(Objective(quadratic, 3), np.zeros(3),
-                                 1e-10, h=1e-4)
-        assert batches == [1e-4] * with_batch.n_gradient_evals
-        assert with_batch.theta_opt.tobytes() == without.theta_opt.tobytes()
-        assert (with_batch.energy, with_batch.n_energy_evals) == \
-            (without.energy, without.n_energy_evals)
+        obj = Objective(quadratic, 3)
+        result = minimize_lbfgs(obj, np.zeros(3), 1e-10, h=1e-4, batch=batch)
+        assert result.converged and result.n_gradient_evals > 1
+        assert batches == [1e-4] * result.n_gradient_evals
+        assert result.n_energy_evals == obj.evaluation_count
+        np.testing.assert_allclose(result.theta_opt, 0.2, atol=1e-6)
 
     def test_vqe_gradient_at_zero_matches_commutator(self, h2_problem):
-        obj, h_p, pool, ref, _ = h2_problem
+        obj, batch, h_p, pool, ref, _ = h2_problem
         grad = central_difference_gradient(obj, np.zeros(obj.dimension),
-                                           1e-5)
+                                           1e-5, batch)
         for k, op in enumerate(pool):
             comm = commutator(h_p, op.qubit_form).restrict(h_p.basis)
             expected = expectation(ref, comm)
@@ -214,40 +239,51 @@ class TestLbfgs:
         scales = np.array([1.0, 2.0, 0.5])
         center = np.array([0.3, -0.2, 0.7])
 
-        obj = Objective(lambda t: float(scales @ (t - center) ** 2), 3)
-        result = minimize_lbfgs(obj, np.zeros(3), 1e-12, h=1e-6)
+        def bowl(t):
+            return float(scales @ (t - center) ** 2)
+
+        result = minimize_lbfgs(Objective(bowl, 3), np.zeros(3), 1e-12,
+                                h=1e-6, batch=per_point_batch(bowl))
         assert result.converged
         np.testing.assert_allclose(result.theta_opt, center, atol=1e-6)
         assert result.energy < 1e-8
         assert len(result.trace) <= 10
 
     def test_already_optimal_start(self):
-        obj = Objective(lambda t: float((t[0] - 1.0) ** 2), 1)
-        result = minimize_lbfgs(obj, np.array([1.0]), 1e-6)
+        def parabola(t):
+            return float((t[0] - 1.0) ** 2)
+
+        result = minimize_lbfgs(Objective(parabola, 1), np.array([1.0]),
+                                1e-6, batch=per_point_batch(parabola))
         assert result.converged
         assert result.n_gradient_evals == 1
         assert result.energy == 0.0
 
     def test_h2_vqe_matches_nelder_mead_with_fewer_evals(self, h2_problem):
-        obj, *_ = h2_problem
+        obj, batch, *_ = h2_problem
         start = obj.evaluation_count
         nm = minimize_nelder_mead(obj, np.zeros(obj.dimension), 1e-6)
         nm_evals = obj.evaluation_count - start
         start = obj.evaluation_count
-        lb = minimize_lbfgs(obj, np.zeros(obj.dimension), 1e-6)
+        lb = minimize_lbfgs(obj, np.zeros(obj.dimension), 1e-6, batch=batch)
         lb_evals = obj.evaluation_count - start
         assert abs(nm.energy - lb.energy) < 1e-6
         assert lb_evals < nm_evals
 
     def test_monotone_accepted_trace(self, h2_problem):
-        obj, *_ = h2_problem
-        result = minimize_lbfgs(obj, np.zeros(obj.dimension), 1e-8)
+        obj, batch, *_ = h2_problem
+        result = minimize_lbfgs(obj, np.zeros(obj.dimension), 1e-8,
+                                batch=batch)
         diffs = np.diff(result.trace)
         assert np.all(diffs <= 1e-12)
 
     def test_gradient_accounting(self):
-        obj = Objective(lambda t: float(np.sum((t - 0.5) ** 2)), 4)
-        result = minimize_lbfgs(obj, np.zeros(4), 1e-10)
+        def bowl(t):
+            return float(np.sum((t - 0.5) ** 2))
+
+        obj = Objective(bowl, 4)
+        result = minimize_lbfgs(obj, np.zeros(4), 1e-10,
+                                batch=per_point_batch(bowl))
         # every gradient call costs 2 * dimension evaluations; the rest
         # are single energy evaluations
         assert result.n_energy_evals == obj.evaluation_count
@@ -257,14 +293,15 @@ class TestLbfgs:
         def rosenbrock(t):
             return float((1 - t[0]) ** 2 + 100 * (t[1] - t[0] ** 2) ** 2)
 
-        result = minimize_lbfgs(Objective(rosenbrock, 2), np.zeros(2), 1e-12)
+        result = minimize_lbfgs(Objective(rosenbrock, 2), np.zeros(2), 1e-12,
+                                batch=per_point_batch(rosenbrock))
         assert result.converged
         assert len(result.trace) - 1 > LBFGS_MEMORY
         np.testing.assert_allclose(result.theta_opt, [1.0, 1.0], atol=1e-6)
         # the cap drops the oldest pairs: without it the steps differ
         monkeypatch.setattr(optimize, "LBFGS_MEMORY", len(result.trace))
         uncapped = minimize_lbfgs(Objective(rosenbrock, 2), np.zeros(2),
-                                  1e-12)
+                                  1e-12, batch=per_point_batch(rosenbrock))
         assert uncapped.trace[:LBFGS_MEMORY + 2] == \
             result.trace[:LBFGS_MEMORY + 2]
         assert uncapped.trace != result.trace
@@ -272,9 +309,11 @@ class TestLbfgs:
     def test_deterministic(self):
         results = []
         for _ in range(2):
-            obj = Objective(
-                lambda t: float((t[0] - 0.4) ** 2 + 0.3 * (t[1] ** 4)), 2)
-            results.append(minimize_lbfgs(obj, np.zeros(2), 1e-9))
+            def energy(t):
+                return float((t[0] - 0.4) ** 2 + 0.3 * (t[1] ** 4))
+
+            results.append(minimize_lbfgs(Objective(energy, 2), np.zeros(2),
+                                          1e-9, batch=per_point_batch(energy)))
         assert results[0].energy == results[1].energy
         np.testing.assert_array_equal(results[0].theta_opt,
                                       results[1].theta_opt)
@@ -299,7 +338,9 @@ class TestBudget:
             return seen[tuple(t)]
 
         obj = Objective(quartic, 3)
-        result = minimize(obj, np.zeros(3), 1e-12, max_evals=budget)
+        batch = ({"batch": per_point_batch(quartic)}
+                 if minimize is minimize_lbfgs else {})
+        result = minimize(obj, np.zeros(3), 1e-12, max_evals=budget, **batch)
         assert result.n_energy_evals == obj.evaluation_count
         assert result.n_energy_evals <= max(start, budget)
         assert not result.converged

@@ -9,6 +9,7 @@ from oracles import (
     group_action,
     infidelity,
     number_operator,
+    per_point_batch,
     shifted_points,
 )
 from scipy.linalg import expm
@@ -300,7 +301,7 @@ class TestH6Block:
 
             fd = central_difference_gradient(
                 Objective(energy, len(extended)), np.append(thetas, 0.0),
-                1e-5)
+                1e-5, per_point_batch(energy))
             assert grads[k] == pytest.approx(fd[-1], abs=1e-6)
 
     def test_adapt_step_builds_no_action(self, h6):
@@ -458,9 +459,10 @@ class TestShiftedStates:
                         prepare_shifted_states(ansatz, theta, h, reference)]
 
             per_point = central_difference_gradient(
-                Objective(energy, len(ids)), thetas)
+                Objective(energy, len(ids)), thetas, DEFAULT_FD_STEP,
+                per_point_batch(energy))
             batched = central_difference_gradient(
-                Objective(energy, len(ids)), thetas, batch=batch)
+                Objective(energy, len(ids)), thetas, DEFAULT_FD_STEP, batch)
             assert batched.tobytes() == per_point.tobytes(), ids
 
     def test_empty_ansatz_has_no_rows(self):
