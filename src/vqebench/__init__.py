@@ -57,7 +57,6 @@ from .optimize import (
 from .pauli import PauliSum, to_matrix
 from .statevector import (
     apply_operator,
-    apply_pool_operator,
     expectation,
     hartree_fock_reference,
 )
@@ -69,11 +68,11 @@ __all__ = [
     "LadderProduct", "MeasurementLedger", "MolecularHamiltonian",
     "Objective", "OptimizationResult", "PauliSum", "PoolOperator",
     "QubitProblem", "RunResult",
-    "anti_hermitian_pair", "apply_operator", "apply_pool_operator",
-    "build_uccsd_pool", "central_difference_gradient", "circuit_metrics",
-    "circuit_resources", "compile_circuit", "expectation", "full_uccsd_ansatz",
-    "hartree_fock_reference", "infidelity_vs_fci",
-    "jordan_wigner", "load_fcidump", "minimize_lbfgs",
+    "anti_hermitian_pair", "apply_operator", "build_uccsd_pool",
+    "central_difference_gradient", "circuit_metrics", "circuit_resources",
+    "compile_circuit", "expectation", "full_uccsd_ansatz",
+    "hartree_fock_reference", "infidelity_vs_fci", "jordan_wigner",
+    "load_fcidump", "minimize_lbfgs",
     "minimize_nelder_mead", "parse_fcidump", "prepare_state", "run_adapt",
     "run_vqe", "screen_pool", "select_operator", "simulate_circuit",
     "solve_fci", "to_fermion_hamiltonian", "to_matrix", "verify_car",

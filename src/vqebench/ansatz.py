@@ -98,14 +98,15 @@ def _theta_vector(ansatz: Ansatz, thetas) -> np.ndarray:
 def _validate_pool_operator(q: PauliSum, description: str,
                             basis) -> PauliSum:
     """``q`` restricted to ``basis``, which checks that it is real there
-    and conserves N and S_z; it must also be anti-Hermitian, with mutually
-    commuting strings."""
+    and conserves N and S_z; it must also have ``rotations`` (anti-Hermitian,
+    couplings of +-1) and mutually commuting strings."""
     try:
         restricted = q.restrict(basis)
     except ValueError as exc:
         raise ValueError(f"pool operator {description}: {exc}") from exc
-    if restricted.hermitian:
-        raise ValueError(f"pool operator {description} not anti-Hermitian")
+    if restricted.rotations is None:
+        raise ValueError(f"pool operator {description} not anti-Hermitian "
+                         "with couplings of +-1")
     if not q.terms_mutually_commute():
         raise ValueError(
             f"pool operator {description} has non-commuting strings")

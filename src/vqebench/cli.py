@@ -323,8 +323,15 @@ def emit_report(rows, out_dir: Path) -> dict[str, Path]:
 # argparse front end
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ConfigError, for `main` to report."""
+
+    def error(self, message):
+        raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vqebench",
         description="VQE / ADAPT-VQE statevector benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -414,14 +421,13 @@ def _cmd_run(args) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:  # after argparse's help (0) or usage error
-        return 0 if exc.code == 0 else 1
-    try:
         if args.command == "scan":
             return _cmd_scan(args)
         if args.command == "run":
             return _cmd_run(args)
         return 0 if run_selftest() else 2
+    except SystemExit:  # argparse exits only after printing --help
+        return 0
     except (ConfigError, FcidumpParseError, FcidumpIntegrityError,
             ResourceLimitError, OpenShellError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

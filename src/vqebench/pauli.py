@@ -8,7 +8,7 @@ set; both bits set mean Y. A stored term always reads ``coefficient *
 
 `PauliSum.restrict` compiles a sum once into what `statevector` and `fci`
 read on a block of basis states: its nonzero block entries ``(rows, cols,
-values)`` and, for an anti-Hermitian sum, scalar ``rotations`` from them.
+values)`` and, for an anti-Hermitian sum of +-1 entries, ``rotations``.
 
 Qubit 0 is the least significant bit of basis-state indices throughout.
 """
@@ -68,9 +68,9 @@ class PauliSum:
     Immutable by convention, with no arithmetic of its own: sums are built
     whole, by `fermion.jordan_wigner`. A sum returned by `restrict` also
     carries its ``basis``, whether it is ``hermitian``, its compiled
-    ``action`` there and, if anti-Hermitian, its ``rotations`` (else
-    None). Terms with ``|coefficient| < PRUNE_THRESHOLD`` are dropped when
-    the sum is made.
+    ``action`` there and, if anti-Hermitian with couplings of +-1, its
+    ``rotations`` (else None). Terms with ``|coefficient| <
+    PRUNE_THRESHOLD`` are dropped when the sum is made.
     """
 
     __slots__ = ("n_qubits", "terms", "basis", "hermitian", "rotations",
@@ -104,14 +104,13 @@ class PauliSum:
         the sum is Hermitian or anti-Hermitian, real on ``basis`` and maps
         it into itself; an entry leaving it may be at most ``LEAK_TOL``.
 
-        An anti-Hermitian sum also keeps ``rotations``: ``(rows[run],
-        cols[run], values[run], w)`` per X-mask group ``G`` and distinct
-        ``|values| = w`` in it, both ascending, where ``run`` holds the
-        group's entries of magnitude ``w``. ``exp(theta G)`` maps
-        ``psi[rows[run]]`` to ``cos(theta w) psi[rows[run]] + sin(theta w)
-        / w * values[run] * psi[cols[run]]`` and leaves the other entries;
-        a group's entries ``(r, c)`` and ``(c, r)`` share ``|values|``, so
-        the rotations of one group touch disjoint entries.
+        An anti-Hermitian sum whose entries are all +-1, as every pool
+        operator's are, also keeps ``rotations``: ``(rows[run], cols[run],
+        values[run])`` per X-mask group ``G``, ascending, where ``run`` is
+        the group's contiguous entries. ``exp(theta G)`` maps
+        ``psi[rows[run]]`` to ``cos(theta) psi[rows[run]] + sin(theta) *
+        values[run] * psi[cols[run]]`` and leaves the other entries. Any
+        other sum keeps ``rotations = None``.
         """
         hermitian = self.is_hermitian()
         if not (hermitian or self.is_anti_hermitian()):
@@ -134,12 +133,10 @@ class PauliSum:
         for a in (rows, cols, values):
             a.flags.writeable = False
         out._action = rows, cols, values
-        if not hermitian:
-            norm = np.abs(values)
-            out.rotations = tuple(
-                (rows[run], cols[run], values[run], w)
-                for g, w in sorted(set(zip(group.tolist(), norm.tolist())))
-                for run in [np.flatnonzero((group == g) & (norm == w))])
+        if not hermitian and (np.abs(values) == 1.0).all():
+            starts = np.flatnonzero(np.diff(group, prepend=-1))
+            out.rotations = tuple(zip(*(np.split(a, starts)[1:]
+                                        for a in (rows, cols, values))))
         return out
 
     @property

@@ -29,7 +29,7 @@ from .fci import infidelity_vs_fci, solve_fci
 from .optimize import DEFAULT_FD_STEP, Objective, central_difference_gradient
 from .pauli import PAULI_MATRICES, PauliSum, commutator_term_counts, to_matrix
 from .statevector import (
-    apply_pool_operator,
+    apply_pool_operators,
     embed,
     expectation,
     hartree_fock_reference,
@@ -184,9 +184,9 @@ def run_selftest() -> bool:
             thetas = np.random.default_rng(7).uniform(-np.pi, np.pi,
                                                       len(ansatz))
             chain = ref
-            for pid, theta in zip(ansatz.ids, thetas):
-                chain = apply_pool_operator(chain, pool[pid].qubit_form,
-                                            theta)
+            for pid, theta in zip(ansatz.ids, thetas.tolist()):
+                chain = apply_pool_operators(chain, (pool[pid].qubit_form,),
+                                             (theta,))
             ok_in_place &= (prepare_state(ansatz, thetas, ref).tobytes()
                             == chain.tobytes())
         check(f"in-place state preparation equals the per-operator "

@@ -5,12 +5,12 @@ A state is a 1-D float64 ndarray over the ascending basis states of a
 block, `sector_indices`, and an operator acts on it through the kernels
 `PauliSum.restrict` compiled over the same states: ``op |psi>`` is one
 `np.bincount` over the nonzero block entries ``(rows, cols, values)`` of
-`PauliSum.action`, and a pool exponential is a few scalar rotations cut
-from them (``rotations``), which turn one float64 copy of the state in
-place, operator after operator (`apply_pool_operators`). The same
-rotations also turn the rows of a ``(m, dim)`` stack at once, each at
-its own angle (`rotate_rows`). A length mismatch raises
-`DimensionMismatchError`.
+`PauliSum.action`, and a pool exponential is one scalar rotation per
+X-mask group cut from them (``rotations``, couplings of +-1), which turn
+one float64 copy of the state in place, operator after operator
+(`apply_pool_operators`). The same rotations also turn the rows of a
+``(m, dim)`` stack at once, each at its own angle (`rotate_rows`). A
+length mismatch raises `DimensionMismatchError`.
 Basis index bit ``q`` is the value of qubit ``q`` (qubit 0 least
 significant); qubit value 1 means the spin orbital is occupied. The full
 ``2**n`` space is a test oracle (`embed`).
@@ -67,46 +67,43 @@ def embed(state: np.ndarray, basis: np.ndarray, n_qubits: int) -> np.ndarray:
     return amps
 
 
-def apply_pool_operator(state: np.ndarray, tau: PauliSum,
-                        theta: float) -> np.ndarray:
-    """``exp(theta * tau) |state>`` for a restricted anti-Hermitian tau, as
-    a new float64 array: `apply_pool_operators` with one operator.
-
-    Applied as the product of the exact exponentials of its X-mask groups,
-    in ascending X-mask order. A group ``G`` couples only ``b`` and
-    ``b ^ x``, as a real antisymmetric 2x2 block with ``G^2 = -d^2`` for its
-    diagonal ``d``, so ``exp(theta G) = cos(theta |d|) + sin(theta |d|) /
-    |d| G`` (the closed form of Yordanov et al., arXiv:2005.14475): one
-    scalar rotation per distinct ``|d|``, kept in ``tau.rotations``. The
-    product is exact when the groups commute, which every pool element
-    guarantees (its strings commute, checked at pool construction).
-    """
-    return apply_pool_operators(state, (tau,), (float(theta),))
+def _check_pool_operator(amps: np.ndarray, tau: PauliSum) -> None:
+    """Raise unless ``tau`` is restricted to a basis of the state's length
+    (ValueError, or DimensionMismatchError) and has rotations (ValueError)."""
+    if tau.rotations is None or tau.basis.shape != amps.shape:
+        _checked_action(amps, tau)  # raises for no basis or a mismatch
+        raise ValueError("pool operator must be anti-Hermitian, with "
+                         "couplings of +-1")
 
 
 def apply_pool_operators(state: np.ndarray, taus, thetas) -> np.ndarray:
     """``exp(thetas[-1] taus[-1]) ... exp(thetas[0] taus[0]) |state>``, first
-    operator first, each as in `apply_pool_operator`; ``taus`` and
-    ``thetas`` are sequences, the angles Python floats.
+    operator first; ``taus`` and ``thetas`` are sequences, the angles
+    Python floats.
+
+    Each exponential is the product of the exact exponentials of its
+    X-mask groups, ascending, which commute (the pool checks that its
+    strings do). A group ``G`` couples ``b`` and ``b ^ x`` with couplings
+    of +-1, so ``G^2 = -1`` on the states it moves and ``exp(theta G) =
+    cos(theta) + sin(theta) G`` there (Yordanov et al., arXiv:2005.14475):
+    one rotation per group, kept in ``tau.rotations``, with cos and sin
+    taken once per operator.
 
     ``state`` is copied once into a new float64 array (an integer state is
     converted, a complex one raises TypeError), and each rotation turns
-    that copy in place. Every operator is checked before the first turns:
-    restricted to a basis of the state's length (else ValueError, or
-    DimensionMismatchError) and anti-Hermitian (else ValueError).
+    that copy in place. Every operator is checked before the first turns,
+    as in `_check_pool_operator`.
     """
     psi = np.asarray(state).astype(np.float64, casting="same_kind")
     for tau in taus:
-        if tau.rotations is None or tau.basis.shape != psi.shape:
-            _checked_action(psi, tau)  # raises for no basis or a mismatch
-            raise ValueError("pool operator must be anti-Hermitian")
+        _check_pool_operator(psi, tau)
     for tau, theta in zip(taus, thetas):
-        for active, partners, coupling, w in tau.rotations:
-            # c * psi[active] + s / w * (coupling * psi[partners]), in place
-            c, s = math.cos(theta * w), math.sin(theta * w)
+        c, s = math.cos(theta), math.sin(theta)
+        for active, partners, coupling in tau.rotations:
+            # c * psi[active] + s * (coupling * psi[partners]), in place
             turned = psi[partners]
             turned *= coupling
-            turned *= s / w
+            turned *= s
             kept = psi[active]
             kept *= c
             kept += turned
@@ -119,19 +116,17 @@ def rotate_rows(stack: np.ndarray, tau: PauliSum, angles,
     """Replace row ``i`` of the ``(m, dim)`` stack, in place, by
     ``exp(angles[pick[i]] * tau) |row>``.
 
-    Each row gets the bits `apply_pool_operator` gives it at its angle:
+    Each row gets the bits `apply_pool_operators` gives it at its angle:
     the rotations are the same, with cos and sin taken once per distinct
     angle and broadcast over the rows that share it.
     """
-    _checked_action(stack[0], tau)
-    if tau.hermitian:
-        raise ValueError("pool operator must be anti-Hermitian")
+    _check_pool_operator(stack[0], tau)
+    c = np.array([math.cos(t) for t in angles])[pick]
+    s = np.array([math.sin(t) for t in angles])[pick]
     states = stack.T
-    for active, partners, coupling, w in tau.rotations:
-        c = np.array([math.cos(t * w) for t in angles])[pick]
-        s = np.array([math.sin(t * w) for t in angles])[pick]
+    for active, partners, coupling in tau.rotations:
         states[active] = (c * states[active]
-                          + s / w * (coupling[:, None] * states[partners]))
+                          + s * (coupling[:, None] * states[partners]))
 
 
 def apply_operator(state: np.ndarray, op: PauliSum) -> np.ndarray:

@@ -15,7 +15,9 @@ Each is an oracle for something the package computes another way:
 - `group_action`, `apply_by_groups` and `exponential_by_groups`, the
   per-X-mask-group loops the package ran before it compiled a restricted
   sum into its nonzero block entries and scalar rotations, for
-  `statevector.apply_operator`, `expectation` and `apply_pool_operator`;
+  `statevector.apply_operator`, `expectation` and the pool exponentials
+  of `apply_pool_operators` and `rotate_rows`; `exponential_by_groups`
+  takes any ``|d|``, where the package takes couplings of +-1 only;
 - `shifted_points`, a central-difference gradient's points one at a
   time, and `per_point_batch`, a function evaluated at each of them in
   turn: the only per-point reference of `ansatz.prepare_shifted_states`

@@ -38,7 +38,7 @@ from vqebench.fermion import (
 )
 from vqebench.pauli import DimensionMismatchError, PauliSum, to_matrix
 from vqebench.statevector import (
-    apply_pool_operator,
+    apply_pool_operators,
     embed,
     expectation,
     hartree_fock_reference,
@@ -94,6 +94,20 @@ class TestPoolConstruction:
             # commutes with particle number as a matrix
             np.testing.assert_allclose(mat @ n_mat, n_mat @ mat, atol=1e-12)
             assert op.qubit_form.terms_mutually_commute()
+
+    @pytest.mark.parametrize("n_spatial,n_electrons", [
+        (2, 2), (3, 2), (4, 2), (4, 4), (5, 4), (6, 2), (7, 4), (8, 8)])
+    def test_every_operator_is_one_unit_rotation_per_group(self, n_spatial,
+                                                           n_electrons):
+        # the kernels take each X-mask group as one rotation with couplings
+        # of +-1; a pool operator without one fails to build
+        for op in build_uccsd_pool.__wrapped__(n_spatial, n_electrons):
+            tau = op.qubit_form
+            assert len(tau.rotations) == len({x for x, _ in tau.terms})
+            basis = tau.basis
+            for rows, cols, values in tau.rotations:
+                assert len(set((basis[rows] ^ basis[cols]).tolist())) == 1
+                assert (np.abs(values) == 1.0).all()
 
     def test_deterministic_ordering(self):
         first = build_uccsd_pool(3, 2)
@@ -219,9 +233,10 @@ class TestPrepareState:
 
 
 def operator_chain(pool, ids, thetas, state):
-    """The ansatz state one `apply_pool_operator` call per operator."""
+    """The ansatz state one `apply_pool_operators` call per operator."""
     for pid, theta in zip(ids, thetas):
-        state = apply_pool_operator(state, pool[pid].qubit_form, theta)
+        state = apply_pool_operators(state, (pool[pid].qubit_form,),
+                                     (float(theta),))
     return state
 
 

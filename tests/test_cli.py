@@ -443,10 +443,21 @@ class TestMainEntry:
          "adapt", "--max-iter", "1.7"],
         ["run", "--fcidump", str(DATA / "h2_r0.735.fcidump"), "--method",
          "dmrg"],
-        ["scan"]], ids=["bad-max-iter", "unknown-method", "scan-no-config"])
+        ["scan"],
+        # argparse reads a negative exponent as an option
+        ["run", "--fcidump", str(DATA / "h2_r0.735.fcidump"), "--method",
+         "vqe", "--tol", "-1e-6"],
+        ["run", "--fcidump", str(DATA / "h2_r0.735.fcidump"), "--method",
+         "vqe", "--tol", "x"],
+        ["run", "--fcidump", str(DATA / "h2_r0.735.fcidump"), "--method",
+         "fci", "--no-such-flag"],
+        []], ids=["bad-max-iter", "unknown-method", "scan-no-config",
+                  "negative-tol", "tol-not-a-number", "unknown-flag",
+                  "no-command"])
     def test_usage_error_is_input_error(self, capsys, argv):
         assert main(argv) == 1
-        assert "usage:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "usage: vqebench" in err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

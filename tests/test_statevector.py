@@ -19,6 +19,7 @@ from vqebench import pauli
 from vqebench.adapt import AdaptConfig, QubitProblem, run_adapt
 from vqebench.ansatz import (
     Ansatz,
+    _validate_pool_operator,
     build_uccsd_pool,
     full_uccsd_ansatz,
     prepare_shifted_states,
@@ -40,7 +41,7 @@ from vqebench.optimize import (
 from vqebench.pauli import DimensionMismatchError, PauliSum, to_matrix
 from vqebench.statevector import (
     apply_operator,
-    apply_pool_operator,
+    apply_pool_operators,
     embed,
     expectation,
     hartree_fock_reference,
@@ -84,10 +85,16 @@ def singlet_single_tau(n_so=4):
     return jordan_wigner(anti_hermitian_pair(t))
 
 
+def apply_one(state, tau, theta):
+    """``exp(theta * tau) |state>``: `apply_pool_operators` with one
+    operator."""
+    return apply_pool_operators(state, (tau,), (float(theta),))
+
+
 def one_string_tau(n_qubits, x_mask, z_mask, weight=1.0):
     """``i * weight * P`` for one Pauli string P over all ``2**n`` states,
-    so that ``apply_pool_operator(state, tau, angle)`` is
-    ``exp(i angle weight P)``; real when P has an odd number of Y."""
+    so that ``apply_one(state, tau, angle)`` is ``exp(i angle weight P)``;
+    real when P has an odd number of Y."""
     return PauliSum(n_qubits, {(x_mask, z_mask): 1j * weight}).restrict(
         full(n_qubits))
 
@@ -95,7 +102,8 @@ def one_string_tau(n_qubits, x_mask, z_mask, weight=1.0):
 def weighted_group_tau():
     """Commuting real strings whose X-mask group 0b0011 has |diagonal| 0.4
     on some states and 1.0 on others (every UCCSD pool operator has 0 or
-    1): ``-0.3 (-1)**b0 - 0.7 (-1)**b1``."""
+    1): ``-0.3 (-1)**b0 - 0.7 (-1)**b1``. Anti-Hermitian, but not with
+    couplings of +-1, so it has no rotations."""
     return PauliSum(4, {(0b0011, 0b0001): 0.3j, (0b0011, 0b0010): 0.7j,
                         (0b0100, 0b1100): -0.5j})
 
@@ -125,13 +133,12 @@ class TestHartreeFockReference:
 class TestPauliExponential:
     def test_rabi_rotation(self):
         # i Y0 = [[0, 1], [-1, 0]] is real: |0> turns into -|1>
-        out = apply_pool_operator(ket(1), one_string_tau(1, 1, 1),
-                                  np.pi / 2)
+        out = apply_one(ket(1), one_string_tau(1, 1, 1), np.pi / 2)
         np.testing.assert_allclose(out, [0.0, -1.0], atol=1e-15)
 
     def test_zero_angle_is_identity(self):
         state = np.full(4, 0.5)
-        out = apply_pool_operator(state, one_string_tau(2, 0b01, 0b11), 0.0)
+        out = apply_one(state, one_string_tau(2, 0b01, 0b11), 0.0)
         np.testing.assert_array_equal(out, state)
 
     def test_z_rotation_is_rejected_as_not_real(self):
@@ -142,7 +149,7 @@ class TestPauliExponential:
     def test_rejects_non_hermitian(self):
         # P = -1j * X0 is not Hermitian, so i P = X0 is not anti-Hermitian
         with pytest.raises(ValueError):
-            apply_pool_operator(ket(1), one_string_tau(1, 1, 0, -1j), 0.3)
+            apply_one(ket(1), one_string_tau(1, 1, 0, -1j), 0.3)
 
     @given(st.floats(-np.pi, np.pi, allow_nan=False), st.integers(1, 15),
            st.integers(0, 15))
@@ -153,7 +160,7 @@ class TestPauliExponential:
         tau = one_string_tau(4, x_mask, z_mask)
         rng = np.random.default_rng(x_mask * 16 + z_mask)
         amps = random_state(rng, 16)
-        out = apply_pool_operator(amps, tau, angle)
+        out = apply_one(amps, tau, angle)
         dense = expm(angle * sum_kron_matrix(tau))
         np.testing.assert_allclose(out, dense @ amps, atol=1e-10)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-10
@@ -162,50 +169,46 @@ class TestPauliExponential:
 class TestPoolOperator:
     def test_zero_angle(self):
         ref = hartree_fock_reference(4, 2)
-        out = apply_pool_operator(ref, paired_double_tau().restrict(SECTOR),
-                                  0.0)
+        out = apply_one(ref, paired_double_tau().restrict(SECTOR), 0.0)
         np.testing.assert_allclose(out, ref, atol=1e-15)
 
     def test_preserves_particle_number(self):
         ref = hartree_fock_reference(4, 2)
-        out = apply_pool_operator(ref, paired_double_tau().restrict(SECTOR),
-                                  np.pi / 2)
+        out = apply_one(ref, paired_double_tau().restrict(SECTOR), np.pi / 2)
         n_op = number_operator(4).restrict(SECTOR)
         assert expectation(out, n_op) == pytest.approx(2.0)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("tau_builder", [paired_double_tau,
-                                             singlet_single_tau,
-                                             weighted_group_tau])
+                                             singlet_single_tau])
     @pytest.mark.parametrize("theta", [-2.1, -0.3, 0.17, 1.9])
     def test_matches_dense_expm(self, tau_builder, theta):
         tau = tau_builder().restrict(full(4))
         amps = random_state(np.random.default_rng(7), 16)
-        out = apply_pool_operator(amps, tau, theta)
+        out = apply_one(amps, tau, theta)
         dense = expm(theta * to_matrix(tau))
         np.testing.assert_allclose(out, dense @ amps, atol=1e-10)
 
     def test_integer_state_is_taken_as_float64(self):
         ref = hartree_fock_reference(4, 2)
         tau = singlet_single_tau().restrict(SECTOR)
-        out = apply_pool_operator(ref.astype(int), tau, 0.3)
+        out = apply_one(ref.astype(int), tau, 0.3)
         assert out.dtype == np.float64 and out.any()
-        assert out.tobytes() == apply_pool_operator(ref, tau, 0.3).tobytes()
+        assert out.tobytes() == apply_one(ref, tau, 0.3).tobytes()
         with pytest.raises(TypeError):
-            apply_pool_operator(ref.astype(complex), tau, 0.3)
+            apply_one(ref.astype(complex), tau, 0.3)
 
     def test_state_is_left_alone_and_result_is_new(self):
         ref = hartree_fock_reference(4, 2)
         ref.flags.writeable = False
-        out = apply_pool_operator(ref, singlet_single_tau().restrict(SECTOR),
-                                  0.3)
+        out = apply_one(ref, singlet_single_tau().restrict(SECTOR), 0.3)
         assert ref.tolist() == [1.0, 0.0, 0.0, 0.0]
         assert not np.shares_memory(out, ref) and out.flags.writeable
 
     def test_rejects_hermitian_operator(self):
         herm = from_string(2, "X0", 1.0).restrict(full(2))
-        with pytest.raises(ValueError):
-            apply_pool_operator(ket(2), herm, 0.5)
+        with pytest.raises(ValueError, match="anti-Hermitian"):
+            apply_one(ket(2), herm, 0.5)
 
 
 class TestAgainstKroneckerOracle:
@@ -240,7 +243,7 @@ class TestAgainstKroneckerOracle:
         basis = h4.h_p.basis
         for op in h4.pool:
             theta = float(rng.uniform(-1.5, 1.5))
-            out = apply_pool_operator(state, op.qubit_form, theta)
+            out = apply_one(state, op.qubit_form, theta)
             dense = expm(theta * sum_kron_matrix(op.qubit_form))
             np.testing.assert_allclose(embed(out, basis, 8),
                                        dense @ embed(state, basis, 8),
@@ -337,25 +340,43 @@ class TestKernelsAgainstGroupLoops:
         rng = np.random.default_rng(17)
         state = random_state(rng, len(kernel_problem.reference))
         thetas = list(rng.uniform(-2 * np.pi, 2 * np.pi, 50)) + EDGE_ANGLES
+        basis = kernel_problem.h_p.basis
         for op in kernel_problem.pool:
-            # every UCCSD group is one rotation: |d| is 0 or 1
-            assert [r[3] for r in op.qubit_form.rotations] == \
-                [1.0] * len({x for x, _ in op.qubit_form.terms})
-            groups = group_action(op.qubit_form)
+            # every UCCSD group is one rotation, the group's entries of the
+            # action in order, with couplings of +-1
+            tau = op.qubit_form
+            assert len(tau.rotations) == len({x for x, _ in tau.terms})
+            for field, whole in zip(zip(*tau.rotations), tau.action):
+                assert np.array_equal(np.concatenate(field), whole)
+            masks = [np.unique(basis[rows] ^ basis[cols])
+                     for rows, cols, _ in tau.rotations]
+            assert [len(m) for m in masks] == [1] * len(masks)
+            assert (np.diff(np.concatenate(masks)) > 0).all()
+            assert (np.abs(tau.action[2]) == 1.0).all()
+            groups = group_action(tau)
             for theta in thetas:
                 assert np.array_equal(
-                    apply_pool_operator(state, op.qubit_form, theta),
+                    apply_one(state, tau, theta),
                     exponential_by_groups(state, groups, theta)), \
                     (op, theta)
 
     @pytest.mark.parametrize("theta", [-2.1, 0.17] + EDGE_ANGLES)
     def test_group_with_two_magnitudes(self, theta):
+        # couplings other than +-1 have no rotations: both kernels reject
+        # the sum at any angle, before a state is touched, and so does the
+        # pool build
         tau = weighted_group_tau().restrict(full(4))
-        assert len(tau.rotations) == 3  # 0.4 and 1.0 in one group, 0.5
+        assert tau.rotations is None and tau.hermitian is False
         state = random_state(np.random.default_rng(2), 16)
-        assert np.array_equal(
-            apply_pool_operator(state, tau, theta),
-            exponential_by_groups(state, group_action(tau), theta))
+        stack = np.stack([state, state])
+        unit = singlet_single_tau().restrict(full(4))
+        with pytest.raises(ValueError, match="anti-Hermitian"):
+            apply_pool_operators(state, (unit, tau), (theta, theta))
+        with pytest.raises(ValueError, match="anti-Hermitian"):
+            rotate_rows(stack, tau, (theta,), np.zeros(2, int))
+        assert stack.tobytes() == np.stack([state, state]).tobytes()
+        with pytest.raises(ValueError, match="not anti-Hermitian"):
+            _validate_pool_operator(weighted_group_tau(), "weighted", full(4))
 
     def test_operator_action_and_expectation(self, kernel_problem):
         rng = np.random.default_rng(23)
@@ -474,10 +495,11 @@ class TestShiftedStates:
     @pytest.mark.parametrize("angles", [(-2.1, 0.17, -0.0, np.pi),
                                         (0.0, -0.0, 1e-9, -1e-9)])
     def test_rotate_rows_equals_apply_pool_operator(self, angles):
-        tau = weighted_group_tau().restrict(full(4))
+        tau = singlet_single_tau().restrict(full(4))
+        assert len(tau.rotations) == 2
         stack = np.random.default_rng(4).normal(size=(7, 16))
         pick = np.array([0, 1, 2, 3, 0, 2, 1])
-        expected = [apply_pool_operator(row, tau, angles[p])
+        expected = [apply_one(row, tau, angles[p])
                     for row, p in zip(stack, pick)]
         rotate_rows(stack, tau, angles, pick)
         for row, want in zip(stack, expected):
@@ -583,8 +605,7 @@ class TestArraySize:
                                       np.zeros((2, 2))])
     def test_apply_pool_operator(self, amps):
         with pytest.raises(DimensionMismatchError):
-            apply_pool_operator(amps, singlet_single_tau().restrict(SECTOR),
-                                0.3)
+            apply_one(amps, singlet_single_tau().restrict(SECTOR), 0.3)
 
     @pytest.mark.parametrize("amps", [ket(1), ket(3), np.zeros(3)])
     def test_apply_operator(self, amps):
