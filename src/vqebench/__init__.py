@@ -44,6 +44,7 @@ from .fermion import (
     LadderProduct,
     anti_hermitian_pair,
     jordan_wigner,
+    jordan_wigner_each,
     verify_car,
 )
 from .fci import FciSolution, infidelity_vs_fci, solve_fci
@@ -72,7 +73,7 @@ __all__ = [
     "central_difference_gradient", "circuit_metrics", "circuit_resources",
     "compile_circuit", "expectation", "full_uccsd_ansatz",
     "hartree_fock_reference", "infidelity_vs_fci", "jordan_wigner",
-    "load_fcidump", "minimize_lbfgs",
+    "jordan_wigner_each", "load_fcidump", "minimize_lbfgs",
     "minimize_nelder_mead", "parse_fcidump", "prepare_state", "run_adapt",
     "run_vqe", "screen_pool", "select_operator", "simulate_circuit",
     "solve_fci", "to_fermion_hamiltonian", "to_matrix", "verify_car",

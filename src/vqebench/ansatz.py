@@ -18,7 +18,7 @@ from .fermion import (
     FermionOperator,
     LadderProduct,
     anti_hermitian_pair,
-    jordan_wigner,
+    jordan_wigner_each,
 )
 from .pauli import PauliSum
 from .statevector import apply_pool_operators, rotate_rows, sector_indices
@@ -197,11 +197,11 @@ def build_uccsd_pool(n_spatial: int,
                                            f"{tag} (mixed B)"))
 
     basis = sector_indices(n_so, n_electrons)
+    images = jordan_wigner_each(anti_hermitian_pair(t) for t, _ in candidates)
     return tuple(
-        PoolOperator(k, _validate_pool_operator(
-            jordan_wigner(anti_hermitian_pair(t)), description, basis),
-            description)
-        for k, (t, description) in enumerate(candidates))
+        PoolOperator(k, _validate_pool_operator(q, description, basis),
+                     description)
+        for k, (q, (_, description)) in enumerate(zip(images, candidates)))
 
 
 def full_uccsd_ansatz(pool) -> Ansatz:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
 from pathlib import Path
 
@@ -270,6 +269,16 @@ def render_json(rows) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _median(values) -> float:
+    """The middle value, or the mean of the two middle ones, by the formula
+    of ``statistics.median``, whose import would load ``decimal`` and
+    ``fractions`` on every start."""
+    values = sorted(values)
+    half = len(values) // 2
+    return values[half] if len(values) % 2 else (
+        values[half - 1] + values[half]) / 2
+
+
 def render_summary(rows) -> str:
     lines = ["vqebench scan summary", GRADIENT_FREE_NOTE, ""]
     methods = sorted({row.method for row in rows},
@@ -277,8 +286,8 @@ def render_summary(rows) -> str:
     lines.append("per-method medians")
     for method in methods:
         sample = [row for row in rows if row.method == method]
-        err = statistics.median(row.abs_error_vs_fci for row in sample)
-        infid = statistics.median(row.infidelity for row in sample)
+        err = _median(row.abs_error_vs_fci for row in sample)
+        infid = _median(row.infidelity for row in sample)
         lines.append(f"  {method:<6} abs_error_vs_fci {err:.9f}  "
                      f"infidelity {format_infidelity(infid)}  "
                      f"({len(sample)} rows)")

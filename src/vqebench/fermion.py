@@ -3,14 +3,33 @@
 Spin orbital ``p`` maps to qubit ``p``; qubit value 1 means occupied.
 Spin orbitals are interleaved: spatial orbital ``m`` gives spin orbitals
 ``2m`` (alpha) and ``2m + 1`` (beta).
+
+`jordan_wigner_each` transforms any number of operators in one array pass
+over all their ladder products, with the bits and term order of adding
+each product's image into a dict in turn; `jordan_wigner` is its
+one-operator form. Both take at most 31 spin orbitals.
 """
 from __future__ import annotations
 
+from itertools import chain, pairwise
+
 import numpy as np
 
-from .pauli import PRUNE_THRESHOLD, PauliSum, to_matrix
+from .pauli import (
+    PRUNE_THRESHOLD,
+    PauliSum,
+    ResourceLimitError,
+    to_matrix,
+)
 
-_PHASES = (1, 1j, -1, -1j)  # i**k
+_PHASES = (1, 1j, -1, -1j)  # i**k, as Python multiplies by them
+# `jordan_wigner_each` takes the k-factor products in blocks of at most
+# PATH_BLOCK paths, which bounds its (products, 2**k, k) temporaries, and
+# merges whole X-mask groups in chunks of about CHUNK_PATHS paths, which
+# bounds the merge arrays; each merge takes as many steps as its busiest
+# string has contributions.
+PATH_BLOCK = 1024
+CHUNK_PATHS = 4096
 
 
 class LadderProduct:
@@ -84,51 +103,209 @@ def anti_hermitian_pair(t: FermionOperator) -> FermionOperator:
 
 
 def jordan_wigner(f: FermionOperator) -> PauliSum:
-    """Jordan-Wigner transform of a fermion operator to a Pauli sum.
+    """Jordan-Wigner transform of a fermion operator to a Pauli sum:
+    ``jordan_wigner_each([f])[0]``, whose docstring gives the map, the
+    accumulation order and the 31-orbital limit."""
+    return jordan_wigner_each([f])[0]
+
+
+def jordan_wigner_each(operators) -> list[PauliSum]:
+    """The Jordan-Wigner transform of each fermion operator, in one array
+    pass over all their ladder products.
 
     ``a_p^dagger -> Z_{<p} (X_p - i Y_p) / 2`` and ``a_p -> Z_{<p} (X_p +
     i Y_p) / 2``, so a product of k ladder operators is at most ``2**k``
-    strings. Each is one path of X/Y choices, the first factor's the
-    outermost, carried as ``i**e X^x Z^z``: factor ``(p, dagger)`` with
-    choice ``y`` (1 for Y) multiplies by ``Z_{<p} X_p Z_p^y``, whose
-    ``Z^z X_p`` commutation adds 2 to ``e`` when bit p of ``z`` is set, and
-    whose Y term adds the phase of ``-/+ i Y_p = +/- X_p Z_p``. A path is
-    worth ``coefficient * 0.5**k * i**(e - popcount(x & z))`` on its
-    string, since ``Y = i X Z``.
+    strings. Each is one path of X/Y choices, path ``t`` choosing Y for
+    factor ``j`` when bit ``k-1-j`` of ``t`` is set (the first factor's
+    choice is the most significant), carried as ``i**e X^x Z^z``: factor
+    ``(p, dagger)`` with choice ``y`` multiplies by ``Z_{<p} X_p Z_p^y``,
+    whose ``Z^z X_p`` commutation adds 2 to ``e`` when bit p of ``z`` is
+    set, and whose Y term adds the phase of ``-/+ i Y_p = +/- X_p Z_p``.
+    A path is worth ``coefficient * 0.5**k * i**(e - popcount(x & z))``
+    on its string, since ``Y = i X Z``; both products are Python's complex
+    products, each part rounded on its own.
 
-    A product's paths are summed per string in path order and pruned below
-    PRUNE_THRESHOLD; the products are then added into one dict, in order,
-    and pruned on every merge: a key whose running sum drops below the
+    A product's paths are summed per string in path order from 0.0, and
+    pruned below PRUNE_THRESHOLD; each string enters at its first path.
+    Each operator's products are then added into one dict, in order, and
+    pruned on every merge: a key whose running sum drops below the
     threshold is deleted, and re-enters at the end if a later product
     brings it back. `PauliSum.restrict` sorts the terms, so that order
     reaches the golden scan bytes only through the coefficient bits it
-    produces.
+    produces. The merge is one sweep per contribution rank: step ``r``
+    adds every string's ``r``-th contribution. A product's strings all
+    carry its X mask, so products are merged in chunks of whole X-mask
+    groups of about CHUNK_PATHS paths, and their paths are taken in blocks
+    of at most PATH_BLOCK: memory follows the chunk, not the operator.
+
+    Keys are ``(x << n) | z`` in int64, so more than 31 spin orbitals
+    raise ResourceLimitError; operators on different spin-orbital counts
+    raise ValueError.
     """
-    n = f.n_spin_orbitals
-    terms: dict[tuple[int, int], complex] = {}
-    for prod in f.products:
-        paths = [(0, 0, 0)]
-        for p, dagger in prod.factors:
-            bit, y_phase = 1 << p, 0 if dagger else 2
-            paths = [(x ^ bit, z ^ (bit - 1) ^ (y << p),
-                      e + 2 * ((z >> p) & 1) + y * y_phase)
-                     for x, z, e in paths for y in (0, 1)]
-        scale = prod.coefficient * 0.5 ** len(prod.factors)
-        weights = [scale * phase for phase in _PHASES]
-        image: dict[tuple[int, int], complex] = {}
-        for x, z, e in paths:
-            key = (x, z)
-            image[key] = image.get(key, 0.0) + weights[
-                (e - (x & z).bit_count()) % 4]
-        for key, c in image.items():
-            if abs(c) < PRUNE_THRESHOLD:
-                continue
-            c = terms.get(key, 0.0) + c
-            if abs(c) >= PRUNE_THRESHOLD:
-                terms[key] = c
-            else:
-                terms.pop(key, None)
-    return PauliSum(n, terms)
+    operators = list(operators)
+    if not operators:
+        return []
+    n = operators[0].n_spin_orbitals
+    if any(f.n_spin_orbitals != n for f in operators):
+        raise ValueError("operators act on different spin-orbital counts")
+    if n > 31:
+        raise ResourceLimitError(
+            f"{n} spin orbitals exceeds the int64 key limit of 31")
+    products = [prod for f in operators for prod in f.products]
+    if not products:
+        return [PauliSum(n) for _ in operators]
+    factors = [prod.factors for prod in products]
+    k = np.fromiter(map(len, factors), np.int64, len(factors))
+    orbital, dagger = np.fromiter(
+        chain.from_iterable(chain.from_iterable(factors)), np.int64,
+        2 * int(k.sum())).reshape(-1, 2).T
+    end = np.cumsum(k)
+    flips = np.zeros(len(orbital) + 1, np.int64)
+    np.bitwise_xor.accumulate(1 << orbital, out=flips[1:])
+    x = flips[end] ^ flips[end - k]
+    coefficient = np.array([prod.coefficient for prod in products], complex)
+    operator = np.repeat(np.arange(len(operators)),
+                         [len(f.products) for f in operators])
+    # an image entry's place in the merge: product << k_bits | first path
+    k_bits = int(k.max())
+
+    # The products by X mask, larger groups first, in chunks of whole
+    # groups: a chunk ends at the first group that starts CHUNK_PATHS or
+    # more paths after the chunk does.
+    by_x = np.argsort(x, kind="stable")
+    x_sorted = x[by_x]
+    group = np.ones(len(x), bool)
+    group[1:] = x_sorted[1:] != x_sorted[:-1]
+    size = np.bincount(np.cumsum(group) - 1)
+    by_x = by_x[np.argsort(-np.repeat(size, size), kind="stable")]
+    x_sorted, paths = x[by_x], 1 << k[by_x]
+    group[1:] = x_sorted[1:] != x_sorted[:-1]
+    starts = np.flatnonzero(group)
+    cuts, chunk_ahead = [], 0
+    for start, ahead in zip(starts.tolist(),
+                            (np.cumsum(paths) - paths)[starts].tolist()):
+        if ahead - chunk_ahead >= CHUNK_PATHS:
+            cuts.append(start)
+            chunk_ahead = ahead
+    first, found = end - k, []
+    for rows in np.split(by_x, cuts):
+        row, t, key, value = _images(n, rows, k, first, orbital, dagger, x,
+                                     coefficient)
+        seq = (row << k_bits) | t
+        found.append(_merge(operator[row], seq, key, value))
+    enter, key, total = map(np.concatenate, zip(*found))
+    order = np.argsort(enter, kind="stable")
+    bounds = np.searchsorted(operator[enter[order] >> k_bits],
+                             np.arange(len(operators) + 1))
+    mask = (1 << n) - 1
+    terms = [((s >> n, s & mask), v) for s, v in zip(
+        key[order].tolist(), total[order].tolist())]
+    return [PauliSum(n, terms[a:b]) for a, b in pairwise(bounds.tolist())]
+
+
+def _images(n, rows, k, first, orbital, dagger, x, coefficient):
+    """The images of the products ``rows``: ``(row, t, key, value)`` per
+    string of each, ``t`` being the string's first path."""
+    found = []
+    for kk in np.flatnonzero(np.bincount(k[rows])).tolist():
+        rows_k = rows[k[rows] == kk]
+        step = max(1, PATH_BLOCK >> kk)
+        found += [_block_images(n, kk, rows_k[s:s + step], first, orbital,
+                                dagger, x, coefficient)
+                  for s in range(0, len(rows_k), step)]
+    return tuple(map(np.concatenate, zip(*found)))
+
+
+def _block_images(n, kk, rows, first, orbital, dagger, x, coefficient):
+    """`_images` of the ``kk``-factor products ``rows``."""
+    n_paths = 1 << kk
+    # coefficient * 0.5**k, then times each i**e, as Python's complex
+    # products, each part rounded on its own (numpy's may fuse them)
+    c, h, phase = coefficient[rows, None], 0.5 ** kk, np.array(_PHASES)
+    sr, si = c.real * h - c.imag * 0.0, c.real * 0.0 + c.imag * h
+    weight = np.empty((len(rows), 4), complex)
+    weight.real = sr * phase.real - si * phase.imag
+    weight.imag = sr * phase.imag + si * phase.real
+    # choice[t, j]: 1 where path t takes factor j's Y term
+    choice = (np.arange(n_paths)[:, None] >> np.arange(kk - 1, -1, -1)) & 1
+    at = first[rows, None] + np.arange(kk)
+    p = orbital[at][:, None, :]
+    # each factor's z mask, of Z_{<p} Z_p^y, and bit p of the z before it
+    # plus its Y phase: half its step of e
+    zf = ((1 << p) - 1) ^ (choice << p)
+    half_e = np.bitwise_xor.accumulate(zf, axis=2)
+    half_e ^= zf
+    half_e >>= p
+    half_e &= 1
+    half_e += (1 - dagger[at][:, None, :]) * choice
+    e = 2 * half_e.sum(axis=2)
+    z = np.bitwise_xor.reduce(zf, axis=2)
+    e -= np.bitwise_count(x[rows, None] & z)
+    # a product's equal strings, adjacent and in path order
+    order = np.argsort(z, axis=1, kind="stable")
+    order += np.arange(0, z.size, n_paths)[:, None]
+    order = order.ravel()
+    z = z.ravel()[order]
+    new = np.ones(len(z), bool)
+    new[1:] = z[1:] != z[:-1]
+    new[::n_paths] = True
+    string = np.cumsum(new) - 1
+    w = weight.ravel()[4 * (order >> kk) + (e.ravel()[order] & 3)]
+    value = np.empty(string[-1] + 1, complex)
+    value.real = np.bincount(string, w.real)
+    value.imag = np.bincount(string, w.imag)
+    kept = np.hypot(value.real, value.imag) >= PRUNE_THRESHOLD
+    head = order[new][kept]
+    row = rows[head >> kk]
+    return (row, head & (n_paths - 1), (x[row] << n) | z[new][kept],
+            value[kept])
+
+
+def _merge(op, seq, key, value):
+    """Add the image entries ``(seq, key, value)``, of operators ``op``,
+    into one dict per operator in ``seq`` order, pruning on every merge:
+    ``(enter, key, total)`` of each surviving string, ``enter`` being the
+    ``seq`` that last inserted it."""
+    # by key, then seq; op grows with seq, so each operator's string is a run
+    by_string = np.argsort(seq, kind="stable")
+    by_string = by_string[np.argsort(key[by_string], kind="stable")]
+    key, op = key[by_string], op[by_string]
+    new = np.ones(len(key), bool)
+    new[1:] = (key[1:] != key[:-1]) | (op[1:] != op[:-1])
+    start = np.flatnonzero(new)
+    string = np.cumsum(new) - 1
+    count = np.bincount(string)
+    # Each string's contributions by rank, rank-major, its slot by falling
+    # count: rank r's strings are the slots below live[r], at rank_at[r]
+    # + slot.
+    by_count = np.argsort(-count, kind="stable")
+    slot = np.empty_like(by_count)
+    slot[by_count] = np.arange(len(start))
+    live = len(start) - np.cumsum(np.bincount(count))[:-1]
+    rank_at = np.zeros(len(live) + 1, np.int64)
+    np.cumsum(live, out=rank_at[1:])
+    at = rank_at[np.arange(len(key)) - start[string]] + slot[string]
+    part, part_seq = np.empty_like(value), np.empty_like(seq)
+    part[at], part_seq[at] = value[by_string], seq[by_string]
+    # Running sums rank by rank, each from 0.0; a sum that drops below the
+    # threshold is deleted, set to 0.0 for the string's next rank.
+    # A string enters at the rank after its last deletion.
+    run = np.empty_like(part)
+    enter = np.zeros(len(start), np.int64)
+    bounds = rank_at.tolist()
+    for r, m in enumerate(live.tolist()):
+        a = bounds[r]
+        now = run[a:a + m]
+        np.add(run[bounds[r - 1]:bounds[r - 1] + m] if r else 0.0,
+               part[a:a + m], out=now)
+        dead = np.hypot(now.real, now.imag) < PRUNE_THRESHOLD
+        if dead.any():
+            now[dead] = 0.0
+            enter[:m][dead] = r + 1
+    kept = np.flatnonzero(enter < count[by_count])
+    last = rank_at[count[by_count[kept]] - 1] + kept
+    return (part_seq[rank_at[enter[kept]] + kept], key[start[by_count[kept]]],
+            run[last])
 
 
 def verify_car(n: int) -> bool:

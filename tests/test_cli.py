@@ -1,6 +1,9 @@
 import json
 import os
 import stat
+import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -254,20 +257,20 @@ class TestRunScan:
 
     def test_scan_builds_each_pool_shape_once(self, monkeypatch):
         # the 21 H2 inputs share one CAS(2,2) pool: its two operators are
-        # the only Jordan-Wigner images built for the pool
+        # the only Jordan-Wigner images built for the pool, in one call
         calls = []
-        transform = ansatz.jordan_wigner
+        transform = ansatz.jordan_wigner_each
 
-        def counting(f):
-            calls.append(f)
-            return transform(f)
+        def counting(operators):
+            calls.append(list(operators))
+            return transform(calls[-1])
 
         ansatz.build_uccsd_pool.cache_clear()
-        monkeypatch.setattr(ansatz, "jordan_wigner", counting)
+        monkeypatch.setattr(ansatz, "jordan_wigner_each", counting)
         config = EXAMPLES / "h2_scan.cfg"
         cfg = parse_scan_config(config.read_text(), base_dir=EXAMPLES)
         assert len(run_scan(cfg)) == 21 * 5
-        assert len(calls) == 2
+        assert [len(operators) for operators in calls] == [2]
 
     def test_variational_rows_never_below_fci(self):
         cfg = ScanConfig([("0.9", DATA / "h2_r0.900.fcidump")],
@@ -341,6 +344,22 @@ class TestReports:
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report([], tmp_path)
+
+    @pytest.mark.parametrize("values", [[0.3], [0.3, 0.1], [2e-9, 1e-9, 5e-9],
+                                        [1.0, 0.1, 0.7, 0.2], [0.1, 0.2]])
+    def test_summary_median_is_the_statistics_median(self, values):
+        assert cli._median(iter(values)) == statistics.median(values)
+
+    def test_cli_import_loads_no_statistics(self):
+        # statistics imports decimal and fractions: milliseconds of every
+        # command's start
+        src = Path(cli.__file__).resolve().parents[1]
+        loaded = subprocess.run(
+            [sys.executable, "-c", "import sys, vqebench.cli; print(sorted("
+             "{'statistics', 'decimal', 'fractions'} & set(sys.modules)))"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+            text=True, check=True).stdout
+        assert loaded == "[]\n"
 
 
 class TestMainEntry:

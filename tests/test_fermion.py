@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import add, jordan_wigner_sequential, number_operator
 
 from vqebench import ansatz, fermion
+from vqebench.adapt import QubitProblem
 from vqebench.ansatz import build_uccsd_pool
 from vqebench.fcidump import load_fcidump, to_fermion_hamiltonian
 from vqebench.fermion import (
@@ -13,9 +15,16 @@ from vqebench.fermion import (
     LadderProduct,
     anti_hermitian_pair,
     jordan_wigner,
+    jordan_wigner_each,
     verify_car,
 )
-from vqebench.pauli import PRUNE_THRESHOLD, PauliSum, to_matrix
+from vqebench.fci import solve_fci
+from vqebench.pauli import (
+    PRUNE_THRESHOLD,
+    PauliSum,
+    ResourceLimitError,
+    to_matrix,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -117,18 +126,21 @@ def exact_items(s: PauliSum):
 
 def pool_fermionic_forms(n_spatial, n_electrons):
     """The fermionic form of each pool operator, in pool order: the
-    arguments `build_uccsd_pool` passes to `jordan_wigner` in a fresh
-    build, past its memo."""
-    forms = []
+    operators `build_uccsd_pool` passes to its one `jordan_wigner_each`
+    call in a fresh build, past its memo. Each pool operator's strings are
+    the bits and order `jordan_wigner` gives its form alone."""
+    calls = []
 
-    def recording(f):
-        forms.append(f)
-        return jordan_wigner(f)
+    def recording(operators):
+        calls.append(list(operators))
+        return jordan_wigner_each(calls[-1])
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ansatz, "jordan_wigner", recording)
+        mp.setattr(ansatz, "jordan_wigner_each", recording)
         pool = build_uccsd_pool.__wrapped__(n_spatial, n_electrons)
-    assert len(forms) == len(pool)
+    [forms] = calls
+    assert [exact_items(op.qubit_form) for op in pool] == \
+        [exact_items(jordan_wigner(f)) for f in forms]
     return forms
 
 
@@ -246,6 +258,119 @@ class TestClosedForm:
         out = jordan_wigner(f)
         assert out.terms == {(0, 0): 0.5, (0, 2): -0.5}
         assert exact_items(out) == exact_items(jordan_wigner_sequential(f))
+
+
+@st.composite
+def long_operators(draw):
+    """20-60 normal-ordered products on up to 6 orbitals, drawn from a few
+    factor tuples so that strings recur. About half cancel an earlier
+    product's coefficient exactly or to within 1e-14 or 3e-13 of it, so
+    strings fall below PRUNE_THRESHOLD partway through and come back."""
+    n = draw(st.integers(1, 6))
+    shapes = draw(st.lists(ladder_products(n, normal_ordered=True),
+                           min_size=1, max_size=8))
+    products = []
+    for _ in range(draw(st.integers(20, 60))):
+        if products and draw(st.booleans()):
+            earlier = draw(st.sampled_from(products))
+            sliver = draw(st.sampled_from([0.0, 1e-14, 3e-13]))
+            products.append(LadderProduct(
+                earlier.factors, -earlier.coefficient * (1.0 - sliver)))
+        else:
+            products.append(draw(st.sampled_from(shapes)))
+    return FermionOperator(n, products)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes `tracemalloc` sees in ``fn(*args)``, after a first call
+    has run its one-time set-up."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestArrayPass:
+    """`jordan_wigner_each` transforms every product in one array pass; it
+    must give the bits and term order of the oracle's dict merge."""
+
+    @pytest.mark.parametrize("block, chunk", [
+        (1, 1), (16, 64), (fermion.PATH_BLOCK, fermion.CHUNK_PATHS)])
+    @given(long_operators())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_long_operators_give_the_oracle_bits(self, block, chunk, f):
+        # (1, 1) takes every product in a block and every X mask's products
+        # in a chunk of their own
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fermion, "PATH_BLOCK", block)
+            mp.setattr(fermion, "CHUNK_PATHS", chunk)
+            out = jordan_wigner(f)
+        assert exact_items(out) == exact_items(jordan_wigner_sequential(f))
+
+    def test_key_pruned_and_reinserted_twice(self):
+        # a0^ -> 0.5 X0 - 0.5i Y0 is cancelled to 5e-14 twice; each time it
+        # comes back after the strings that entered while it was gone
+        f = FermionOperator(2, [
+            LadderProduct([(0, True)], 1.0),
+            LadderProduct([(1, True), (1, False)], 1.0),
+            LadderProduct([(0, True)], -(1.0 - 1e-13)),
+            LadderProduct([(0, True)], 0.25),
+            LadderProduct([(1, True)], 1.0),
+            LadderProduct([(0, True)], -(0.25 - 1e-13)),
+            LadderProduct([(1, True), (1, False)], 1.0),
+            LadderProduct([(0, True)], 0.5),
+        ])
+        out = jordan_wigner(f)
+        assert list(out.terms) == [(0, 0), (0, 2), (2, 1), (2, 3), (1, 0),
+                                   (1, 1)]
+        assert out.terms[(1, 0)] == 0.25
+        assert out.terms[(0, 0)] == 1.0
+        assert exact_items(out) == exact_items(jordan_wigner_sequential(f))
+
+    def test_each_operator_as_if_alone(self):
+        h = to_fermion_hamiltonian(load_fcidump(DATA / "h2_r0.735.fcidump"))[0]
+        operators = [
+            h,
+            FermionOperator(4),
+            FermionOperator(4, [LadderProduct([], 0.7 - 0.1j)]),
+            FermionOperator(4, [LadderProduct([(2, True), (0, False)], 0.5),
+                                LadderProduct([(2, True), (0, False)], -0.5)]),
+            FermionOperator(4, [LadderProduct([(1, False), (1, False)])]),
+            *pool_fermionic_forms(2, 2),
+            h,
+        ]
+        out = jordan_wigner_each(iter(operators))
+        assert [exact_items(s) for s in out] == \
+            [exact_items(jordan_wigner(f)) for f in operators]
+        assert [len(s) for s in out[1:5]] == [0, 1, 0, 0]
+        assert out[2].terms == {(0, 0): 0.7 - 0.1j}
+        assert jordan_wigner_each([]) == []
+        assert jordan_wigner_each([FermionOperator(3)]) == [PauliSum(3)]
+
+    def test_operators_on_different_orbital_counts_are_refused(self):
+        with pytest.raises(ValueError, match="spin-orbital counts"):
+            jordan_wigner_each([FermionOperator(4), FermionOperator(6)])
+
+    def test_31_spin_orbitals_is_the_key_limit(self):
+        f = FermionOperator(31, [
+            LadderProduct([(30, True), (29, True), (1, False), (0, False)],
+                          0.3 - 0.2j),
+            LadderProduct([(30, True), (30, False)], 1.5)])
+        assert exact_items(jordan_wigner(f)) == \
+            exact_items(jordan_wigner_sequential(f))
+        with pytest.raises(ResourceLimitError, match="32 spin orbitals"):
+            jordan_wigner(FermionOperator(32, [LadderProduct([(31, True)])]))
+        with pytest.raises(ResourceLimitError):
+            jordan_wigner_each([FermionOperator(32)])
+
+    def test_h6_transform_peaks_below_fci(self):
+        ham = load_fcidump(DATA / "h6" / "h6_r1.000.fcidump")
+        fermion_h = to_fermion_hamiltonian(ham)[0]
+        assert traced_peak(jordan_wigner, fermion_h) < \
+            traced_peak(solve_fci, QubitProblem(ham))
 
 
 class TestCanonicalAnticommutation:
