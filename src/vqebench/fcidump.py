@@ -29,6 +29,8 @@ QUBIT_CAP = 12
 # compiled. The core energy never enters a matrix and is not capped.
 INTEGRAL_CAP = 1e4
 SYMMETRY_TOL = 1e-10
+# the permutations that generate the 8-fold symmetry of real (ij|kl)
+_H2_SYMMETRIES = ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1))
 DUPLICATE_TOL = 1e-10
 
 
@@ -67,7 +69,9 @@ class MolecularHamiltonian:
     """Spatial-orbital integrals plus metadata for one molecular system.
 
     ``h1`` is the one-electron matrix, ``h2`` the rank-4 two-electron
-    tensor in chemist notation ``(ij|kl)``, both in Hartree.
+    tensor in chemist notation ``(ij|kl)``, both in Hartree. Each is kept
+    as the exact symmetric part of the one given, which may break its
+    symmetries by at most SYMMETRY_TOL.
     """
 
     __slots__ = ("n_spatial", "n_electrons", "core_energy", "h1", "h2",
@@ -82,6 +86,12 @@ class MolecularHamiltonian:
         self.h2 = np.asarray(h2, dtype=float)
         self.label = label
         self._validate()
+        # the exact symmetric parts, so that the Hamiltonian built from them
+        # is exactly Hermitian; symmetric integrals keep their bits
+        self.h1 = (self.h1 + self.h1.T) * 0.5
+        for perm in _H2_SYMMETRIES:
+            self.h2 = self.h2 + self.h2.transpose(perm)
+        self.h2 *= 0.125
 
     def _validate(self):
         n = self.n_spatial
@@ -99,10 +109,10 @@ class MolecularHamiltonian:
                 and np.abs(self.h2).max() <= INTEGRAL_CAP):
             raise ValueError("integrals must be finite, and the one- and "
                              f"two-electron ones at most {INTEGRAL_CAP:g} Eh")
-        if not np.allclose(self.h1, self.h1.T, atol=SYMMETRY_TOL):
+        if not np.allclose(self.h1, self.h1.T, rtol=0, atol=SYMMETRY_TOL):
             raise ValueError("h1 is not symmetric")
-        for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
-            if not np.allclose(self.h2, self.h2.transpose(perm),
+        for perm in _H2_SYMMETRIES:
+            if not np.allclose(self.h2, self.h2.transpose(perm), rtol=0,
                                atol=SYMMETRY_TOL):
                 raise ValueError(
                     f"h2 violates permutational symmetry {perm}")

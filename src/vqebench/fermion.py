@@ -6,8 +6,9 @@ Spin orbitals are interleaved: spatial orbital ``m`` gives spin orbitals
 
 `jordan_wigner_each` transforms any number of operators in one array pass
 over all their ladder products, with the bits and term order of adding
-each product's image into a dict in turn; `jordan_wigner` is its
-one-operator form. Both take at most 31 spin orbitals.
+each product's image into a dict in turn and pruning the sum once;
+`jordan_wigner` is its one-operator form. Both take at most 31 spin
+orbitals.
 """
 from __future__ import annotations
 
@@ -25,9 +26,8 @@ from .pauli import (
 _PHASES = (1, 1j, -1, -1j)  # i**k, as Python multiplies by them
 # `jordan_wigner_each` takes the k-factor products in blocks of at most
 # PATH_BLOCK paths, which bounds its (products, 2**k, k) temporaries, and
-# merges whole X-mask groups in chunks of about CHUNK_PATHS paths, which
-# bounds the merge arrays; each merge takes as many steps as its busiest
-# string has contributions.
+# sums whole X-mask groups in chunks of about CHUNK_PATHS paths, which
+# bounds the arrays that are sorted and summed at once.
 PATH_BLOCK = 1024
 CHUNK_PATHS = 4096
 
@@ -127,16 +127,15 @@ def jordan_wigner_each(operators) -> list[PauliSum]:
 
     A product's paths are summed per string in path order from 0.0, and
     pruned below PRUNE_THRESHOLD; each string enters at its first path.
-    Each operator's products are then added into one dict, in order, and
-    pruned on every merge: a key whose running sum drops below the
-    threshold is deleted, and re-enters at the end if a later product
-    brings it back. `PauliSum.restrict` sorts the terms, so that order
-    reaches the golden scan bytes only through the coefficient bits it
-    produces. The merge is one sweep per contribution rank: step ``r``
-    adds every string's ``r``-th contribution. A product's strings all
-    carry its X mask, so products are merged in chunks of whole X-mask
-    groups of about CHUNK_PATHS paths, and their paths are taken in blocks
-    of at most PATH_BLOCK: memory follows the chunk, not the operator.
+    Each operator's products are then added into one dict, in order, from
+    0.0, and the sum is pruned once at the end: a string keeps the place
+    of its first entry, and a running sum that dips below the threshold
+    partway through is kept. `PauliSum.restrict` sorts the terms, so that
+    order reaches the golden scan bytes only through the coefficient bits
+    it produces. A product's strings all carry its X mask, so products are
+    summed in chunks of whole X-mask groups of about CHUNK_PATHS paths,
+    and their paths are taken in blocks of at most PATH_BLOCK: memory
+    follows the chunk, not the operator.
 
     Keys are ``(x << n) | z`` in int64, so more than 31 spin orbitals
     raise ResourceLimitError; operators on different spin-orbital counts
@@ -169,16 +168,11 @@ def jordan_wigner_each(operators) -> list[PauliSum]:
     # an image entry's place in the merge: product << k_bits | first path
     k_bits = int(k.max())
 
-    # The products by X mask, larger groups first, in chunks of whole
-    # groups: a chunk ends at the first group that starts CHUNK_PATHS or
-    # more paths after the chunk does.
+    # The products by X mask, in chunks of whole groups, each ending at the
+    # first group that starts CHUNK_PATHS or more paths after it does.
     by_x = np.argsort(x, kind="stable")
-    x_sorted = x[by_x]
-    group = np.ones(len(x), bool)
-    group[1:] = x_sorted[1:] != x_sorted[:-1]
-    size = np.bincount(np.cumsum(group) - 1)
-    by_x = by_x[np.argsort(-np.repeat(size, size), kind="stable")]
     x_sorted, paths = x[by_x], 1 << k[by_x]
+    group = np.ones(len(x), bool)
     group[1:] = x_sorted[1:] != x_sorted[:-1]
     starts = np.flatnonzero(group)
     cuts, chunk_ahead = [], 0
@@ -191,8 +185,7 @@ def jordan_wigner_each(operators) -> list[PauliSum]:
     for rows in np.split(by_x, cuts):
         row, t, key, value = _images(n, rows, k, first, orbital, dagger, x,
                                      coefficient)
-        seq = (row << k_bits) | t
-        found.append(_merge(operator[row], seq, key, value))
+        found.append(_merge(operator[row], (row << k_bits) | t, key, value))
     enter, key, total = map(np.concatenate, zip(*found))
     order = np.argsort(enter, kind="stable")
     bounds = np.searchsorted(operator[enter[order] >> k_bits],
@@ -263,49 +256,21 @@ def _block_images(n, kk, rows, first, orbital, dagger, x, coefficient):
 
 def _merge(op, seq, key, value):
     """Add the image entries ``(seq, key, value)``, of operators ``op``,
-    into one dict per operator in ``seq`` order, pruning on every merge:
-    ``(enter, key, total)`` of each surviving string, ``enter`` being the
-    ``seq`` that last inserted it."""
+    into one dict per operator in ``seq`` order from 0.0, and prune each
+    sum once: ``(enter, key, total)`` of each surviving string, ``enter``
+    being the ``seq`` of its first entry."""
     # by key, then seq; op grows with seq, so each operator's string is a run
-    by_string = np.argsort(seq, kind="stable")
-    by_string = by_string[np.argsort(key[by_string], kind="stable")]
-    key, op = key[by_string], op[by_string]
+    order = np.argsort(seq, kind="stable")
+    order = order[np.argsort(key[order], kind="stable")]
+    key, op = key[order], op[order]
     new = np.ones(len(key), bool)
     new[1:] = (key[1:] != key[:-1]) | (op[1:] != op[:-1])
-    start = np.flatnonzero(new)
     string = np.cumsum(new) - 1
-    count = np.bincount(string)
-    # Each string's contributions by rank, rank-major, its slot by falling
-    # count: rank r's strings are the slots below live[r], at rank_at[r]
-    # + slot.
-    by_count = np.argsort(-count, kind="stable")
-    slot = np.empty_like(by_count)
-    slot[by_count] = np.arange(len(start))
-    live = len(start) - np.cumsum(np.bincount(count))[:-1]
-    rank_at = np.zeros(len(live) + 1, np.int64)
-    np.cumsum(live, out=rank_at[1:])
-    at = rank_at[np.arange(len(key)) - start[string]] + slot[string]
-    part, part_seq = np.empty_like(value), np.empty_like(seq)
-    part[at], part_seq[at] = value[by_string], seq[by_string]
-    # Running sums rank by rank, each from 0.0; a sum that drops below the
-    # threshold is deleted, set to 0.0 for the string's next rank.
-    # A string enters at the rank after its last deletion.
-    run = np.empty_like(part)
-    enter = np.zeros(len(start), np.int64)
-    bounds = rank_at.tolist()
-    for r, m in enumerate(live.tolist()):
-        a = bounds[r]
-        now = run[a:a + m]
-        np.add(run[bounds[r - 1]:bounds[r - 1] + m] if r else 0.0,
-               part[a:a + m], out=now)
-        dead = np.hypot(now.real, now.imag) < PRUNE_THRESHOLD
-        if dead.any():
-            now[dead] = 0.0
-            enter[:m][dead] = r + 1
-    kept = np.flatnonzero(enter < count[by_count])
-    last = rank_at[count[by_count[kept]] - 1] + kept
-    return (part_seq[rank_at[enter[kept]] + kept], key[start[by_count[kept]]],
-            run[last])
+    total = np.empty(np.count_nonzero(new), complex)
+    total.real = np.bincount(string, value.real[order])
+    total.imag = np.bincount(string, value.imag[order])
+    kept = np.hypot(total.real, total.imag) >= PRUNE_THRESHOLD
+    return seq[order][new][kept], key[new][kept], total[kept]
 
 
 def verify_car(n: int) -> bool:

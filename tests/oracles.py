@@ -5,7 +5,9 @@ Each is an oracle for something the package computes another way:
 - `product` and `add`, whole-sum Pauli arithmetic (``a b`` one term pair
   at a time, and ``a + b``), and `jordan_wigner_sequential`, the
   Jordan-Wigner transform built on them one ladder factor at a time, for
-  the closed form of `fermion.jordan_wigner`;
+  the closed form of `fermion.jordan_wigner`; all three sum each string's
+  contributions in order, prune the sum once and keep each string at the
+  place of its first entry;
 - `commutator`, the symbolic ``[a, b]`` one term pair at a time, for
   `pauli.commutator_term_counts` (the ledger's counts) and for screening;
 - `number_operator` and `sz_operator`, the JW images of N and S_z, for
@@ -38,7 +40,7 @@ import numpy as np
 from vqebench import pauli
 from vqebench.fcidump import MolecularHamiltonian
 from vqebench.fermion import FermionOperator
-from vqebench.pauli import PRUNE_THRESHOLD, DimensionMismatchError, PauliSum
+from vqebench.pauli import DimensionMismatchError, PauliSum
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / \
     "make_reference_data.py"
@@ -80,9 +82,8 @@ def jordan_wigner_sequential(f: FermionOperator) -> PauliSum:
     Each product starts from its coefficient times the identity and is
     multiplied by ``Z_{<p} (X_p -/+ i Y_p) / 2`` for each factor in turn
     with `product`; its image is then added into one dict, in product
-    order, and pruned on every merge: a key whose running sum drops below
-    PRUNE_THRESHOLD is deleted, and re-enters at the end if a later
-    product brings it back.
+    order, like `add`: the sum is pruned once, when the `PauliSum` is made,
+    and each string keeps the place of its first entry.
     """
     n = f.n_spin_orbitals
     terms: dict[tuple[int, int], complex] = {}
@@ -95,11 +96,7 @@ def jordan_wigner_sequential(f: FermionOperator) -> PauliSum:
                 (1 << p, chain | (1 << p)): complex(0.0, -0.5 if dagger
                                                     else 0.5)}))
         for key, c in image.terms.items():
-            c = terms.get(key, 0.0) + c
-            if abs(c) >= PRUNE_THRESHOLD:
-                terms[key] = c
-            else:
-                terms.pop(key, None)
+            terms[key] = terms.get(key, 0.0) + c
     return PauliSum(n, terms)
 
 

@@ -10,6 +10,8 @@ from oracles import (
     number_operator,
 )
 
+from vqebench.adapt import QubitProblem
+from vqebench.fci import solve_fci
 from vqebench.fcidump import (
     FcidumpIntegrityError,
     FcidumpParseError,
@@ -266,3 +268,26 @@ class TestValidation:
         h2[0, 1, 0, 0] = 0.3  # no symmetry partners filled
         with pytest.raises(ValueError):
             MolecularHamiltonian(2, 2, 0.0, np.zeros((2, 2)), h2)
+
+    @pytest.mark.parametrize("entry", [(0, 1), (0, 1, 2, 3)])
+    def test_asymmetry_within_tolerance_is_symmetrised(self, entry):
+        # 5e-11 is inside SYMMETRY_TOL; the stored integrals are the exact
+        # symmetric part, so the qubit Hamiltonian is exactly Hermitian
+        ham = load_fcidump(DATA / "h4_r1.000.fcidump")
+        h1, h2 = ham.h1.copy(), ham.h2.copy()
+        (h1 if len(entry) == 2 else h2)[entry] += 5e-11
+        near = MolecularHamiltonian(ham.n_spatial, ham.n_electrons,
+                                    ham.core_energy, h1, h2)
+        assert (near.h1 == near.h1.T).all()
+        for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
+            assert (near.h2 == near.h2.transpose(perm)).all()
+        assert solve_fci(QubitProblem(near)).energy == pytest.approx(
+            solve_fci(QubitProblem(ham)).energy, rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("entry", [(0, 1), (0, 1, 2, 3)])
+    def test_asymmetry_is_absolute_not_relative(self, entry):
+        # 1e-9 on an entry near 1 is inside numpy's default rtol of 1e-5
+        h1, h2 = np.ones((4, 4)), np.ones((4, 4, 4, 4))
+        (h1 if len(entry) == 2 else h2)[entry] += 1e-9
+        with pytest.raises(ValueError, match="symmetr"):
+            MolecularHamiltonian(4, 2, 0.0, h1, h2)

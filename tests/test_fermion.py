@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from pathlib import Path
 
@@ -170,9 +171,10 @@ class TestAccumulationOrder:
                                                        "nah"}
         assert len(tags) == 147
 
-    def test_cancelled_key_is_pruned_and_reinserted_last(self):
+    def test_cancelled_key_keeps_its_residue_and_place(self):
         # a0^ -> 0.5 X0 - 0.5i Y0; the third product leaves 5e-14 of both,
-        # which is pruned; the fourth brings them back after I and Z1.
+        # which is kept, since only the final sum is pruned, and the fourth
+        # adds to it where X0 and Y0 first entered, before I and Z1.
         f = FermionOperator(2, [
             LadderProduct([(0, True)], 1.0),
             LadderProduct([(1, True), (1, False)], 1.0),
@@ -180,9 +182,25 @@ class TestAccumulationOrder:
             LadderProduct([(0, True)], 0.25),
         ])
         out = jordan_wigner(f)
-        assert list(out.terms) == [(0, 0), (0, 2), (1, 0), (1, 1)]
-        assert out.terms[(1, 0)] == 0.125
+        assert list(out.terms) == [(1, 0), (1, 1), (0, 0), (0, 2)]
+        assert out.terms[(1, 0)] == 0.12500000000005002
         assert exact_items(out) == exact_items(jordan_wigner_sequential(f))
+
+    def test_committed_images_keep_their_bits(self):
+        # sha256 over every committed operator's image and over each batched
+        # pool call per spin-orbital count, taken at commit d28fbae, before
+        # the merge pruned each sum once: these bits rest on no oracle
+        digest, pools = hashlib.sha256(), {}
+        for tag, f in committed_operators():
+            digest.update(repr((tag, exact_items(jordan_wigner(f)))).encode())
+            if not tag.endswith(":H"):
+                pools.setdefault(f.n_spin_orbitals, []).append(f)
+        assert sorted(pools) == [4, 8, 12]
+        for n, forms in sorted(pools.items()):
+            digest.update(repr((n, [exact_items(s) for s in
+                                    jordan_wigner_each(forms)])).encode())
+        assert digest.hexdigest() == ("fc508d947d648de2f0a6d8b6dc0a1e4b"
+                                      "1c47ed3f36494003e4af1273b5a1be1d")
 
 
 def ladder_products(n, normal_ordered):
@@ -265,7 +283,8 @@ def long_operators(draw):
     """20-60 normal-ordered products on up to 6 orbitals, drawn from a few
     factor tuples so that strings recur. About half cancel an earlier
     product's coefficient exactly or to within 1e-14 or 3e-13 of it, so
-    strings fall below PRUNE_THRESHOLD partway through and come back."""
+    running sums dip below PRUNE_THRESHOLD partway through; such a dip
+    must not reset the sum."""
     n = draw(st.integers(1, 6))
     shapes = draw(st.lists(ladder_products(n, normal_ordered=True),
                            min_size=1, max_size=8))
@@ -310,9 +329,9 @@ class TestArrayPass:
             out = jordan_wigner(f)
         assert exact_items(out) == exact_items(jordan_wigner_sequential(f))
 
-    def test_key_pruned_and_reinserted_twice(self):
-        # a0^ -> 0.5 X0 - 0.5i Y0 is cancelled to 5e-14 twice; each time it
-        # comes back after the strings that entered while it was gone
+    def test_key_cancelled_twice_keeps_its_residue_and_place(self):
+        # a0^ -> 0.5 X0 - 0.5i Y0 is cancelled to 5e-14 twice; both residues
+        # stay in its sum, which keeps the place where it first entered
         f = FermionOperator(2, [
             LadderProduct([(0, True)], 1.0),
             LadderProduct([(1, True), (1, False)], 1.0),
@@ -324,9 +343,9 @@ class TestArrayPass:
             LadderProduct([(0, True)], 0.5),
         ])
         out = jordan_wigner(f)
-        assert list(out.terms) == [(0, 0), (0, 2), (2, 1), (2, 3), (1, 0),
-                                   (1, 1)]
-        assert out.terms[(1, 0)] == 0.25
+        assert list(out.terms) == [(1, 0), (1, 1), (0, 0), (0, 2), (2, 1),
+                                   (2, 3)]
+        assert out.terms[(1, 0)] == 0.25000000000010003
         assert out.terms[(0, 0)] == 1.0
         assert exact_items(out) == exact_items(jordan_wigner_sequential(f))
 
