@@ -10,7 +10,10 @@ parameter from an all-zeros start. A converged run ends when the pool
 gradient norm drops to the configured threshold. Each of the at most
 ``max_iterations`` screenings is charged; a run that uses them all
 screens its returned state once more, uncharged, for its final gradient
-norm. VQE and every ADAPT iteration share one fit step, `_fit`.
+norm. VQE and every ADAPT iteration share one fit step, `_fit`; its
+L-BFGS gradients are exact, from the adjoint sweep of
+`ansatz.energy_gradient`, and charged as ``2n`` energy evaluations each,
+what central differences would measure on hardware.
 
 Measurement cost is tracked symbolically: every expectation evaluated
 charges one unit per non-identity Pauli term of the measured operator
@@ -30,15 +33,14 @@ from .ansatz import (
     Ansatz,
     build_uccsd_pool,
     circuit_resources,
+    energy_gradient,
     full_uccsd_ansatz,
-    prepare_shifted_states,
     prepare_state,
 )
 from .fcidump import MolecularHamiltonian, to_fermion_hamiltonian
 from .fermion import jordan_wigner
 from .optimize import (
     DEFAULT_BUDGET,
-    DEFAULT_FD_STEP,
     DEFAULT_TOL,
     Objective,
     minimize_lbfgs,
@@ -54,8 +56,7 @@ from .statevector import (
 
 OPTIMIZERS = ("nelder_mead", "lbfgs")
 # The numeric `AdaptConfig` settings, in the order a scan config checks them.
-SETTINGS = ("grad_norm_threshold", "max_iterations", "tol_rel_energy",
-            "fd_step")
+SETTINGS = ("grad_norm_threshold", "max_iterations", "tol_rel_energy")
 
 
 class QubitProblem:
@@ -102,11 +103,9 @@ class AdaptConfig:
     __slots__ = SETTINGS + ("optimizer",)
 
     def __init__(self, grad_norm_threshold=1e-2, max_iterations=50,
-                 optimizer="lbfgs", tol_rel_energy=DEFAULT_TOL,
-                 fd_step=DEFAULT_FD_STEP):
+                 optimizer="lbfgs", tol_rel_energy=DEFAULT_TOL):
         for name, value in (("grad_norm_threshold", grad_norm_threshold),
-                            ("tol_rel_energy", tol_rel_energy),
-                            ("fd_step", fd_step)):
+                            ("tol_rel_energy", tol_rel_energy)):
             if not 0 < value < math.inf:  # also false for nan
                 raise ConfigError(
                     f"{name} must be positive and finite, got {value}")
@@ -118,7 +117,6 @@ class AdaptConfig:
         self.max_iterations = int(max_iterations)
         self.optimizer = optimizer
         self.tol_rel_energy = float(tol_rel_energy)
-        self.fd_step = float(fd_step)
 
 
 class MeasurementLedger:
@@ -242,17 +240,14 @@ def _fit(problem: QubitProblem, cfg: AdaptConfig, ansatz: Ansatz,
         return (expectation(prepare_state(ansatz, theta, reference), h_p)
                 + problem.core)
 
-    def batch(theta, h):  # a gradient's 2n energies, states built together
-        return [expectation(row, h_p) + problem.core for row in
-                prepare_shifted_states(ansatz, theta, h, reference)]
-
     objective = Objective(energy, len(ansatz),
                           on_evaluation=lambda: ledger.charge_energy(n_terms))
     theta0 = np.zeros(len(ansatz))
     if cfg.optimizer == "lbfgs":
-        result = minimize_lbfgs(objective, theta0, cfg.tol_rel_energy,
-                                h=cfg.fd_step, max_evals=DEFAULT_BUDGET,
-                                batch=batch)
+        result = minimize_lbfgs(
+            objective, theta0, cfg.tol_rel_energy, DEFAULT_BUDGET,
+            gradient=lambda theta: energy_gradient(ansatz, theta, reference,
+                                                   h_p))
     else:
         result = minimize_nelder_mead(objective, theta0, cfg.tol_rel_energy,
                                       max_evals=DEFAULT_BUDGET)

@@ -1,5 +1,6 @@
-"""Singlet-adapted UCCSD operator pool, ansatz state preparation, circuit
-resources, and the gate-level compilation they are counted from.
+"""Singlet-adapted UCCSD operator pool, ansatz state preparation and its
+exact energy gradient, circuit resources, and the gate-level compilation
+they are counted from.
 
 Pool operators are anti-Hermitian ``tau = T - T^dagger`` with T built from
 spin-channel sums that share one variational amplitude. Channels are
@@ -21,7 +22,7 @@ from .fermion import (
     jordan_wigner_each,
 )
 from .pauli import PauliSum
-from .statevector import apply_pool_operators, rotate_rows, sector_indices
+from .statevector import apply_operator, apply_pool_operators, sector_indices
 
 
 class PoolOperator:
@@ -223,33 +224,34 @@ def prepare_state(ansatz: Ansatz, thetas, reference: np.ndarray) -> np.ndarray:
         _theta_vector(ansatz, thetas).tolist())
 
 
-def prepare_shifted_states(ansatz: Ansatz, thetas, step: float,
-                           reference: np.ndarray) -> np.ndarray:
-    """The ``2n`` states of a central-difference gradient, as the rows of
-    one ``(2n, dim)`` array: row ``2k`` is ``prepare_state(ansatz, thetas +
-    step e_k, reference)`` and row ``2k + 1`` the same at ``thetas - step
-    e_k``, bit for bit.
+def energy_gradient(ansatz: Ansatz, thetas, reference: np.ndarray,
+                    h_p: PauliSum) -> np.ndarray:
+    """The exact gradient of ``<psi| h_p |psi>``, ``psi =
+    prepare_state(ansatz, thetas, reference)``, by one backward sweep
+    (the adjoint method, Jones and Gacon, arXiv:2009.02823).
 
-    The shifted points share their prefix, so they are built together:
-    operator ``k`` adds the two rows shifted at ``k`` as copies of the
-    unshifted state before it, then rotates every row so far in one pass.
-    The unshifted state is kept twice, once per sign: a plus row's
-    unshifted angle is ``theta_k + 0.0``, which differs from ``theta_k`` in
-    its sign bit when ``theta_k`` is ``-0.0``.
+    With ``phi_k`` the state after operator ``k`` and ``lam_k =
+    U_{k+1}^T ... U_n^T h_p |psi>``, the derivative in ``thetas[k]`` is
+    ``2 <lam_k| tau_k |phi_k>``. Each ``U_k = exp(theta_k tau_k)`` is real
+    orthogonal, ``tau_k`` being real and antisymmetric on the block, so
+    ``U_k^T = exp(-theta_k tau_k)`` turns both states back one operator:
+    ``2n - 2`` exponentials and ``n`` operator applications, all real.
+    ``h_p`` must be restricted and Hermitian.
     """
-    thetas = _theta_vector(ansatz, thetas)
-    n = len(thetas)
-    stack = np.empty((2 * n + 2, len(reference)))
-    stack[:2] = reference  # the unshifted plus and minus rows
-    for k, (pid, theta) in enumerate(zip(ansatz.ids, thetas.tolist())):
-        rows = 2 * k + 4
-        stack[rows - 2:rows] = stack[:2]
-        pick = np.arange(rows) % 2
-        pick[-2:] += 2
-        rotate_rows(stack[:rows], ansatz.pool[pid].qubit_form,
-                    (theta + 0.0, theta - 0.0, theta + step, theta - step),
-                    pick)
-    return stack[2:]
+    if not h_p.hermitian:
+        raise ValueError("the energy gradient requires a restricted "
+                         "Hermitian H_P")
+    phi = prepare_state(ansatz, thetas, reference)
+    lam = apply_operator(phi, h_p)
+    thetas = _theta_vector(ansatz, thetas).tolist()
+    grad = np.empty(len(thetas))
+    for k in reversed(range(len(thetas))):
+        tau = ansatz.pool[ansatz.ids[k]].qubit_form
+        grad[k] = 2.0 * np.dot(lam, apply_operator(phi, tau))
+        if k:  # nothing is left to differentiate behind the first operator
+            phi = apply_pool_operators(phi, (tau,), (-thetas[k],))
+            lam = apply_pool_operators(lam, (tau,), (-thetas[k],))
+    return grad
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ The scan config is a plain key-value text file::
     optimizers = nelder_mead, lbfgs
     grad_norm_threshold = 1e-2
     tol_rel_energy = 1e-6
-    fd_step = 1e-5
     max_iterations = 50
     input = 0.50 data/h2_r0.500.fcidump
     input = 0.70 data/h2_r0.700.fcidump
@@ -18,7 +17,8 @@ other key may be set once. A config, like the ``run`` flags, passes on
 only the settings it gives: `AdaptConfig` holds their defaults (shown
 above) and checks. ``scan`` and ``run`` score a method with one call. The
 gradient-free optimizer is Nelder-Mead (standing in for the reference
-implementation's COBYLA); every summary report says so.
+implementation's COBYLA); every summary report says so. The
+gradient-based one is L-BFGS on exact (adjoint) gradients.
 """
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ OPTIMIZER_ALIASES = {"nm": "nelder_mead", "nelder_mead": "nelder_mead",
 CSV_HEADER = ("label,method,optimizer,energy,abs_error_vs_fci,infidelity,"
               "n_operators,gate_count,depth,measurement_total,converged")
 CONFIG_KEYS = ("output", "methods", "optimizers", "grad_norm_threshold",
-               "tol_rel_energy", "fd_step", "max_iterations", "input")
+               "tol_rel_energy", "max_iterations", "input")
 GRADIENT_FREE_NOTE = ("gradient-free optimizer: Nelder-Mead (stand-in for "
                       "the reference COBYLA)")
 INFIDELITY_FLOOR = 1e-15
@@ -360,9 +360,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="TOL",
                         help="absolute energy change, in Hartree, at or "
                              "below which an optimizer stops")
-    single.add_argument("--fd-step", type=float,
-                        help="central-difference step of the L-BFGS "
-                             "gradient, in radians")
     single.add_argument("--max-iter", type=int, dest="max_iterations",
                         metavar="MAX_ITER",
                         help="most operators ADAPT adds")

@@ -4,17 +4,19 @@ Both optimizers are deterministic and count every objective call. The
 energy-change tolerance is an absolute spread in Hartree (the quantity
 the convergence literature calls "relative energy"), defaulting to 1e-6.
 
-L-BFGS takes each central-difference gradient's ``2n`` shifted energies
-from one call of the caller's ``batch(theta, h)``, which evaluates them
-together. The objective is charged ``2n`` evaluations for them, so the
-counts do not depend on how the energies were found.
+L-BFGS takes each gradient from the caller's ``gradient(theta)``, which
+may compute it exactly (the package uses the adjoint sweep of
+`ansatz.energy_gradient`). The objective is charged ``2n`` evaluations
+for it, what a central-difference gradient costs on hardware, so the
+counts do not depend on how the simulator found the gradient.
+`central_difference_gradient` is the per-point reference that the
+self-test checks the exact gradient against.
 """
 from __future__ import annotations
 
 import numpy as np
 
 DEFAULT_TOL = 1e-6
-DEFAULT_FD_STEP = 1e-5
 DEFAULT_BUDGET = 100_000
 GRADIENT_NORM_STOP = 1e-8
 NM_INITIAL_STEP = 0.1
@@ -65,30 +67,35 @@ class OptimizationResult:
                 f"{self.n_energy_evals} evals, {status})")
 
 
-def _check_fd_step(h) -> None:
+def central_difference_gradient(fn, theta, h: float) -> np.ndarray:
+    """Central finite differences ``(fn(theta + h e_k) - fn(theta - h e_k))
+    / 2h``, evaluated point by point, k ascending, plus before minus. A
+    step outside ``(0, inf)`` raises ValueError before ``fn`` is called.
+    Charges nothing: it is a reference, not an optimizer's gradient."""
     if not 0 < h < np.inf:  # also false for nan
         raise ValueError(
             f"finite-difference step must be positive and finite, got {h}")
+    theta = np.asarray(theta, dtype=float)
+    grad = np.empty(theta.size)
+    for k, step in enumerate(np.eye(theta.size) * h):
+        grad[k] = (float(fn(theta + step)) - float(fn(theta - step))) / (2 * h)
+    return grad
 
 
-def central_difference_gradient(obj: Objective, theta, h: float,
-                                batch) -> np.ndarray:
-    """Central finite differences ``(E(theta + h e_k) - E(theta - h e_k))
-    / 2h`` from one ``batch(theta, h)`` call, which returns those energies,
-    k ascending, plus before minus. A step outside ``(0, inf)``, a wrong
-    ``theta`` shape or a wrong number of energies raises ValueError before
-    ``2 * dimension`` evaluations are charged to ``obj``."""
-    _check_fd_step(h)
+def _charged_gradient(obj: Objective, gradient, theta) -> np.ndarray:
+    """``gradient(theta)``, charged to ``obj`` as the ``2 * dimension``
+    evaluations of a central-difference gradient. A wrong ``theta`` or
+    gradient shape raises ValueError before anything is charged."""
     theta = obj._parameters(theta)
-    energies = np.array(batch(theta, h), dtype=float)
-    if energies.shape != (2 * obj.dimension,):
-        raise ValueError(f"expected {2 * obj.dimension} shifted "
-                         f"energies, got shape {energies.shape}")
-    obj.evaluation_count += energies.size
+    grad = np.asarray(gradient(theta), dtype=float)
+    if grad.shape != (obj.dimension,):
+        raise ValueError(f"expected a gradient of {obj.dimension} "
+                         f"components, got shape {grad.shape}")
+    obj.evaluation_count += 2 * obj.dimension
     if obj._on_evaluation is not None:
-        for _ in range(energies.size):
+        for _ in range(2 * obj.dimension):
             obj._on_evaluation()
-    return (energies[0::2] - energies[1::2]) / (2.0 * h)
+    return grad
 
 
 def minimize_nelder_mead(obj: Objective, theta0,
@@ -164,10 +171,9 @@ def minimize_nelder_mead(obj: Objective, theta0,
 
 def minimize_lbfgs(obj: Objective, theta0,
                    tol_rel_energy: float = DEFAULT_TOL,
-                   h: float = DEFAULT_FD_STEP,
                    max_evals: int = DEFAULT_BUDGET, *,
-                   batch) -> OptimizationResult:
-    """L-BFGS with central-difference gradients and Armijo backtracking.
+                   gradient) -> OptimizationResult:
+    """L-BFGS with Armijo backtracking on the caller's gradients.
 
     Two-loop recursion with memory LBFGS_MEMORY, Armijo constant 1e-4,
     step shrink 0.5 and at most LBFGS_MAX_BACKTRACKS trial steps. Stops
@@ -177,16 +183,13 @@ def minimize_lbfgs(obj: Objective, theta0,
     with converged = False, as does a budget too small for a step and its
     gradient; no call past the 1 + 2 * dim of the start exceeds max_evals.
 
-    Each gradient is one `central_difference_gradient` call with step
-    ``h``, which must lie in ``(0, inf)`` (checked before any evaluation),
-    and ``batch``, the function of ``(theta, h)`` that returns its
-    ``2 * dim`` shifted energies at once.
+    Each gradient is one ``gradient(theta)`` call, charged to ``obj`` as
+    ``2 * dim`` evaluations once its shape is checked.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     dim = theta.size
     if dim < 1:
         raise ValueError("L-BFGS needs at least one parameter")
-    _check_fd_step(h)
     start_count = obj.evaluation_count
     n_gradient_evals = 0
 
@@ -195,7 +198,7 @@ def minimize_lbfgs(obj: Objective, theta0,
 
     energy = obj(theta)
     trace = [energy]
-    grad = central_difference_gradient(obj, theta, h, batch)
+    grad = _charged_gradient(obj, gradient, theta)
     n_gradient_evals += 1
     s_history: list[np.ndarray] = []
     y_history: list[np.ndarray] = []
@@ -239,7 +242,7 @@ def minimize_lbfgs(obj: Objective, theta0,
             return OptimizationResult(theta, energy, spent(),
                                       n_gradient_evals, False, trace)
         new_theta, new_energy = accepted
-        new_grad = central_difference_gradient(obj, new_theta, h, batch)
+        new_grad = _charged_gradient(obj, gradient, new_theta)
         n_gradient_evals += 1
         s_vec = new_theta - theta
         y_vec = new_grad - grad

@@ -8,9 +8,8 @@ block, `sector_indices`, and an operator acts on it through the kernels
 `PauliSum.action`, and a pool exponential is one scalar rotation per
 X-mask group cut from them (``rotations``, couplings of +-1), which turn
 one float64 copy of the state in place, operator after operator
-(`apply_pool_operators`). The same rotations also turn the rows of a
-``(m, dim)`` stack at once, each at its own angle (`rotate_rows`). A
-length mismatch raises `DimensionMismatchError`.
+(`apply_pool_operators`). A length mismatch raises
+`DimensionMismatchError`.
 Basis index bit ``q`` is the value of qubit ``q`` (qubit 0 least
 significant); qubit value 1 means the spin orbital is occupied. The full
 ``2**n`` space is a test oracle (`embed`).
@@ -109,24 +108,6 @@ def apply_pool_operators(state: np.ndarray, taus, thetas) -> np.ndarray:
             kept += turned
             psi[active] = kept
     return psi
-
-
-def rotate_rows(stack: np.ndarray, tau: PauliSum, angles,
-                pick: np.ndarray) -> None:
-    """Replace row ``i`` of the ``(m, dim)`` stack, in place, by
-    ``exp(angles[pick[i]] * tau) |row>``.
-
-    Each row gets the bits `apply_pool_operators` gives it at its angle:
-    the rotations are the same, with cos and sin taken once per distinct
-    angle and broadcast over the rows that share it.
-    """
-    _check_pool_operator(stack[0], tau)
-    c = np.array([math.cos(t) for t in angles])[pick]
-    s = np.array([math.sin(t) for t in angles])[pick]
-    states = stack.T
-    for active, partners, coupling in tau.rotations:
-        states[active] = (c * states[active]
-                          + s * (coupling[:, None] * states[partners]))
 
 
 def apply_operator(state: np.ndarray, op: PauliSum) -> np.ndarray:

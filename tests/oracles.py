@@ -18,13 +18,13 @@ Each is an oracle for something the package computes another way:
   per-X-mask-group loops the package ran before it compiled a restricted
   sum into its nonzero block entries and scalar rotations, for
   `statevector.apply_operator`, `expectation` and the pool exponentials
-  of `apply_pool_operators` and `rotate_rows`; `exponential_by_groups`
-  takes any ``|d|``, where the package takes couplings of +-1 only;
-- `shifted_points`, a central-difference gradient's points one at a
-  time, and `per_point_batch`, a function evaluated at each of them in
-  turn: the only per-point reference of `ansatz.prepare_shifted_states`
-  and of the batch that `central_difference_gradient` and
-  `minimize_lbfgs` require;
+  of `apply_pool_operators`; `exponential_by_groups` takes any ``|d|``,
+  where the package takes couplings of +-1 only;
+- `ansatz_energy`, the energy of a prepared state as a function of the
+  angles, and `finite_difference_gradient`, its central differences one
+  prepared state per point: the reference of the adjoint sweep
+  `ansatz.energy_gradient`, with its arguments, so that it can stand in
+  for it;
 - `format_fcidump` and `mean_field_energy`, from the standalone
   ``scripts/make_reference_data.py`` that wrote the committed FCIDUMPs,
   for `fcidump.parse_fcidump` and the Hartree-Fock reference expectation.
@@ -38,9 +38,12 @@ from pathlib import Path
 import numpy as np
 
 from vqebench import pauli
+from vqebench.ansatz import prepare_state
 from vqebench.fcidump import MolecularHamiltonian
 from vqebench.fermion import FermionOperator
+from vqebench.optimize import central_difference_gradient
 from vqebench.pauli import DimensionMismatchError, PauliSum
+from vqebench.statevector import expectation
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / \
     "make_reference_data.py"
@@ -198,21 +201,18 @@ def exponential_by_groups(state: np.ndarray, groups,
     return state
 
 
-def shifted_points(theta: np.ndarray, h: float):
-    """``theta + h e_k`` then ``theta - h e_k``, k ascending, each built by
-    adding or subtracting a whole step vector, so an unshifted ``-0.0``
-    is ``0.0`` in the plus points and ``-0.0`` in the minus points."""
-    for k in range(len(theta)):
-        step = np.zeros_like(theta)
-        step[k] = h
-        yield theta + step
-        yield theta - step
+def ansatz_energy(ansatz, reference, h_p):
+    """``theta -> <psi| h_p |psi>`` with ``psi = prepare_state(ansatz,
+    theta, reference)``, a state prepared per call."""
+    return lambda theta: expectation(prepare_state(ansatz, theta, reference),
+                                     h_p)
 
 
-def per_point_batch(fn):
-    """The ``batch(theta, h)`` of a central-difference gradient that
-    evaluates ``fn`` at each of `shifted_points` in turn."""
-    return lambda theta, h: [float(fn(p)) for p in shifted_points(theta, h)]
+def finite_difference_gradient(ansatz, thetas, reference, h_p, h=1e-5):
+    """The gradient `ansatz.energy_gradient` computes, by central
+    differences of `ansatz_energy` at step ``h``, point by point."""
+    return central_difference_gradient(ansatz_energy(ansatz, reference, h_p),
+                                       thetas, h)
 
 
 @cache

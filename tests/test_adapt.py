@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import commutator, per_point_batch
+from oracles import commutator, finite_difference_gradient
 
 from vqebench import adapt
 from vqebench.adapt import (
@@ -14,10 +14,14 @@ from vqebench.adapt import (
     screen_pool,
     select_operator,
 )
-from vqebench.ansatz import Ansatz, build_uccsd_pool, prepare_state
+from vqebench.ansatz import (
+    Ansatz,
+    build_uccsd_pool,
+    energy_gradient,
+    prepare_state,
+)
 from vqebench.fcidump import MolecularHamiltonian, OpenShellError, load_fcidump
 from vqebench.fci import infidelity_vs_fci, solve_fci
-from vqebench.optimize import Objective, central_difference_gradient
 from vqebench.pauli import PauliSum, commutator_term_counts
 from vqebench.statevector import expectation
 
@@ -104,15 +108,12 @@ class TestScreenPool:
             grads = screen_pool(psi, h_p, pool)
             for k, op in enumerate(pool):
                 extended = base.extended(op.id)
-
-                def energy(theta, extended=extended):
-                    return expectation(prepare_state(extended, theta, ref),
-                                       h_p)
-
-                obj = Objective(energy, len(extended))
-                fd = central_difference_gradient(obj, np.append(thetas, 0.0),
-                                                 1e-5, per_point_batch(energy))
+                angles = np.append(thetas, 0.0)
+                fd = finite_difference_gradient(extended, angles, ref, h_p)
                 assert grads[k] == pytest.approx(fd[-1], abs=1e-6)
+                # the adjoint sweep's last component is the same product
+                adjoint = energy_gradient(extended, angles, ref, h_p)
+                assert grads[k] == pytest.approx(adjoint[-1], abs=1e-12)
 
     def test_ledger_charges_commutator_terms(self):
         # One charged screening; the extra screening of the final state
@@ -311,48 +312,85 @@ class TestRunVqe:
         assert a.ledger.as_dict() == b.ledger.as_dict()
 
 
-class TestBatchedGradients:
-    """L-BFGS takes each gradient's 2n energies from states built together;
-    the fit must not depend on it, down to the bits and the ledger."""
+class TestAdjointGradients:
+    """L-BFGS takes exact adjoint gradients, each charged as the ``2n``
+    evaluations of central differences, so the ledger and the selected
+    operators do not depend on how the gradient was found."""
+
+    @staticmethod
+    def counted_fits(monkeypatch):
+        """Record, per fit, the objective's own evaluations and the angle
+        count of every gradient taken."""
+        fits = []
+        objective, gradient = adapt.Objective, adapt.energy_gradient
+
+        def counting_objective(fn, dimension, on_evaluation=None):
+            fits.append({"energies": 0, "gradients": []})
+
+            def counted(theta, fit=fits[-1]):
+                fit["energies"] += 1
+                return fn(theta)
+            return objective(counted, dimension, on_evaluation)
+
+        def counting_gradient(ansatz, thetas, reference, h_p):
+            fits[-1]["gradients"].append(len(thetas))
+            return gradient(ansatz, thetas, reference, h_p)
+
+        monkeypatch.setattr(adapt, "Objective", counting_objective)
+        monkeypatch.setattr(adapt, "energy_gradient", counting_gradient)
+        return fits
 
     @pytest.mark.parametrize("runner", [run_vqe, run_adapt])
-    def test_h4_fit_equals_per_point_fit(self, runner, monkeypatch):
+    def test_every_gradient_is_charged_two_evaluations_per_angle(
+            self, runner, monkeypatch):
         h4 = problem_of("h4")
-        lbfgs = adapt.minimize_lbfgs
-        runs = {}
-        for batched in (True, False):
-            evals = runs[batched] = []
+        fits = self.counted_fits(monkeypatch)
+        result = runner(h4, AdaptConfig(optimizer="lbfgs"))
+        assert fits and all(fit["gradients"] for fit in fits)
+        charged = sum(fit["energies"] + 2 * sum(fit["gradients"])
+                      for fit in fits)
+        ledger = result.ledger
+        assert ledger.energy_evaluations == charged
+        n_terms = h4.h_p.non_identity_term_count()
+        screened = ledger.commutator_evaluations // len(h4.pool)
+        assert ledger.pauli_term_measurements == \
+            charged * n_terms + screened * sum(h4.commutator_counts)
 
-            def recording(*args, batched=batched, evals=evals, **kwargs):
-                assert callable(kwargs["batch"])
-                if not batched:  # the objective's own function, point by point
-                    kwargs["batch"] = per_point_batch(args[0]._fn)
-                result = lbfgs(*args, **kwargs)
-                evals.append((result.n_energy_evals, result.converged))
-                return result
+    @pytest.mark.parametrize("path,ids,measurements,energies", [
+        pytest.param(DATA / SYSTEMS["h4"], (10, 15, 7, 11, 12, 4, 18, 3, 0),
+                     235984, 826, id="h4"),
+        pytest.param(DATA / "h6" / "h6_r1.000.fcidump",
+                     (59, 38, 72, 28, 53, 17, 20, 67, 39, 61, 60, 40, 29, 48,
+                      77, 14, 80, 9, 30, 21, 56, 68, 69, 51, 52, 22, 42, 41,
+                      13, 12, 47, 46, 3, 7, 76, 75, 5, 33, 1, 34),
+                     26213476, 18012, id="h6")])
+    def test_adapt_matches_the_finite_difference_run(
+            self, path, ids, measurements, energies, monkeypatch):
+        problem = QubitProblem(load_fcidump(path))
+        runs = [run_adapt(problem)]
+        monkeypatch.setattr(adapt, "energy_gradient",
+                            finite_difference_gradient)
+        runs.append(run_adapt(problem))
+        for result in runs:
+            assert result.converged and result.ansatz.ids == ids
+            assert result.ledger.total() == measurements
+            assert result.ledger.energy_evaluations == energies
+        assert runs[0].ledger.as_dict() == runs[1].ledger.as_dict()
+        assert runs[0].energy == pytest.approx(runs[1].energy, abs=1e-10)
 
-            monkeypatch.setattr(adapt, "minimize_lbfgs", recording)
-            result = runner(h4, AdaptConfig(optimizer="lbfgs"))
-            evals.append((result.theta.tobytes(), result.energy,
-                          result.converged, result.ledger.as_dict(),
-                          result.ansatz.ids))
-        assert len(runs[True]) > 1
-        assert runs[True] == runs[False]
-
-    def test_batch_of_the_wrong_length_is_an_internal_error(
+    def test_gradient_of_the_wrong_length_is_an_internal_error(
             self, monkeypatch, capsys):
-        from vqebench import ansatz
         from vqebench.cli import main
 
-        def one_row_short(*args):
-            return ansatz.prepare_shifted_states(*args)[:-1]
+        def one_short(*args):
+            return energy_gradient(*args)[:-1]
 
-        monkeypatch.setattr(adapt, "prepare_shifted_states", one_row_short)
-        with pytest.raises(ValueError, match="shifted energies"):
+        monkeypatch.setattr(adapt, "energy_gradient", one_short)
+        with pytest.raises(ValueError, match="gradient of 2 components"):
             run_vqe(problem_of("h2"), AdaptConfig(optimizer="lbfgs"))
         assert main(["run", "--fcidump", str(DATA / SYSTEMS["h2"]),
                      "--method", "vqe", "--optimizer", "lbfgs"]) == 2
-        assert "shifted energies" in capsys.readouterr().err
+        assert "gradient of 2 components" in capsys.readouterr().err
 
 
 class TestAdaptConfig:
@@ -367,7 +405,7 @@ class TestAdaptConfig:
             AdaptConfig(max_iterations=1.7)
 
     @pytest.mark.parametrize("name", ["grad_norm_threshold",
-                                      "tol_rel_energy", "fd_step"])
+                                      "tol_rel_energy"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_thresholds_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):

@@ -130,7 +130,7 @@ class TestSettingDefaults:
     config and a ``run`` command that set none reach the runner with
     whatever `AdaptConfig` declares."""
 
-    DEFAULTS = (5e-3, 3, "nelder_mead", 1e-7, 2e-5)
+    DEFAULTS = (5e-3, 3, "nelder_mead", 1e-7)
 
     @pytest.fixture
     def seen(self, monkeypatch):
@@ -147,10 +147,10 @@ class TestSettingDefaults:
         return configs
 
     def assert_defaults(self, cfg, optimizer):
-        threshold, max_iterations, _, tol, fd_step = self.DEFAULTS
+        threshold, max_iterations, _, tol = self.DEFAULTS
         assert (cfg.grad_norm_threshold, cfg.max_iterations,
-                cfg.tol_rel_energy, cfg.fd_step, cfg.optimizer) \
-            == (threshold, max_iterations, tol, fd_step, optimizer)
+                cfg.tol_rel_energy, cfg.optimizer) \
+            == (threshold, max_iterations, tol, optimizer)
 
     def test_scan_config_without_settings(self, seen):
         text = config_text([("0.735", DATA / "h2_r0.735.fcidump")],
@@ -396,6 +396,7 @@ class TestMainEntry:
                                       "grad_norm_threshold = inf",
                                       "tol_rel_energy = nan",
                                       "fd_step = inf",
+                                      "fd_step = 1e-5",
                                       "output = again",
                                       "methods =",
                                       pytest.param("methods = vqe\n"
@@ -435,9 +436,8 @@ class TestMainEntry:
     @pytest.mark.parametrize("flags", [
         ["--method", "adapt", "--grad-norm-threshold", "nan"],
         ["--method", "adapt", "--grad-norm-threshold", "inf"],
-        ["--method", "vqe", "--optimizer", "nm", "--tol", "nan"],
-        ["--method", "adapt", "--fd-step", "inf"]],
-        ids=["grad-nan", "grad-inf", "tol-nan", "fd-step-inf"])
+        ["--method", "vqe", "--optimizer", "nm", "--tol", "nan"]],
+        ids=["grad-nan", "grad-inf", "tol-nan"])
     def test_non_finite_run_flag_is_input_error(self, capsys, flags):
         argv = ["run", "--fcidump", str(DATA / "h2_r0.735.fcidump")] + flags
         assert main(argv) == 1
@@ -470,9 +470,12 @@ class TestMainEntry:
          "vqe", "--tol", "x"],
         ["run", "--fcidump", str(DATA / "h2_r0.735.fcidump"), "--method",
          "fci", "--no-such-flag"],
+        # L-BFGS takes exact gradients: no finite-difference step to set
+        ["run", "--fcidump", str(DATA / "h2_r0.735.fcidump"), "--method",
+         "vqe", "--fd-step", "1e-5"],
         []], ids=["bad-max-iter", "unknown-method", "scan-no-config",
                   "negative-tol", "tol-not-a-number", "unknown-flag",
-                  "no-command"])
+                  "removed-fd-step", "no-command"])
     def test_usage_error_is_input_error(self, capsys, argv):
         assert main(argv) == 1
         err = capsys.readouterr().err

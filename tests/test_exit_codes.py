@@ -34,24 +34,24 @@ RUN_FLAGS = {  # flag: (good values, bad values)
                     ("cobyla", "")),
     "--grad-norm-threshold": (("1e-2", "0.5", "1e308"), BAD_NUMBERS),
     "--tol": (("1e-6", "1e-2", "1e308"), BAD_NUMBERS),
-    "--fd-step": (("1e-5", "1e-3", "0.5"), BAD_NUMBERS),
     "--max-iter": (("1", "2", "3"), ("0", "-1", "1.7", "x", "")),
 }
 # the required flags, and --max-iter (at most 3) to keep the runs short
 ALWAYS_GIVEN = ("--fcidump", "--method", "--max-iter")
-STRAY = ("--max-iter", "--tol", "--no-such-flag", "extra", "-1e-6")
+STRAY = ("--max-iter", "--tol", "--no-such-flag", "--fd-step", "extra",
+         "-1e-6")
 SCAN_CONFIG = f"""\
 output = out
 methods = fci, vqe, adapt
 optimizers = nelder_mead, lbfgs
 grad_norm_threshold = 1e-2
 tol_rel_energy = 1e-6
-fd_step = 1e-5
 max_iterations = 3
 input = 0.70 {DATA / "h2_r0.700.fcidump"}
 input = 1.50 {DATA / "h2_r1.500.fcidump"}
 """.splitlines()
-CONFIG_HOSTILE = HOSTILE + ("-1", "=", ",", "dmrg", "lbfgs", "input")
+CONFIG_HOSTILE = HOSTILE + ("-1", "=", ",", "dmrg", "lbfgs", "input",
+                            "fd_step")
 
 
 def mutate(lines, draw, hostile):

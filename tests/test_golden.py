@@ -21,8 +21,8 @@ kernel oracles in ``test_statevector.py`` and ``test_ansatz.py``.
 ``vqebench run`` is pinned the same way: the sha256 of its whole stdout
 for every method and optimizer on H2, for an input whose pool is empty,
 and for one and for three ADAPT steps on the 12-qubit H6 chain; the
-three-step run fits up to three angles with L-BFGS, so its finite-
-difference gradients take several shifted states at 12 qubits.
+three-step run fits up to three angles with L-BFGS, so its adjoint
+gradients sweep back over several operators at 12 qubits.
 """
 import hashlib
 from pathlib import Path
@@ -54,7 +54,7 @@ RUN_PINS = [
         id="h2-vqe-nm"),
     pytest.param(
         "h2_r0.735.fcidump", "vqe", ["--optimizer", "lbfgs"],
-        "813a25fcb9bb614e00f09d813b0f998e7a42fb31f718d6200894549a144e9ea4",
+        "5d6dbf85617175b6da29c930fc8ffbff02e48e650283714791714e6469b6d9d6",
         id="h2-vqe-lbfgs"),
     pytest.param(
         "h2_r0.735.fcidump", "adapt", ["--optimizer", "nm"],
@@ -62,7 +62,7 @@ RUN_PINS = [
         id="h2-adapt-nm"),
     pytest.param(
         "h2_r0.735.fcidump", "adapt", ["--optimizer", "lbfgs"],
-        "a9918573465b55f459d6fe91df9c66bc8001765ad1761f9f4c076c3a69977ad9",
+        "82af7495c92fb8e37c1ec8dfd340dd0ca778ff9814cbca83fea52eaa3c9adc22",
         id="h2-adapt-lbfgs"),
     pytest.param(
         EMPTY_POOL, "vqe", [],

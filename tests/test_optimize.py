@@ -2,11 +2,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import commutator, per_point_batch, shifted_points
+from oracles import commutator
 
 from vqebench import optimize
 from vqebench.adapt import QubitProblem
-from vqebench.ansatz import full_uccsd_ansatz, prepare_state
+from vqebench.ansatz import energy_gradient, full_uccsd_ansatz, prepare_state
 from vqebench.fcidump import load_fcidump
 from vqebench.optimize import (
     LBFGS_MEMORY,
@@ -31,8 +31,15 @@ def h2_problem():
     def energy(theta):
         return expectation(prepare_state(ansatz, theta, ref), h_p) + core
 
-    return (Objective(energy, len(ansatz)), per_point_batch(energy), h_p,
-            pool, ref, core)
+    def gradient(theta):
+        return energy_gradient(ansatz, theta, ref, h_p)
+
+    return Objective(energy, len(ansatz)), gradient, h_p, pool, ref, core
+
+
+def fd(fn, h=1e-6):
+    """The ``gradient(theta)`` of L-BFGS as central differences of ``fn``."""
+    return lambda theta: central_difference_gradient(fn, theta, h)
 
 
 class TestCentralDifferenceGradient:
@@ -40,70 +47,32 @@ class TestCentralDifferenceGradient:
         def square(t):
             return float(t[0] ** 2)
 
-        obj = Objective(square, 1)
         for h in (1e-2, 1e-4, 1e-6):
-            grad = central_difference_gradient(obj, np.array([1.0]), h,
-                                               per_point_batch(square))
+            grad = central_difference_gradient(square, np.array([1.0]), h)
             assert grad[0] == pytest.approx(2.0, abs=1e-7)
 
     def test_constant_objective(self):
-        obj = Objective(lambda t: 3.3, 4)
-        grad = central_difference_gradient(obj, np.zeros(4), 1e-5,
-                                           per_point_batch(lambda t: 3.3))
+        grad = central_difference_gradient(lambda t: 3.3, np.zeros(4), 1e-5)
         np.testing.assert_array_equal(grad, np.zeros(4))
 
     def test_costs_two_evals_per_dimension(self):
-        obj = Objective(lambda t: float(t @ t), 5)
-        central_difference_gradient(obj, np.zeros(5), 1e-5,
-                                    per_point_batch(lambda t: float(t @ t)))
-        assert obj.evaluation_count == 10
+        calls = []
+        central_difference_gradient(lambda t: calls.append(1) or 0.0,
+                                    np.zeros(5), 1e-5)
+        assert len(calls) == 10
 
     def test_rejects_bad_step(self):
-        obj = Objective(lambda t: 0.0, 1)
         with pytest.raises(ValueError):
-            central_difference_gradient(obj, np.zeros(1), 0.0,
-                                        per_point_batch(lambda t: 0.0))
+            central_difference_gradient(lambda t: 0.0, np.zeros(1), 0.0)
 
     @pytest.mark.parametrize("h", [float("nan"), float("inf"),
                                    float("-inf")])
     def test_non_finite_step_rejected_before_any_evaluation(self, h):
         calls = []
-        obj = Objective(lambda t: 0.0, 3, on_evaluation=lambda: calls.append(1))
-        batch = per_point_batch(lambda t: calls.append(2) or 0.0)
         with pytest.raises(ValueError, match="positive and finite"):
-            central_difference_gradient(obj, np.zeros(3), h, batch)
-        with pytest.raises(ValueError, match="positive and finite"):
-            minimize_lbfgs(obj, np.zeros(3), h=h, batch=batch)
-        assert obj.evaluation_count == 0 and not calls
-
-    @pytest.mark.parametrize("theta", [np.zeros(2), np.zeros(4),
-                                       np.zeros((3, 1))])
-    def test_wrong_parameter_count_rejected_before_the_batch(self, theta):
-        calls = []
-        obj = Objective(lambda t: 0.0, 3, on_evaluation=lambda: calls.append(1))
-        batch = per_point_batch(lambda t: calls.append(2) or 0.0)
-        with pytest.raises(ValueError, match="expected 3 parameters"):
-            central_difference_gradient(obj, theta, 1e-5, batch)
-        assert obj.evaluation_count == 0 and not calls
-
-    def test_batch_is_charged_as_two_evaluations_per_dimension(self):
-        calls, seen = [], []
-        obj = Objective(lambda t: float(t @ t), 4,
-                        on_evaluation=lambda: calls.append(1))
-
-        def batch(theta, h):
-            seen.append((theta.copy(), h))
-            return [float(p @ p) for p in shifted_points(theta, h)]
-
-        theta = np.array([0.1, -0.2, 0.0, 0.3])
-        grad = central_difference_gradient(obj, theta, 1e-4, batch)
-        assert obj.evaluation_count == 8 and len(calls) == 8
-        assert len(seen) == 1 and seen[0][1] == 1e-4
-        np.testing.assert_array_equal(seen[0][0], theta)
-        energies = [float(p @ p) for p in shifted_points(theta, 1e-4)]
-        expected = [(energies[2 * k] - energies[2 * k + 1]) / 2e-4
-                    for k in range(4)]
-        assert grad.tobytes() == np.array(expected).tobytes()
+            central_difference_gradient(lambda t: calls.append(1) or 0.0,
+                                        np.zeros(3), h)
+        assert not calls
 
     def test_per_point_energies_come_in_gradient_order(self):
         points = []
@@ -113,48 +82,88 @@ class TestCentralDifferenceGradient:
             return 0.0
 
         theta = np.array([-0.0, 0.5])
-        central_difference_gradient(Objective(record, 2), theta, 0.25,
-                                    per_point_batch(record))
-        expected = list(shifted_points(theta, 0.25))
-        assert [p.tobytes() for p in points] == \
-            [p.tobytes() for p in expected]
+        central_difference_gradient(record, theta, 0.25)
+        expected = [[0.25, 0.5], [-0.25, 0.5], [0.0, 0.75], [-0.0, 0.25]]
+        assert [p.tolist() for p in points] == expected
         # theta_0 = -0.0: 0.0 in the plus point of k = 1, -0.0 in its minus
         assert not np.signbit(points[2][0]) and np.signbit(points[3][0])
 
-    @pytest.mark.parametrize("n_energies", [5, 7, 0])
-    def test_batch_of_the_wrong_length_is_rejected(self, n_energies):
+    def test_vqe_gradient_at_zero_matches_commutator(self, h2_problem):
+        obj, gradient, h_p, pool, ref, _ = h2_problem
+        theta = np.zeros(obj.dimension)
+        finite = central_difference_gradient(obj._fn, theta, 1e-5)
+        adjoint = gradient(theta)
+        for k, op in enumerate(pool):
+            comm = commutator(h_p, op.qubit_form).restrict(h_p.basis)
+            expected = expectation(ref, comm)
+            assert finite[k] == pytest.approx(expected, abs=1e-6)
+            assert adjoint[k] == pytest.approx(expected, abs=1e-12)
+
+
+class TestChargedGradient:
+    """L-BFGS charges each ``gradient(theta)`` as the ``2n`` evaluations of
+    a central-difference gradient, whatever computed it."""
+
+    @staticmethod
+    def counted(dimension):
+        """An objective on ``t @ t`` whose charges land in ``calls``."""
         calls = []
-        obj = Objective(lambda t: 0.0, 3, on_evaluation=lambda: calls.append(1))
-        with pytest.raises(ValueError, match="6 shifted energies"):
-            central_difference_gradient(
-                obj, np.zeros(3), 1e-5, lambda t, h: [0.0] * n_energies)
-        assert obj.evaluation_count == 0 and not calls
+        obj = Objective(lambda t: calls.append("energy") or float(t @ t),
+                        dimension, on_evaluation=lambda: calls.append(1))
+        return obj, calls
 
-    def test_lbfgs_passes_its_batch_to_every_gradient(self):
-        batches = []
+    def test_gradient_is_charged_as_two_evaluations_per_dimension(self):
+        obj, calls = self.counted(4)
+        seen = []
 
-        def batch(theta, h):
-            batches.append(h)
-            return per_point_batch(quadratic)(theta, h)
+        def gradient(theta):
+            seen.append(theta.copy())
+            return 2 * theta
+
+        theta = np.array([0.1, -0.2, 0.0, 0.3])
+        result = minimize_lbfgs(obj, theta, 1e-10, max_evals=9,
+                                gradient=gradient)
+        # the start: one charged energy, then a gradient charged 8 times
+        assert calls[:10] == [1, "energy"] + [1] * 8
+        assert len(seen) == result.n_gradient_evals
+        np.testing.assert_array_equal(seen[0], theta)
+        assert obj.evaluation_count == result.n_energy_evals == \
+            calls.count("energy") + 8 * len(seen)
+
+    @pytest.mark.parametrize("theta", [np.zeros(2), np.zeros(4),
+                                       np.zeros((3, 1))])
+    def test_wrong_parameter_count_rejected_before_the_gradient(self, theta):
+        obj, calls = self.counted(3)
+        seen = []
+        with pytest.raises(ValueError, match="expected 3 parameters"):
+            minimize_lbfgs(obj, theta, gradient=seen.append)
+        assert obj.evaluation_count == 0 and not calls and not seen
+
+    @pytest.mark.parametrize("n_components", [2, 4, 0])
+    def test_gradient_of_the_wrong_length_is_rejected(self, n_components):
+        obj, calls = self.counted(3)
+        with pytest.raises(ValueError, match="gradient of 3 components"):
+            minimize_lbfgs(obj, np.zeros(3),
+                           gradient=lambda t: np.zeros(n_components))
+        # the start's energy, and no charge for the gradient
+        assert obj.evaluation_count == 1 and calls == [1, "energy"]
+
+    def test_lbfgs_calls_its_gradient_at_every_accepted_point(self):
+        accepted = []
 
         def quadratic(t):
             return float(np.sum((t - 0.2) ** 2))
 
-        obj = Objective(quadratic, 3)
-        result = minimize_lbfgs(obj, np.zeros(3), 1e-10, h=1e-4, batch=batch)
-        assert result.converged and result.n_gradient_evals > 1
-        assert batches == [1e-4] * result.n_gradient_evals
-        assert result.n_energy_evals == obj.evaluation_count
-        np.testing.assert_allclose(result.theta_opt, 0.2, atol=1e-6)
+        def gradient(theta):
+            accepted.append(quadratic(theta))
+            return 2 * (theta - 0.2)
 
-    def test_vqe_gradient_at_zero_matches_commutator(self, h2_problem):
-        obj, batch, h_p, pool, ref, _ = h2_problem
-        grad = central_difference_gradient(obj, np.zeros(obj.dimension),
-                                           1e-5, batch)
-        for k, op in enumerate(pool):
-            comm = commutator(h_p, op.qubit_form).restrict(h_p.basis)
-            expected = expectation(ref, comm)
-            assert grad[k] == pytest.approx(expected, abs=1e-6)
+        obj = Objective(quadratic, 3)
+        result = minimize_lbfgs(obj, np.zeros(3), 1e-10, gradient=gradient)
+        assert result.converged and result.n_gradient_evals > 1
+        assert accepted == result.trace
+        assert result.n_energy_evals == obj.evaluation_count
+        np.testing.assert_allclose(result.theta_opt, 0.2, atol=1e-12)
 
 
 class TestNelderMead:
@@ -243,7 +252,7 @@ class TestLbfgs:
             return float(scales @ (t - center) ** 2)
 
         result = minimize_lbfgs(Objective(bowl, 3), np.zeros(3), 1e-12,
-                                h=1e-6, batch=per_point_batch(bowl))
+                                gradient=fd(bowl))
         assert result.converged
         np.testing.assert_allclose(result.theta_opt, center, atol=1e-6)
         assert result.energy < 1e-8
@@ -254,26 +263,27 @@ class TestLbfgs:
             return float((t[0] - 1.0) ** 2)
 
         result = minimize_lbfgs(Objective(parabola, 1), np.array([1.0]),
-                                1e-6, batch=per_point_batch(parabola))
+                                1e-6, gradient=fd(parabola))
         assert result.converged
         assert result.n_gradient_evals == 1
         assert result.energy == 0.0
 
     def test_h2_vqe_matches_nelder_mead_with_fewer_evals(self, h2_problem):
-        obj, batch, *_ = h2_problem
+        obj, gradient, *_ = h2_problem
         start = obj.evaluation_count
         nm = minimize_nelder_mead(obj, np.zeros(obj.dimension), 1e-6)
         nm_evals = obj.evaluation_count - start
         start = obj.evaluation_count
-        lb = minimize_lbfgs(obj, np.zeros(obj.dimension), 1e-6, batch=batch)
+        lb = minimize_lbfgs(obj, np.zeros(obj.dimension), 1e-6,
+                            gradient=gradient)
         lb_evals = obj.evaluation_count - start
         assert abs(nm.energy - lb.energy) < 1e-6
         assert lb_evals < nm_evals
 
     def test_monotone_accepted_trace(self, h2_problem):
-        obj, batch, *_ = h2_problem
+        obj, gradient, *_ = h2_problem
         result = minimize_lbfgs(obj, np.zeros(obj.dimension), 1e-8,
-                                batch=batch)
+                                gradient=gradient)
         diffs = np.diff(result.trace)
         assert np.all(diffs <= 1e-12)
 
@@ -281,27 +291,28 @@ class TestLbfgs:
         def bowl(t):
             return float(np.sum((t - 0.5) ** 2))
 
-        obj = Objective(bowl, 4)
-        result = minimize_lbfgs(obj, np.zeros(4), 1e-10,
-                                batch=per_point_batch(bowl))
+        calls = []
+        obj = Objective(lambda t: calls.append(1) or bowl(t), 4)
+        result = minimize_lbfgs(obj, np.zeros(4), 1e-10, gradient=fd(bowl))
         # every gradient call costs 2 * dimension evaluations; the rest
         # are single energy evaluations
         assert result.n_energy_evals == obj.evaluation_count
-        assert result.n_energy_evals >= result.n_gradient_evals * 8
+        assert result.n_energy_evals == \
+            len(calls) + result.n_gradient_evals * 8
 
     def test_rosenbrock_past_the_memory(self, monkeypatch):
         def rosenbrock(t):
             return float((1 - t[0]) ** 2 + 100 * (t[1] - t[0] ** 2) ** 2)
 
         result = minimize_lbfgs(Objective(rosenbrock, 2), np.zeros(2), 1e-12,
-                                batch=per_point_batch(rosenbrock))
+                                gradient=fd(rosenbrock))
         assert result.converged
         assert len(result.trace) - 1 > LBFGS_MEMORY
         np.testing.assert_allclose(result.theta_opt, [1.0, 1.0], atol=1e-6)
         # the cap drops the oldest pairs: without it the steps differ
         monkeypatch.setattr(optimize, "LBFGS_MEMORY", len(result.trace))
         uncapped = minimize_lbfgs(Objective(rosenbrock, 2), np.zeros(2),
-                                  1e-12, batch=per_point_batch(rosenbrock))
+                                  1e-12, gradient=fd(rosenbrock))
         assert uncapped.trace[:LBFGS_MEMORY + 2] == \
             result.trace[:LBFGS_MEMORY + 2]
         assert uncapped.trace != result.trace
@@ -313,7 +324,7 @@ class TestLbfgs:
                 return float((t[0] - 0.4) ** 2 + 0.3 * (t[1] ** 4))
 
             results.append(minimize_lbfgs(Objective(energy, 2), np.zeros(2),
-                                          1e-9, batch=per_point_batch(energy)))
+                                          1e-9, gradient=fd(energy)))
         assert results[0].energy == results[1].energy
         np.testing.assert_array_equal(results[0].theta_opt,
                                       results[1].theta_opt)
@@ -338,9 +349,10 @@ class TestBudget:
             return seen[tuple(t)]
 
         obj = Objective(quartic, 3)
-        batch = ({"batch": per_point_batch(quartic)}
-                 if minimize is minimize_lbfgs else {})
-        result = minimize(obj, np.zeros(3), 1e-12, max_evals=budget, **batch)
+        gradient = ({"gradient": lambda t: 4 * (t - center) ** 3}
+                    if minimize is minimize_lbfgs else {})
+        result = minimize(obj, np.zeros(3), 1e-12, max_evals=budget,
+                          **gradient)
         assert result.n_energy_evals == obj.evaluation_count
         assert result.n_energy_evals <= max(start, budget)
         assert not result.converged

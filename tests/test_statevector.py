@@ -6,11 +6,10 @@ from hypothesis import assume, given, settings, strategies as st
 from oracles import (
     apply_by_groups,
     exponential_by_groups,
+    finite_difference_gradient,
     group_action,
     infidelity,
     number_operator,
-    per_point_batch,
-    shifted_points,
 )
 from scipy.linalg import expm
 from test_pauli import from_string, sum_kron_matrix
@@ -20,9 +19,8 @@ from vqebench.adapt import AdaptConfig, QubitProblem, run_adapt
 from vqebench.ansatz import (
     Ansatz,
     _validate_pool_operator,
-    build_uccsd_pool,
+    energy_gradient,
     full_uccsd_ansatz,
-    prepare_shifted_states,
     prepare_state,
 )
 from vqebench.fcidump import load_fcidump
@@ -33,11 +31,6 @@ from vqebench.fermion import (
     anti_hermitian_pair,
     jordan_wigner,
 )
-from vqebench.optimize import (
-    DEFAULT_FD_STEP,
-    Objective,
-    central_difference_gradient,
-)
 from vqebench.pauli import DimensionMismatchError, PauliSum, to_matrix
 from vqebench.statevector import (
     apply_operator,
@@ -45,7 +38,6 @@ from vqebench.statevector import (
     embed,
     expectation,
     hartree_fock_reference,
-    rotate_rows,
     sector_indices,
 )
 
@@ -296,15 +288,9 @@ class TestH6Block:
         grads = screen_pool(prepare_state(base, thetas, h6.reference),
                             h6.h_p, h6.pool)
         for k, op in enumerate(h6.pool):
-            extended = base.extended(op.id)
-
-            def energy(theta, extended=extended):
-                return expectation(
-                    prepare_state(extended, theta, h6.reference), h6.h_p)
-
-            fd = central_difference_gradient(
-                Objective(energy, len(extended)), np.append(thetas, 0.0),
-                1e-5, per_point_batch(energy))
+            fd = finite_difference_gradient(
+                base.extended(op.id), np.append(thetas, 0.0), h6.reference,
+                h6.h_p)
             assert grads[k] == pytest.approx(fd[-1], abs=1e-6)
 
     def test_adapt_step_builds_no_action(self, h6):
@@ -368,13 +354,9 @@ class TestKernelsAgainstGroupLoops:
         tau = weighted_group_tau().restrict(full(4))
         assert tau.rotations is None and tau.hermitian is False
         state = random_state(np.random.default_rng(2), 16)
-        stack = np.stack([state, state])
         unit = singlet_single_tau().restrict(full(4))
         with pytest.raises(ValueError, match="anti-Hermitian"):
             apply_pool_operators(state, (unit, tau), (theta, theta))
-        with pytest.raises(ValueError, match="anti-Hermitian"):
-            rotate_rows(stack, tau, (theta,), np.zeros(2, int))
-        assert stack.tobytes() == np.stack([state, state]).tobytes()
         with pytest.raises(ValueError, match="not anti-Hermitian"):
             _validate_pool_operator(weighted_group_tau(), "weighted", full(4))
 
@@ -413,109 +395,53 @@ class TestKernelsAgainstGroupLoops:
         assert expectation(state, zero) == 0.0
 
 
-class TestShiftedStates:
-    """A gradient's 2n states built together, sharing their prefix, have
-    the bits of `prepare_state` at each point; signed zeros count."""
+class TestEnergyGradient:
+    """The adjoint sweep against central differences of the energy, one
+    prepared state per point (`oracles.finite_difference_gradient`)."""
 
-    @staticmethod
-    def cases(pool, rng):
-        """``(ids, thetas)``: one operator at 0.0, -0.0 and a random angle;
-        an ansatz that repeats pool ids; the full UCCSD ansatz."""
-        for theta in (0.0, -0.0, float(rng.uniform(-0.5, 0.5))):
-            yield [int(rng.integers(len(pool)))], np.array([theta])
-        a, b = rng.choice(len(pool), 2, replace=len(pool) < 2)
-        for ids in ([a, b, a, b, b, a], list(range(len(pool)))):
-            thetas = rng.uniform(-0.5, 0.5, len(ids))
-            thetas[[0, len(ids) // 2]] = 0.0
-            thetas[[1, -1]] = -0.0
-            yield ids, thetas
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_central_differences(self, kernel_problem, data):
+        # pool ids drawn with repeats; angles of either sign, zeros included
+        pool, h_p = kernel_problem.pool, kernel_problem.h_p
+        ids = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                                 max_size=6), label="ids")
+        thetas = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0]),
+                      st.floats(-np.pi, np.pi, allow_nan=False)),
+            min_size=len(ids), max_size=len(ids)), label="thetas"))
+        ansatz, reference = Ansatz(pool, ids), kernel_problem.reference
+        np.testing.assert_allclose(
+            energy_gradient(ansatz, thetas, reference, h_p),
+            finite_difference_gradient(ansatz, thetas, reference, h_p),
+            rtol=0, atol=1e-6)
 
-    @staticmethod
-    def assert_rows_match(ansatz, thetas, step, reference):
-        stack = prepare_shifted_states(ansatz, thetas, step, reference)
-        assert stack.shape == (2 * len(ansatz), len(reference))
-        for row, point in zip(stack, shifted_points(thetas, step),
-                              strict=True):
-            assert row.tobytes() == \
-                prepare_state(ansatz, point, reference).tobytes(), \
-                (ansatz, point)
+    def test_full_uccsd_ansatz(self, kernel_problem):
+        pool, h_p = kernel_problem.pool, kernel_problem.h_p
+        ansatz, reference = full_uccsd_ansatz(pool), kernel_problem.reference
+        thetas = np.random.default_rng(31).uniform(-1.0, 1.0, len(pool))
+        thetas[:2] = 0.0, -0.0
+        np.testing.assert_allclose(
+            energy_gradient(ansatz, thetas, reference, h_p),
+            finite_difference_gradient(ansatz, thetas, reference, h_p),
+            rtol=0, atol=1e-6)
 
-    @pytest.mark.parametrize("step", [DEFAULT_FD_STEP, 0.25])
-    def test_rows_equal_prepare_state_bit_for_bit(self, kernel_problem,
-                                                  step):
-        pool, reference = kernel_problem.pool, kernel_problem.reference
-        for ids, thetas in self.cases(pool, np.random.default_rng(29)):
-            self.assert_rows_match(Ansatz(pool, ids), thetas, step,
-                                   reference)
+    def test_empty_ansatz_has_no_components(self):
+        problem = QubitProblem(load_fcidump(DATA / "h2_r0.735.fcidump"))
+        grad = energy_gradient(Ansatz(problem.pool), [], problem.reference,
+                               problem.h_p)
+        assert grad.shape == (0,)
 
-    def test_signed_zero_amplitudes(self, kernel_problem):
-        # A rotation by a zero angle keeps a -0.0 amplitude or turns it
-        # into 0.0, by the angle's sign. The plus points carry theta_k +
-        # 0.0 where the minus points carry theta_k, so their prefixes
-        # differ once theta_k is -0.0.
-        rng = np.random.default_rng(43)
-        pool = kernel_problem.pool
-        reference = rng.normal(size=len(kernel_problem.reference))
-        for _ in range(20):
-            reference[rng.random(len(reference)) < 0.5] = -0.0
-            thetas = np.where(rng.random(4) < 0.5, -0.0,
-                              rng.uniform(-0.5, 0.5, 4))
-            self.assert_rows_match(
-                Ansatz(pool, rng.integers(len(pool), size=4)), thetas,
-                DEFAULT_FD_STEP, reference)
-
-    def test_batched_gradient_equals_per_point_gradient(self,
-                                                        kernel_problem):
-        h_p, core = kernel_problem.h_p, kernel_problem.core
-        pool, reference = kernel_problem.pool, kernel_problem.reference
-        for ids, thetas in self.cases(pool, np.random.default_rng(37)):
-            ansatz = Ansatz(pool, ids)
-
-            def energy(theta, ansatz=ansatz):
-                return expectation(prepare_state(ansatz, theta, reference),
-                                   h_p) + core
-
-            def batch(theta, h, ansatz=ansatz):
-                return [expectation(row, h_p) + core for row in
-                        prepare_shifted_states(ansatz, theta, h, reference)]
-
-            per_point = central_difference_gradient(
-                Objective(energy, len(ids)), thetas, DEFAULT_FD_STEP,
-                per_point_batch(energy))
-            batched = central_difference_gradient(
-                Objective(energy, len(ids)), thetas, DEFAULT_FD_STEP, batch)
-            assert batched.tobytes() == per_point.tobytes(), ids
-
-    def test_empty_ansatz_has_no_rows(self):
-        reference = hartree_fock_reference(4, 2)
-        stack = prepare_shifted_states(
-            Ansatz(build_uccsd_pool(2, 2)), [], 0.1, reference)
-        assert stack.shape == (0, 4)
-
-    @pytest.mark.parametrize("angles", [(-2.1, 0.17, -0.0, np.pi),
-                                        (0.0, -0.0, 1e-9, -1e-9)])
-    def test_rotate_rows_equals_apply_pool_operator(self, angles):
-        tau = singlet_single_tau().restrict(full(4))
-        assert len(tau.rotations) == 2
-        stack = np.random.default_rng(4).normal(size=(7, 16))
-        pick = np.array([0, 1, 2, 3, 0, 2, 1])
-        expected = [apply_one(row, tau, angles[p])
-                    for row, p in zip(stack, pick)]
-        rotate_rows(stack, tau, angles, pick)
-        for row, want in zip(stack, expected):
-            assert row.tobytes() == want.tobytes()
-
-    def test_rotate_rows_keeps_the_operator_checks(self):
-        tau = paired_double_tau().restrict(SECTOR)
-        with pytest.raises(DimensionMismatchError):
-            rotate_rows(np.zeros((3, 5)), tau, (0.1,), np.zeros(3, int))
-        hermitian = PauliSum(4, {(0b0011, 0b0000): 1.0}).restrict(full(4))
-        with pytest.raises(ValueError, match="anti-Hermitian"):
-            rotate_rows(np.zeros((3, 16)), hermitian, (0.1,),
-                        np.zeros(3, int))
-        with pytest.raises(ValueError, match="restrict"):
-            rotate_rows(np.zeros((3, 4)), paired_double_tau(), (0.1,),
-                        np.zeros(3, int))
+    def test_keeps_the_angle_and_observable_checks(self):
+        problem = QubitProblem(load_fcidump(DATA / "h2_r0.735.fcidump"))
+        ansatz, reference = full_uccsd_ansatz(problem.pool), problem.reference
+        with pytest.raises(ValueError, match="theta vector"):
+            energy_gradient(ansatz, [0.1], reference, problem.h_p)
+        unrestricted = PauliSum(4, dict(problem.h_p.terms))
+        anti_hermitian = problem.pool[0].qubit_form
+        for h_p in (unrestricted, anti_hermitian):
+            with pytest.raises(ValueError, match="Hermitian H_P"):
+                energy_gradient(ansatz, [0.1, 0.2], reference, h_p)
 
 
 class TestExpectation:
