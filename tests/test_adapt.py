@@ -341,7 +341,7 @@ class TestAdjointGradients:
         return fits
 
     @pytest.mark.parametrize("runner", [run_vqe, run_adapt])
-    def test_every_gradient_is_charged_two_evaluations_per_angle(
+    def test_each_gradient_costs_2n_evaluations(
             self, runner, monkeypatch):
         h4 = problem_of("h4")
         fits = self.counted_fits(monkeypatch)
