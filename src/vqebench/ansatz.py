@@ -7,6 +7,11 @@ spin-channel sums that share one variational amplitude. Channels are
 grouped so that every operator's Jordan-Wigner strings act on disjoint or
 evenly-overlapping supports and therefore mutually commute, which makes
 the factorized exponential in the simulator exact.
+
+An `Ansatz` is immutable, so it compiles its exponentials into one
+`statevector.RotationProgram` on first use and keeps it: `prepare_state`
+runs it forwards, and `energy_gradient` runs it forwards once and then
+turns two states back through it, one operator at a time.
 """
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ from .fermion import (
     jordan_wigner_each,
 )
 from .pauli import PauliSum
-from .statevector import apply_operator, apply_pool_operators, sector_indices
+from .statevector import RotationProgram, apply_operator, sector_indices
 
 
 class PoolOperator:
@@ -67,9 +72,10 @@ class PoolOperator:
 
 class Ansatz:
     """Ordered product of pool-operator exponentials, as the tuple of its
-    pool ids; the parameters are a separate theta vector, one per id."""
+    pool ids; the parameters are a separate theta vector, one per id.
+    Immutable: its `program` is compiled on first use and kept."""
 
-    __slots__ = ("pool", "ids")
+    __slots__ = ("pool", "ids", "_program")
 
     def __init__(self, pool, ids=()):
         self.pool = pool
@@ -77,6 +83,16 @@ class Ansatz:
         for pid in self.ids:
             if not 0 <= pid < len(pool):
                 raise ValueError(f"pool id {pid} out of range")
+        self._program = None
+
+    @property
+    def program(self) -> RotationProgram:
+        """The ansatz exponentials as one `statevector.RotationProgram`,
+        every operator checked once when it is built."""
+        if self._program is None:
+            self._program = RotationProgram(
+                self.pool[pid].qubit_form for pid in self.ids)
+        return self._program
 
     def extended(self, pool_id: int) -> "Ansatz":
         return Ansatz(self.pool, self.ids + (pool_id,))
@@ -214,14 +230,13 @@ def full_uccsd_ansatz(pool) -> Ansatz:
 
 def prepare_state(ansatz: Ansatz, thetas, reference: np.ndarray) -> np.ndarray:
     """Apply the ansatz exponentials to the reference, first operator
-    first, operator ``k`` with angle ``thetas[k]``, by
-    `statevector.apply_pool_operators`: the reference is copied once, as
-    float64, and that copy is rotated in place, operator by operator. The
-    result is a new array, also for an empty ansatz; ``reference`` is not
-    changed."""
-    return apply_pool_operators(
-        reference, [ansatz.pool[pid].qubit_form for pid in ansatz.ids],
-        _theta_vector(ansatz, thetas).tolist())
+    first, operator ``k`` with angle ``thetas[k]``, by the ansatz's
+    `program`: the reference is copied once, as float64, and that copy is
+    rotated in place, group by group. The result is a new array, also for
+    an empty ansatz; ``reference`` is not changed."""
+    thetas = _theta_vector(ansatz, thetas).tolist()
+    program = ansatz.program
+    return program.rotate(program.start(reference), thetas)
 
 
 def energy_gradient(ansatz: Ansatz, thetas, reference: np.ndarray,
@@ -235,22 +250,22 @@ def energy_gradient(ansatz: Ansatz, thetas, reference: np.ndarray,
     ``2 <lam_k| tau_k |phi_k>``. Each ``U_k = exp(theta_k tau_k)`` is real
     orthogonal, ``tau_k`` being real and antisymmetric on the block, so
     ``U_k^T = exp(-theta_k tau_k)`` turns both states back one operator:
-    ``2n - 2`` exponentials and ``n`` operator applications, all real.
+    ``n - 1`` rotations of the two states as one stack, by operator ``k``
+    of the ansatz's `program`, and ``n`` operator applications, all real.
     ``h_p`` must be restricted and Hermitian.
     """
     if not h_p.hermitian:
         raise ValueError("the energy gradient requires a restricted "
                          "Hermitian H_P")
     phi = prepare_state(ansatz, thetas, reference)
-    lam = apply_operator(phi, h_p)
+    pair = np.stack((phi, apply_operator(phi, h_p)))  # phi_k and lam_k
     thetas = _theta_vector(ansatz, thetas).tolist()
     grad = np.empty(len(thetas))
     for k in reversed(range(len(thetas))):
         tau = ansatz.pool[ansatz.ids[k]].qubit_form
-        grad[k] = 2.0 * np.dot(lam, apply_operator(phi, tau))
+        grad[k] = 2.0 * np.dot(pair[1], apply_operator(pair[0], tau))
         if k:  # nothing is left to differentiate behind the first operator
-            phi = apply_pool_operators(phi, (tau,), (-thetas[k],))
-            lam = apply_pool_operators(lam, (tau,), (-thetas[k],))
+            ansatz.program.rotate(pair.T, (-thetas[k],), operator=k)
     return grad
 
 

@@ -117,13 +117,12 @@ def minimize_nelder_mead(obj: Objective, theta0,
         raise ValueError("Nelder-Mead needs at least one parameter")
     start_count = obj.evaluation_count
 
-    simplex = [theta0.copy()]
-    for k in range(dim):
-        vertex = theta0.copy()
-        vertex[k] += NM_INITIAL_STEP
-        simplex.append(vertex)
-    values = [obj(v) for v in simplex]
-    trace = [min(values)]
+    simplex = np.tile(theta0, (dim + 1, 1))  # vertices in rows
+    # the step is added to its one coordinate: adding 0.0 to the others
+    # would turn a -0.0 there into +0.0
+    simplex[np.arange(1, dim + 1), np.arange(dim)] += NM_INITIAL_STEP
+    values = np.array([obj(v) for v in simplex])
+    trace = [float(values.min())]
 
     def spent():
         return obj.evaluation_count - start_count
@@ -131,9 +130,8 @@ def minimize_nelder_mead(obj: Objective, theta0,
     converged = False
     while spent() < max_evals:
         order = np.argsort(values, kind="stable")
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        trace.append(values[0])
+        simplex, values = simplex[order], values[order]
+        trace.append(float(values[0]))
         if values[-1] - values[0] <= tol_rel_energy:
             converged = True
             break
@@ -165,7 +163,7 @@ def minimize_nelder_mead(obj: Objective, theta0,
             values[k] = obj(simplex[k])
 
     best = int(np.argmin(values))
-    return OptimizationResult(simplex[best], values[best], spent(), 0,
+    return OptimizationResult(simplex[best].copy(), values[best], spent(), 0,
                               converged, trace)
 
 

@@ -9,6 +9,8 @@ simulator and `to_matrix` share; block states are embedded there.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .adapt import AdaptConfig, QubitProblem, run_adapt, run_vqe, screen_pool
@@ -29,7 +31,6 @@ from .fci import infidelity_vs_fci, solve_fci
 from .optimize import central_difference_gradient
 from .pauli import PAULI_MATRICES, PauliSum, commutator_term_counts, to_matrix
 from .statevector import (
-    apply_pool_operators,
     embed,
     expectation,
     hartree_fock_reference,
@@ -91,6 +92,18 @@ def _synthetic_hamiltonian() -> MolecularHamiltonian:
                            (k, l, j, i), (l, k, j, i)):
             h2[p, q, r, s] = value
     return MolecularHamiltonian(2, 2, 0.52, h1, h2, label="selftest CAS(2,2)")
+
+
+def _group_by_group(ansatz: Ansatz, thetas, reference) -> np.ndarray:
+    """The ansatz state one X-mask-group rotation at a time, ``c * a + s *
+    (coupling * p)`` per row over each ``tau.rotations`` group in turn:
+    the same arithmetic as the compiled program, written out plainly."""
+    psi = np.array(reference, dtype=float)
+    for pid, theta in zip(ansatz.ids, np.asarray(thetas).tolist()):
+        c, s = math.cos(theta), math.sin(theta)
+        for rows, partners, couplings in ansatz.pool[pid].qubit_form.rotations:
+            psi[rows] = c * psi[rows] + s * (couplings * psi[partners])
+    return psi
 
 
 def _adjoint_gradient_matches(problem: QubitProblem) -> bool:
@@ -171,12 +184,8 @@ def run_selftest() -> bool:
         for ansatz in (full_uccsd_ansatz(pool), reverse):
             thetas = np.random.default_rng(7).uniform(-np.pi, np.pi,
                                                       len(ansatz))
-            chain = ref
-            for pid, theta in zip(ansatz.ids, thetas.tolist()):
-                chain = apply_pool_operators(chain, (pool[pid].qubit_form,),
-                                             (theta,))
             ok_in_place &= (prepare_state(ansatz, thetas, ref).tobytes()
-                            == chain.tobytes())
+                            == _group_by_group(ansatz, thetas, ref).tobytes())
         check(f"in-place state preparation equals the per-operator "
               f"exponentials bit for bit ({n_spatial},{n_electrons})",
               ok_in_place)

@@ -5,10 +5,12 @@ A state is a 1-D float64 ndarray over the ascending basis states of a
 block, `sector_indices`, and an operator acts on it through the kernels
 `PauliSum.restrict` compiled over the same states: ``op |psi>`` is one
 `np.bincount` over the nonzero block entries ``(rows, cols, values)`` of
-`PauliSum.action`, and a pool exponential is one scalar rotation per
-X-mask group cut from them (``rotations``, couplings of +-1), which turn
-one float64 copy of the state in place, operator after operator
-(`apply_pool_operators`). A length mismatch raises
+`PauliSum.action` (`apply_operator`; `apply_action` for a caller that
+checked them once, by `observable_action`). A sequence of pool
+exponentials is compiled once into a `RotationProgram`: one scalar
+rotation per X-mask group, cut from the operators' ``rotations``
+(couplings of +-1), which turns one float64 copy of the state in place,
+group after group, in four numpy calls each. A length mismatch raises
 `DimensionMismatchError`.
 Basis index bit ``q`` is the value of qubit ``q`` (qubit 0 least
 significant); qubit value 1 means the spin orbital is occupied. The full
@@ -66,61 +68,133 @@ def embed(state: np.ndarray, basis: np.ndarray, n_qubits: int) -> np.ndarray:
     return amps
 
 
-def _check_pool_operator(amps: np.ndarray, tau: PauliSum) -> None:
-    """Raise unless ``tau`` is restricted to a basis of the state's length
-    (ValueError, or DimensionMismatchError) and has rotations (ValueError)."""
-    if tau.rotations is None or tau.basis.shape != amps.shape:
-        _checked_action(amps, tau)  # raises for no basis or a mismatch
-        raise ValueError("pool operator must be anti-Hermitian, with "
-                         "couplings of +-1")
-
-
-def apply_pool_operators(state: np.ndarray, taus, thetas) -> np.ndarray:
-    """``exp(thetas[-1] taus[-1]) ... exp(thetas[0] taus[0]) |state>``, first
-    operator first; ``taus`` and ``thetas`` are sequences, the angles
-    Python floats.
+class RotationProgram:
+    """The pool exponentials of an operator sequence, compiled once into
+    one flat rotation program.
 
     Each exponential is the product of the exact exponentials of its
     X-mask groups, ascending, which commute (the pool checks that its
     strings do). A group ``G`` couples ``b`` and ``b ^ x`` with couplings
     of +-1, so ``G^2 = -1`` on the states it moves and ``exp(theta G) =
     cos(theta) + sin(theta) G`` there (Yordanov et al., arXiv:2005.14475):
-    one rotation per group, kept in ``tau.rotations``, with cos and sin
-    taken once per operator.
+    one rotation per group, cut from ``tau.rotations``.
 
-    ``state`` is copied once into a new float64 array (an integer state is
-    converted, a complex one raises TypeError), and each rotation turns
-    that copy in place. Every operator is checked before the first turns,
-    as in `_check_pool_operator`.
+    Every operator is checked once, here: it must be restricted
+    (ValueError), have rotations (ValueError) and share the first
+    operator's ``basis`` (`DimensionMismatchError`). The program then
+    holds, per group of the whole sequence, in order, a step ``(rows,
+    gather, weights, first, second)``: the group's rows, one gather index
+    ``concat(rows, partners)``, the slice of the per-entry weights that
+    belongs to it and the slices of its two halves. ``selector`` says which
+    of ``(cos theta_k, sin theta_k, -sin theta_k)`` weighs each entry of
+    every gather: the row's own amplitude takes the cosine, its partner's
+    the sine times the coupling. ``operators[k]`` holds the same for
+    operator ``k`` alone, its selector counting from ``(cos, sin, -sin)``
+    of its own angle.
     """
-    psi = np.asarray(state).astype(np.float64, casting="same_kind")
-    for tau in taus:
-        _check_pool_operator(psi, tau)
-    for tau, theta in zip(taus, thetas):
-        c, s = math.cos(theta), math.sin(theta)
-        for active, partners, coupling in tau.rotations:
-            # c * psi[active] + s * (coupling * psi[partners]), in place
-            turned = psi[partners]
-            turned *= coupling
-            turned *= s
-            kept = psi[active]
-            kept *= c
-            kept += turned
-            psi[active] = kept
-    return psi
+
+    __slots__ = ("basis", "steps", "selector", "operators")
+
+    def __init__(self, taus):
+        taus = tuple(taus)
+        self.basis = taus[0].basis if taus else None
+        for tau in taus:
+            if tau.rotations is None:
+                tau.action  # ValueError for an unrestricted sum
+                raise ValueError("pool operator must be anti-Hermitian, "
+                                 "with couplings of +-1")
+            if not (tau.basis is self.basis
+                    or np.array_equal(tau.basis, self.basis)):
+                raise DimensionMismatchError(
+                    "pool operators restricted to different bases")
+        self.steps, selectors, self.operators = [], [], []
+        for k, tau in enumerate(taus):
+            groups, picks, at = [], [np.zeros(0, np.intp)], 0
+            for rows, partners, couplings in tau.rotations:
+                groups.append((rows, np.concatenate((rows, partners)), at))
+                picks += [np.zeros(len(rows), np.intp),
+                          np.where(couplings > 0, 1, 2)]
+                at += 2 * len(rows)
+            picks = np.concatenate(picks)
+            self.operators.append((_steps(groups, 0), picks))
+            self.steps += _steps(groups, sum(map(len, selectors)))
+            selectors.append(picks + 3 * k)
+        self.selector = np.concatenate([np.zeros(0, np.intp)] + selectors)
+
+    def start(self, state) -> np.ndarray:
+        """A new float64 copy of ``state``, the program's input: an integer
+        state is converted, a complex one raises TypeError, and one that
+        is not over the operators' basis raises `DimensionMismatchError`.
+        """
+        psi = np.asarray(state).astype(np.float64, casting="same_kind")
+        if self.basis is not None and psi.shape != self.basis.shape:
+            raise DimensionMismatchError(
+                f"expected {len(self.basis)} amplitudes for the operator's "
+                f"basis, got shape {psi.shape}")
+        return psi
+
+    def rotate(self, psi: np.ndarray, thetas, operator=None) -> np.ndarray:
+        """Turn ``psi`` in place by ``exp(thetas[-1] tau_{-1}) ...
+        exp(thetas[0] tau_0)``, first operator first, and return it; with
+        ``operator = k``, by ``exp(thetas[0] tau_k)`` alone. ``thetas`` are
+        Python floats, unchecked, and ``psi`` a float64 array from `start`,
+        or its ``(dim, m)`` stack of ``m`` states turned alike.
+
+        The cosines and sines of all angles make one table, expanded into
+        per-entry weights by one gather. Each group then takes four numpy
+        calls: gather, multiply in place, add the two halves, scatter. So
+        each entry becomes ``c * a + (+-s) * p``, which is the ``c * a + s *
+        (+-p)`` of a rotation, bit for bit: negation is exact.
+        """
+        table = []
+        for theta in thetas:
+            c, s = math.cos(theta), math.sin(theta)
+            table += (c, s, -s)
+        steps, selector = ((self.steps, self.selector) if operator is None
+                           else self.operators[operator])
+        weights = np.array(table)[selector]
+        if psi.ndim == 2:
+            weights = weights[:, None]
+        for rows, gather, weighed, first, second in steps:
+            turned = psi[gather]
+            turned *= weights[weighed]
+            psi[rows] = turned[first] + turned[second]
+        return psi
+
+
+def _steps(groups, offset: int) -> list:
+    """The program steps of ``(rows, gather, at)`` groups whose weights
+    start ``offset + at`` entries into the weight vector."""
+    return [(rows, gather, slice(offset + at, offset + at + len(gather)),
+             slice(None, len(rows)), slice(len(rows), None))
+            for rows, gather, at in groups]
 
 
 def apply_operator(state: np.ndarray, op: PauliSum) -> np.ndarray:
     """Amplitudes of ``op |state>`` (not normalized), ``op`` restricted."""
-    rows, cols, values = _checked_action(state, op)
+    return apply_action(state, _checked_action(state, op))
+
+
+def apply_action(state: np.ndarray, action: tuple) -> np.ndarray:
+    """``op |state>`` from the ``(rows, cols, values)`` of ``op.action``,
+    unchecked: `apply_operator` and `observable_action` check them."""
+    rows, cols, values = action
     # each row adds its terms in entry order, so by ascending X mask
     out = np.bincount(rows, values * state[cols], len(state))
     return out.astype(float, copy=False)  # int zeros when there are none
 
 
+def observable_action(state: np.ndarray, observable: PauliSum) -> tuple:
+    """The action of a restricted Hermitian observable, checked against
+    ``state``'s length: what `expectation` checks, for a caller that
+    evaluates many states of that length."""
+    if observable.hermitian is False:  # None: unrestricted, raised below
+        raise ValueError("expectation requires a Hermitian observable")
+    return _checked_action(state, observable)
+
+
 def expectation(state: np.ndarray, observable: PauliSum) -> float:
     """``<state| observable |state>`` for a restricted Hermitian observable,
     computed as ``<state| (observable |state>)`` without a matrix."""
-    if observable.hermitian is False:  # None: unrestricted, raised below
-        raise ValueError("expectation requires a Hermitian observable")
-    return float(np.dot(state, apply_operator(state, observable)))
+    return float(np.dot(state, apply_action(
+        state, observable_action(state, observable))))

@@ -18,8 +18,19 @@ Each is an oracle for something the package computes another way:
   per-X-mask-group loops the package ran before it compiled a restricted
   sum into its nonzero block entries and scalar rotations, for
   `statevector.apply_operator`, `expectation` and the pool exponentials
-  of `apply_pool_operators`; `exponential_by_groups` takes any ``|d|``,
-  where the package takes couplings of +-1 only;
+  of `statevector.RotationProgram`; `exponential_by_groups` takes any
+  ``|d|``, where the package takes couplings of +-1 only;
+- `apply_pool_operators`, the per-group rotation loop the package ran
+  before it compiled each ansatz into one `RotationProgram`, checks on
+  every call included, and on it `loop_prepared_state`,
+  `loop_energy_gradient` (the adjoint sweep turning each state back on
+  its own) and `loop_fit_energy` (the energy of a fit, one prepared
+  state and one `expectation` per call): the byte oracles of
+  `ansatz.prepare_state`, `ansatz.energy_gradient` and the energy that
+  `adapt._fit` hands its optimizer;
+- `minimize_nelder_mead`, the optimizer with its simplex and values
+  kept as Python lists, for `optimize.minimize_nelder_mead`, which keeps
+  them as arrays;
 - `ansatz_energy`, the energy of a prepared state as a function of the
   angles, and `finite_difference_gradient`, its central differences one
   prepared state per point: the reference of the adjoint sweep
@@ -32,18 +43,25 @@ Each is an oracle for something the package computes another way:
 from __future__ import annotations
 
 import importlib.util
+import math
 from functools import cache
 from pathlib import Path
 
 import numpy as np
 
-from vqebench import pauli
+from vqebench import pauli, statevector
 from vqebench.ansatz import prepare_state
 from vqebench.fcidump import MolecularHamiltonian
 from vqebench.fermion import FermionOperator
-from vqebench.optimize import central_difference_gradient
+from vqebench.optimize import (
+    DEFAULT_BUDGET,
+    DEFAULT_TOL,
+    NM_INITIAL_STEP,
+    OptimizationResult,
+    central_difference_gradient,
+)
 from vqebench.pauli import DimensionMismatchError, PauliSum
-from vqebench.statevector import expectation
+from vqebench.statevector import apply_operator, expectation
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / \
     "make_reference_data.py"
@@ -199,6 +217,135 @@ def exponential_by_groups(state: np.ndarray, groups,
                           where=norm > 0)
         state = np.cos(angle) * state + scale * (diagonal * state)[targets]
     return state
+
+
+def _check_pool_operator(amps: np.ndarray, tau: PauliSum) -> None:
+    """Raise unless ``tau`` is restricted to a basis of the state's length
+    (ValueError, or DimensionMismatchError) and has rotations (ValueError)."""
+    if tau.rotations is None or tau.basis.shape != amps.shape:
+        statevector._checked_action(amps, tau)  # no basis, or a mismatch
+        raise ValueError("pool operator must be anti-Hermitian, with "
+                         "couplings of +-1")
+
+
+def apply_pool_operators(state: np.ndarray, taus, thetas) -> np.ndarray:
+    """``exp(thetas[-1] taus[-1]) ... exp(thetas[0] taus[0]) |state>``, first
+    operator first, one X-mask group rotation at a time: ``state`` copied
+    once as float64 (a complex one raises TypeError), every operator
+    checked, then per group ``c * psi[rows] + s * (coupling *
+    psi[partners])`` in seven numpy calls, with cos and sin taken once per
+    operator (the angles are Python floats)."""
+    psi = np.asarray(state).astype(np.float64, casting="same_kind")
+    for tau in taus:
+        _check_pool_operator(psi, tau)
+    for tau, theta in zip(taus, thetas):
+        c, s = math.cos(theta), math.sin(theta)
+        for active, partners, coupling in tau.rotations:
+            turned = psi[partners]
+            turned *= coupling
+            turned *= s
+            kept = psi[active]
+            kept *= c
+            kept += turned
+            psi[active] = kept
+    return psi
+
+
+def _taus(ansatz) -> list:
+    return [ansatz.pool[pid].qubit_form for pid in ansatz.ids]
+
+
+def loop_prepared_state(ansatz, thetas, reference) -> np.ndarray:
+    """`ansatz.prepare_state` by `apply_pool_operators`."""
+    return apply_pool_operators(reference, _taus(ansatz),
+                                np.asarray(thetas, dtype=float).tolist())
+
+
+def loop_energy_gradient(ansatz, thetas, reference, h_p) -> np.ndarray:
+    """`ansatz.energy_gradient` by `apply_pool_operators`: the same sweep,
+    with ``phi`` and ``lam`` turned back one call each."""
+    phi = loop_prepared_state(ansatz, thetas, reference)
+    lam = apply_operator(phi, h_p)
+    thetas = np.asarray(thetas, dtype=float).tolist()
+    grad = np.empty(len(thetas))
+    for k in reversed(range(len(thetas))):
+        tau = _taus(ansatz)[k]
+        grad[k] = 2.0 * np.dot(lam, apply_operator(phi, tau))
+        if k:
+            phi = apply_pool_operators(phi, (tau,), (-thetas[k],))
+            lam = apply_pool_operators(lam, (tau,), (-thetas[k],))
+    return grad
+
+
+def loop_fit_energy(ansatz, reference, h_p, core):
+    """``theta -> <psi| h_p |psi> + core`` as a fit evaluated it before its
+    energy was compiled: one `loop_prepared_state` and one `expectation`
+    per call."""
+    return lambda theta: (expectation(
+        loop_prepared_state(ansatz, theta, reference), h_p) + core)
+
+
+def minimize_nelder_mead(obj, theta0, tol_rel_energy=DEFAULT_TOL,
+                         max_evals=DEFAULT_BUDGET) -> OptimizationResult:
+    """`optimize.minimize_nelder_mead` with its simplex and values kept as
+    Python lists of vertices and of floats: the same steps, the same
+    evaluations and, so, the same bits."""
+    theta0 = np.asarray(theta0, dtype=float)
+    dim = theta0.size
+    if dim < 1:
+        raise ValueError("Nelder-Mead needs at least one parameter")
+    start_count = obj.evaluation_count
+
+    simplex = [theta0.copy()]
+    for k in range(dim):
+        vertex = theta0.copy()
+        vertex[k] += NM_INITIAL_STEP
+        simplex.append(vertex)
+    values = [obj(v) for v in simplex]
+    trace = [min(values)]
+
+    def spent():
+        return obj.evaluation_count - start_count
+
+    converged = False
+    while spent() < max_evals:
+        order = np.argsort(values, kind="stable")
+        simplex = [simplex[i] for i in order]
+        values = [values[i] for i in order]
+        trace.append(values[0])
+        if values[-1] - values[0] <= tol_rel_energy:
+            converged = True
+            break
+        centroid = np.mean(simplex[:-1], axis=0)
+        reflected = centroid + (centroid - simplex[-1])
+        f_reflected = obj(reflected)
+        if f_reflected < values[0]:
+            expanded = centroid + 2.0 * (centroid - simplex[-1])
+            f_expanded = obj(expanded) if spent() < max_evals else np.inf
+            if f_expanded < f_reflected:
+                simplex[-1], values[-1] = expanded, f_expanded
+            else:
+                simplex[-1], values[-1] = reflected, f_reflected
+            continue
+        if f_reflected < values[-2]:
+            simplex[-1], values[-1] = reflected, f_reflected
+            continue
+        if f_reflected < values[-1]:
+            contracted = centroid + 0.5 * (reflected - centroid)
+        else:
+            contracted = centroid - 0.5 * (centroid - simplex[-1])
+        f_contracted = obj(contracted) if spent() < max_evals else np.inf
+        if f_contracted < min(f_reflected, values[-1]):
+            simplex[-1], values[-1] = contracted, f_contracted
+            continue
+        # shrink toward the best vertex, as far as the budget allows
+        for k in range(1, min(dim, max_evals - spent()) + 1):
+            simplex[k] = simplex[0] + 0.5 * (simplex[k] - simplex[0])
+            values[k] = obj(simplex[k])
+
+    best = int(np.argmin(values))
+    return OptimizationResult(simplex[best], values[best], spent(), 0,
+                              converged, trace)
 
 
 def ansatz_energy(ansatz, reference, h_p):

@@ -6,15 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
+    apply_pool_operators,
     exponential_by_groups,
     group_action,
     infidelity,
+    loop_energy_gradient,
+    loop_fit_energy,
+    loop_prepared_state,
+    minimize_nelder_mead,
     number_operator,
     sz_operator,
 )
 from scipy.linalg import expm
 
-from vqebench import statevector
+from vqebench import adapt, statevector
+from vqebench.adapt import AdaptConfig, MeasurementLedger, QubitProblem
 from vqebench.ansatz import (
     Ansatz,
     Gate,
@@ -25,6 +31,7 @@ from vqebench.ansatz import (
     circuit_metrics,
     circuit_resources,
     compile_circuit,
+    energy_gradient,
     full_uccsd_ansatz,
     prepare_state,
     simulate_circuit,
@@ -36,9 +43,10 @@ from vqebench.fermion import (
     anti_hermitian_pair,
     jordan_wigner,
 )
+from vqebench.optimize import Objective
 from vqebench.pauli import DimensionMismatchError, PauliSum, to_matrix
 from vqebench.statevector import (
-    apply_pool_operators,
+    RotationProgram,
     embed,
     expectation,
     hartree_fock_reference,
@@ -233,7 +241,8 @@ class TestPrepareState:
 
 
 def operator_chain(pool, ids, thetas, state):
-    """The ansatz state one `apply_pool_operators` call per operator."""
+    """The ansatz state one `oracles.apply_pool_operators` call per
+    operator."""
     for pid, theta in zip(ids, thetas):
         state = apply_pool_operators(state, (pool[pid].qubit_form,),
                                      (float(theta),))
@@ -348,6 +357,154 @@ class TestInPlacePreparation:
         with pytest.raises(error, match=match):
             prepare_state(Ansatz([cas22_pool[0], last], [0, 1]), [0.3, 0.2],
                           reference)
+
+
+@functools.cache
+def committed_problem(name):
+    return QubitProblem(load_fcidump(DATA / COMMITTED_INPUTS[name]))
+
+
+class FitEnergy(Exception):
+    """Raised by `fit_energy`'s stand-in `Objective` to end the fit."""
+
+
+def fit_energy(problem, ansatz):
+    """The energy function `adapt._fit` hands its optimizer for
+    ``ansatz``, taken from the `Objective` it builds; no fit is run."""
+    def capture(fn, dimension, on_evaluation=None):
+        raise FitEnergy(fn)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(adapt, "Objective", capture)
+        with pytest.raises(FitEnergy) as caught:
+            adapt._fit(problem, AdaptConfig(), ansatz, MeasurementLedger())
+    return caught.value.args[0]
+
+
+def drawn_case(data, problem):
+    """An ansatz of drawn pool ids, which holds a multi-group operator and
+    a repeat, its angles (`EDGE_ANGLES` among them) and a drawn state: the
+    Hartree-Fock reference or a random one."""
+    pool = problem.pool
+    multi_group = [op.id for op in pool if len(op.qubit_form.rotations) > 1]
+    ids = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=6),
+                    label="ids")
+    ids.insert(data.draw(st.integers(0, len(ids))),
+               data.draw(st.sampled_from(multi_group)))
+    ids.append(ids[data.draw(st.integers(0, len(ids) - 1))])
+    thetas = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from(EDGE_ANGLES),
+                  st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)),
+        min_size=len(ids), max_size=len(ids)), label="thetas"))
+    seed = data.draw(st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+                     label="state seed")
+    state = (problem.reference if seed is None else
+             np.random.default_rng(seed).normal(size=len(problem.reference)))
+    return Ansatz(pool, ids), thetas, state
+
+
+class TestProgramAgainstLoop:
+    """The compiled `RotationProgram` against the per-group loop it
+    replaced (`oracles.apply_pool_operators`): state preparation, the
+    adjoint gradient and the energy a fit hands its optimizer agree byte
+    for byte."""
+
+    @pytest.mark.parametrize("name", sorted(COMMITTED_INPUTS))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_prepare_state_and_gradient(self, name, data):
+        problem = committed_problem(name)
+        ansatz, thetas, state = drawn_case(data, problem)
+        assert prepare_state(ansatz, thetas, state).tobytes() == \
+            loop_prepared_state(ansatz, thetas, state).tobytes()
+        assert energy_gradient(ansatz, thetas, state, problem.h_p).tobytes() \
+            == loop_energy_gradient(ansatz, thetas, state,
+                                    problem.h_p).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(COMMITTED_INPUTS))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_fit_energy(self, name, data):
+        problem = committed_problem(name)
+        ansatz, thetas, _ = drawn_case(data, problem)
+        energy = fit_energy(problem, ansatz)
+        expected = loop_fit_energy(ansatz, problem.reference, problem.h_p,
+                                   problem.core)
+        assert energy(thetas).hex() == expected(thetas).hex()
+
+    @pytest.mark.parametrize("name", sorted(COMMITTED_INPUTS))
+    def test_full_uccsd_at_edge_angles(self, name):
+        problem = committed_problem(name)
+        ansatz = full_uccsd_ansatz(problem.pool)
+        thetas = np.resize(EDGE_ANGLES, len(ansatz))
+        state = np.random.default_rng(3).normal(size=len(problem.reference))
+        assert prepare_state(ansatz, thetas, state).tobytes() == \
+            loop_prepared_state(ansatz, thetas, state).tobytes()
+        assert energy_gradient(ansatz, thetas, state, problem.h_p).tobytes() \
+            == loop_energy_gradient(ansatz, thetas, state,
+                                    problem.h_p).tobytes()
+
+    @pytest.mark.parametrize("name", ["h2", "nah", "h4"])
+    def test_nelder_mead_vqe_fit(self, name):
+        # the whole fit against the list-based optimizer on the loop energy
+        problem = committed_problem(name)
+        ansatz = full_uccsd_ansatz(problem.pool)
+        ledger = MeasurementLedger()
+        theta, energy, converged = adapt._fit(
+            problem, AdaptConfig(optimizer="nelder_mead"), ansatz, ledger)
+        expected = minimize_nelder_mead(
+            Objective(loop_fit_energy(ansatz, problem.reference, problem.h_p,
+                                      problem.core), len(ansatz)),
+            np.zeros(len(ansatz)))
+        assert theta.tobytes() == expected.theta_opt.tobytes()
+        assert energy.hex() == expected.energy.hex()
+        assert converged == expected.converged
+        assert ledger.energy_evaluations == expected.n_energy_evals
+
+
+class TestRotationProgram:
+    def test_compiled_once_per_ansatz(self, cas22_pool):
+        ansatz = full_uccsd_ansatz(cas22_pool)
+        program = ansatz.program
+        assert ansatz.program is program
+        assert ansatz.extended(0).program is not program
+        # one step per X-mask group, in order, and one weight per entry
+        groups = [g for op in cas22_pool for g in op.qubit_form.rotations]
+        assert len(program.steps) == len(groups)
+        assert len(program.selector) == 2 * sum(len(r) for r, _, _ in groups)
+
+    def test_operators_must_share_one_basis(self, cas22_pool):
+        other = make_pool_op(cas22_pool[0].qubit_form.restrict(
+            sector_indices(4, 2)[::-1].copy()))
+        with pytest.raises(DimensionMismatchError, match="different bases"):
+            RotationProgram([cas22_pool[0].qubit_form, other.qubit_form])
+        copy = cas22_pool[1].qubit_form.restrict(SECTOR.copy())
+        RotationProgram([cas22_pool[0].qubit_form, copy])  # equal bases
+
+    def test_failed_build_is_not_kept(self, cas22_pool):
+        bad = make_pool_op(number_operator(4).restrict(SECTOR))
+        ansatz = Ansatz([cas22_pool[0], bad], [0, 1])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="anti-Hermitian"):
+                ansatz.program
+
+    def test_empty_program_takes_any_length(self, cas22_pool):
+        program = Ansatz(cas22_pool).program
+        state = np.arange(5)
+        out = program.rotate(program.start(state), [])
+        assert out.dtype == np.float64 and out.tolist() == [0, 1, 2, 3, 4]
+
+    def test_one_operator_of_a_stack(self):
+        # operator k alone, on a (dim, 2) stack, turns each column as the
+        # loop turns each state on its own
+        problem = committed_problem("h4")
+        ansatz = Ansatz(problem.pool, [3, 0, 7])
+        rng = np.random.default_rng(8)
+        pair = rng.normal(size=(2, len(problem.reference)))
+        expected = [apply_pool_operators(row, (problem.pool[0].qubit_form,),
+                                         (-0.7,)) for row in pair]
+        ansatz.program.rotate(pair.T, (-0.7,), operator=1)
+        assert pair.tobytes() == np.stack(expected).tobytes()
 
 
 class TestAnsatz:

@@ -12,17 +12,19 @@ prepared states live, after checking that they have no weight outside it.
 The committed scans have 4 qubits; the 8-qubit H4 scan (fci, vqe and
 adapt with Nelder-Mead and L-BFGS) is pinned by the sha256 of its
 ``scan.csv``, so a printed digit that moves on those longer paths shows.
-Its Nelder-Mead VQE row, which prepares one state per energy evaluation,
-is also pinned to the bit: the energy's hex form, the sha256 of the
-angles' bytes and the ledger's counts. Any other last-bit change in the
-simulator kernels that moves no printed digit is left to the exact
-kernel oracles in ``test_statevector.py`` and ``test_ansatz.py``.
+Its Nelder-Mead VQE and ADAPT rows, which prepare one state per energy
+evaluation, are also pinned to the bit: the energy's hex form, the
+sha256 of the angles' bytes and the ledger's counts. Any other last-bit
+change in the simulator kernels that moves no printed digit is left to
+the exact kernel oracles in ``test_statevector.py`` and
+``test_ansatz.py``.
 
 ``vqebench run`` is pinned the same way: the sha256 of its whole stdout
 for every method and optimizer on H2, for an input whose pool is empty,
 and for one and for three ADAPT steps on the 12-qubit H6 chain; the
 three-step run fits up to three angles with L-BFGS, so its adjoint
-gradients sweep back over several operators at 12 qubits.
+gradients sweep back over several operators at 12 qubits, and it is
+pinned with Nelder-Mead as well.
 """
 import hashlib
 from pathlib import Path
@@ -31,7 +33,7 @@ import numpy as np
 import pytest
 
 from vqebench import cli
-from vqebench.adapt import AdaptConfig, QubitProblem, run_vqe
+from vqebench.adapt import AdaptConfig, QubitProblem, run_adapt, run_vqe
 from vqebench.cli import emit_report, main, parse_scan_config, run_scan
 from vqebench.fcidump import load_fcidump
 from vqebench.fci import FciSolution
@@ -80,6 +82,11 @@ RUN_PINS = [
         "h6/h6_r1.000.fcidump", "adapt", ["--max-iter", "3"],
         "1804193ffebdb40e7a3f08ce80a50f9c78b10e05ae577779f32fc559f5d3f5f5",
         id="h6-adapt-max-iter-3"),
+    pytest.param(
+        "h6/h6_r1.000.fcidump", "adapt",
+        ["--optimizer", "nelder_mead", "--max-iter", "3"],
+        "524730554a04110de1a2919d8c8c256b557d900c00d0106fd0a00b21798a7a6d",
+        id="h6-adapt-nm-max-iter-3"),
 ]
 
 
@@ -159,6 +166,18 @@ def test_h4_nelder_mead_vqe_is_pinned_to_the_bit():
         "bf77cc3c0bb0dc0179e1e035c09bd28615ab063027ebb10e2c45920e41fbfe12"
     assert result.ledger.energy_evaluations == 1005
     assert result.ledger.total() == 184920
+
+
+def test_h4_nelder_mead_adapt_is_pinned_to_the_bit():
+    result = run_adapt(
+        QubitProblem(load_fcidump(DATA / "h4_r1.000.fcidump")),
+        AdaptConfig(optimizer="nelder_mead"))
+    assert result.energy.hex() == "-0x1.15495c9434690p+1"
+    assert hashlib.sha256(result.theta.tobytes()).hexdigest() == \
+        "478c66c2a622a1a7790575fd7c77061cd6fd6926d0ddb3b0d84d0d635654c011"
+    assert result.ledger.as_dict() == {
+        "energy_evaluations": 1269, "commutator_evaluations": 190,
+        "pauli_term_measurements": 317496}
 
 
 @pytest.mark.parametrize("dump,method,flags,digest", RUN_PINS)

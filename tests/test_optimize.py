@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 from oracles import commutator
 
@@ -10,6 +11,7 @@ from vqebench.ansatz import energy_gradient, full_uccsd_ansatz, prepare_state
 from vqebench.fcidump import load_fcidump
 from vqebench.optimize import (
     LBFGS_MEMORY,
+    NM_INITIAL_STEP,
     Objective,
     central_difference_gradient,
     minimize_lbfgs,
@@ -241,6 +243,81 @@ class TestNelderMead:
         assert runs[0].energy == runs[1].energy
         np.testing.assert_array_equal(runs[0].theta_opt, runs[1].theta_opt)
         assert runs[0].trace == runs[1].trace
+
+
+def rosenbrock(t):
+    return float(100.0 * (t[1] - t[0] ** 2) ** 2 + (1.0 - t[0]) ** 2)
+
+
+def point_well(t):
+    """0 at the origin and 1 everywhere else: every pass shrinks."""
+    return 0.0 if not t.any() else 1.0
+
+
+def bowl(t):
+    return float(np.sum((t - np.array([0.3, -0.2, 0.1])) ** 2))
+
+
+class TestNelderMeadAgainstLists:
+    """The array simplex against the list-based optimizer it replaced
+    (`oracles.minimize_nelder_mead`): the same points are evaluated, in
+    the same order, and the results agree bit for bit."""
+
+    @staticmethod
+    def assert_same_run(fn, theta0, **kwargs):
+        runs = []
+        for minimize in (minimize_nelder_mead, oracles.minimize_nelder_mead):
+            points = []
+
+            def energy(t, points=points):
+                points.append(t.tobytes())
+                return fn(t)
+
+            obj = Objective(energy, len(theta0))
+            runs.append((minimize(obj, np.array(theta0), **kwargs), points,
+                         obj.evaluation_count))
+        (new, new_points, new_count), (old, old_points, old_count) = runs
+        assert new_points == old_points
+        assert new.theta_opt.tobytes() == old.theta_opt.tobytes()
+        assert new.energy.hex() == old.energy.hex()
+        assert (new.n_energy_evals, new_count, new.converged) == \
+            (old.n_energy_evals, old_count, old.converged)
+        assert all(type(value) is float for value in new.trace)
+        assert [v.hex() for v in new.trace] == [v.hex() for v in old.trace]
+        return new, new_points
+
+    def test_rosenbrock(self):
+        result, _ = self.assert_same_run(rosenbrock, [-1.2, 1.0],
+                                         tol_rel_energy=1e-10)
+        assert result.converged and result.n_energy_evals > 100
+
+    def test_every_pass_shrinks(self):
+        # 4 start vertices, then per pass a reflection, a contraction and
+        # a shrink of all 3 vertices: 5 evaluations, where a pass without
+        # a shrink takes at most 2
+        result, _ = self.assert_same_run(point_well, [0.0, 0.0, 0.0],
+                                         max_evals=4 + 5 * 6)
+        passes = len(result.trace) - 1
+        assert passes == 6 and result.n_energy_evals == 4 + 5 * passes
+
+    @pytest.mark.parametrize("left", [1, 2, 3, 4])
+    def test_budget_runs_out_mid_shrink(self, left):
+        # ``left`` evaluations into the third pass: its reflection, its
+        # contraction, or 1 or 2 of its 3 shrink evaluations
+        result, points = self.assert_same_run(point_well, [0.0, 0.0, 0.0],
+                                              max_evals=4 + 5 * 2 + left)
+        assert not result.converged
+        assert result.n_energy_evals == len(points) == 4 + 5 * 2 + left
+
+    def test_signed_zeros_of_the_start_are_kept(self):
+        _, points = self.assert_same_run(bowl, [-0.0, 0.25, -0.0],
+                                         tol_rel_energy=1e-12)
+        start = [np.frombuffer(p) for p in points[:4]]
+        step = NM_INITIAL_STEP
+        expected = [[-0.0, 0.25, -0.0], [step, 0.25, -0.0],
+                    [-0.0, 0.25 + step, -0.0], [-0.0, 0.25, step]]
+        assert [v.tobytes() for v in start] == \
+            [np.array(v).tobytes() for v in expected]
 
 
 class TestLbfgs:

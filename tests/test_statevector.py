@@ -33,8 +33,8 @@ from vqebench.fermion import (
 )
 from vqebench.pauli import DimensionMismatchError, PauliSum, to_matrix
 from vqebench.statevector import (
+    RotationProgram,
     apply_operator,
-    apply_pool_operators,
     embed,
     expectation,
     hartree_fock_reference,
@@ -78,9 +78,9 @@ def singlet_single_tau(n_so=4):
 
 
 def apply_one(state, tau, theta):
-    """``exp(theta * tau) |state>``: `apply_pool_operators` with one
-    operator."""
-    return apply_pool_operators(state, (tau,), (float(theta),))
+    """``exp(theta * tau) |state>``: a `RotationProgram` of one operator."""
+    program = RotationProgram((tau,))
+    return program.rotate(program.start(state), (float(theta),))
 
 
 def one_string_tau(n_qubits, x_mask, z_mask, weight=1.0):
@@ -348,15 +348,16 @@ class TestKernelsAgainstGroupLoops:
 
     @pytest.mark.parametrize("theta", [-2.1, 0.17] + EDGE_ANGLES)
     def test_group_with_two_magnitudes(self, theta):
-        # couplings other than +-1 have no rotations: both kernels reject
-        # the sum at any angle, before a state is touched, and so does the
-        # pool build
+        # couplings other than +-1 have no rotations: the rotation program
+        # rejects the sum when it compiles, before a state is touched, and
+        # so does the pool build
         tau = weighted_group_tau().restrict(full(4))
         assert tau.rotations is None and tau.hermitian is False
         state = random_state(np.random.default_rng(2), 16)
         unit = singlet_single_tau().restrict(full(4))
         with pytest.raises(ValueError, match="anti-Hermitian"):
-            apply_pool_operators(state, (unit, tau), (theta, theta))
+            program = RotationProgram((unit, tau))
+            program.rotate(program.start(state), (theta, theta))
         with pytest.raises(ValueError, match="not anti-Hermitian"):
             _validate_pool_operator(weighted_group_tau(), "weighted", full(4))
 
