@@ -13,11 +13,7 @@ screens its returned state once more, uncharged, for its final gradient
 norm. VQE and every ADAPT iteration share one fit step, `_fit`; its
 L-BFGS gradients are exact, from the adjoint sweep of
 `ansatz.energy_gradient`, and charged as ``2n`` energy evaluations each,
-what central differences would measure on hardware. `_fit` builds its
-energy function once per fit, from the ansatz's compiled rotation
-program, the reference and the Hamiltonian's action, each checked once;
-each evaluation then runs the program on a copy of the reference and
-takes one expectation, without calling `prepare_state` or `expectation`.
+what central differences would measure on hardware.
 
 Measurement cost is tracked symbolically: every expectation evaluated
 charges one unit per non-identity Pauli term of the measured operator
@@ -52,11 +48,9 @@ from .optimize import (
 )
 from .pauli import PauliSum, commutator_term_counts
 from .statevector import (
-    apply_action,
     apply_operator,
     expectation,
     hartree_fock_reference,
-    observable_action,
     sector_indices,
 )
 
@@ -237,17 +231,14 @@ def _fit(problem: QubitProblem, cfg: AdaptConfig, ansatz: Ansatz,
     """``(theta, energy, converged)`` of ``ansatz`` optimised from all
     zeros, each energy evaluation charged to ``ledger``. An empty ansatz
     leaves the reference, whose energy is computed and charged nothing."""
-    h_p, reference, core = problem.h_p, problem.reference, problem.core
+    h_p, reference = problem.h_p, problem.reference
     if not len(ansatz):
-        return np.zeros(0), expectation(reference, h_p) + core, True
+        return np.zeros(0), expectation(reference, h_p) + problem.core, True
     n_terms = h_p.non_identity_term_count()
-    program = ansatz.program
-    start = program.start(reference)
-    h_action = observable_action(start, h_p)
 
-    def energy(theta):  # Objective has checked theta
-        psi = program.rotate(start.copy(), theta.tolist())
-        return float(np.dot(psi, apply_action(psi, h_action))) + core
+    def energy(theta):
+        return (expectation(prepare_state(ansatz, theta, reference), h_p)
+                + problem.core)
 
     objective = Objective(energy, len(ansatz),
                           on_evaluation=lambda: ledger.charge_energy(n_terms))

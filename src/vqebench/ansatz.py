@@ -234,9 +234,9 @@ def prepare_state(ansatz: Ansatz, thetas, reference: np.ndarray) -> np.ndarray:
     `program`: the reference is copied once, as float64, and that copy is
     rotated in place, group by group. The result is a new array, also for
     an empty ansatz; ``reference`` is not changed."""
-    thetas = _theta_vector(ansatz, thetas).tolist()
     program = ansatz.program
-    return program.rotate(program.start(reference), thetas)
+    return program.rotate(program.start(reference), program.weights(
+        _theta_vector(ansatz, thetas).tolist()))
 
 
 def energy_gradient(ansatz: Ansatz, thetas, reference: np.ndarray,
@@ -250,8 +250,9 @@ def energy_gradient(ansatz: Ansatz, thetas, reference: np.ndarray,
     ``2 <lam_k| tau_k |phi_k>``. Each ``U_k = exp(theta_k tau_k)`` is real
     orthogonal, ``tau_k`` being real and antisymmetric on the block, so
     ``U_k^T = exp(-theta_k tau_k)`` turns both states back one operator:
-    ``n - 1`` rotations of the two states as one stack, by operator ``k``
-    of the ansatz's `program`, and ``n`` operator applications, all real.
+    ``n - 1`` rotations of the two states as one stack, by operator ``k``'s
+    steps of the ansatz's `program`, weighed from one table of the negated
+    angles, and ``n`` operator applications, all real.
     ``h_p`` must be restricted and Hermitian.
     """
     if not h_p.hermitian:
@@ -259,13 +260,15 @@ def energy_gradient(ansatz: Ansatz, thetas, reference: np.ndarray,
                          "Hermitian H_P")
     phi = prepare_state(ansatz, thetas, reference)
     pair = np.stack((phi, apply_operator(phi, h_p)))  # phi_k and lam_k
-    thetas = _theta_vector(ansatz, thetas).tolist()
-    grad = np.empty(len(thetas))
-    for k in reversed(range(len(thetas))):
+    program = ansatz.program
+    back = program.weights([-theta for theta in
+                            _theta_vector(ansatz, thetas).tolist()])
+    grad = np.empty(len(ansatz))
+    for k in reversed(range(len(ansatz))):
         tau = ansatz.pool[ansatz.ids[k]].qubit_form
         grad[k] = 2.0 * np.dot(pair[1], apply_operator(pair[0], tau))
         if k:  # nothing is left to differentiate behind the first operator
-            ansatz.program.rotate(pair.T, (-thetas[k],), operator=k)
+            program.rotate(pair.T, back, operator=k)
     return grad
 
 

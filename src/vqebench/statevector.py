@@ -5,12 +5,11 @@ A state is a 1-D float64 ndarray over the ascending basis states of a
 block, `sector_indices`, and an operator acts on it through the kernels
 `PauliSum.restrict` compiled over the same states: ``op |psi>`` is one
 `np.bincount` over the nonzero block entries ``(rows, cols, values)`` of
-`PauliSum.action` (`apply_operator`; `apply_action` for a caller that
-checked them once, by `observable_action`). A sequence of pool
-exponentials is compiled once into a `RotationProgram`: one scalar
-rotation per X-mask group, cut from the operators' ``rotations``
-(couplings of +-1), which turns one float64 copy of the state in place,
-group after group, in four numpy calls each. A length mismatch raises
+`PauliSum.action`. A sequence of pool exponentials is compiled once
+into a `RotationProgram`: one scalar rotation per X-mask group, cut from
+the operators' ``rotations`` (couplings of +-1), which turns one float64
+copy of the state in place, group after group, in four numpy calls
+each. A length mismatch raises
 `DimensionMismatchError`.
 Basis index bit ``q`` is the value of qubit ``q`` (qubit 0 least
 significant); qubit value 1 means the spin orbital is occupied. The full
@@ -83,17 +82,16 @@ class RotationProgram:
     (ValueError), have rotations (ValueError) and share the first
     operator's ``basis`` (`DimensionMismatchError`). The program then
     holds, per group of the whole sequence, in order, a step ``(rows,
-    gather, weights, first, second)``: the group's rows, one gather index
+    gather, weighed, first, second)``: the group's rows, one gather index
     ``concat(rows, partners)``, the slice of the per-entry weights that
     belongs to it and the slices of its two halves. ``selector`` says which
     of ``(cos theta_k, sin theta_k, -sin theta_k)`` weighs each entry of
     every gather: the row's own amplitude takes the cosine, its partner's
-    the sine times the coupling. ``operators[k]`` holds the same for
-    operator ``k`` alone, its selector counting from ``(cos, sin, -sin)``
-    of its own angle.
+    the sine times the coupling. Operator ``k``'s steps are
+    ``steps[starts[k]:starts[k + 1]]``.
     """
 
-    __slots__ = ("basis", "steps", "selector", "operators")
+    __slots__ = ("basis", "steps", "selector", "starts")
 
     def __init__(self, taus):
         taus = tuple(taus)
@@ -107,19 +105,19 @@ class RotationProgram:
                     or np.array_equal(tau.basis, self.basis)):
                 raise DimensionMismatchError(
                     "pool operators restricted to different bases")
-        self.steps, selectors, self.operators = [], [], []
+        self.steps, self.starts = [], [0]
+        picks, at = [np.zeros(0, np.intp)], 0
         for k, tau in enumerate(taus):
-            groups, picks, at = [], [np.zeros(0, np.intp)], 0
             for rows, partners, couplings in tau.rotations:
-                groups.append((rows, np.concatenate((rows, partners)), at))
-                picks += [np.zeros(len(rows), np.intp),
-                          np.where(couplings > 0, 1, 2)]
-                at += 2 * len(rows)
-            picks = np.concatenate(picks)
-            self.operators.append((_steps(groups, 0), picks))
-            self.steps += _steps(groups, sum(map(len, selectors)))
-            selectors.append(picks + 3 * k)
-        self.selector = np.concatenate([np.zeros(0, np.intp)] + selectors)
+                n = len(rows)
+                self.steps.append((rows, np.concatenate((rows, partners)),
+                                   slice(at, at + 2 * n), slice(None, n),
+                                   slice(n, None)))
+                picks += [np.full(n, 3 * k, np.intp),
+                          np.where(couplings > 0, 3 * k + 1, 3 * k + 2)]
+                at += 2 * n
+            self.starts.append(len(self.steps))
+        self.selector = np.concatenate(picks)
 
     def start(self, state) -> np.ndarray:
         """A new float64 copy of ``state``, the program's input: an integer
@@ -133,26 +131,32 @@ class RotationProgram:
                 f"basis, got shape {psi.shape}")
         return psi
 
-    def rotate(self, psi: np.ndarray, thetas, operator=None) -> np.ndarray:
-        """Turn ``psi`` in place by ``exp(thetas[-1] tau_{-1}) ...
-        exp(thetas[0] tau_0)``, first operator first, and return it; with
-        ``operator = k``, by ``exp(thetas[0] tau_k)`` alone. ``thetas`` are
-        Python floats, unchecked, and ``psi`` a float64 array from `start`,
-        or its ``(dim, m)`` stack of ``m`` states turned alike.
-
-        The cosines and sines of all angles make one table, expanded into
-        per-entry weights by one gather. Each group then takes four numpy
-        calls: gather, multiply in place, add the two halves, scatter. So
-        each entry becomes ``c * a + (+-s) * p``, which is the ``c * a + s *
-        (+-p)`` of a rotation, bit for bit: negation is exact.
-        """
+    def weights(self, thetas) -> np.ndarray:
+        """The per-entry weights of the angles ``thetas``, one Python
+        float per operator, unchecked: the cosines and sines of all angles
+        make one table, expanded by one gather through ``selector``."""
         table = []
         for theta in thetas:
             c, s = math.cos(theta), math.sin(theta)
             table += (c, s, -s)
-        steps, selector = ((self.steps, self.selector) if operator is None
-                           else self.operators[operator])
-        weights = np.array(table)[selector]
+        return np.array(table)[self.selector]
+
+    def rotate(self, psi: np.ndarray, weights: np.ndarray,
+               operator=None) -> np.ndarray:
+        """Turn ``psi`` in place by ``exp(theta_{n-1} tau_{n-1}) ...
+        exp(theta_0 tau_0)``, first operator first, and return it; with
+        ``operator = k``, by ``exp(theta_k tau_k)`` alone. The angles are
+        those ``weights`` was made from, and ``psi`` is a float64 array
+        from `start`, or its ``(dim, m)`` stack of ``m`` states turned
+        alike.
+
+        Each group takes four numpy calls: gather, multiply in place, add
+        the two halves, scatter. So each entry becomes ``c * a + (+-s) *
+        p``, which is the ``c * a + s * (+-p)`` of a rotation, bit for
+        bit: negation is exact.
+        """
+        steps = (self.steps if operator is None else
+                 self.steps[self.starts[operator]:self.starts[operator + 1]])
         if psi.ndim == 2:
             weights = weights[:, None]
         for rows, gather, weighed, first, second in steps:
@@ -162,39 +166,17 @@ class RotationProgram:
         return psi
 
 
-def _steps(groups, offset: int) -> list:
-    """The program steps of ``(rows, gather, at)`` groups whose weights
-    start ``offset + at`` entries into the weight vector."""
-    return [(rows, gather, slice(offset + at, offset + at + len(gather)),
-             slice(None, len(rows)), slice(len(rows), None))
-            for rows, gather, at in groups]
-
-
 def apply_operator(state: np.ndarray, op: PauliSum) -> np.ndarray:
     """Amplitudes of ``op |state>`` (not normalized), ``op`` restricted."""
-    return apply_action(state, _checked_action(state, op))
-
-
-def apply_action(state: np.ndarray, action: tuple) -> np.ndarray:
-    """``op |state>`` from the ``(rows, cols, values)`` of ``op.action``,
-    unchecked: `apply_operator` and `observable_action` check them."""
-    rows, cols, values = action
+    rows, cols, values = _checked_action(state, op)
     # each row adds its terms in entry order, so by ascending X mask
     out = np.bincount(rows, values * state[cols], len(state))
     return out.astype(float, copy=False)  # int zeros when there are none
 
 
-def observable_action(state: np.ndarray, observable: PauliSum) -> tuple:
-    """The action of a restricted Hermitian observable, checked against
-    ``state``'s length: what `expectation` checks, for a caller that
-    evaluates many states of that length."""
-    if observable.hermitian is False:  # None: unrestricted, raised below
-        raise ValueError("expectation requires a Hermitian observable")
-    return _checked_action(state, observable)
-
-
 def expectation(state: np.ndarray, observable: PauliSum) -> float:
     """``<state| observable |state>`` for a restricted Hermitian observable,
     computed as ``<state| (observable |state>)`` without a matrix."""
-    return float(np.dot(state, apply_action(
-        state, observable_action(state, observable))))
+    if observable.hermitian is False:  # None: unrestricted, raised below
+        raise ValueError("expectation requires a Hermitian observable")
+    return float(np.dot(state, apply_operator(state, observable)))

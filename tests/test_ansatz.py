@@ -491,20 +491,26 @@ class TestRotationProgram:
     def test_empty_program_takes_any_length(self, cas22_pool):
         program = Ansatz(cas22_pool).program
         state = np.arange(5)
-        out = program.rotate(program.start(state), [])
+        out = program.rotate(program.start(state), program.weights([]))
         assert out.dtype == np.float64 and out.tolist() == [0, 1, 2, 3, 4]
 
     def test_one_operator_of_a_stack(self):
-        # operator k alone, on a (dim, 2) stack, turns each column as the
-        # loop turns each state on its own
+        # operator k alone, on a (dim, 2) stack, with the weights of all
+        # angles, turns each column as the loop turns each state on its own
         problem = committed_problem("h4")
         ansatz = Ansatz(problem.pool, [3, 0, 7])
         rng = np.random.default_rng(8)
         pair = rng.normal(size=(2, len(problem.reference)))
         expected = [apply_pool_operators(row, (problem.pool[0].qubit_form,),
                                          (-0.7,)) for row in pair]
-        ansatz.program.rotate(pair.T, (-0.7,), operator=1)
+        weights = ansatz.program.weights((0.3, -0.7, 1.1))
+        ansatz.program.rotate(pair.T, weights, operator=1)
         assert pair.tobytes() == np.stack(expected).tobytes()
+
+    def test_operator_steps_partition_the_program(self, cas22_pool):
+        program = full_uccsd_ansatz(cas22_pool).program
+        counts = [len(op.qubit_form.rotations) for op in cas22_pool]
+        assert program.starts == [0, *np.cumsum(counts).tolist()]
 
 
 class TestAnsatz:

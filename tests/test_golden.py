@@ -24,7 +24,8 @@ for every method and optimizer on H2, for an input whose pool is empty,
 and for one and for three ADAPT steps on the 12-qubit H6 chain; the
 three-step run fits up to three angles with L-BFGS, so its adjoint
 gradients sweep back over several operators at 12 qubits, and it is
-pinned with Nelder-Mead as well.
+pinned with Nelder-Mead as well. The Nelder-Mead VQE on H6 runs the
+largest rotation program, all 81 pool operators, 15811 times.
 """
 import hashlib
 from pathlib import Path
@@ -87,6 +88,10 @@ RUN_PINS = [
         ["--optimizer", "nelder_mead", "--max-iter", "3"],
         "524730554a04110de1a2919d8c8c256b557d900c00d0106fd0a00b21798a7a6d",
         id="h6-adapt-nm-max-iter-3"),
+    pytest.param(
+        "h6/h6_r1.000.fcidump", "vqe", ["--optimizer", "nelder_mead"],
+        "cdf709b8b36b5d5945e6618c919a2ffa529d9cc9ce52ae93a5d53ce2450415c3",
+        id="h6-vqe-nm"),
 ]
 
 

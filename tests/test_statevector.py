@@ -80,7 +80,8 @@ def singlet_single_tau(n_so=4):
 def apply_one(state, tau, theta):
     """``exp(theta * tau) |state>``: a `RotationProgram` of one operator."""
     program = RotationProgram((tau,))
-    return program.rotate(program.start(state), (float(theta),))
+    return program.rotate(program.start(state),
+                          program.weights((float(theta),)))
 
 
 def one_string_tau(n_qubits, x_mask, z_mask, weight=1.0):
@@ -357,7 +358,8 @@ class TestKernelsAgainstGroupLoops:
         unit = singlet_single_tau().restrict(full(4))
         with pytest.raises(ValueError, match="anti-Hermitian"):
             program = RotationProgram((unit, tau))
-            program.rotate(program.start(state), (theta, theta))
+            program.rotate(program.start(state),
+                           program.weights((theta, theta)))
         with pytest.raises(ValueError, match="not anti-Hermitian"):
             _validate_pool_operator(weighted_group_tau(), "weighted", full(4))
 
