@@ -26,7 +26,7 @@ from .fermion import (
     anti_hermitian_pair,
     jordan_wigner_each,
 )
-from .pauli import PauliSum
+from .pauli import PauliSum, _compile_each, terms_mutually_commute_each
 from .statevector import RotationProgram, apply_operator, sector_indices
 
 
@@ -112,22 +112,25 @@ def _theta_vector(ansatz: Ansatz, thetas) -> np.ndarray:
     return thetas
 
 
-def _validate_pool_operator(q: PauliSum, description: str,
-                            basis) -> PauliSum:
-    """``q`` restricted to ``basis``, which checks that it is real there
-    and conserves N and S_z; it must also have ``rotations`` (anti-Hermitian,
-    couplings of +-1) and mutually commuting strings."""
-    try:
-        restricted = q.restrict(basis)
-    except ValueError as exc:
-        raise ValueError(f"pool operator {description}: {exc}") from exc
-    if restricted.rotations is None:
-        raise ValueError(f"pool operator {description} not anti-Hermitian "
-                         "with couplings of +-1")
-    if not q.terms_mutually_commute():
-        raise ValueError(
-            f"pool operator {description} has non-commuting strings")
-    return restricted
+def _validate_pool_operators(images, descriptions, basis) -> list[PauliSum]:
+    """Each image restricted to ``basis``, all in one `restrict_each`
+    pass, which checks that each is real there and conserves N and S_z;
+    each must also have ``rotations`` (anti-Hermitian, couplings of +-1)
+    and mutually commuting strings. The ValueError names the first
+    operator that fails, with its first failed check."""
+    images = list(images)
+    commuting = terms_mutually_commute_each(images)
+    compiled = _compile_each(images, basis)
+    for q, commutes, description in zip(compiled, commuting, descriptions):
+        if isinstance(q, ValueError):
+            raise ValueError(f"pool operator {description}: {q}") from q
+        if q.rotations is None:
+            raise ValueError(f"pool operator {description} not "
+                             "anti-Hermitian with couplings of +-1")
+        if not commutes:
+            raise ValueError(
+                f"pool operator {description} has non-commuting strings")
+    return compiled
 
 
 @functools.cache
@@ -140,7 +143,10 @@ def build_uccsd_pool(n_spatial: int,
     spatial quadruple (i <= j occupied, a <= b virtual): the mixed-spin
     pairing always, plus the exchange-mixed and same-spin pairings when
     both index pairs are distinct. Deterministic order: singles first,
-    then doubles, lexicographic in spatial indices.
+    then doubles, lexicographic in spatial indices. Every operator is
+    transformed in one `jordan_wigner_each` pass and compiled on the
+    reference's block in one `restrict_each` pass
+    (`_validate_pool_operators`).
 
     Built once per ``(n_spatial, n_electrons)`` and shared by every
     problem of that shape, so the pool and its operators are read only;
@@ -213,12 +219,12 @@ def build_uccsd_pool(n_spatial: int,
                         candidates.append((FermionOperator(n_so, [prod_b]),
                                            f"{tag} (mixed B)"))
 
-    basis = sector_indices(n_so, n_electrons)
-    images = jordan_wigner_each(anti_hermitian_pair(t) for t, _ in candidates)
-    return tuple(
-        PoolOperator(k, _validate_pool_operator(q, description, basis),
-                     description)
-        for k, (q, (_, description)) in enumerate(zip(images, candidates)))
+    descriptions = [description for _, description in candidates]
+    images = _validate_pool_operators(
+        jordan_wigner_each(anti_hermitian_pair(t) for t, _ in candidates),
+        descriptions, sector_indices(n_so, n_electrons))
+    return tuple(PoolOperator(k, q, description) for k, (q, description)
+                 in enumerate(zip(images, descriptions)))
 
 
 def full_uccsd_ansatz(pool) -> Ansatz:

@@ -45,7 +45,6 @@ from .fcidump import (
 )
 from .fci import infidelity_vs_fci, solve_fci
 from .pauli import ResourceLimitError
-from .selftest import run_selftest
 
 METHOD_ORDER = ("fci", "vqe", "adapt")
 OPTIMIZER_ALIASES = {"nm": "nelder_mead", "nelder_mead": "nelder_mead",
@@ -431,6 +430,8 @@ def main(argv=None) -> int:
             return _cmd_scan(args)
         if args.command == "run":
             return _cmd_run(args)
+        from .selftest import run_selftest  # only this command needs it
+
         return 0 if run_selftest() else 2
     except SystemExit:  # argparse exits only after printing --help
         return 0

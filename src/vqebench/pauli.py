@@ -9,12 +9,19 @@ set; both bits set mean Y. A stored term always reads ``coefficient *
 `PauliSum.restrict` compiles a sum once into what `statevector` and `fci`
 read on a block of basis states: its nonzero block entries ``(rows, cols,
 values)`` and, for an anti-Hermitian sum of +-1 entries, ``rotations``.
+`restrict_each` compiles any number of sums on one basis in one array pass
+(`_basis_action`): a +-1 sign table of string phases, each X-mask group
+summed per state by `np.bincount` in `PauliSum.sorted_terms` order, in
+blocks of whole groups of about BLOCK_CELLS string-state cells; `restrict`
+is its one-sum case, and `ansatz.build_uccsd_pool` compiles its whole pool
+in one call.
 
 Qubit 0 is the least significant bit of basis-state indices throughout.
 """
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain, pairwise
 
 import numpy as np
 
@@ -22,6 +29,9 @@ PRUNE_THRESHOLD = 1e-12
 HERMITIAN_TOL = 1e-12
 LEAK_TOL = 1e-12
 MATRIX_QUBIT_CAP = 12
+# String-state cells per block of `_basis_action`, the pass that compiles
+# sums on a basis; a block holds whole X-mask groups.
+BLOCK_CELLS = 1 << 13
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -100,9 +110,10 @@ class PauliSum:
 
     def restrict(self, basis: np.ndarray) -> "PauliSum":
         """This sum on the ascending basis states ``basis``, with its real
-        ``action`` there compiled once and kept. Raises ValueError unless
-        the sum is Hermitian or anti-Hermitian, real on ``basis`` and maps
-        it into itself; an entry leaving it may be at most ``LEAK_TOL``.
+        ``action`` there compiled once and kept: ``restrict_each([self],
+        basis)[0]``. Raises ValueError unless the sum is Hermitian or
+        anti-Hermitian, real on ``basis`` and maps it into itself; an entry
+        leaving it may be at most ``LEAK_TOL``.
 
         An anti-Hermitian sum whose entries are all +-1, as every pool
         operator's are, also keeps ``rotations``: ``(rows[run], cols[run],
@@ -112,32 +123,7 @@ class PauliSum:
         values[run] * psi[cols[run]]`` and leaves the other entries. Any
         other sum keeps ``rotations = None``.
         """
-        hermitian = self.is_hermitian()
-        if not (hermitian or self.is_anti_hermitian()):
-            raise ValueError("only a Hermitian or anti-Hermitian sum can be "
-                             "restricted")
-        out = PauliSum(self.n_qubits)
-        out.terms, out.basis, out.hermitian = self.terms, basis, hermitian
-        targets, diagonal = _basis_action(self, basis)
-        off = targets < 0
-        leak = np.abs(diagonal[off]).max(initial=0.0)
-        if leak > LEAK_TOL:
-            raise ValueError(f"the sum leaves the block: max dropped "
-                             f"entry = {leak:.3e}")
-        diagonal[off] = 0.0
-        if diagonal.imag.any():
-            raise ValueError(f"the sum is not real on the block: max "
-                             f"|Im| = {np.abs(diagonal.imag).max():.3e}")
-        group, cols = np.nonzero(diagonal.real)
-        rows, values = targets[group, cols], diagonal.real[group, cols]
-        for a in (rows, cols, values):
-            a.flags.writeable = False
-        out._action = rows, cols, values
-        if not hermitian and (np.abs(values) == 1.0).all():
-            starts = np.flatnonzero(np.diff(group, prepend=-1))
-            out.rotations = tuple(zip(*(np.split(a, starts)[1:]
-                                        for a in (rows, cols, values))))
-        return out
+        return restrict_each([self], basis)[0]
 
     @property
     def action(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -168,14 +154,7 @@ class PauliSum:
         return all(abs(c.real) <= HERMITIAN_TOL for c in self.terms.values())
 
     def terms_mutually_commute(self) -> bool:
-        keys = list(self.terms)
-        for i in range(len(keys)):
-            for j in range(i + 1, len(keys)):
-                xa, za = keys[i]
-                xb, zb = keys[j]
-                if ((xa & zb).bit_count() + (za & xb).bit_count()) % 2:
-                    return False
-        return True
+        return bool(terms_mutually_commute_each([self])[0])
 
     def __str__(self):
         if not self.terms:
@@ -244,45 +223,211 @@ def _term_arrays(s: PauliSum):
 CacheInfo = namedtuple("CacheInfo", "hits misses")
 
 
-def _basis_action(s: PauliSum,
-                  basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(targets, diagonal)``: two ``(groups, len(basis))`` arrays, one
-    row per distinct X mask ``x`` of ``s``, ascending, over the ascending
-    basis states ``basis``. Row ``g`` maps ``basis[i]`` to ``diagonal[g,
-    i] |basis[targets[g, i]]>``, and ``targets[g, i]`` is -1 where
-    ``basis[i] ^ x`` is not in ``basis``.
+def restrict_each(sums, basis: np.ndarray) -> list[PauliSum]:
+    """`PauliSum.restrict` of each sum on the ascending basis states
+    ``basis``, all compiled in one array pass (`_basis_action`). Raises the
+    ValueError of the first sum that `restrict` rejects, and
+    DimensionMismatchError for sums on different qubit counts."""
+    out = _compile_each(sums, basis)
+    for r in out:
+        if isinstance(r, ValueError):
+            raise r
+    return out
 
-    Each complex diagonal sums ``coefficient * string_phases`` over its
-    group's strings in `PauliSum.sorted_terms` order. Counts actions built
-    here (``misses``) and kept actions read through `PauliSum.action`
-    (``hits``) since import; ``cache_info()`` reads them.
+
+def _compile_each(sums, basis: np.ndarray) -> list:
+    """`restrict_each` without the raise: per sum, in order, the restricted
+    sum or the ValueError that `restrict` raises for it.
+
+    A sum is checked for hermiticity, then for an entry leaving the block
+    by more than LEAK_TOL, then for an imaginary entry on it. The nonzero
+    entries of all sums form one read-only ``(rows, cols, values)`` triple;
+    each sum's ``action`` is its slice of it, and its ``rotations`` are
+    slices of that, one per X-mask group with entries.
     """
-    position = np.full(1 << s.n_qubits, -1, dtype=np.int64)
-    position[basis] = np.arange(len(basis))
-    masks = sorted({x for x, _ in s.terms})
-    row = {x: g for g, x in enumerate(masks)}
-    diagonal = np.zeros((len(masks), len(basis)), dtype=complex)
-    for x, z, c in s.sorted_terms():
-        diagonal[row[x]] += c * string_phases(basis, x, z)
-    _basis_action.misses += 1
-    return position[basis ^ np.array(masks, np.int64)[:, None]], diagonal
+    sums = list(sums)
+    if not sums:
+        return []
+    for s in sums[1:]:
+        _check_same_qubits(sums[0], s)
+    table = _term_table(sums)
+    owner, _, _, c = table
+    n_sums = len(sums)
+    hermitian = _none(owner, ~(np.abs(c.imag) <= HERMITIAN_TOL), n_sums)
+    anti = _none(owner, ~(np.abs(c.real) <= HERMITIAN_TOL), n_sums)
+    group_owner, count, not_unit, leak, worst_imag, rows, cols, values = (
+        list(a) for a in zip(*map(_block_entries,
+                                  _basis_action(sums, basis, table))))
+    group_owner, count, not_unit, leak, worst_imag = map(
+        np.concatenate, (group_owner, count, not_unit, leak, worst_imag))
+    rows, cols, values = map(np.concatenate, (rows, cols, values))
+    for a in (rows, cols, values):
+        a.flags.writeable = False
+    sum_leak, sum_imag = np.zeros(n_sums), np.zeros(n_sums)
+    np.maximum.at(sum_leak, group_owner, leak)
+    np.maximum.at(sum_imag, group_owner, worst_imag)
+    unit = _none(group_owner, not_unit, n_sums)
+    # entry bounds of each group, and each sum's first and last group
+    edges = np.concatenate(([0], np.cumsum(count))).tolist()
+    first = np.searchsorted(group_owner, np.arange(n_sums + 1)).tolist()
+    out = []
+    for k, (s, g0, g1) in enumerate(zip(sums, first, first[1:])):
+        if not (hermitian[k] or anti[k]):
+            out.append(ValueError("only a Hermitian or anti-Hermitian sum "
+                                  "can be restricted"))
+        elif sum_leak[k] > LEAK_TOL:
+            out.append(ValueError(f"the sum leaves the block: max dropped "
+                                  f"entry = {sum_leak[k]:.3e}"))
+        elif sum_imag[k] != 0.0:
+            out.append(ValueError(f"the sum is not real on the block: max "
+                                  f"|Im| = {sum_imag[k]:.3e}"))
+        else:
+            r = PauliSum(s.n_qubits)
+            r.terms, r.basis, r.hermitian = s.terms, basis, bool(hermitian[k])
+            a, b = edges[g0], edges[g1]
+            r._action = rows[a:b], cols[a:b], values[a:b]
+            if not r.hermitian and unit[k]:
+                r.rotations = tuple(
+                    (rows[i:j], cols[i:j], values[i:j])
+                    for i, j in pairwise(edges[g0:g1 + 1]) if i < j)
+            out.append(r)
+    return out
+
+
+def _block_entries(block) -> tuple:
+    """Of one `_basis_action` block: each group's owner, entry count,
+    count of entries other than +-1, largest dropped entry and largest
+    |Im| on the basis, then the block's nonzero entries ``(rows, cols,
+    values)`` with the dropped ones zeroed."""
+    owner, targets, real, imag = block
+    off = targets < 0
+    dropped = np.abs(real) if imag is None else np.hypot(real, imag)
+    leak = dropped.max(axis=1, initial=0.0, where=off)
+    worst_imag = (np.zeros(len(owner)) if imag is None else
+                  np.abs(imag).max(axis=1, initial=0.0, where=~off))
+    real[off] = 0.0
+    at = np.flatnonzero(real)
+    group, cols = np.divmod(at, real.shape[1])
+    values = real.ravel()[at]
+    return (owner, np.bincount(group, minlength=len(owner)),
+            np.bincount(group, np.abs(values) != 1.0, len(owner)), leak,
+            worst_imag, targets.ravel()[at], cols, values)
+
+
+def terms_mutually_commute_each(sums) -> np.ndarray:
+    """Whether each sum's strings mutually commute, as a bool array, from
+    one array pass over every pair of strings within a sum: two strings
+    commute when ``popcount(xa & zb) + popcount(za & xb)`` is even. The
+    pairs take memory in the sum of the squared sizes."""
+    sums = list(sums)
+    owner, x, z, _ = _term_table(sums)
+    size = np.bincount(owner, minlength=len(sums))
+    later = np.cumsum(size)[owner] - np.arange(len(x)) - 1  # same sum
+    i = np.repeat(np.arange(len(x)), later)
+    # the strings after i, from i + 1 up to the last of its sum
+    j = np.arange(1, len(i) + 1)
+    j -= np.repeat(np.cumsum(later) - later - np.arange(len(x)), later)
+    odd = np.bitwise_count(x[i] & z[j])
+    odd += np.bitwise_count(z[i] & x[j])
+    return _none(owner[i], odd & 1, len(sums))
+
+
+def _none(owner: np.ndarray, flags: np.ndarray, n: int) -> np.ndarray:
+    """Per owner ``0 .. n-1``: true where none of its ``flags`` is set."""
+    return np.bincount(owner, flags, n) == 0
+
+
+def _term_table(sums) -> tuple:
+    """Owner (index into ``sums``), x mask, z mask and coefficient of each
+    term of ``sums``, sum by sum, each sum's terms by ``(x_mask, z_mask)``:
+    its X-mask groups ascending, each group's strings in
+    `PauliSum.sorted_terms` order."""
+    keys = [sorted(s.terms) for s in sums]
+    sizes = [len(k) for k in keys]
+    count = sum(sizes)
+    x, z = np.fromiter(chain.from_iterable(chain.from_iterable(keys)),
+                       np.int64, 2 * count).reshape(-1, 2).T
+    c = np.fromiter(chain.from_iterable(
+        map(s.terms.__getitem__, k) for s, k in zip(sums, keys)), complex,
+        count)
+    return np.repeat(np.arange(len(sums)), sizes), x, z, c
+
+
+def _basis_action(sums, basis: np.ndarray, table: tuple):
+    """The action of each of ``sums`` on the ascending basis states
+    ``basis``, per X-mask group, in blocks of whole groups built lazily;
+    ``table`` is `_term_table(sums)`.
+
+    Returns an iterator of ``(owner, targets, real, imag)``, one per block:
+    ``owner`` holds each group's index into ``sums``, and ``targets``,
+    ``real`` and ``imag`` are ``(groups, len(basis))`` arrays; ``imag`` is
+    None where every string of the block has a real weight. Group ``g``
+    maps ``basis[i]`` to ``(real + i imag)[g, i] |basis[targets[g, i]]>``;
+    ``targets[g, i]`` is -1 where ``basis[i] ^ x`` is not in ``basis``.
+    Groups run sum by sum, each sum's by ascending X mask.
+
+    A string ``c X^x Z^z i**popcount(x & z)`` maps ``|b>`` to
+    ``(-1)**popcount(b & z) c i**popcount(x & z) |b ^ x>``, and each part of
+    ``c i**popcount(x & z)`` is a part of ``c`` up to sign. A +-1 sign
+    table over strings and states multiplies those parts, and `np.bincount`
+    sums each group's strings per state in `PauliSum.sorted_terms` order
+    from 0.0: for finite coefficients, the bits of adding ``c * phase``
+    string by string in complex arithmetic. A block holds the groups whose
+    first string falls in one window of BLOCK_CELLS string-state cells,
+    so memory follows the block, not the sums.
+
+    Counts the sums compiled here (``misses``) and the kept actions read
+    through `PauliSum.action` (``hits``) since import; ``cache_info()``
+    reads them.
+    """
+    owner, x, z, c = table
+    _basis_action.misses += len(sums)
+    n_states = len(basis)
+    k = np.bitwise_count(x & z) & 3
+    a = np.choose(k, (c.real, -c.imag, -c.real, c.imag))
+    b = np.choose(k, (c.imag, c.real, -c.imag, -c.real))
+    new = np.ones(len(x), bool)
+    new[1:] = (owner[1:] != owner[:-1]) | (x[1:] != x[:-1])
+    group = np.cumsum(new) - 1
+    starts = np.flatnonzero(new)
+    cuts = np.flatnonzero(np.diff(starts * n_states // BLOCK_CELLS)) + 1
+    edges = np.append(starts, len(x)).tolist()
+    position = np.full(1 << sums[0].n_qubits, -1, dtype=np.int64)
+    position[basis] = np.arange(n_states)
+    states = np.arange(n_states)
+
+    def block(bounds):
+        g0, g1 = bounds
+        t0, t1 = edges[g0], edges[g1]
+        shape = (g1 - g0, n_states)
+        odd = np.bitwise_count(z[t0:t1, None] & basis) & 1
+        cell = (((group[t0:t1] - g0) * n_states)[:, None] + states).ravel()
+        return (owner[starts[g0:g1]],
+                position[basis ^ x[starts[g0:g1], None]],
+                _group_sums(odd, cell, a[t0:t1], shape),
+                _group_sums(odd, cell, b[t0:t1], shape)
+                if b[t0:t1].any() else None)
+
+    # each block's locals are gone before the next block is built
+    return map(block, pairwise([0, *cuts.tolist(), len(starts)]))
+
+
+def _group_sums(odd: np.ndarray, cell: np.ndarray, part: np.ndarray,
+                shape: tuple) -> np.ndarray:
+    """Per group and state of a block: the ``part`` of each of its strings
+    times the sign table, -1 where ``odd``, summed by `np.bincount` over
+    the flat ``cell`` indices, string by string from 0.0."""
+    weight = odd * -2.0
+    weight += 1.0
+    weight *= part[:, None]
+    # float64 also for a block without groups, where bincount gives int64
+    return np.bincount(cell, weight.ravel(), shape[0] * shape[1]).astype(
+        float, copy=False).reshape(shape)
 
 
 _basis_action.hits = _basis_action.misses = 0
 _basis_action.cache_info = lambda: CacheInfo(_basis_action.hits,
                                              _basis_action.misses)
-
-
-def string_phases(basis: np.ndarray, x_mask: int, z_mask: int) -> np.ndarray:
-    """Phases of the unit-coefficient string on the given basis states.
-
-    ``P |b> = phases[i] |b ^ x_mask>`` for ``b = basis[i]``, using
-    ``P = i**popcount(x & z) * X^x Z^z`` and
-    ``X^x Z^z |b> = (-1)**popcount(b & z) |b ^ x>``.
-    """
-    parity = np.bitwise_count(basis & z_mask) & 1
-    phases = np.where(parity, -1.0 + 0j, 1.0 + 0j)
-    return phases * (1j) ** ((x_mask & z_mask).bit_count() % 4)
 
 
 def to_matrix(s: PauliSum) -> np.ndarray:
@@ -296,6 +441,10 @@ def to_matrix(s: PauliSum) -> np.ndarray:
     dim = 1 << s.n_qubits
     mat = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim, dtype=np.int64)
-    targets, diagonal = _basis_action(s, cols)
-    mat[targets, cols] += diagonal  # every (target, column) pair distinct
+    for _, targets, real, imag in _basis_action([s], cols,
+                                                _term_table([s])):
+        # every (target, column) pair distinct, each written once
+        mat.real[targets, cols] = real
+        if imag is not None:
+            mat.imag[targets, cols] = imag
     return mat

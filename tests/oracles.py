@@ -14,6 +14,14 @@ Each is an oracle for something the package computes another way:
   the (N, S_z) block that `PauliSum.restrict` keeps;
 - `infidelity`, ``1 - |<b|a>|`` against one reference state, for
   `fci.infidelity_vs_fci` on a one-vector ground space;
+- `basis_action`, the per-string loop over `string_phases` that
+  compiled a sum on a basis before `pauli._basis_action` did it for many
+  sums in one array pass, and on it `restrict` (one sum's
+  `PauliSum.restrict`, its checks and messages), `to_matrix` and
+  `terms_mutually_commute` (the pair loop): the byte oracles of
+  `pauli.restrict_each`, `pauli.to_matrix` and
+  `pauli.terms_mutually_commute_each`, and `validate_pool_operators`,
+  the checks `ansatz.build_uccsd_pool` made one operator at a time;
 - `group_action`, `apply_by_groups` and `exponential_by_groups`, the
   per-X-mask-group loops the package ran before it compiled a restricted
   sum into its nonzero block entries and scalar rotations, for
@@ -182,6 +190,105 @@ def infidelity(state: np.ndarray, reference: np.ndarray) -> float:
     return float(np.linalg.norm(a - phase * b) ** 2) / 2
 
 
+def string_phases(basis: np.ndarray, x_mask: int, z_mask: int) -> np.ndarray:
+    """Phases of the unit-coefficient string on the given basis states.
+
+    ``P |b> = phases[i] |b ^ x_mask>`` for ``b = basis[i]``, using
+    ``P = i**popcount(x & z) * X^x Z^z`` and
+    ``X^x Z^z |b> = (-1)**popcount(b & z) |b ^ x>``.
+    """
+    parity = np.bitwise_count(basis & z_mask) & 1
+    phases = np.where(parity, -1.0 + 0j, 1.0 + 0j)
+    return phases * (1j) ** ((x_mask & z_mask).bit_count() % 4)
+
+
+def basis_action(s: PauliSum,
+                 basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(targets, diagonal)``: two ``(groups, len(basis))`` arrays, one
+    row per distinct X mask ``x`` of ``s``, ascending, over the ascending
+    basis states ``basis``. Row ``g`` maps ``basis[i]`` to ``diagonal[g,
+    i] |basis[targets[g, i]]>``, and ``targets[g, i]`` is -1 where
+    ``basis[i] ^ x`` is not in ``basis``. Each complex diagonal sums
+    ``coefficient * string_phases`` over its group's strings in
+    `PauliSum.sorted_terms` order, one string at a time."""
+    position = np.full(1 << s.n_qubits, -1, dtype=np.int64)
+    position[basis] = np.arange(len(basis))
+    masks = sorted({x for x, _ in s.terms})
+    row = {x: g for g, x in enumerate(masks)}
+    diagonal = np.zeros((len(masks), len(basis)), dtype=complex)
+    for x, z, c in s.sorted_terms():
+        diagonal[row[x]] += c * string_phases(basis, x, z)
+    return position[basis ^ np.array(masks, np.int64)[:, None]], diagonal
+
+
+def restrict(s: PauliSum, basis: np.ndarray):
+    """``(rows, cols, values, rotations, hermitian)`` of ``s`` on
+    ``basis`` as `PauliSum.restrict` compiled one sum at a time on
+    `basis_action`, raising its ValueErrors with their texts."""
+    hermitian = s.is_hermitian()
+    if not (hermitian or s.is_anti_hermitian()):
+        raise ValueError("only a Hermitian or anti-Hermitian sum can be "
+                         "restricted")
+    targets, diagonal = basis_action(s, basis)
+    off = targets < 0
+    leak = np.abs(diagonal[off]).max(initial=0.0)
+    if leak > pauli.LEAK_TOL:
+        raise ValueError(f"the sum leaves the block: max dropped "
+                         f"entry = {leak:.3e}")
+    diagonal[off] = 0.0
+    if diagonal.imag.any():
+        raise ValueError(f"the sum is not real on the block: max "
+                         f"|Im| = {np.abs(diagonal.imag).max():.3e}")
+    group, cols = np.nonzero(diagonal.real)
+    rows, values = targets[group, cols], diagonal.real[group, cols]
+    rotations = None
+    if not hermitian and (np.abs(values) == 1.0).all():
+        starts = np.flatnonzero(np.diff(group, prepend=-1))
+        rotations = tuple(zip(*(np.split(a, starts)[1:]
+                                for a in (rows, cols, values))))
+    return rows, cols, values, rotations, hermitian
+
+
+def to_matrix(s: PauliSum) -> np.ndarray:
+    """`pauli.to_matrix` on `basis_action` over all ``2**n`` states."""
+    dim = 1 << s.n_qubits
+    mat = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(dim, dtype=np.int64)
+    targets, diagonal = basis_action(s, cols)
+    mat[targets, cols] += diagonal  # every (target, column) pair distinct
+    return mat
+
+
+def terms_mutually_commute(s: PauliSum) -> bool:
+    """Whether the strings of ``s`` mutually commute, one pair at a time."""
+    keys = list(s.terms)
+    for i in range(len(keys)):
+        for j in range(i + 1, len(keys)):
+            xa, za = keys[i]
+            xb, zb = keys[j]
+            if ((xa & zb).bit_count() + (za & xb).bit_count()) % 2:
+                return False
+    return True
+
+
+def validate_pool_operators(images, descriptions, basis) -> None:
+    """Raise the ValueError that building a pool of ``images`` on ``basis``
+    raised when each operator was checked on its own, in order: restricted
+    (`restrict`), then with rotations, then with mutually commuting
+    strings (`terms_mutually_commute`)."""
+    for q, description in zip(images, descriptions):
+        try:
+            rotations = restrict(q, basis)[3]
+        except ValueError as exc:
+            raise ValueError(f"pool operator {description}: {exc}") from exc
+        if rotations is None:
+            raise ValueError(f"pool operator {description} not "
+                             "anti-Hermitian with couplings of +-1")
+        if not terms_mutually_commute(q):
+            raise ValueError(
+                f"pool operator {description} has non-commuting strings")
+
+
 def group_action(op: PauliSum, basis=None) -> list:
     """``(targets, diagonal)`` per distinct X mask of ``op``, ascending,
     over the ascending basis states ``basis`` (default ``op.basis``): the
@@ -189,7 +296,7 @@ def group_action(op: PauliSum, basis=None) -> list:
     entry leaving ``basis`` maps to itself with diagonal 0. ``op`` must be
     real on ``basis``."""
     basis = op.basis if basis is None else basis
-    targets, diagonal = pauli._basis_action(op, basis)
+    targets, diagonal = basis_action(op, basis)
     off = targets < 0
     if diagonal.imag[~off].any():
         raise ValueError("the sum is not real on the basis")

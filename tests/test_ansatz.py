@@ -26,7 +26,7 @@ from vqebench.ansatz import (
     Gate,
     GateCircuit,
     PoolOperator,
-    _validate_pool_operator,
+    _validate_pool_operators,
     build_uccsd_pool,
     circuit_metrics,
     circuit_resources,
@@ -155,12 +155,12 @@ class TestPoolConstruction:
         assert q.is_anti_hermitian()
         assert q.terms_mutually_commute()
         with pytest.raises(ValueError, match="spin flip: .*leaves the block"):
-            _validate_pool_operator(q, "spin flip", SECTOR)
+            _validate_pool_operators([q], ["spin flip"], SECTOR)
 
     def test_hermitian_operator_is_rejected(self):
         herm = PauliSum(4, {(0b0101, 0): 1.0})  # X0 X2, an alpha hop
         with pytest.raises(ValueError, match="not anti-Hermitian"):
-            _validate_pool_operator(herm, "hermitian", SECTOR)
+            _validate_pool_operators([herm], ["hermitian"], SECTOR)
 
 
 def closed_form_pool_size(n_spatial, n_electrons):

@@ -353,13 +353,24 @@ class TestReports:
     def test_cli_import_loads_no_statistics(self):
         # statistics imports decimal and fractions: milliseconds of every
         # command's start
-        src = Path(cli.__file__).resolve().parents[1]
-        loaded = subprocess.run(
-            [sys.executable, "-c", "import sys, vqebench.cli; print(sorted("
-             "{'statistics', 'decimal', 'fractions'} & set(sys.modules)))"],
-            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
-            text=True, check=True).stdout
-        assert loaded == "[]\n"
+        assert loaded_by_cli_import(
+            {"statistics", "decimal", "fractions"}) == "[]\n"
+
+    def test_cli_import_loads_no_selftest(self):
+        # only the selftest command imports it, so no other command
+        # compiles or runs its module
+        assert loaded_by_cli_import({"vqebench.selftest"}) == "[]\n"
+
+
+def loaded_by_cli_import(modules) -> str:
+    """The printed sorted list of ``modules`` that a fresh interpreter has
+    loaded after ``import vqebench.cli``."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-c", "import sys, vqebench.cli; print(sorted("
+         f"{sorted(modules)!r} & sys.modules.keys()))"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, check=True).stdout
 
 
 class TestMainEntry:

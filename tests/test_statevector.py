@@ -18,7 +18,7 @@ from vqebench import pauli
 from vqebench.adapt import AdaptConfig, QubitProblem, run_adapt
 from vqebench.ansatz import (
     Ansatz,
-    _validate_pool_operator,
+    _validate_pool_operators,
     energy_gradient,
     full_uccsd_ansatz,
     prepare_state,
@@ -361,7 +361,8 @@ class TestKernelsAgainstGroupLoops:
             program.rotate(program.start(state),
                            program.weights((theta, theta)))
         with pytest.raises(ValueError, match="not anti-Hermitian"):
-            _validate_pool_operator(weighted_group_tau(), "weighted", full(4))
+            _validate_pool_operators([weighted_group_tau()], ["weighted"],
+                                     full(4))
 
     def test_operator_action_and_expectation(self, kernel_problem):
         rng = np.random.default_rng(23)
