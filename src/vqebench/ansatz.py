@@ -119,6 +119,8 @@ def _validate_pool_operators(images, descriptions, basis) -> list[PauliSum]:
     and mutually commuting strings. The ValueError names the first
     operator that fails, with its first failed check."""
     images = list(images)
+    # before the compile, so that its string pairs are freed before the
+    # compiled entries are built: the two peaks do not add up
     commuting = terms_mutually_commute_each(images)
     compiled = _compile_each(images, basis)
     for q, commutes, description in zip(compiled, commuting, descriptions):
