@@ -135,19 +135,29 @@ def _validate_pool_operators(images, descriptions, basis) -> list[PauliSum]:
     return compiled
 
 
+def flipped(prod: LadderProduct) -> LadderProduct:
+    """``prod`` with every spin orbital's spin flipped, ``q ^ 1``, which
+    swaps alpha ``2m`` and beta ``2m + 1``; the same coefficient."""
+    return LadderProduct([(q ^ 1, dagger) for q, dagger in prod.factors],
+                         prod.coefficient)
+
+
 @functools.cache
 def build_uccsd_pool(n_spatial: int,
                      n_electrons: int) -> tuple[PoolOperator, ...]:
     """Singlet-adapted singles and doubles over a closed-shell reference.
 
-    Singles pair the alpha and beta channels of each occupied->virtual
-    spatial excitation under one amplitude. Doubles are emitted per
-    spatial quadruple (i <= j occupied, a <= b virtual): the mixed-spin
-    pairing always, plus the exchange-mixed and same-spin pairings when
-    both index pairs are distinct. Deterministic order: singles first,
-    then doubles, lexicographic in spatial indices. Every operator is
-    transformed in one `jordan_wigner_each` pass and compiled on the
-    reference's block in one `restrict_each` pass
+    Each spin channel shares one amplitude with its spin flip (`flipped`),
+    so it is listed once. Singles: one per occupied->virtual spatial
+    excitation. Doubles, per spatial quadruple (i <= j occupied, a <= b
+    virtual): the mixed-spin channel, plus the exchange-mixed and
+    same-spin ones when both index pairs are distinct. For i == j and
+    a == b the flip is the channel itself (paired); with one repeated
+    index the two overlap there, and their merged strings would not
+    commute, so they are two operators (mixed A, mixed B). Deterministic
+    order: singles first, then doubles, lexicographic in spatial indices.
+    Every operator is transformed in one `jordan_wigner_each` pass and
+    compiled on the reference's block in one `restrict_each` pass
     (`_validate_pool_operators`).
 
     Built once per ``(n_spatial, n_electrons)`` and shared by every
@@ -163,67 +173,40 @@ def build_uccsd_pool(n_spatial: int,
     occupied = range(n_occ)
     virtual = range(n_occ, n_spatial)
 
-    candidates = []
+    candidates = []  # (products sharing one amplitude, description)
     for i in occupied:
         for a in virtual:
-            t = FermionOperator(n_so, [
-                LadderProduct([(2 * a, True), (2 * i, False)]),
-                LadderProduct([(2 * a + 1, True), (2 * i + 1, False)]),
-            ])
-            candidates.append((t, f"single {i}->{a} (singlet)"))
+            single = LadderProduct([(2 * a, True), (2 * i, False)])
+            candidates.append(([single, flipped(single)],
+                               f"single {i}->{a} (singlet)"))
     for i in occupied:
-        for j in occupied:
-            if j < i:
-                continue
+        for j in range(i, n_occ):
             for a in virtual:
-                for b in virtual:
-                    if b < a:
-                        continue
-                    prod_a = LadderProduct(
-                        [(2 * a, True), (2 * b + 1, True),
-                         (2 * j + 1, False), (2 * i, False)])
-                    prod_b = LadderProduct(
-                        [(2 * a + 1, True), (2 * b, True),
-                         (2 * j, False), (2 * i + 1, False)])
+                for b in range(a, n_spatial):
+                    mixed = LadderProduct([(2 * a, True), (2 * b + 1, True),
+                                           (2 * j + 1, False), (2 * i, False)])
                     tag = f"double {i}{j}->{a}{b}"
                     if i == j and a == b:
-                        # both spin assignments are the same operator
-                        candidates.append((FermionOperator(n_so, [prod_a]),
-                                           f"{tag} (paired)"))
+                        candidates.append(([mixed], f"{tag} (paired)"))
                     elif i < j and a < b:
-                        # disjoint-support channel pairs share one amplitude
-                        candidates.append((FermionOperator(
-                            n_so, [prod_a, prod_b]), f"{tag} (mixed)"))
-                        exchange = FermionOperator(n_so, [
-                            LadderProduct([(2 * a, True), (2 * b + 1, True),
-                                           (2 * i + 1, False),
-                                           (2 * j, False)]),
-                            LadderProduct([(2 * a + 1, True), (2 * b, True),
-                                           (2 * i, False),
-                                           (2 * j + 1, False)]),
-                        ])
-                        candidates.append((exchange, f"{tag} (exchange)"))
-                        same = FermionOperator(n_so, [
-                            LadderProduct([(2 * a, True), (2 * b, True),
-                                           (2 * j, False), (2 * i, False)]),
-                            LadderProduct([(2 * a + 1, True),
-                                           (2 * b + 1, True),
-                                           (2 * j + 1, False),
-                                           (2 * i + 1, False)]),
-                        ])
-                        candidates.append((same, f"{tag} (same-spin)"))
+                        exchange = LadderProduct(
+                            [(2 * a, True), (2 * b + 1, True),
+                             (2 * i + 1, False), (2 * j, False)])
+                        same = LadderProduct([(2 * a, True), (2 * b, True),
+                                              (2 * j, False), (2 * i, False)])
+                        candidates += [
+                            ([prod, flipped(prod)], f"{tag} ({kind})")
+                            for prod, kind in ((mixed, "mixed"),
+                                               (exchange, "exchange"),
+                                               (same, "same-spin"))]
                     else:
-                        # channels overlap on the repeated spatial index;
-                        # merged strings would not commute, so they enter
-                        # the pool as separate operators
-                        candidates.append((FermionOperator(n_so, [prod_a]),
-                                           f"{tag} (mixed A)"))
-                        candidates.append((FermionOperator(n_so, [prod_b]),
-                                           f"{tag} (mixed B)"))
+                        candidates += [([mixed], f"{tag} (mixed A)"),
+                                       ([flipped(mixed)], f"{tag} (mixed B)")]
 
     descriptions = [description for _, description in candidates]
     images = _validate_pool_operators(
-        jordan_wigner_each(anti_hermitian_pair(t) for t, _ in candidates),
+        jordan_wigner_each(anti_hermitian_pair(FermionOperator(n_so, prods))
+                           for prods, _ in candidates),
         descriptions, sector_indices(n_so, n_electrons))
     return tuple(PoolOperator(k, q, description) for k, (q, description)
                  in enumerate(zip(images, descriptions)))

@@ -14,11 +14,15 @@ The scan config is a plain key-value text file::
 
 ``input`` lines repeat, one per scan point, and keep file order; every
 other key may be set once. A config, like the ``run`` flags, passes on
-only the settings it gives: `AdaptConfig` holds their defaults (shown
-above) and checks. ``scan`` and ``run`` score a method with one call. The
-gradient-free optimizer is Nelder-Mead (standing in for the reference
-implementation's COBYLA); every summary report says so. The
-gradient-based one is L-BFGS on exact (adjoint) gradients.
+only the settings it gives: `adapt.SETTINGS` names them, and
+`AdaptConfig` holds their defaults (shown above) and checks. ``scan`` and
+``run`` score a method with one call. A scan writes one row per input,
+method and optimizer; `COLUMNS` states the row's fields once, in order,
+with the text scan.csv prints for each, and the CSV header, `ScanRow`
+and scan.json are derived from it. The gradient-free optimizer is
+Nelder-Mead (standing in for the reference implementation's COBYLA);
+every summary report says so. The gradient-based one is L-BFGS on exact
+(adjoint) gradients.
 """
 from __future__ import annotations
 
@@ -50,10 +54,7 @@ METHOD_ORDER = ("fci", "vqe", "adapt")
 OPTIMIZER_ALIASES = {"nm": "nelder_mead", "nelder_mead": "nelder_mead",
                      "nelder-mead": "nelder_mead", "lbfgs": "lbfgs",
                      "l-bfgs": "lbfgs"}
-CSV_HEADER = ("label,method,optimizer,energy,abs_error_vs_fci,infidelity,"
-              "n_operators,gate_count,depth,measurement_total,converged")
-CONFIG_KEYS = ("output", "methods", "optimizers", "grad_norm_threshold",
-               "tol_rel_energy", "max_iterations", "input")
+CONFIG_KEYS = ("output", "methods", "optimizers", "input") + SETTINGS
 GRADIENT_FREE_NOTE = ("gradient-free optimizer: Nelder-Mead (stand-in for "
                       "the reference COBYLA)")
 INFIDELITY_FLOOR = 1e-15
@@ -63,6 +64,18 @@ def format_infidelity(value: float) -> str:
     """An infidelity as every report prints it: ``.6e``, and 0 below
     INFIDELITY_FLOOR, the absolute floor of double-precision overlaps."""
     return f"{0.0 if value < INFIDELITY_FLOOR else value:.6e}"
+
+
+# The report columns, in order, each with the text scan.csv prints for its
+# value; scan.json reads the printed decimals back as floats.
+COLUMNS = {
+    "label": str, "method": str, "optimizer": str,
+    "energy": "{:.9f}".format, "abs_error_vs_fci": "{:.9f}".format,
+    "infidelity": format_infidelity, "n_operators": str, "gate_count": str,
+    "depth": str, "measurement_total": str,
+    "converged": lambda converged: "true" if converged else "false",
+}
+CSV_HEADER = ",".join(COLUMNS)
 
 
 class ScanConfig:
@@ -151,28 +164,15 @@ def parse_scan_config(text: str, base_dir: Path | None = None) -> ScanConfig:
 
 
 class ScanRow:
-    __slots__ = ("label", "method", "optimizer", "energy",
-                 "abs_error_vs_fci", "infidelity", "n_operators",
-                 "gate_count", "depth", "measurement_total", "converged")
+    __slots__ = tuple(COLUMNS)
 
     def __init__(self, **kwargs):
         for name in self.__slots__:
             setattr(self, name, kwargs[name])
 
     def formatted(self) -> dict:
-        return {
-            "label": self.label,
-            "method": self.method,
-            "optimizer": self.optimizer,
-            "energy": f"{self.energy:.9f}",
-            "abs_error_vs_fci": f"{self.abs_error_vs_fci:.9f}",
-            "infidelity": format_infidelity(self.infidelity),
-            "n_operators": str(self.n_operators),
-            "gate_count": str(self.gate_count),
-            "depth": str(self.depth),
-            "measurement_total": str(self.measurement_total),
-            "converged": "true" if self.converged else "false",
-        }
+        return {name: text(getattr(self, name))
+                for name, text in COLUMNS.items()}
 
     def csv_line(self) -> str:
         return ",".join(self.formatted().values())
@@ -251,20 +251,10 @@ def render_csv(rows) -> str:
 def render_json(rows) -> str:
     payload = []
     for row in rows:
-        formatted = row.formatted()
-        payload.append({
-            "label": formatted["label"],
-            "method": formatted["method"],
-            "optimizer": formatted["optimizer"],
-            "energy": float(formatted["energy"]),
-            "abs_error_vs_fci": float(formatted["abs_error_vs_fci"]),
-            "infidelity": float(formatted["infidelity"]),
-            "n_operators": row.n_operators,
-            "gate_count": row.gate_count,
-            "depth": row.depth,
-            "measurement_total": row.measurement_total,
-            "converged": row.converged,
-        })
+        texts = row.formatted()
+        payload.append({name: float(texts[name])
+                        if isinstance(value := getattr(row, name), float)
+                        else value for name in COLUMNS})
     return json.dumps(payload, indent=2) + "\n"
 
 

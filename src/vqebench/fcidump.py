@@ -4,7 +4,8 @@ An FCIDUMP carries a namelist header (``&FCI NORB=..., NELEC=..., MS2=...``
 terminated by ``&END`` or ``/``) followed by ``value i j k l`` records with
 1-based spatial indices: ``i=j=k=l=0`` is the scalar core energy, ``k=l=0``
 a one-electron element, anything else a two-electron integral in chemist
-notation ``(ij|kl)``.
+notation ``(ij|kl)``, set with its whole symmetry orbit (`_orbit`). Records
+that set the same elements must agree within `DUPLICATE_TOL`.
 
 This module alone decides which inputs are supported: at most `QUBIT_CAP`
 qubits and an even electron count (`check_supported`), finite integrals,
@@ -32,6 +33,13 @@ SYMMETRY_TOL = 1e-10
 # the permutations that generate the 8-fold symmetry of real (ij|kl)
 _H2_SYMMETRIES = ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1))
 DUPLICATE_TOL = 1e-10
+
+
+def _orbit(i, j, k, l):
+    """The 8 index tuples equal to (ij|kl) for real integrals, (ij|kl)
+    first; its `max` is the parser's key for duplicate records."""
+    return ((i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
+            (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i))
 
 
 class FcidumpParseError(ValueError):
@@ -169,13 +177,6 @@ def _header_int(fields, key, line_no):
                                 line_no) from exc
 
 
-def _canonical_two_body(i, j, k, l):
-    """Representative of the 8-fold symmetry orbit of (ij|kl)."""
-    ij = (i, j) if i >= j else (j, i)
-    kl = (k, l) if k >= l else (l, k)
-    return max(ij + kl, kl + ij)
-
-
 def parse_fcidump(text, label="") -> MolecularHamiltonian:
     """Parse FCIDUMP text (str or bytes) into a MolecularHamiltonian."""
     if isinstance(text, bytes):
@@ -257,12 +258,10 @@ def parse_fcidump(text, label="") -> MolecularHamiltonian:
                 raise FcidumpParseError(
                     f"two-electron record needs all indices >= 1, "
                     f"got {i} {j} {k} {l}", line_no)
-            record(("h2", *_canonical_two_body(i, j, k, l)), value, line_no)
-            a, b, c, d = i - 1, j - 1, k - 1, l - 1
-            for p, q, r, s in ((a, b, c, d), (b, a, c, d), (a, b, d, c),
-                               (b, a, d, c), (c, d, a, b), (d, c, a, b),
-                               (c, d, b, a), (d, c, b, a)):
-                h2[p, q, r, s] = value
+            orbit = _orbit(i, j, k, l)
+            record(("h2", *max(orbit)), value, line_no)
+            for p, q, r, s in orbit:
+                h2[p - 1, q - 1, r - 1, s - 1] = value
 
     return MolecularHamiltonian(norb, nelec, core, h1, h2, label=label)
 

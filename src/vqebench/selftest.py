@@ -25,7 +25,7 @@ from .ansatz import (
     prepare_state,
     simulate_circuit,
 )
-from .fcidump import MolecularHamiltonian
+from .fcidump import _H2_SYMMETRIES, MolecularHamiltonian, _orbit
 from .fermion import verify_car
 from .fci import infidelity_vs_fci, solve_fci
 from .optimize import central_difference_gradient
@@ -86,11 +86,9 @@ def _synthetic_hamiltonian() -> MolecularHamiltonian:
     h2 = np.zeros((2, 2, 2, 2))
     pairs = {(0, 0, 0, 0): 0.68, (1, 1, 1, 1): 0.65, (0, 0, 1, 1): 0.60,
              (0, 1, 0, 1): 0.18, (0, 0, 0, 1): 0.05}
-    for (i, j, k, l), value in pairs.items():
-        for p, q, r, s in ((i, j, k, l), (j, i, k, l), (i, j, l, k),
-                           (j, i, l, k), (k, l, i, j), (l, k, i, j),
-                           (k, l, j, i), (l, k, j, i)):
-            h2[p, q, r, s] = value
+    for index, value in pairs.items():
+        for member in _orbit(*index):
+            h2[member] = value
     return MolecularHamiltonian(2, 2, 0.52, h1, h2, label="selftest CAS(2,2)")
 
 
@@ -195,7 +193,7 @@ def run_selftest() -> bool:
         # random real integrals with the symmetries of (ij|kl)
         h1 = rng.normal(size=(n_spatial, n_spatial))
         h2 = rng.normal(size=(n_spatial,) * 4)
-        for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
+        for perm in _H2_SYMMETRIES:
             h2 = h2 + h2.transpose(perm)
         problem = QubitProblem(MolecularHamiltonian(
             n_spatial, n_electrons, 0.0, h1 + h1.T, h2, label="random"))

@@ -36,12 +36,13 @@ from vqebench.ansatz import (
     prepare_state,
     simulate_circuit,
 )
-from vqebench.fcidump import load_fcidump
+from vqebench.fcidump import QUBIT_CAP, load_fcidump
 from vqebench.fermion import (
     FermionOperator,
     LadderProduct,
     anti_hermitian_pair,
     jordan_wigner,
+    jordan_wigner_each,
 )
 from vqebench.optimize import Objective
 from vqebench.pauli import DimensionMismatchError, PauliSum, to_matrix
@@ -57,6 +58,34 @@ SECTOR = sector_indices(4, 2)
 DATA = Path(__file__).parent / "data"
 COMMITTED_INPUTS = {"h2": "h2_r0.735.fcidump", "nah": "nah_r1.000.fcidump",
                     "h4": "h4_r1.000.fcidump", "h6": "h6/h6_r1.000.fcidump"}
+# Per pool shape, sha256 prefixes of: the operators' descriptions; the
+# fermionic products handed to `jordan_wigner_each`, factors and
+# coefficient; the compiled operators, as term order and coefficients and
+# the bytes of `action` and `rotations`. Taken when each operator's two
+# spin channels were written out by hand.
+POOL_DIGESTS = {
+    (1, 2): ("e3b0c44298fc1c14", "e3b0c44298fc1c14", "e3b0c44298fc1c14"),
+    (2, 2): ("f6f1890606345f93", "4ad8fdf345a3d675", "70aabf8ebc19cd17"),
+    (2, 4): ("e3b0c44298fc1c14", "e3b0c44298fc1c14", "e3b0c44298fc1c14"),
+    (3, 2): ("9e246baa4463c4e5", "3a0680b5ddd6db9a", "830ac1456e8ada51"),
+    (3, 4): ("dcc44acb75711221", "24c22b220cf019ce", "099269776a15032f"),
+    (3, 6): ("e3b0c44298fc1c14", "e3b0c44298fc1c14", "e3b0c44298fc1c14"),
+    (4, 2): ("859b332cabc9d72d", "e00fc07c2313757f", "293097bc9a9feca7"),
+    (4, 4): ("acaa100de529bef6", "aa01ff27c45d4f50", "1d6a63b53e873235"),
+    (4, 6): ("f7c4606768c80fd7", "2ce902efbd5b464b", "d167d39b91aea3c6"),
+    (4, 8): ("e3b0c44298fc1c14", "e3b0c44298fc1c14", "e3b0c44298fc1c14"),
+    (5, 2): ("e90e12b16d6651be", "9486300ff6d68ed4", "03adb7da317eded1"),
+    (5, 4): ("22efa68373179199", "c30e5ad589daed41", "71aa16621b8a7acd"),
+    (5, 6): ("003d2b3672915ab3", "6f5e0a22d8ff0618", "216756943af4a067"),
+    (5, 8): ("80f109e2ffd8b9b9", "adf32f8f6ef42674", "644020721d7065dd"),
+    (5, 10): ("e3b0c44298fc1c14", "e3b0c44298fc1c14", "e3b0c44298fc1c14"),
+    (6, 2): ("8aa92b2c7dfa7315", "d7587484b341ac02", "2ec0e8e97d18e08c"),
+    (6, 4): ("e78bcd5317a1cf52", "a775ef3d71f485f0", "22e654834cae6ed2"),
+    (6, 6): ("d5bf73968970c4d9", "11426a8dacaaa70b", "b18895c7afa756a5"),
+    (6, 8): ("7d99be2453a9f124", "8a4fe7929d590cd2", "62a25d6662e34420"),
+    (6, 10): ("62e5ec41b2738073", "0fc40c1be60f602f", "4c006fb76b2957de"),
+    (6, 12): ("e3b0c44298fc1c14", "e3b0c44298fc1c14", "e3b0c44298fc1c14"),
+}
 
 
 @functools.cache
@@ -133,6 +162,35 @@ class TestPoolConstruction:
         # and annihilation orbitals, so none has an empty or repeated image
         assert len(build_uccsd_pool(n_spatial, n_electrons)) == \
             closed_form_pool_size(n_spatial, n_electrons)
+
+    @pytest.mark.parametrize("n_spatial,n_electrons", [
+        (n, e) for n in range(1, QUBIT_CAP // 2 + 1)
+        for e in range(2, 2 * n + 1, 2)])
+    def test_every_supported_shape_is_pinned(self, n_spatial, n_electrons,
+                                             monkeypatch):
+        handed = []
+
+        def spy(operators):
+            handed.extend(operators)
+            return jordan_wigner_each(handed)
+
+        monkeypatch.setattr("vqebench.ansatz.jordan_wigner_each", spy)
+        pool = build_uccsd_pool.__wrapped__(n_spatial, n_electrons)
+        names, products, compiled = (hashlib.sha256() for _ in range(3))
+        for op in pool:
+            names.update(op.description.encode() + b"\n")
+            tau = op.qubit_form
+            compiled.update(repr(list(tau.terms.items())).encode())
+            for array in (*tau.action, *(a for group in tau.rotations
+                                           for a in group)):
+                compiled.update(array.tobytes())
+        for operator in handed:
+            for prod in operator.products:
+                products.update(repr((prod.factors,
+                                      prod.coefficient)).encode())
+            products.update(b"\n")
+        assert tuple(d.hexdigest()[:16] for d in (names, products, compiled)
+                     ) == POOL_DIGESTS[n_spatial, n_electrons]
 
     def test_closed_form_of_the_hydrogen_chains(self):
         assert closed_form_pool_size(4, 4) == 19  # H4

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from pathlib import Path
 
@@ -38,6 +39,27 @@ MINIMAL = """\
 &END
  0.5 0 0 0 0
 """
+
+
+def two_body_orbit(index):
+    """The index tuples that ``index`` equals by the symmetries of real
+    (ij|kl), as the closure of the three swaps that generate them."""
+    orbit, todo = {index}, [index]
+    while todo:
+        i, j, k, l = todo.pop()
+        for image in ((j, i, k, l), (i, j, l, k), (k, l, i, j)):
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return sorted(orbit)
+
+
+def canonical_two_body(i, j, k, l):
+    """The orbit's key in a duplicate-record error: each index pair in
+    descending order, then the larger of the two pair orders."""
+    ij = tuple(sorted((i, j), reverse=True))
+    kl = tuple(sorted((k, l), reverse=True))
+    return max(ij + kl, kl + ij)
 
 
 class TestParse:
@@ -118,6 +140,23 @@ class TestParse:
         text = MINIMAL + " 0.25 1 2 0 0\n 0.26 2 1 0 0\n"
         with pytest.raises(FcidumpIntegrityError):
             parse_fcidump(text)
+
+    @pytest.mark.parametrize("index", list(
+        itertools.product(range(1, 4), repeat=4)))
+    def test_duplicate_two_electron_records(self, index):
+        # every member of the orbit repeats the record, on line 3
+        header = "&FCI NORB=3,NELEC=2,MS2=0 /\n"
+        first = " 0.25 {} {} {} {}\n".format(*index)
+        single = parse_fcidump(header + first).h2.tobytes()
+        key = ("h2", *canonical_two_body(*index))
+        for repeat in two_body_orbit(index):
+            text = header + first + " {} {} {} {} {}\n"
+            assert parse_fcidump(text.format(0.25, *repeat)
+                                 ).h2.tobytes() == single
+            with pytest.raises(FcidumpIntegrityError) as err:
+                parse_fcidump(text.format(0.26, *repeat))
+            assert str(err.value) == (f"line 3: record {key} = 0.26 "
+                                      "conflicts with line 2 value 0.25")
 
     @pytest.mark.parametrize("nelec", [0, -2, 5])
     def test_electron_count_outside_orbitals_rejected(self, nelec):
