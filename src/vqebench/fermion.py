@@ -8,7 +8,9 @@ Spin orbitals are interleaved: spatial orbital ``m`` gives spin orbitals
 over all their ladder products, with the bits and term order of adding
 each product's image into a dict in turn and pruning the sum once;
 `jordan_wigner` is its one-operator form. Both take at most 31 spin
-orbitals.
+orbitals. The pass takes its memory blocks (`pauli.block_cuts`) and its
+sum-then-prune kernel (`pauli.pruned_sums`) from `pauli`, as
+`pauli.restrict_each` does.
 """
 from __future__ import annotations
 
@@ -17,19 +19,14 @@ from itertools import chain, pairwise
 import numpy as np
 
 from .pauli import (
-    PRUNE_THRESHOLD,
     PauliSum,
     ResourceLimitError,
+    block_cuts,
+    pruned_sums,
     to_matrix,
 )
 
 _PHASES = (1, 1j, -1, -1j)  # i**k, as Python multiplies by them
-# `jordan_wigner_each` takes the k-factor products in blocks of at most
-# PATH_BLOCK paths, which bounds its (products, 2**k, k) temporaries, and
-# sums whole X-mask groups in chunks of about CHUNK_PATHS paths, which
-# bounds the arrays that are sorted and summed at once.
-PATH_BLOCK = 1024
-CHUNK_PATHS = 4096
 
 
 class LadderProduct:
@@ -126,16 +123,16 @@ def jordan_wigner_each(operators) -> list[PauliSum]:
     products, each part rounded on its own.
 
     A product's paths are summed per string in path order from 0.0, and
-    pruned below PRUNE_THRESHOLD; each string enters at its first path.
+    pruned below `pauli.PRUNE_THRESHOLD`; each string enters at its first
+    path.
     Each operator's products are then added into one dict, in order, from
     0.0, and the sum is pruned once at the end: a string keeps the place
     of its first entry, and a running sum that dips below the threshold
     partway through is kept. `PauliSum.restrict` sorts the terms, so that
     order reaches the golden scan bytes only through the coefficient bits
     it produces. A product's strings all carry its X mask, so products are
-    summed in chunks of whole X-mask groups of about CHUNK_PATHS paths,
-    and their paths are taken in blocks of at most PATH_BLOCK: memory
-    follows the chunk, not the operator.
+    taken in blocks of whole X-mask groups of about `pauli.BLOCK_CELLS`
+    path-factor cells: memory follows the block, not the operator.
 
     Keys are ``(x << n) | z`` in int64, so more than 31 spin orbitals
     raise ResourceLimitError; operators on different spin-orbital counts
@@ -168,23 +165,23 @@ def jordan_wigner_each(operators) -> list[PauliSum]:
     # an image entry's place in the merge: product << k_bits | first path
     k_bits = int(k.max())
 
-    # The products by X mask, in chunks of whole groups, each ending at the
-    # first group that starts CHUNK_PATHS or more paths after it does.
+    # The products by X mask, in blocks of whole groups (`pauli.block_cuts`)
+    # of about BLOCK_CELLS path-factor cells, k << k per k-factor product:
+    # the size of its (products, 2**k, k) temporaries.
     by_x = np.argsort(x, kind="stable")
-    x_sorted, paths = x[by_x], 1 << k[by_x]
+    x_sorted, cells = x[by_x], k[by_x] << k[by_x]
     group = np.ones(len(x), bool)
     group[1:] = x_sorted[1:] != x_sorted[:-1]
     starts = np.flatnonzero(group)
-    cuts, chunk_ahead = [], 0
-    for start, ahead in zip(starts.tolist(),
-                            (np.cumsum(paths) - paths)[starts].tolist()):
-        if ahead - chunk_ahead >= CHUNK_PATHS:
-            cuts.append(start)
-            chunk_ahead = ahead
+    edges = np.append(starts, len(x)).tolist()
     first, found = end - k, []
-    for rows in np.split(by_x, cuts):
-        row, t, key, value = _images(n, rows, k, first, orbital, dagger, x,
-                                     coefficient)
+    for g0, g1 in block_cuts((np.cumsum(cells) - cells)[starts]):
+        rows = by_x[edges[g0]:edges[g1]]
+        row, t, key, value = map(np.concatenate, zip(*(
+            _block_images(n, kk, rows[k[rows] == kk], first, orbital, dagger,
+                          x, coefficient)
+            # not np.unique, whose plain form imports numpy.ma on first use
+            for kk in np.flatnonzero(np.bincount(k[rows])).tolist())))
         found.append(_merge(operator[row], (row << k_bits) | t, key, value))
     enter, key, total = map(np.concatenate, zip(*found))
     order = np.argsort(enter, kind="stable")
@@ -196,21 +193,9 @@ def jordan_wigner_each(operators) -> list[PauliSum]:
     return [PauliSum(n, terms[a:b]) for a, b in pairwise(bounds.tolist())]
 
 
-def _images(n, rows, k, first, orbital, dagger, x, coefficient):
-    """The images of the products ``rows``: ``(row, t, key, value)`` per
-    string of each, ``t`` being the string's first path."""
-    found = []
-    for kk in np.flatnonzero(np.bincount(k[rows])).tolist():
-        rows_k = rows[k[rows] == kk]
-        step = max(1, PATH_BLOCK >> kk)
-        found += [_block_images(n, kk, rows_k[s:s + step], first, orbital,
-                                dagger, x, coefficient)
-                  for s in range(0, len(rows_k), step)]
-    return tuple(map(np.concatenate, zip(*found)))
-
-
 def _block_images(n, kk, rows, first, orbital, dagger, x, coefficient):
-    """`_images` of the ``kk``-factor products ``rows``."""
+    """The images of the ``kk``-factor products ``rows``: ``(row, t, key,
+    value)`` per string of each, ``t`` being the string's first path."""
     n_paths = 1 << kk
     # coefficient * 0.5**k, then times each i**e, as Python's complex
     # products, each part rounded on its own (numpy's may fuse them)
@@ -244,10 +229,7 @@ def _block_images(n, kk, rows, first, orbital, dagger, x, coefficient):
     new[::n_paths] = True
     string = np.cumsum(new) - 1
     w = weight.ravel()[4 * (order >> kk) + (e.ravel()[order] & 3)]
-    value = np.empty(string[-1] + 1, complex)
-    value.real = np.bincount(string, w.real)
-    value.imag = np.bincount(string, w.imag)
-    kept = np.hypot(value.real, value.imag) >= PRUNE_THRESHOLD
+    value, kept = pruned_sums(string, w.real, w.imag, string[-1] + 1)
     head = order[new][kept]
     row = rows[head >> kk]
     return (row, head & (n_paths - 1), (x[row] << n) | z[new][kept],
@@ -265,11 +247,8 @@ def _merge(op, seq, key, value):
     key, op = key[order], op[order]
     new = np.ones(len(key), bool)
     new[1:] = (key[1:] != key[:-1]) | (op[1:] != op[:-1])
-    string = np.cumsum(new) - 1
-    total = np.empty(np.count_nonzero(new), complex)
-    total.real = np.bincount(string, value.real[order])
-    total.imag = np.bincount(string, value.imag[order])
-    kept = np.hypot(total.real, total.imag) >= PRUNE_THRESHOLD
+    total, kept = pruned_sums(np.cumsum(new) - 1, value.real[order],
+                              value.imag[order], np.count_nonzero(new))
     return seq[order][new][kept], key[new][kept], total[kept]
 
 

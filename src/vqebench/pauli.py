@@ -16,6 +16,12 @@ blocks of whole groups of about BLOCK_CELLS string-state cells; `restrict`
 is its one-sum case, and `ansatz.build_uccsd_pool` compiles its whole pool
 in one call.
 
+Every array pass over Pauli strings, here and in
+`fermion.jordan_wigner_each`, makes three decisions in one place each:
+its terms as arrays (`_term_table`), its memory blocks of whole X-mask
+groups (`block_cuts`, sized by BLOCK_CELLS) and its sums per string,
+pruned below PRUNE_THRESHOLD (`pruned_sums`).
+
 Qubit 0 is the least significant bit of basis-state indices throughout.
 """
 from __future__ import annotations
@@ -29,8 +35,8 @@ PRUNE_THRESHOLD = 1e-12
 HERMITIAN_TOL = 1e-12
 LEAK_TOL = 1e-12
 MATRIX_QUBIT_CAP = 12
-# String-state cells per block of `_basis_action`, the pass that compiles
-# sums on a basis; a block holds whole X-mask groups.
+# Cells per memory block of the array passes (`block_cuts`): string-state
+# cells in `_basis_action`, path-factor cells in `fermion.jordan_wigner_each`.
 BLOCK_CELLS = 1 << 13
 
 PAULI_MATRICES = {
@@ -176,25 +182,32 @@ def commutator_term_counts(h: PauliSum, ops) -> list[int]:
     Writing each string as ``i**popcount(x & z) * X^x Z^z`` and commuting
     the inner ``Z^za X^xb`` pair gives ``phase = i**k`` with the exponent
     ``k`` below, on the string with the XOR of the pair's masks. Each op's
-    pairs are formed as
-    numpy arrays and summed per string in product order (``h``'s terms
-    outer, ``op``'s inner); a string whose sum cancels there, exactly or
-    below ``PRUNE_THRESHOLD``, is not counted. Keys are ``(x << n) | z``
-    in int64, which limits ``n`` to 31 qubits.
+    pairs are formed as numpy arrays from one `_term_table` of ``h`` and
+    the ops, and summed per string in product order (``h``'s terms outer,
+    ``op``'s inner, each in table order) by `pruned_sums`; a string whose
+    sum cancels there, exactly or below ``PRUNE_THRESHOLD``, is not
+    counted. Keys are ``(x << n) | z`` in int64, which limits ``n`` to 31
+    qubits.
     """
     n = h.n_qubits
     if n > 31:
         raise ResourceLimitError(f"{n} qubits exceeds the int64 key limit")
-    hx, hz, hy, hr, hi = _term_arrays(h)
-    counts = []
+    ops = list(ops)
     for op in ops:
         _check_same_qubits(h, op)
-        ox, oz, oy, o_r, oi = _term_arrays(op)
+    owner, x, z, c = _term_table([h, *ops])
+    # x masks, z masks, Y counts and coefficient parts, sliced by owner
+    columns = x, z, np.bitwise_count(x & z).astype(np.int64), c.real, c.imag
+    bounds = np.searchsorted(owner, np.arange(len(ops) + 2)).tolist()
+    hx, hz, hy, hr, hi = (col[:bounds[1]] for col in columns)
+    counts = []
+    for a, b in pairwise(bounds[1:]):
+        ox, oz, oy, o_r, oi = (col[a:b] for col in columns)
         zx = np.bitwise_count(hz[:, None] & ox)
         i, j = np.nonzero((np.bitwise_count(hx[:, None] & oz) + zx) & 1)
-        x = hx[i] ^ ox[j]
-        z = hz[i] ^ oz[j]
-        k = (hy[i] + oy[j] - np.bitwise_count(x & z) + 2 * zx[i, j]) % 4
+        px = hx[i] ^ ox[j]
+        pz = hz[i] ^ oz[j]
+        k = (hy[i] + oy[j] - np.bitwise_count(px & pz) + 2 * zx[i, j]) % 4
         # ca * cb as Python's complex product, in separate roundings (a
         # numpy complex product may fuse them); then the exact factor
         # 2 * i**k.
@@ -202,22 +215,31 @@ def commutator_term_counts(h: PauliSum, ops) -> list[int]:
         pi = hr[i] * oi[j] + hi[i] * o_r[j]
         odd = (k & 1).astype(bool)
         two = np.where(k < 2, 2.0, -2.0)
-        keys, inverse = np.unique((x << n) | z, return_inverse=True)
-        sums = np.hypot(
-            np.bincount(inverse, two * np.where(odd, -pi, pr), len(keys)),
-            np.bincount(inverse, two * np.where(odd, pr, pi), len(keys)))
-        counts.append(int(np.count_nonzero((sums >= PRUNE_THRESHOLD)
-                                           & (keys != 0))))
+        keys, inverse = np.unique((px << n) | pz, return_inverse=True)
+        _, kept = pruned_sums(inverse, two * np.where(odd, -pi, pr),
+                              two * np.where(odd, pr, pi), len(keys))
+        counts.append(int(np.count_nonzero(kept & (keys != 0))))
     return counts
 
 
-def _term_arrays(s: PauliSum):
-    """x masks, z masks, Y counts and real and imaginary coefficient parts
-    of ``s``, in term order."""
-    keys = np.array(list(s.terms), dtype=np.int64).reshape(-1, 2)
-    x, z = keys[:, 0], keys[:, 1]
-    c = np.fromiter(s.terms.values(), complex, len(s.terms))
-    return x, z, np.bitwise_count(x & z).astype(np.int64), c.real, c.imag
+def pruned_sums(runs: np.ndarray, real: np.ndarray, imag: np.ndarray,
+                n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's complex sum of ``real + i imag`` over the run indices
+    ``runs`` (``0 .. n-1``), added in order from 0.0 by `np.bincount`, and
+    whether it is kept: ``|sum| >= PRUNE_THRESHOLD``."""
+    total = np.empty(n, complex)
+    total.real = np.bincount(runs, real, n)
+    total.imag = np.bincount(runs, imag, n)
+    return total, np.hypot(total.real, total.imag) >= PRUNE_THRESHOLD
+
+
+def block_cuts(offsets: np.ndarray):
+    """``(g0, g1)`` bounds of blocks of whole groups, in order, where
+    ``offsets`` (ascending, from 0) counts the cells before each group: a
+    block holds the groups whose first cell falls in one window of
+    BLOCK_CELLS cells, so memory follows the block, not the input."""
+    cuts = np.flatnonzero(np.diff(offsets // BLOCK_CELLS)) + 1
+    return pairwise([0, *cuts.tolist(), len(offsets)])
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses")
@@ -372,9 +394,9 @@ def _basis_action(sums, basis: np.ndarray, table: tuple):
     table over strings and states multiplies those parts, and `np.bincount`
     sums each group's strings per state in `PauliSum.sorted_terms` order
     from 0.0: for finite coefficients, the bits of adding ``c * phase``
-    string by string in complex arithmetic. A block holds the groups whose
-    first string falls in one window of BLOCK_CELLS string-state cells,
-    so memory follows the block, not the sums.
+    string by string in complex arithmetic. Blocks are cut by `block_cuts`
+    at ``len(basis)`` string-state cells per string, so memory follows the
+    block, not the sums.
 
     Counts the sums compiled here (``misses``) and the kept actions read
     through `PauliSum.action` (``hits``) since import; ``cache_info()``
@@ -390,7 +412,6 @@ def _basis_action(sums, basis: np.ndarray, table: tuple):
     new[1:] = (owner[1:] != owner[:-1]) | (x[1:] != x[:-1])
     group = np.cumsum(new) - 1
     starts = np.flatnonzero(new)
-    cuts = np.flatnonzero(np.diff(starts * n_states // BLOCK_CELLS)) + 1
     edges = np.append(starts, len(x)).tolist()
     position = np.full(1 << sums[0].n_qubits, -1, dtype=np.int64)
     position[basis] = np.arange(n_states)
@@ -409,7 +430,7 @@ def _basis_action(sums, basis: np.ndarray, table: tuple):
                 if b[t0:t1].any() else None)
 
     # each block's locals are gone before the next block is built
-    return map(block, pairwise([0, *cuts.tolist(), len(starts)]))
+    return map(block, block_cuts(starts * n_states))
 
 
 def _group_sums(odd: np.ndarray, cell: np.ndarray, part: np.ndarray,

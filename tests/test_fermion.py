@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import add, jordan_wigner_sequential, number_operator
 
-from vqebench import ansatz, fermion
+from vqebench import ansatz, fermion, pauli
 from vqebench.adapt import QubitProblem
 from vqebench.ansatz import build_uccsd_pool
 from vqebench.fcidump import load_fcidump, to_fermion_hamiltonian
@@ -316,16 +316,13 @@ class TestArrayPass:
     """`jordan_wigner_each` transforms every product in one array pass; it
     must give the bits and term order of the oracle's dict merge."""
 
-    @pytest.mark.parametrize("block, chunk", [
-        (1, 1), (16, 64), (fermion.PATH_BLOCK, fermion.CHUNK_PATHS)])
+    @pytest.mark.parametrize("cells", [1, 64, pauli.BLOCK_CELLS])
     @given(long_operators())
     @settings(max_examples=60, derandomize=True, deadline=None)
-    def test_long_operators_give_the_oracle_bits(self, block, chunk, f):
-        # (1, 1) takes every product in a block and every X mask's products
-        # in a chunk of their own
+    def test_long_operators_give_the_oracle_bits(self, cells, f):
+        # 1 takes every X mask's products in a block of their own
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fermion, "PATH_BLOCK", block)
-            mp.setattr(fermion, "CHUNK_PATHS", chunk)
+            mp.setattr(pauli, "BLOCK_CELLS", cells)
             out = jordan_wigner(f)
         assert exact_items(out) == exact_items(jordan_wigner_sequential(f))
 

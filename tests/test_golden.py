@@ -25,7 +25,10 @@ and for one and for three ADAPT steps on the 12-qubit H6 chain; the
 three-step run fits up to three angles with L-BFGS, so its adjoint
 gradients sweep back over several operators at 12 qubits, and it is
 pinned with Nelder-Mead as well. The Nelder-Mead VQE on H6 runs the
-largest rotation program, all 81 pool operators, 15811 times.
+largest rotation program, all 81 pool operators, 15811 times. The whole
+H6 ADAPT run with L-BFGS selects 40 operators, so its adjoint gradients
+sweep back over up to 40 angles, and its ledger reports a
+``measurement_total`` of 26213476.
 """
 import hashlib
 from pathlib import Path
@@ -92,6 +95,10 @@ RUN_PINS = [
         "h6/h6_r1.000.fcidump", "vqe", ["--optimizer", "nelder_mead"],
         "cdf709b8b36b5d5945e6618c919a2ffa529d9cc9ce52ae93a5d53ce2450415c3",
         id="h6-vqe-nm"),
+    pytest.param(
+        "h6/h6_r1.000.fcidump", "adapt", [],
+        "56fb612b52e1830f494e59971b545f873151da20e733965b238843b0247ed35c",
+        id="h6-adapt-lbfgs"),
 ]
 
 

@@ -392,8 +392,10 @@ def one_qubit(spec_coeffs):
 
 class TestCommutatorTermCounts:
     @pytest.mark.parametrize("name", sorted(
-        path.name for path in DATA.glob("*.fcidump")))
+        path.name for path in DATA.glob("*.fcidump")) + [
+            "h6/h6_r1.000.fcidump"])
     def test_matches_commutator_on_every_committed_pool(self, name):
+        # H6 adds each string's pairs over 919 terms, per operator of 81
         problem = QubitProblem(load_fcidump(DATA / name))
         ops = [op.qubit_form for op in problem.pool]
         assert commutator_term_counts(problem.h_p, ops) == symbolic_counts(
