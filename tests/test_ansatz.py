@@ -86,6 +86,9 @@ POOL_DIGESTS = {
     (6, 10): ("62e5ec41b2738073", "0fc40c1be60f602f", "4c006fb76b2957de"),
     (6, 12): ("e3b0c44298fc1c14", "e3b0c44298fc1c14", "e3b0c44298fc1c14"),
 }
+# Every (n_spatial, n_electrons) pool shape that loading lets through.
+SUPPORTED_SHAPES = [(n, e) for n in range(1, QUBIT_CAP // 2 + 1)
+                    for e in range(2, 2 * n + 1, 2)]
 
 
 @functools.cache
@@ -163,9 +166,7 @@ class TestPoolConstruction:
         assert len(build_uccsd_pool(n_spatial, n_electrons)) == \
             closed_form_pool_size(n_spatial, n_electrons)
 
-    @pytest.mark.parametrize("n_spatial,n_electrons", [
-        (n, e) for n in range(1, QUBIT_CAP // 2 + 1)
-        for e in range(2, 2 * n + 1, 2)])
+    @pytest.mark.parametrize("n_spatial,n_electrons", SUPPORTED_SHAPES)
     def test_every_supported_shape_is_pinned(self, n_spatial, n_electrons,
                                              monkeypatch):
         handed = []
@@ -605,6 +606,7 @@ class TestCompileCircuit:
     def test_empty_ansatz_compiles_empty(self, cas22_pool):
         circuit = compile_circuit(Ansatz(cas22_pool), [])
         assert len(circuit) == 0
+        assert circuit.to_text() == ""
         assert circuit_metrics(circuit) == {"gate_count": 0, "depth": 0}
 
     def test_zero_theta_still_emits_gates(self, cas22_pool):
@@ -708,6 +710,16 @@ class TestCircuitResources:
         ansatz = full_uccsd_ansatz(pool)
         assert circuit_resources(ansatz) == compiled_metrics(
             ansatz, rng.uniform(-np.pi, np.pi, len(pool)))
+
+    @pytest.mark.parametrize("n_spatial,n_electrons", SUPPORTED_SHAPES)
+    def test_every_supported_shape(self, n_spatial, n_electrons):
+        pool = build_uccsd_pool(n_spatial, n_electrons)
+        rng = np.random.default_rng(n_spatial << 4 | n_electrons)
+        # each operator alone, then every operator once (no gate if empty)
+        for ids in [[op.id] for op in pool] + [[op.id for op in pool]]:
+            ansatz = Ansatz(pool, ids)
+            assert circuit_resources(ansatz) == compiled_metrics(
+                ansatz, rng.uniform(-np.pi, np.pi, len(ids)))
 
     @given(st.lists(st.integers(0, 18), max_size=40),
            st.integers(0, 2**32 - 1))
