@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
+from itertools import pairwise
 
 import numpy as np
 
@@ -56,10 +58,10 @@ class PoolOperator:
             rows = list(np.where(np.eye(n, dtype=bool), 0, NO_PATH))
             gates = [g for x, z, _ in self.qubit_form.sorted_terms()
                      for g in _exponential_template(n, x, z, 0.0)]
-            for gate in gates:  # a gate's qubits leave it on one layer
+            for _, qubits, _ in gates:  # a gate's qubits leave it on one layer
                 row = functools.reduce(
-                    np.maximum, [rows[q] for q in gate.qubits]) + 1
-                for q in gate.qubits:
+                    np.maximum, [rows[q] for q in qubits]) + 1
+                for q in qubits:
                     rows[q] = row
             depth_map = np.array(rows)
             depth_map.flags.writeable = False  # shared with the pool
@@ -283,51 +285,47 @@ def circuit_resources(ansatz: Ansatz) -> dict:
     return {"gate_count": gate_count, "depth": int(frontier.max())}
 
 
-class Gate:
-    """One gate: H q | RX angle q | RZ angle q | CNOT control target.
+# One gate, plain data: ``H q | RX angle q | RZ angle q | CNOT control
+# target``, with RX(phi) = exp(-i phi X / 2) and RZ(phi) = exp(-i phi Z / 2).
+# `GateCircuit` checks each gate it is given.
+Gate = namedtuple("Gate", "kind qubits angle", defaults=(None,))
 
-    RX(phi) = exp(-i phi X / 2) and RZ(phi) = exp(-i phi Z / 2).
-    """
 
-    __slots__ = ("kind", "qubits", "angle")
-
-    def __init__(self, kind, qubits, angle=None):
-        self.kind = kind
-        self.qubits = tuple(int(q) for q in qubits)
-        self.angle = angle
-        if kind == "CNOT":
-            if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
-                raise ValueError("CNOT needs distinct control and target")
-        elif kind in ("H", "RX", "RZ"):
-            if len(self.qubits) != 1:
-                raise ValueError(f"{kind} acts on exactly one qubit")
-        else:
-            raise ValueError(f"unknown gate kind {kind!r}")
-
-    def __repr__(self):
-        if self.kind == "CNOT":
-            return f"CNOT {self.qubits[0]} {self.qubits[1]}"
-        if self.kind == "H":
-            return f"H {self.qubits[0]}"
-        return f"{self.kind} {self.angle!r} {self.qubits[0]}"
+def _gate_text(gate) -> str:
+    """``H q``, ``RX angle q``, ``RZ angle q`` or ``CNOT control target``."""
+    if gate.kind in ("RX", "RZ"):
+        return f"{gate.kind} {gate.angle!r} {gate.qubits[0]}"
+    return " ".join([gate.kind, *map(str, gate.qubits)])
 
 
 class GateCircuit:
+    """Gates on ``n_qubits`` qubits, each checked here: the kind is H, RX,
+    RZ or CNOT, H, RX and RZ act on one qubit, CNOT on two distinct ones,
+    and every qubit is in range."""
+
     __slots__ = ("n_qubits", "gates")
 
     def __init__(self, n_qubits, gates=()):
         self.n_qubits = n_qubits
         self.gates = list(gates)
         for gate in self.gates:
-            if any(q < 0 or q >= n_qubits for q in gate.qubits):
-                raise ValueError(f"gate {gate!r} out of range")
+            kind, qubits = gate.kind, gate.qubits
+            if kind == "CNOT":
+                if len(qubits) != 2 or qubits[0] == qubits[1]:
+                    raise ValueError("CNOT needs distinct control and target")
+            elif kind in ("H", "RX", "RZ"):
+                if len(qubits) != 1:
+                    raise ValueError(f"{kind} acts on exactly one qubit")
+            else:
+                raise ValueError(f"unknown gate kind {kind!r}")
+            if any(q < 0 or q >= n_qubits for q in qubits):
+                raise ValueError(f"gate {_gate_text(gate)} out of range")
 
     def __len__(self):
         return len(self.gates)
 
     def to_text(self) -> str:
-        return "\n".join(repr(g) for g in self.gates) + ("\n" if self.gates
-                                                         else "")
+        return "".join(_gate_text(g) + "\n" for g in self.gates)
 
     def __repr__(self):
         return f"GateCircuit({self.n_qubits} qubits, {len(self.gates)} gates)"
@@ -337,31 +335,22 @@ def _exponential_template(n_qubits: int, x_mask: int, z_mask: int,
                           alpha: float) -> list[Gate]:
     """Gates realizing exp(i * alpha * P) for a single Pauli string.
 
-    Basis changes map each factor to Z, a CNOT staircase folds parity
-    onto the highest support qubit, and one RZ(-2 alpha) applies the
-    phase; everything then unwinds in mirror order.
+    Basis turns map each factor to Z (H for X, RX(pi/2) for Y), a CNOT
+    staircase folds parity onto the highest support qubit, and one
+    RZ(-2 alpha) applies the phase; everything then unwinds in mirror
+    order.
     """
     if not (x_mask or z_mask):
         raise ValueError("cannot compile an identity string exponential")
-    support = []
-    pre, post = [], []
-    for q in range(n_qubits):
-        x = (x_mask >> q) & 1
-        z = (z_mask >> q) & 1
-        if not (x or z):
-            continue
-        support.append(q)
-        if x and z:
-            pre.append(Gate("RX", (q,), math.pi / 2))
-            post.append(Gate("RX", (q,), -math.pi / 2))
-        elif x:
-            pre.append(Gate("H", (q,)))
-            post.append(Gate("H", (q,)))
-    ladder = [Gate("CNOT", (support[k], support[k + 1]))
-              for k in range(len(support) - 1)]
-    middle = [Gate("RZ", (support[-1],), -2.0 * alpha)]
-    return pre + ladder + middle + list(reversed(ladder)) + list(
-        reversed(post))
+    support = [q for q in range(n_qubits) if (x_mask | z_mask) >> q & 1]
+
+    def turns(sign):
+        return [Gate("RX", (q,), sign * math.pi / 2) if z_mask >> q & 1
+                else Gate("H", (q,)) for q in support if x_mask >> q & 1]
+
+    ladder = [Gate("CNOT", pair) for pair in pairwise(support)]
+    return (turns(1) + ladder + [Gate("RZ", (support[-1],), -2.0 * alpha)]
+            + ladder[::-1] + turns(-1)[::-1])
 
 
 def compile_circuit(ansatz: Ansatz, thetas) -> GateCircuit:

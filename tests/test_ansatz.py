@@ -663,12 +663,16 @@ class TestCompileCircuit:
         assert hashlib.sha256(text).hexdigest()[:16] == digest
 
     def test_gate_validation(self):
-        with pytest.raises(ValueError):
-            Gate("CNOT", (1, 1))
-        with pytest.raises(ValueError):
-            Gate("H", (0, 1))
-        with pytest.raises(ValueError):
-            GateCircuit(1, [Gate("H", (3,))])
+        # a gate is plain data; the circuit checks it where it enters
+        cnot = "CNOT needs distinct control and target"
+        for gate, message in [
+                (Gate("CNOT", (1, 1)), cnot), (Gate("CNOT", (0,)), cnot),
+                (Gate("H", (0, 1)), "H acts on exactly one qubit"),
+                (Gate("SWAP", (0, 1)), "unknown gate kind 'SWAP'"),
+                (Gate("H", (3,)), "gate H 3 out of range"),
+                (Gate("RZ", (-1,), 0.5), "gate RZ 0.5 -1 out of range")]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                GateCircuit(2, [Gate("H", (0,)), gate])
 
 
 class TestMetricsAndSerialization:
