@@ -390,12 +390,8 @@ def simulate_circuit(circuit: GateCircuit, state: np.ndarray) -> np.ndarray:
     for gate in circuit.gates:
         if gate.kind == "CNOT":
             control, target = gate.qubits
-            mask = (basis >> control) & 1
-            flipped = basis ^ (1 << target)
-            new = amps.copy()
-            sel = mask == 1
-            new[basis[sel]] = amps[flipped[sel]]
-            amps = new
+            on = basis[(basis >> control) & 1 == 1]
+            amps[on] = amps[on ^ (1 << target)]  # the right side is a copy
             continue
         q = gate.qubits[0]
         low = basis[(basis >> q) & 1 == 0]
