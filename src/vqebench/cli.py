@@ -174,9 +174,6 @@ class ScanRow:
         return {name: text(getattr(self, name))
                 for name, text in COLUMNS.items()}
 
-    def csv_line(self) -> str:
-        return ",".join(self.formatted().values())
-
 
 def _row_from_result(label, result, fci_energy, infid) -> ScanRow:
     return ScanRow(
@@ -244,15 +241,18 @@ def _atomic_write(path: Path, content: str):
         raise
 
 
-def render_csv(rows) -> str:
-    return "\n".join([CSV_HEADER] + [row.csv_line() for row in rows]) + "\n"
+def render_csv(texts) -> str:
+    """scan.csv from each row's `ScanRow.formatted` texts."""
+    return "\n".join([CSV_HEADER] + [",".join(row.values())
+                                     for row in texts]) + "\n"
 
 
-def render_json(rows) -> str:
+def render_json(rows, texts) -> str:
+    """scan.json from the rows and their `ScanRow.formatted` texts: a
+    float is the number its text prints, every other value is as is."""
     payload = []
-    for row in rows:
-        texts = row.formatted()
-        payload.append({name: float(texts[name])
+    for row, row_texts in zip(rows, texts):
+        payload.append({name: float(row_texts[name])
                         if isinstance(value := getattr(row, name), float)
                         else value for name in COLUMNS})
     return json.dumps(payload, indent=2) + "\n"
@@ -311,8 +311,9 @@ def emit_report(rows, out_dir: Path) -> dict[str, Path]:
     artifacts = {"csv": out_dir / "scan.csv",
                  "json": out_dir / "scan.json",
                  "summary": out_dir / "summary.txt"}
-    _atomic_write(artifacts["csv"], render_csv(rows))
-    _atomic_write(artifacts["json"], render_json(rows))
+    texts = [row.formatted() for row in rows]  # each row formatted once
+    _atomic_write(artifacts["csv"], render_csv(texts))
+    _atomic_write(artifacts["json"], render_json(rows, texts))
     _atomic_write(artifacts["summary"], render_summary(rows))
     return artifacts
 

@@ -291,28 +291,32 @@ def rows():
     return run_scan(cfg)
 
 
+def formatted(rows):
+    return [row.formatted() for row in rows]
+
+
 class TestReports:
 
     def test_csv_has_exact_header_and_line_count(self, rows):
-        text = render_csv(rows)
+        text = render_csv(formatted(rows))
         lines = text.strip().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == len(rows) + 1
 
     def test_single_row_gives_two_lines(self, rows):
-        text = render_csv(rows[:1])
+        text = render_csv(formatted(rows[:1]))
         assert len(text.strip().splitlines()) == 2
 
     def test_csv_round_trip(self, rows):
-        text = render_csv(rows)
+        text = render_csv(formatted(rows))
         parsed = parse_scan_csv(text)
         assert len(parsed) == len(rows)
         for record, row in zip(parsed, rows):
             assert record == row.formatted()
 
     def test_json_matches_csv_content(self, rows):
-        payload = json.loads(render_json(rows))
-        parsed = parse_scan_csv(render_csv(rows))
+        payload = json.loads(render_json(rows, formatted(rows)))
+        parsed = parse_scan_csv(render_csv(formatted(rows)))
         for jrec, crec in zip(payload, parsed):
             assert jrec["energy"] == float(crec["energy"])
             assert jrec["infidelity"] == float(crec["infidelity"])
@@ -324,6 +328,19 @@ class TestReports:
             assert path.exists()
         summary = artifacts["summary"].read_text()
         assert "Nelder-Mead" in summary  # optimizer note in every report
+
+    def test_emit_report_formats_each_row_once(self, rows, tmp_path,
+                                               monkeypatch):
+        calls = []
+        formatted = cli.ScanRow.formatted
+
+        def counted(row):
+            calls.append(row)
+            return formatted(row)
+
+        monkeypatch.setattr(cli.ScanRow, "formatted", counted)
+        emit_report(rows, tmp_path)
+        assert len(calls) == len(rows)
 
     def test_reports_get_the_mode_of_a_plain_open(self, rows, tmp_path):
         old = os.umask(0o022)
