@@ -12,6 +12,11 @@ An `Ansatz` is immutable, so it compiles its exponentials into one
 `statevector.RotationProgram` on first use and keeps it: `prepare_state`
 runs it forwards, and `energy_gradient` runs it forwards once and then
 turns two states back through it, one operator at a time.
+
+A gate is plain data, the named tuple `Gate(kind, qubits, angle)`. The
+CNOT-staircase template builds such tuples without checks, and
+`GateCircuit`, the one way a list of gates becomes a circuit, checks each
+gate it is given.
 """
 from __future__ import annotations
 
@@ -46,7 +51,9 @@ class PoolOperator:
     @property
     def circuit_summary(self) -> tuple[int, np.ndarray]:
         """``(gate_count, depth_map)`` of this operator's compiled gates,
-        which do not depend on its angle; built on first use and kept.
+        which do not depend on its angle; built on first use and kept,
+        from the qubits of its strings' template gates, with no circuit
+        built or checked.
 
         ``depth_map[q, j]`` is the longest gate path from qubit ``j``'s
         frontier to qubit ``q``'s, in max-plus form (``NO_PATH`` where there

@@ -132,7 +132,10 @@ def jordan_wigner_each(operators) -> list[PauliSum]:
     order reaches the golden scan bytes only through the coefficient bits
     it produces. A product's strings all carry its X mask, so products are
     taken in blocks of whole X-mask groups of about `pauli.BLOCK_CELLS`
-    path-factor cells: memory follows the block, not the operator.
+    path-factor cells: memory follows the block, not the operator. A block
+    holds at least one whole group, so the largest group bounds the peak:
+    H6's diagonal group (X mask 0) holds 16992 cells, about twice
+    BLOCK_CELLS.
 
     Keys are ``(x << n) | z`` in int64, so more than 31 spin orbitals
     raise ResourceLimitError; operators on different spin-orbital counts

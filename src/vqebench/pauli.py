@@ -237,7 +237,9 @@ def block_cuts(offsets: np.ndarray):
     """``(g0, g1)`` bounds of blocks of whole groups, in order, where
     ``offsets`` (ascending, from 0) counts the cells before each group: a
     block holds the groups whose first cell falls in one window of
-    BLOCK_CELLS cells, so memory follows the block, not the input."""
+    BLOCK_CELLS cells. A group is never split, so a block holds at least
+    one whole group, and the largest group, not BLOCK_CELLS, bounds the
+    peak when it is larger than the window."""
     cuts = np.flatnonzero(np.diff(offsets // BLOCK_CELLS)) + 1
     return pairwise([0, *cuts.tolist(), len(offsets)])
 
@@ -396,7 +398,8 @@ def _basis_action(sums, basis: np.ndarray, table: tuple):
     from 0.0: for finite coefficients, the bits of adding ``c * phase``
     string by string in complex arithmetic. Blocks are cut by `block_cuts`
     at ``len(basis)`` string-state cells per string, so memory follows the
-    block, not the sums.
+    block, not the sums; a block holds at least one whole group, so the
+    largest group bounds the peak.
 
     Counts the sums compiled here (``misses``) and the kept actions read
     through `PauliSum.action` (``hits``) since import; ``cache_info()``
