@@ -393,6 +393,30 @@ class TestAdjointGradients:
         assert "gradient of 2 components" in capsys.readouterr().err
 
 
+class TestRecords:
+    @pytest.mark.parametrize("optimizer", adapt.OPTIMIZERS)
+    def test_records_hold_python_scalars(self, h2, optimizer, monkeypatch):
+        # a numpy scalar would print as np.float64(...) in a record's repr
+        fits, name = [], f"minimize_{optimizer}"
+        minimize = getattr(adapt, name)
+
+        def recorded(*args, **kwargs):
+            fits.append(minimize(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(adapt, name, recorded)
+        cfg = AdaptConfig(optimizer=optimizer)
+        vqe, adapted = run_vqe(h2, cfg), run_adapt(h2, cfg)
+        assert fits and adapted.trace
+        for record in fits + [vqe, adapted]:
+            assert type(record.energy) is float
+            assert type(record.converged) is bool
+        for record in adapted.trace:
+            assert type(record.energy) is float
+            assert type(record.grad_norm) is float
+        assert type(solve_fci(h2).energy) is float
+
+
 class TestAdaptConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
