@@ -26,6 +26,7 @@ still counted as zero.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -120,7 +121,13 @@ class AdaptConfig:
 
 
 class MeasurementLedger:
-    """Symbolic counters standing in for hardware measurement cost."""
+    """Symbolic counters standing in for hardware measurement cost.
+
+    Each charge is one call that carries its count: ``count`` energy
+    evaluations of an ``n_terms``-term Hamiltonian, or one screening's
+    commutators, one per term count in ``counts``. Every evaluation adds
+    its non-identity term count to ``pauli_term_measurements``.
+    """
 
     __slots__ = ("energy_evaluations", "commutator_evaluations",
                  "pauli_term_measurements")
@@ -130,13 +137,13 @@ class MeasurementLedger:
         self.commutator_evaluations = 0
         self.pauli_term_measurements = 0
 
-    def charge_energy(self, n_terms: int):
-        self.energy_evaluations += 1
-        self.pauli_term_measurements += n_terms
+    def charge_energy(self, n_terms: int, count: int):
+        self.energy_evaluations += count
+        self.pauli_term_measurements += count * n_terms
 
-    def charge_commutator(self, n_terms: int):
-        self.commutator_evaluations += 1
-        self.pauli_term_measurements += n_terms
+    def charge_commutators(self, counts):
+        self.commutator_evaluations += len(counts)
+        self.pauli_term_measurements += sum(counts)
 
     def total(self) -> int:
         return self.pauli_term_measurements
@@ -147,30 +154,17 @@ class MeasurementLedger:
                 "pauli_term_measurements": self.pauli_term_measurements}
 
 
-class AdaptIteration:
-    """Trace record: one screening plus the optimization that followed.
-
-    The terminal record of a converged run has selected_pool_id None and
-    repeats the incumbent energy and parameters.
-    """
-
-    __slots__ = ("selected_pool_id", "grad_norm", "grad_vector", "energy",
-                 "theta", "measurement_count_cumulative",
-                 "optimizer_converged")
-
-    def __init__(self, selected_pool_id, grad_norm, grad_vector, energy,
-                 theta, measurement_count_cumulative,
-                 optimizer_converged=True):
-        self.selected_pool_id = selected_pool_id
-        self.grad_norm = float(grad_norm)
-        self.grad_vector = np.asarray(grad_vector, dtype=float)
-        self.energy = float(energy)
-        self.theta = np.asarray(theta, dtype=float)
-        self.measurement_count_cumulative = int(measurement_count_cumulative)
-        self.optimizer_converged = bool(optimizer_converged)
+# Trace record: one screening plus the optimization that followed. The
+# terminal record of a converged run has selected_pool_id None and repeats
+# the incumbent energy and parameters.
+AdaptIteration = namedtuple(
+    "AdaptIteration", "selected_pool_id grad_norm grad_vector energy theta "
+    "measurement_count_cumulative optimizer_converged", defaults=(True,))
 
 
-class RunResult:
+class RunResult(namedtuple("RunResult", "method optimizer ansatz theta "
+                           "energy converged trace ledger resources "
+                           "final_grad_norm reference")):
     """Common record returned by `run_vqe` and `run_adapt`.
 
     ``final_grad_norm`` is the pool gradient norm at the returned state
@@ -180,20 +174,10 @@ class RunResult:
     ansatz circuit, `circuit_resources`: they do not depend on ``theta``.
     """
 
-    __slots__ = ("method", "optimizer", "ansatz", "theta", "energy",
-                 "converged", "trace", "ledger", "resources",
-                 "final_grad_norm", "reference")
-
-    def __init__(self, **kwargs):
-        for name in self.__slots__:
-            setattr(self, name, kwargs[name])
+    __slots__ = ()
 
     def prepared_state(self) -> np.ndarray:
         return prepare_state(self.ansatz, self.theta, self.reference)
-
-    def __repr__(self):
-        return (f"RunResult({self.method}/{self.optimizer}: "
-                f"E={self.energy:.9f}, {len(self.ansatz)} operators)")
 
 
 def screen_pool(psi: np.ndarray, h_p: PauliSum, pool) -> np.ndarray:
@@ -241,7 +225,7 @@ def _fit(problem: QubitProblem, cfg: AdaptConfig, ansatz: Ansatz,
                 + problem.core)
 
     objective = Objective(energy, len(ansatz),
-                          on_evaluation=lambda: ledger.charge_energy(n_terms))
+                          lambda count: ledger.charge_energy(n_terms, count))
     theta0 = np.zeros(len(ansatz))
     if cfg.optimizer == "lbfgs":
         result = minimize_lbfgs(
@@ -273,8 +257,7 @@ def run_adapt(problem: QubitProblem,
         final_grad_norm = float(np.linalg.norm(grads))
         if iteration == cfg.max_iterations:
             break  # out of iterations: the uncharged diagnostic
-        for n_terms in problem.commutator_counts:
-            ledger.charge_commutator(n_terms)
+        ledger.charge_commutators(problem.commutator_counts)
         if final_grad_norm <= cfg.grad_norm_threshold:
             converged = True
             trace.append(AdaptIteration(

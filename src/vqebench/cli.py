@@ -30,6 +30,7 @@ import argparse
 import json
 import os
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 from .adapt import (
@@ -163,12 +164,8 @@ def parse_scan_config(text: str, base_dir: Path | None = None) -> ScanConfig:
                       base_dir / output)
 
 
-class ScanRow:
-    __slots__ = tuple(COLUMNS)
-
-    def __init__(self, **kwargs):
-        for name in self.__slots__:
-            setattr(self, name, kwargs[name])
+class ScanRow(namedtuple("ScanRow", COLUMNS)):
+    __slots__ = ()
 
     def formatted(self) -> dict:
         return {name: text(getattr(self, name))

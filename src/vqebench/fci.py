@@ -4,6 +4,8 @@ fidelities. The JW Hamiltonian is that of the `adapt.QubitProblem` VQE and
 ADAPT solve, and the ground state is a vector over the same block."""
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
 from .adapt import QubitProblem
@@ -15,15 +17,11 @@ DEGENERACY_GAP = 1e-9
 RESIDUAL_TOL = 1e-8
 
 
-class FciSolution:
+class FciSolution(namedtuple("FciSolution", "energy ground_space")):
     """Lowest energy of H_P in the (N, S_z) block of the reference, and
     its ground space: orthonormal columns over ``h_p.basis``."""
 
-    __slots__ = ("energy", "ground_space")
-
-    def __init__(self, energy, ground_space):
-        self.energy = float(energy)
-        self.ground_space = ground_space
+    __slots__ = ()
 
     @property
     def ground_state(self) -> np.ndarray:
@@ -73,7 +71,7 @@ def solve_fci(problem: QubitProblem) -> FciSolution:
 
     space = eigenvectors[:, :n_ground]
     space[:, 0] *= np.sign(space[np.argmax(np.abs(space[:, 0])), 0])
-    return FciSolution(eigenvalues[0] + problem.core, space)
+    return FciSolution(float(eigenvalues[0] + problem.core), space)
 
 
 def infidelity_vs_fci(prepared: np.ndarray, sol: FciSolution) -> float:

@@ -8,11 +8,15 @@ L-BFGS takes each gradient from the caller's ``gradient(theta)``, which
 may compute it exactly (the package uses the adjoint sweep of
 `ansatz.energy_gradient`). The objective is charged ``2n`` evaluations
 for it, what a central-difference gradient costs on hardware, so the
-counts do not depend on how the simulator found the gradient.
+counts do not depend on how the simulator found the gradient. An
+objective's ``on_evaluation`` hook is called once per charge with the
+count charged: 1 per call, ``2n`` per gradient.
 `central_difference_gradient` is the per-point reference that the
 self-test checks the exact gradient against.
 """
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -25,7 +29,12 @@ LBFGS_MAX_BACKTRACKS = 40
 
 
 class Objective:
-    """Callable energy objective with a monotone evaluation counter."""
+    """Callable energy objective with a monotone evaluation counter.
+
+    ``on_evaluation(count)``, when given, is called once per charge with
+    the number of evaluations charged: 1 per call, ``2 * dimension`` per
+    gradient.
+    """
 
     def __init__(self, fn, dimension: int, on_evaluation=None):
         self._fn = fn
@@ -44,27 +53,13 @@ class Objective:
         theta = self._parameters(theta)
         self.evaluation_count += 1
         if self._on_evaluation is not None:
-            self._on_evaluation()
+            self._on_evaluation(1)
         return float(self._fn(theta))
 
 
-class OptimizationResult:
-    __slots__ = ("theta_opt", "energy", "n_energy_evals", "n_gradient_evals",
-                 "converged", "trace")
-
-    def __init__(self, theta_opt, energy, n_energy_evals, n_gradient_evals,
-                 converged, trace):
-        self.theta_opt = np.asarray(theta_opt, dtype=float)
-        self.energy = float(energy)
-        self.n_energy_evals = int(n_energy_evals)
-        self.n_gradient_evals = int(n_gradient_evals)
-        self.converged = bool(converged)
-        self.trace = list(trace)
-
-    def __repr__(self):
-        status = "converged" if self.converged else "not converged"
-        return (f"OptimizationResult(E={self.energy:.9f}, "
-                f"{self.n_energy_evals} evals, {status})")
+OptimizationResult = namedtuple(
+    "OptimizationResult",
+    "theta_opt energy n_energy_evals n_gradient_evals converged trace")
 
 
 def central_difference_gradient(fn, theta, h: float) -> np.ndarray:
@@ -93,8 +88,7 @@ def _charged_gradient(obj: Objective, gradient, theta) -> np.ndarray:
                          f"components, got shape {grad.shape}")
     obj.evaluation_count += 2 * obj.dimension
     if obj._on_evaluation is not None:
-        for _ in range(2 * obj.dimension):
-            obj._on_evaluation()
+        obj._on_evaluation(2 * obj.dimension)
     return grad
 
 
@@ -163,8 +157,8 @@ def minimize_nelder_mead(obj: Objective, theta0,
             values[k] = obj(simplex[k])
 
     best = int(np.argmin(values))
-    return OptimizationResult(simplex[best].copy(), values[best], spent(), 0,
-                              converged, trace)
+    return OptimizationResult(simplex[best].copy(), float(values[best]),
+                              spent(), 0, converged, trace)
 
 
 def minimize_lbfgs(obj: Objective, theta0,

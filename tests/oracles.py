@@ -451,7 +451,7 @@ def minimize_nelder_mead(obj, theta0, tol_rel_energy=DEFAULT_TOL,
             values[k] = obj(simplex[k])
 
     best = int(np.argmin(values))
-    return OptimizationResult(simplex[best], values[best], spent(), 0,
+    return OptimizationResult(simplex[best], float(values[best]), spent(), 0,
                               converged, trace)
 
 

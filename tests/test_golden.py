@@ -116,7 +116,7 @@ def complex_n_block_fci(problem):
     in_sector = np.isin(indices, problem.h_p.basis)
     dropped = eigenvectors[~in_sector, :n_ground]
     assert np.sum(np.abs(dropped) ** 2) < 1e-12
-    return FciSolution(eigenvalues[0] + problem.core,
+    return FciSolution(float(eigenvalues[0] + problem.core),
                        eigenvectors[in_sector, :n_ground])
 
 
