@@ -416,6 +416,19 @@ class TestRecords:
             assert type(record.grad_norm) is float
         assert type(solve_fci(h2).energy) is float
 
+    def test_trace_records_each_fit_convergence(self, h2, monkeypatch):
+        fits, minimize = [], adapt.minimize_lbfgs
+
+        def second_unconverged(*args, **kwargs):
+            fits.append(minimize(*args, **kwargs))
+            return fits[-1]._replace(converged=len(fits) != 2)
+
+        monkeypatch.setattr(adapt, "minimize_lbfgs", second_unconverged)
+        result = run_adapt(h2, AdaptConfig(grad_norm_threshold=1e-6))
+        assert len(fits) == 3 and len(result.trace) == 4
+        assert [record.optimizer_converged for record in result.trace] == [
+            True, False, True, True]
+
 
 class TestAdaptConfig:
     def test_validation(self):
