@@ -154,7 +154,8 @@ class MeasurementLedger:
                 "pauli_term_measurements": self.pauli_term_measurements}
 
 
-# Trace record: one screening plus the optimization that followed. The
+# Trace record: one screening plus the optimization that followed;
+# selected_pool_id is the chosen operator's position in the pool. The
 # terminal record of a converged run has selected_pool_id None and repeats
 # the incumbent energy and parameters.
 AdaptIteration = namedtuple(
@@ -169,8 +170,8 @@ class RunResult(namedtuple("RunResult", "method optimizer ansatz theta "
 
     ``final_grad_norm`` is the pool gradient norm at the returned state
     (None for VQE). ``theta`` holds the optimised angles of ``ansatz``,
-    one per pool id; ``reference`` is the problem's Hartree-Fock state the
-    ansatz acts on. ``resources`` is the gate count and depth of the
+    one per operator; ``reference`` is the problem's Hartree-Fock state
+    the ansatz acts on. ``resources`` is the gate count and depth of the
     ansatz circuit, `circuit_resources`: they do not depend on ``theta``.
     """
 
@@ -197,17 +198,17 @@ def screen_pool(psi: np.ndarray, h_p: PauliSum, pool) -> np.ndarray:
 
 
 def select_operator(grads, pool) -> int:
-    """Pool id with the largest |gradient|; ties break to the lowest id."""
+    """Position in ``pool`` of the largest |gradient|: the first whose
+    |gradient| is within 1e-12 of the largest. A nan or inf gradient
+    raises ValueError."""
     if len(pool) == 0:
         raise ValueError("cannot select from an empty pool")
     if len(grads) != len(pool):
         raise ValueError("gradient vector length does not match pool")
     magnitudes = np.abs(np.asarray(grads, dtype=float))
-    best = float(np.max(magnitudes))
-    for k, value in enumerate(magnitudes):
-        if value >= best - 1e-12:
-            return pool[k].id
-    raise AssertionError("unreachable")
+    if not np.isfinite(magnitudes).all():
+        raise ValueError("gradients must be finite")
+    return int(np.flatnonzero(magnitudes >= magnitudes.max() - 1e-12)[0])
 
 
 def _fit(problem: QubitProblem, cfg: AdaptConfig, ansatz: Ansatz,

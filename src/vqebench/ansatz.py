@@ -38,12 +38,13 @@ from .statevector import RotationProgram, apply_operator, sector_indices
 
 
 class PoolOperator:
-    """One candidate excitation: its JW image on the reference's block."""
+    """One candidate excitation: its JW image on the reference's block.
+    It carries no id: an operator is named by its position in the pool
+    that holds it."""
 
-    __slots__ = ("id", "qubit_form", "description", "_summary")
+    __slots__ = ("qubit_form", "description", "_summary")
 
-    def __init__(self, op_id, qubit_form, description):
-        self.id = op_id
+    def __init__(self, qubit_form, description):
         self.qubit_form = qubit_form
         self.description = description
         self._summary = None
@@ -76,13 +77,14 @@ class PoolOperator:
         return self._summary
 
     def __repr__(self):
-        return f"PoolOperator({self.id}: {self.description})"
+        return f"PoolOperator({self.description})"
 
 
 class Ansatz:
-    """Ordered product of pool-operator exponentials, as the tuple of its
-    pool ids; the parameters are a separate theta vector, one per id.
-    Immutable: its `program` is compiled on first use and kept."""
+    """Ordered product of pool-operator exponentials: a pool and the
+    tuple ``ids`` of its operators' positions in that pool; the parameters
+    are a separate theta vector, one per position. Immutable: its
+    `program` is compiled on first use and kept."""
 
     __slots__ = ("pool", "ids", "_program")
 
@@ -217,15 +219,14 @@ def build_uccsd_pool(n_spatial: int,
         jordan_wigner_each(anti_hermitian_pair(FermionOperator(n_so, prods))
                            for prods, _ in candidates),
         descriptions, sector_indices(n_so, n_electrons))
-    return tuple(PoolOperator(k, q, description) for k, (q, description)
-                 in enumerate(zip(images, descriptions)))
+    return tuple(map(PoolOperator, images, descriptions))
 
 
 def full_uccsd_ansatz(pool) -> Ansatz:
     """Fixed first-order-Trotter ansatz: every pool operator once."""
     if not pool:
         raise ValueError("cannot build a UCCSD ansatz from an empty pool")
-    return Ansatz(pool, [op.id for op in pool])
+    return Ansatz(pool, range(len(pool)))
 
 
 def prepare_state(ansatz: Ansatz, thetas, reference: np.ndarray) -> np.ndarray:

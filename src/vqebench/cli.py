@@ -278,17 +278,14 @@ def render_summary(rows) -> str:
                      f"infidelity {format_infidelity(infid)}  "
                      f"({len(sample)} rows)")
     by_key = {(row.label, row.method, row.optimizer): row for row in rows}
-    have_both = [
-        (label, method)
-        for (label, method, _opt) in by_key
-        if (label, method, "nelder_mead") in by_key
-        and (label, method, "lbfgs") in by_key]
-    if have_both:
+    pairs = sorted({(label, method) for label, method, optimizer in by_key
+                    if optimizer == "lbfgs"
+                    and (label, method, "nelder_mead") in by_key})
+    if pairs:
         lines.append("")
         lines.append("optimizer difference, E(gradient-free) - "
                      "E(gradient-based), per label")
         non_negative = 0
-        pairs = sorted(set(have_both))
         for label, method in pairs:
             gap = (by_key[(label, method, "nelder_mead")].energy
                    - by_key[(label, method, "lbfgs")].energy)

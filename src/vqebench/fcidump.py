@@ -278,30 +278,21 @@ def to_fermion_hamiltonian(m: MolecularHamiltonian):
     Returns ``(operator, core_energy)``. Two-body terms carry the standard
     1/2 factor with physicist integrals ``<pq|rs> = (pr|qs)`` and
     spin-conservation constraints; the scalar core energy is reported
-    separately and added to every energy downstream.
+    separately and added to every energy downstream. The products come
+    from the nonzero integrals, those of magnitude at least 1e-12, in C
+    order of their indices: every ``h1[p, q]``, then every ``<pq|rs> / 2``.
     """
-    n = m.n_spatial
-    n_so = 2 * n
     products = []
-    for p in range(n):
-        for q in range(n):
-            coeff = m.h1[p, q]
-            if abs(coeff) < 1e-12:
-                continue
-            for spin in (0, 1):
+    for p, q in np.argwhere(np.abs(m.h1) >= 1e-12).tolist():
+        for spin in (0, 1):
+            products.append(LadderProduct(
+                [(2 * p + spin, True), (2 * q + spin, False)], m.h1[p, q]))
+    two = 0.5 * m.h2.transpose(0, 2, 1, 3)  # two[p, q, r, s] = <pq|rs> / 2
+    for p, q, r, s in np.argwhere(np.abs(two) >= 1e-12).tolist():
+        for sp in (0, 1):
+            for sq in (0, 1):
                 products.append(LadderProduct(
-                    [(2 * p + spin, True), (2 * q + spin, False)], coeff))
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                for s in range(n):
-                    coeff = 0.5 * m.h2[p, r, q, s]  # <pq|rs> = (pr|qs)
-                    if abs(coeff) < 1e-12:
-                        continue
-                    for sp in (0, 1):
-                        for sq in (0, 1):
-                            products.append(LadderProduct(
-                                [(2 * p + sp, True), (2 * q + sq, True),
-                                 (2 * s + sq, False), (2 * r + sp, False)],
-                                coeff))
-    return FermionOperator(n_so, products), m.core_energy
+                    [(2 * p + sp, True), (2 * q + sq, True),
+                     (2 * s + sq, False), (2 * r + sp, False)],
+                    two[p, q, r, s]))
+    return FermionOperator(2 * m.n_spatial, products), m.core_energy

@@ -16,7 +16,7 @@ self-test checks the exact gradient against.
 """
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 
 import numpy as np
 
@@ -167,13 +167,15 @@ def minimize_lbfgs(obj: Objective, theta0,
                    gradient) -> OptimizationResult:
     """L-BFGS with Armijo backtracking on the caller's gradients.
 
-    Two-loop recursion with memory LBFGS_MEMORY, Armijo constant 1e-4,
-    step shrink 0.5 and at most LBFGS_MAX_BACKTRACKS trial steps. Stops
-    when the energy change between accepted iterates drops to
-    tol_rel_energy (Hartree), the gradient infinity-norm reaches 1e-8, or
-    the budget runs out. A failed line search returns the best iterate
-    with converged = False, as does a budget too small for a step and its
-    gradient; no call past the 1 + 2 * dim of the start exceeds max_evals.
+    Two-loop recursion over a bounded memory of the latest LBFGS_MEMORY
+    curvature pairs ``(s, y)``, a pair kept only when ``s @ y > 1e-14``;
+    Armijo constant 1e-4, step shrink 0.5 and at most
+    LBFGS_MAX_BACKTRACKS trial steps. Stops when the energy change
+    between accepted iterates drops to tol_rel_energy (Hartree), the
+    gradient infinity-norm reaches 1e-8, or the budget runs out. A failed
+    line search returns the best iterate with converged = False, as does
+    a budget too small for a step and its gradient; no call past the
+    1 + 2 * dim of the start exceeds max_evals.
 
     Each gradient is one ``gradient(theta)`` call, charged to ``obj`` as
     ``2 * dim`` evaluations once its shape is checked.
@@ -192,8 +194,7 @@ def minimize_lbfgs(obj: Objective, theta0,
     trace = [energy]
     grad = _charged_gradient(obj, gradient, theta)
     n_gradient_evals += 1
-    s_history: list[np.ndarray] = []
-    y_history: list[np.ndarray] = []
+    pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y), oldest first
 
     converged = False
     while spent() < max_evals:
@@ -203,13 +204,13 @@ def minimize_lbfgs(obj: Objective, theta0,
         # two-loop recursion for the search direction
         q = grad.copy()
         alphas = []
-        for s, y in zip(reversed(s_history), reversed(y_history)):
+        for s, y in reversed(pairs):
             rho = 1.0 / float(y @ s)
             a = rho * float(s @ q)
             alphas.append((a, rho, s, y))
             q -= a * y
-        if y_history:
-            s_last, y_last = s_history[-1], y_history[-1]
+        if pairs:
+            s_last, y_last = pairs[-1]
             q *= float(s_last @ y_last) / float(y_last @ y_last)
         for a, rho, s, y in reversed(alphas):
             b = rho * float(y @ q)
@@ -239,11 +240,7 @@ def minimize_lbfgs(obj: Objective, theta0,
         s_vec = new_theta - theta
         y_vec = new_grad - grad
         if float(s_vec @ y_vec) > 1e-14:
-            s_history.append(s_vec)
-            y_history.append(y_vec)
-            if len(s_history) > LBFGS_MEMORY:
-                s_history.pop(0)
-                y_history.pop(0)
+            pairs.append((s_vec, y_vec))
         energy_drop = energy - new_energy
         theta, energy, grad = new_theta, new_energy, new_grad
         trace.append(energy)

@@ -157,9 +157,9 @@ def run_selftest() -> bool:
         basis = pool[0].qubit_form.basis
         full_ref = embed(ref, basis, n_qubits)
         ok_apply = ok_circuit = ok_resources = True
-        for op in pool:
+        for pid, op in enumerate(pool):
             theta = float(rng.uniform(-np.pi, np.pi))
-            ansatz = Ansatz(pool, [op.id])
+            ansatz = Ansatz(pool, [pid])
             fast = embed(prepare_state(ansatz, [theta], ref), basis, n_qubits)
             dense = _expm_anti_hermitian(_kron_matrix(op.qubit_form),
                                          theta) @ full_ref
@@ -169,7 +169,7 @@ def run_selftest() -> bool:
             ok_circuit &= bool(np.allclose(gated, fast, atol=1e-10))
             ok_resources &= circuit_resources(ansatz) == circuit_metrics(
                 circuit)
-        reverse = Ansatz(pool, [op.id for op in reversed(pool)])
+        reverse = Ansatz(pool, reversed(range(len(pool))))
         ok_resources &= circuit_resources(reverse) == circuit_metrics(
             compile_circuit(reverse, np.linspace(-1.0, 1.0, len(pool))))
         check(f"pool exponentials match dense matrix exponential "

@@ -183,9 +183,9 @@ def test_criterion_3_gradient_identity():
         thetas = [theta for _, theta in elements]
         psi = prepare_state(base, thetas, ref)
         grads = screen_pool(psi, h_p, pool_cache)
-        for k, op in enumerate(pool_cache):
+        for k in range(len(pool_cache)):
             fd = finite_difference_gradient(
-                base.extended(op.id), np.append(thetas, 0.0), ref, h_p)
+                base.extended(k), np.append(thetas, 0.0), ref, h_p)
             diff = abs(fd[-1] - grads[k])
             worst = max(worst, diff)
             assert diff <= 1e-6, f"case {cases}: |fd - commutator| = {diff}"
@@ -216,9 +216,9 @@ def test_criterion_5_oracle_equivalence():
         ref = hartree_fock_reference(n_qubits, n_electrons)
         basis = sector_indices(n_qubits, n_electrons)
         full_ref = embed(ref, basis, n_qubits)
-        for op in pool:
+        for pid, op in enumerate(pool):
             theta = float(rng.uniform(-np.pi, np.pi))
-            ansatz = Ansatz(pool, [op.id])
+            ansatz = Ansatz(pool, [pid])
             fast = embed(prepare_state(ansatz, [theta], ref), basis, n_qubits)
             dense = expm(theta * to_matrix(op.qubit_form)) @ full_ref
             assert np.max(np.abs(fast - dense)) <= 1e-10

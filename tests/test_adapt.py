@@ -106,8 +106,8 @@ class TestScreenPool:
             thetas = [rng.uniform(-0.5, 0.5) for _ in ids]
             psi = prepare_state(base, thetas, ref)
             grads = screen_pool(psi, h_p, pool)
-            for k, op in enumerate(pool):
-                extended = base.extended(op.id)
+            for k in range(len(pool)):
+                extended = base.extended(k)
                 angles = np.append(thetas, 0.0)
                 fd = finite_difference_gradient(extended, angles, ref, h_p)
                 assert grads[k] == pytest.approx(fd[-1], abs=1e-6)
@@ -180,6 +180,25 @@ class TestSelectOperator:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             select_operator([], [])
+
+    def test_position_in_a_reordered_pool(self):
+        pool = build_uccsd_pool(3, 2)
+        rev = pool[::-1]
+        grads = [-0.9, 0.1, 0.2, -0.3, 0.4, 0.5]
+        selected = select_operator(grads, rev)
+        assert selected == 0 and type(selected) is int
+        ansatz = Ansatz(rev, [selected])
+        assert ansatz.pool[ansatz.ids[0]] is pool[-1]
+        assert pool[-1].description == "double 00->22 (paired)"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradients_rejected(self, bad):
+        pool = build_uccsd_pool(3, 2)
+        for position in (0, 3):
+            grads = [0.1] * len(pool)
+            grads[position] = bad
+            with pytest.raises(ValueError, match="gradients must be finite"):
+                select_operator(grads, pool)
 
 
 class TestRunAdapt:

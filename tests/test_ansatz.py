@@ -197,6 +197,11 @@ class TestPoolConstruction:
         assert closed_form_pool_size(4, 4) == 19  # H4
         assert closed_form_pool_size(6, 6) == 81  # H6
 
+    def test_operator_is_named_by_its_position(self, cas22_pool):
+        # an operator carries no id of its own, only its description
+        assert repr(cas22_pool[0]) == "PoolOperator(single 0->1 (singlet))"
+        assert not hasattr(cas22_pool[0], "id")
+
     def test_string_counts(self, cas22_pool):
         assert len(cas22_pool[0].qubit_form) == 4   # singlet single
         assert len(cas22_pool[1].qubit_form) == 8   # paired double
@@ -256,6 +261,18 @@ class TestFullAnsatz:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             full_uccsd_ansatz([])
+
+    def test_sub_pool(self):
+        # an ansatz names its operators by their positions in its own pool,
+        # so a slice of a pool is a pool
+        sub = build_uccsd_pool(3, 2)[2:]
+        ansatz = full_uccsd_ansatz(sub)
+        assert ansatz.ids == (0, 1, 2, 3)
+        assert [ansatz.pool[pid] for pid in ansatz.ids] == list(sub)
+        reference = hartree_fock_reference(6, 2)
+        thetas = np.random.default_rng(5).uniform(-np.pi, np.pi, len(sub))
+        assert prepare_state(ansatz, thetas, reference).tobytes() == \
+            operator_chain(sub, range(len(sub)), thetas, reference).tobytes()
 
 
 class TestPrepareState:
@@ -346,11 +363,11 @@ class TestInPlacePreparation:
         reference = hartree_fock_reference(ham.n_qubits, ham.n_electrons)
         states = [rng.normal(size=len(reference)), reference]
         for state in states:
-            for op in pool:
-                assert_prepares_as_chains(name, [op.id],
+            for pid in range(len(pool)):
+                assert_prepares_as_chains(name, [pid],
                                           rng.uniform(-np.pi, np.pi, 1),
                                           state)
-            assert_prepares_as_chains(name, [op.id for op in pool],
+            assert_prepares_as_chains(name, range(len(pool)),
                                       rng.uniform(-np.pi, np.pi, len(pool)),
                                       state)
 
@@ -367,11 +384,11 @@ class TestInPlacePreparation:
     def test_edge_angles(self, shift):
         pool = committed_pool("h4")
         reference = hartree_fock_reference(8, 4)
-        for op in pool:
-            assert_prepares_as_chains("h4", [op.id], [EDGE_ANGLES[shift]],
+        for pid in range(len(pool)):
+            assert_prepares_as_chains("h4", [pid], [EDGE_ANGLES[shift]],
                                       reference)
         thetas = np.roll(np.resize(EDGE_ANGLES, len(pool)), shift)
-        assert_prepares_as_chains("h4", [op.id for op in pool], thetas,
+        assert_prepares_as_chains("h4", range(len(pool)), thetas,
                                   reference)
 
     @pytest.mark.parametrize("ids", [[], [0, 1, 0]])
@@ -445,7 +462,8 @@ def drawn_case(data, problem):
     a repeat, its angles (`EDGE_ANGLES` among them) and a drawn state: the
     Hartree-Fock reference or a random one."""
     pool = problem.pool
-    multi_group = [op.id for op in pool if len(op.qubit_form.rotations) > 1]
+    multi_group = [pid for pid, op in enumerate(pool)
+                   if len(op.qubit_form.rotations) > 1]
     ids = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=6),
                     label="ids")
     ids.insert(data.draw(st.integers(0, len(ids))),
@@ -639,9 +657,9 @@ class TestCompileCircuit:
         ref = hartree_fock_reference(n_qubits, n_electrons)
         basis = sector_indices(n_qubits, n_electrons)
         rng = np.random.default_rng(n_qubits)
-        for op in pool:
+        for pid in range(len(pool)):
             theta = float(rng.uniform(-np.pi, np.pi))
-            ansatz = Ansatz(pool, [op.id])
+            ansatz = Ansatz(pool, [pid])
             direct = embed(prepare_state(ansatz, [theta], ref), basis,
                            n_qubits)
             gated = simulate_circuit(compile_circuit(ansatz, [theta]),
@@ -707,8 +725,8 @@ class TestCircuitResources:
     def test_every_operator_and_full_uccsd(self, name):
         pool = committed_pool(name)
         rng = np.random.default_rng(19)
-        for op in pool:
-            ansatz = Ansatz(pool, [op.id])
+        for pid in range(len(pool)):
+            ansatz = Ansatz(pool, [pid])
             assert circuit_resources(ansatz) == compiled_metrics(
                 ansatz, rng.uniform(-np.pi, np.pi, 1))
         ansatz = full_uccsd_ansatz(pool)
@@ -720,7 +738,8 @@ class TestCircuitResources:
         pool = build_uccsd_pool(n_spatial, n_electrons)
         rng = np.random.default_rng(n_spatial << 4 | n_electrons)
         # each operator alone, then every operator once (no gate if empty)
-        for ids in [[op.id] for op in pool] + [[op.id for op in pool]]:
+        singles = [[pid] for pid in range(len(pool))]
+        for ids in singles + [list(range(len(pool)))]:
             ansatz = Ansatz(pool, ids)
             assert circuit_resources(ansatz) == compiled_metrics(
                 ansatz, rng.uniform(-np.pi, np.pi, len(ids)))
@@ -759,4 +778,4 @@ class TestCircuitResources:
 
 
 def make_pool_op(qubit_form):
-    return PoolOperator(0, qubit_form, "test operator")
+    return PoolOperator(qubit_form, "test operator")

@@ -288,9 +288,9 @@ class TestH6Block:
         thetas = rng.uniform(-0.5, 0.5, size=2)
         grads = screen_pool(prepare_state(base, thetas, h6.reference),
                             h6.h_p, h6.pool)
-        for k, op in enumerate(h6.pool):
+        for k in range(len(h6.pool)):
             fd = finite_difference_gradient(
-                base.extended(op.id), np.append(thetas, 0.0), h6.reference,
+                base.extended(k), np.append(thetas, 0.0), h6.reference,
                 h6.h_p)
             assert grads[k] == pytest.approx(fd[-1], abs=1e-6)
 
